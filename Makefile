@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: ci vet lint build test race determinism cover faults fuzz load-smoke bench-json bench-async bench-faults bench-directory bench-errors bench-retention bench-saturation top registry
+.PHONY: ci vet lint build test race determinism cover faults fuzz load-smoke bench-smoke bench-json bench-async bench-faults bench-directory bench-errors bench-retention bench-saturation top registry
 
-ci: vet lint build test race determinism cover load-smoke bench-json
+ci: vet lint build test race determinism cover load-smoke bench-smoke bench-json
 
 vet:
 	$(GO) vet ./...
@@ -68,6 +68,13 @@ fuzz:
 # accounting is deterministic.
 load-smoke:
 	$(GO) run ./cmd/ohpc-load -scenario=internal/load/testdata/scenarios/valid/smoke.json -fake -json=-
+
+# The benchmark/ module is its own Go module, so `go build ./...` and
+# `go test ./...` never compile it: without this an exported-API slip in
+# core would first surface as a broken benchmark run.
+bench-smoke:
+	$(GO) -C benchmark vet ./...
+	$(GO) -C benchmark test ./...
 
 # BENCH_*.json trajectory: every PR leaves a perf datapoint. The smoke
 # scenario runs on a fake clock, so BENCH_S1.json is deterministic — a

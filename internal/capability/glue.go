@@ -336,59 +336,27 @@ func (gp *gluePending) Reply() (*wire.Message, error) {
 	return gp.reply, gp.err
 }
 
-// callPending adapts a blocking base.Call to the Pending surface when
-// the base protocol cannot pipeline: Begin still returns immediately,
-// the call runs in its own goroutine.
-type callPending struct {
-	done  chan struct{}
-	reply *wire.Message
-	err   error
-}
-
-func (cp *callPending) Done() <-chan struct{} { return cp.done }
-
-func (cp *callPending) Reply() (*wire.Message, error) {
-	<-cp.done
-	return cp.reply, cp.err
-}
-
 // Begin implements core.PipelinedProtocol: capability processing happens
 // in the caller's goroutine (so quota/rate accounting observes the issue
-// order), the request is pipelined through the base when it supports
-// Begin, and the reply is un-processed on the completion path. Batched
-// requests therefore traverse the capability chain individually — every
-// sub-request in a TBatch carries its own envelope chain.
+// order), the request is started on the base through core.Begin —
+// pipelined when the base supports it, behind a goroutine when it only
+// has Call — and the reply is un-processed on the completion path.
+// Batched requests therefore traverse the capability chain individually
+// — every sub-request in a TBatch carries its own envelope chain.
 func (g *Glue) Begin(m *wire.Message) (core.Pending, error) {
 	out, err := g.wrapRequest(m)
 	if err != nil {
 		return nil, err
 	}
-	if pp, ok := g.base.(core.PipelinedProtocol); ok {
-		bs := g.baseSpan(out)
-		p, err := pp.Begin(out)
-		if err != nil {
-			bs.SetErr(err)
-			bs.End()
-			g.refundRequest(m.Object, m.Method)
-			return nil, err
-		}
-		return &gluePending{g: g, p: p, object: m.Object, method: m.Method, span: bs}, nil
-	}
-	cp := &callPending{done: make(chan struct{})}
 	bs := g.baseSpan(out)
-	go func() {
-		reply, err := g.base.Call(out)
+	p, err := core.Begin(g.base, out)
+	if err != nil {
 		bs.SetErr(err)
 		bs.End()
-		if err != nil {
-			g.refundRequest(m.Object, m.Method)
-		} else if reply.Type == wire.TReply {
-			reply, err = g.unwrapReply(reply)
-		}
-		cp.reply, cp.err = reply, err
-		close(cp.done)
-	}()
-	return cp, nil
+		g.refundRequest(m.Object, m.Method)
+		return nil, err
+	}
+	return &gluePending{g: g, p: p, object: m.Object, method: m.Method, span: bs}, nil
 }
 
 // SetBatching implements core.BatchingProtocol by forwarding the policy

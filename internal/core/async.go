@@ -1,20 +1,16 @@
 // Asynchronous invocation: GlobalPtr.InvokeAsync returns a future while
-// the request is pipelined on the wire. The first attempt is issued in
-// the caller's goroutine through PipelinedProtocol.Begin when the bound
-// protocol supports it, so a loop of InvokeAsync calls genuinely keeps
-// many requests in flight per connection; the adaptation machinery
-// (migration chase, protocol re-selection, retry backoff) runs on the
-// completion goroutine and is shared verbatim with the synchronous path
-// via prepare/settle.
+// the request is pipelined on the wire. Admission and the first issue
+// run in the caller's goroutine, so a loop of InvokeAsync calls
+// genuinely keeps many requests in flight per connection and their
+// issue order is the call order; the rest of the engine (engine.go) —
+// finishing the attempt, the migration chase, protocol re-selection,
+// retry backoff — runs on one completion goroutine per invocation.
 package core
 
 import (
 	"context"
-	"errors"
 	"sync"
-	"time"
 
-	"openhpcxx/internal/clock"
 	"openhpcxx/internal/future"
 	"openhpcxx/internal/obs"
 	"openhpcxx/internal/wire"
@@ -44,18 +40,7 @@ func (g *GlobalPtr) InvokeAsync(method string, args []byte) *future.Future {
 // InvokeCtx.
 func (g *GlobalPtr) InvokeAsyncCtx(ctx context.Context, method string, args []byte) *future.Future {
 	fut := future.New()
-	root := g.host.rt.Tracer().StartRoot(obs.KindClient, "invoke")
-	if root != nil {
-		root.SetRPC(string(g.Object()), method)
-		root.SetBytes(len(args))
-	}
-	fail := func(err error) *future.Future {
-		fut.Fail(err)
-		root.SetErr(err)
-		root.End()
-		return fut
-	}
-
+	root := g.startRoot("invoke", method, args)
 	g.mu.Lock()
 	sem := g.inflight
 	g.mu.Unlock()
@@ -64,7 +49,7 @@ func (g *GlobalPtr) InvokeAsyncCtx(ctx context.Context, method string, args []by
 		select {
 		case sem <- struct{}{}:
 		case <-ctx.Done():
-			return fail(ctx.Err())
+			return resolve(fut, root, nil, ctx.Err())
 		}
 	} else {
 		sem <- struct{}{}
@@ -80,190 +65,28 @@ func (g *GlobalPtr) InvokeAsyncCtx(ctx context.Context, method string, args []by
 	}
 	fut.OnCancel(release)
 
-	sel := root.Child("select")
-	p, err := g.prepare(ctx, wire.TRequest, method, args)
+	a, err := g.issue(ctx, root, wire.TRequest, method, args, true)
 	if err != nil {
 		release()
-		sel.SetErr(err)
-		sel.End()
-		return fail(err)
+		return resolve(fut, root, nil, err)
 	}
-	var send *obs.Active
-	if root != nil {
-		sel.SetProto(string(p.proto.ID()), p.key)
-		sel.End()
-		stampTrace(g.host.rt.Tracer(), p.req, root)
-		// The send span covers issue plus the in-flight wait for the
-		// pipelined reply.
-		send = root.Child(string(p.proto.ID()))
-		send.SetProto(string(p.proto.ID()), p.key)
-		send.SetBytes(len(args))
-	}
-	p.pm.calls.Inc()
-	p.pm.reqBytes.Add(uint64(len(args)))
-	start := time.Now()
-
-	if pp, ok := p.proto.(PipelinedProtocol); ok {
-		pending, berr := pp.Begin(p.req)
-		if berr == nil {
-			go func() {
-				defer release()
-				reply, rerr := g.awaitPending(ctx, p, pending)
-				elapsed := time.Since(start)
-				p.pm.latency.ObserveDurationTraced(elapsed, uint64(root.TraceID()))
-				p.em.observe(elapsed, len(args)+replyBytes(reply), g.host.rt.Clock().Now())
-				send.SetErr(rerr)
-				send.End()
-				g.settleAsync(ctx, root, fut, p, reply, rerr, method, args)
-			}()
-			return fut
-		}
-		go func() {
-			defer release()
-			send.SetErr(berr)
-			send.End()
-			g.settleAsync(ctx, root, fut, p, nil, berr, method, args)
-		}()
-		return fut
-	}
-
-	// Protocol without Begin: run Call in the completion goroutine — the
-	// futures surface is preserved, per-connection pipelining is not.
 	go func() {
 		defer release()
-		reply, cerr := p.proto.Call(p.req)
-		elapsed := time.Since(start)
-		p.pm.latency.ObserveDurationTraced(elapsed, uint64(root.TraceID()))
-		p.em.observe(elapsed, len(args)+replyBytes(reply), g.host.rt.Clock().Now())
-		send.SetErr(cerr)
-		send.End()
-		g.settleAsync(ctx, root, fut, p, reply, cerr, method, args)
+		body, err := g.run(ctx, root, fut, method, args, a)
+		resolve(fut, root, body, err)
 	}()
 	return fut
 }
 
-// awaitPending waits for a pipelined reply or the context, whichever
-// resolves first; on expiry the exchange is abandoned and the endpoint
-// demoted (same policy as callWithCtx on the synchronous path).
-func (g *GlobalPtr) awaitPending(ctx context.Context, p prepared, pending Pending) (*wire.Message, error) {
-	if ctx.Done() == nil {
-		return pending.Reply()
-	}
-	select {
-	case <-pending.Done():
-		return pending.Reply()
-	case <-ctx.Done():
-		if a, ok := pending.(interface{ Abandon() }); ok {
-			a.Abandon()
-		}
-		if errors.Is(ctx.Err(), context.DeadlineExceeded) && g.host.rt.FailoverEnabled() {
-			if ht := g.host.rt.Health(); ht != nil {
-				ht.ReportFailure(p.key)
-			}
-			g.Invalidate()
-		}
-		return nil, ctx.Err()
-	}
-}
-
-// settleAsync classifies the first attempt's outcome and, when the
-// adaptation machinery asks for a retry, runs the remaining attempts
-// synchronously in the completion goroutine before resolving the
-// future. A canceled future abandons the chase between attempts.
-func (g *GlobalPtr) settleAsync(ctx context.Context, root *obs.Active, fut *future.Future, p prepared, reply *wire.Message, err error, method string, args []byte) {
-	fail := func(ferr error) {
-		fut.Fail(ferr)
-		root.SetErr(ferr)
-		root.End()
-	}
-	if err != nil && ctx.Err() != nil && errors.Is(err, ctx.Err()) {
-		fail(ctxAttemptErr(err, nil))
-		return
-	}
-	body, done, backoff, serr := g.settle(p, reply, err)
-	if done {
-		finishFuture(fut, body, serr)
-		root.SetErr(serr)
-		root.End()
-		return
-	}
-	// Budget gate, exactly as on the synchronous path: charged retries
-	// draw a token, permanent classes and a dry bucket stop the chase.
-	if stop, berr := g.retryAdmit(serr, backoff); stop {
-		fail(berr)
-		return
-	}
-	lastErr, needBackoff := serr, backoff
-	for attempt := 1; attempt < maxInvokeAttempts; attempt++ {
-		if _, _, resolved := fut.TryResult(); resolved {
-			root.SetCause("canceled")
-			root.End()
-			return // canceled (or raced): nobody is waiting, stop retrying
-		}
-		if cerr := ctx.Err(); cerr != nil {
-			fail(ctxAttemptErr(cerr, lastErr))
-			return
-		}
-		rs := root.Child("retry")
-		rs.SetCause(retryCause(lastErr))
-		if needBackoff {
-			if cerr := clock.SleepCtx(ctx, g.host.rt.Clock(), retryBackoff(attempt)); cerr != nil {
-				rs.End()
-				fail(ctxAttemptErr(cerr, lastErr))
-				return
-			}
-		}
-		rs.End()
-		sel := root.Child("select")
-		rp, perr := g.prepare(ctx, wire.TRequest, method, args)
-		if perr != nil {
-			sel.SetErr(perr)
-			sel.End()
-			fail(perr)
-			return
-		}
-		var send *obs.Active
-		if root != nil {
-			sel.SetProto(string(rp.proto.ID()), rp.key)
-			sel.End()
-			stampTrace(g.host.rt.Tracer(), rp.req, root)
-			send = root.Child(string(rp.proto.ID()))
-			send.SetProto(string(rp.proto.ID()), rp.key)
-			send.SetBytes(len(args))
-		}
-		rp.pm.calls.Inc()
-		rp.pm.reqBytes.Add(uint64(len(args)))
-		start := time.Now()
-		r, cerr := g.callWithCtx(ctx, rp)
-		elapsed := time.Since(start)
-		rp.pm.latency.ObserveDurationTraced(elapsed, uint64(root.TraceID()))
-		rp.em.observe(elapsed, len(args)+replyBytes(r), g.host.rt.Clock().Now())
-		send.SetErr(cerr)
-		send.End()
-		if cerr != nil && ctx.Err() != nil && errors.Is(cerr, ctx.Err()) {
-			fail(ctxAttemptErr(cerr, lastErr))
-			return
-		}
-		body, done, backoff, serr := g.settle(rp, r, cerr)
-		if done {
-			finishFuture(fut, body, serr)
-			root.SetErr(serr)
-			root.End()
-			return
-		}
-		if stop, berr := g.retryAdmit(serr, backoff); stop {
-			fail(berr)
-			return
-		}
-		lastErr, needBackoff = serr, backoff
-	}
-	fail(g.giveUp(method, lastErr))
-}
-
-func finishFuture(f *future.Future, body []byte, err error) {
+// resolve ends an asynchronous invocation: the future gets its result
+// and the root span its outcome.
+func resolve(fut *future.Future, root *obs.Active, body []byte, err error) *future.Future {
 	if err != nil {
-		f.Fail(err)
-		return
+		fut.Fail(err)
+	} else {
+		fut.Complete(body)
 	}
-	f.Complete(body)
+	root.SetErr(err)
+	root.End()
+	return fut
 }

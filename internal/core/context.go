@@ -82,8 +82,8 @@ type Runtime struct {
 
 	// Per-endpoint EWMA meter cache (see meters.go), keyed by the
 	// health-tracker key "proto|addr" and guarded separately from the
-	// main runtime lock so prepare() never contends with contexts/gps
-	// bookkeeping.
+	// main runtime lock so a GP binding a protocol never contends with
+	// contexts/gps bookkeeping.
 	epMu     sync.RWMutex
 	epMeters map[string]*endpointMeters
 

@@ -1,0 +1,304 @@
+// The invocation engine: every surface of a GlobalPtr is built from two
+// steps. issue selects a protocol, counts the attempt and puts its frame
+// on the wire; finish collects the reply, accounts for the attempt and
+// classifies the outcome; run loops the two until an attempt is
+// terminal. Invoke runs all of it on the caller's goroutine; InvokeAsync
+// issues its first attempt on the caller's goroutine — so a GP's issue
+// order is the order of its InvokeAsync calls — and runs the rest on one
+// completion goroutine; Post is one issue and one finish.
+package core
+
+import (
+	"context"
+	"errors"
+	"math/rand"
+	"time"
+
+	"openhpcxx/internal/clock"
+	"openhpcxx/internal/errs"
+	"openhpcxx/internal/future"
+	"openhpcxx/internal/obs"
+	"openhpcxx/internal/wire"
+)
+
+// maxInvokeAttempts bounds migration chases: an object hopping contexts
+// mid-call yields FaultMoved chains; each hop refreshes the reference.
+const maxInvokeAttempts = 4
+
+// Retry backoff: attempts after a transport error or a stale protocol
+// choice wait base<<n capped at retryBackoffCap, with ±50% jitter so a
+// herd of GPs re-selecting against one recovering server de-correlates.
+// Migration chases (FaultMoved) skip the backoff — the tombstone hands
+// over a fresh, authoritative reference, so retrying immediately is
+// right. Sleeps go through the runtime clock: tests with clock.Fake pay
+// simulated time only.
+const (
+	retryBackoffBase = 2 * time.Millisecond
+	retryBackoffCap  = 50 * time.Millisecond
+)
+
+// retryBackoff computes the jittered delay before retry attempt n (n>=1).
+func retryBackoff(attempt int) time.Duration {
+	d := retryBackoffBase << (attempt - 1)
+	if d > retryBackoffCap || d <= 0 {
+		d = retryBackoffCap
+	}
+	// Jitter in [0.5d, 1.5d).
+	return d/2 + time.Duration(rand.Int63n(int64(d)))
+}
+
+// attempt is one issued try of an invocation: the binding and frame it
+// went out on, and what finish needs to account for it exactly once.
+type attempt struct {
+	b       *binding
+	req     *wire.Message
+	send    *obs.Active // per-protocol send span; nil when untraced
+	start   time.Time   // on the runtime clock
+	pending Pending     // in-flight exchange; nil when reply/err are already in hand
+	reply   *wire.Message
+	err     error
+}
+
+// callPending resolves when a blocking Call returns.
+type callPending struct {
+	done  chan struct{}
+	reply *wire.Message
+	err   error
+}
+
+func (cp *callPending) Done() <-chan struct{} { return cp.done }
+
+func (cp *callPending) Reply() (*wire.Message, error) {
+	<-cp.done
+	return cp.reply, cp.err
+}
+
+// Begin starts one exchange on any protocol object and returns without
+// waiting for the reply: natively when the protocol pipelines, otherwise
+// by running its blocking Call in a goroutine of its own — the futures
+// surface is preserved, per-connection pipelining is not. The glue
+// protocol starts its base protocol through it too.
+func Begin(p Protocol, m *wire.Message) (Pending, error) {
+	if pp, ok := p.(PipelinedProtocol); ok {
+		return pp.Begin(m)
+	}
+	cp := &callPending{done: make(chan struct{})}
+	go func() {
+		cp.reply, cp.err = p.Call(m)
+		close(cp.done)
+	}()
+	return cp, nil
+}
+
+// startRoot opens the root span of one invocation (nil when untraced).
+func (g *GlobalPtr) startRoot(name, method string, args []byte) *obs.Active {
+	root := g.host.rt.Tracer().StartRoot(obs.KindClient, name)
+	if root != nil {
+		root.SetRPC(string(g.Object()), method)
+		root.SetBytes(len(args))
+	}
+	return root
+}
+
+// issue selects a protocol, builds the frame and sends one attempt under
+// root. An error means nothing was sent, so nothing was counted;
+// otherwise the attempt is counted and on the clock, and the caller owes
+// it exactly one finish — also when the send itself failed (a.err).
+//
+// A caller that blocks on the reply with no context to watch takes the
+// protocol's own Call, inline, so a Call-only protocol costs no
+// goroutine there. A detached caller (InvokeAsync's first attempt must
+// return before the reply) and one that has a context to watch go
+// through Begin.
+func (g *GlobalPtr) issue(ctx context.Context, root *obs.Active, typ wire.MsgType, method string, args []byte, detached bool) (attempt, error) {
+	if err := ctx.Err(); err != nil {
+		return attempt{}, err
+	}
+	sel := root.Child("select")
+	b, req, err := g.prepare(ctx, typ, method, args)
+	var ow OneWayProtocol
+	if err == nil && typ == wire.TControl {
+		if ow, _ = b.proto.(OneWayProtocol); ow == nil {
+			err = ErrOneWayUnsupported
+		}
+	}
+	if err != nil {
+		sel.SetErr(err)
+		sel.End()
+		return attempt{}, err
+	}
+	pid := string(b.proto.ID())
+	sel.SetProto(pid, b.key)
+	sel.End()
+	stampTrace(g.host.rt.Tracer(), req, root)
+	// The send span covers the send plus the in-flight wait.
+	a := attempt{b: b, req: req, send: root.Child(pid)}
+	a.send.SetProto(pid, b.key)
+	a.send.SetBytes(len(args))
+	if ow != nil {
+		b.oneway.Inc()
+	} else {
+		b.calls.Inc()
+	}
+	b.reqBytes.Add(uint64(len(args)))
+	a.start = g.host.rt.Clock().Now()
+	switch {
+	case ow != nil:
+		a.err = ow.Post(req)
+	case !detached && ctx.Done() == nil:
+		a.reply, a.err = b.proto.Call(req)
+	default:
+		a.pending, a.err = Begin(b.proto, req)
+	}
+	return a, nil
+}
+
+// finish brings one issued attempt to its end: it waits for the reply or
+// the context, times and meters the round trip, ends the send span and
+// classifies the outcome. done=false means go again — settle asked for a
+// retry and the budget admitted it — with err the failure that caused it
+// and backoff whether the retry deserves a delay. lastErr is the
+// previous attempt's failure, reported alongside a context expiry.
+//
+// When the context ends first, the pending exchange is abandoned (the
+// mux drops a late reply) and, for a deadline, the endpoint is reported
+// failing: an endpoint that cannot answer in time is, for failover
+// purposes, indistinguishable from a dead one.
+//
+// A one-way attempt has no reply to wait for or to time — only the
+// endpoint's byte rate moves — and is never retried: at-most-once.
+func (g *GlobalPtr) finish(ctx context.Context, root *obs.Active, a *attempt, lastErr error) (body []byte, done, backoff bool, err error) {
+	rt := g.host.rt
+	if a.pending != nil && a.err == nil {
+		if ctx.Done() == nil {
+			a.reply, a.err = a.pending.Reply()
+		} else {
+			select {
+			case <-a.pending.Done():
+				a.reply, a.err = a.pending.Reply()
+			case <-ctx.Done():
+				if ab, ok := a.pending.(interface{ Abandon() }); ok {
+					ab.Abandon()
+				}
+				if errors.Is(ctx.Err(), context.DeadlineExceeded) && rt.FailoverEnabled() {
+					if ht := rt.Health(); ht != nil {
+						ht.ReportFailure(a.b.key)
+					}
+					g.Invalidate()
+				}
+				a.err = ctx.Err()
+			}
+		}
+	}
+	oneway := a.req.Type == wire.TControl
+	now, n := rt.Clock().Now(), len(a.req.Body)
+	if a.reply != nil {
+		n += len(a.reply.Body)
+	}
+	if oneway {
+		a.b.em.addBytes(n, now)
+	} else {
+		elapsed := now.Sub(a.start)
+		a.b.latency.ObserveDurationTraced(elapsed, uint64(root.TraceID()))
+		a.b.em.observe(elapsed, n, now)
+	}
+	a.send.SetErr(a.err)
+	a.send.End()
+	if a.err != nil && ctx.Err() != nil && errors.Is(a.err, ctx.Err()) {
+		// The context ended the attempt, not the endpoint: nothing for
+		// settle to classify (a deadline mid-flight was reported above).
+		return nil, true, false, ctxAttemptErr(a.err, lastErr)
+	}
+	body, done, backoff, err = g.settle(a.b, a.reply, a.err)
+	if done || oneway {
+		return body, true, false, err
+	}
+	// settle wants a retry: the budget gate decides. A backoff-charged
+	// retry draws a token; permanent classes and a dry bucket end the
+	// invocation here instead of amplifying.
+	if stop, berr := g.retryAdmit(err, backoff); stop {
+		return nil, true, false, berr
+	}
+	return nil, false, backoff, err
+}
+
+// run finishes the already issued first attempt of a two-way invocation
+// and, while finish asks for another, backs off and issues the next, up
+// to maxInvokeAttempts. fut is an asynchronous invocation's future (nil
+// for a synchronous one): once it is resolved — canceled — nobody is
+// waiting and the chase stops.
+func (g *GlobalPtr) run(ctx context.Context, root *obs.Active, fut *future.Future, method string, args []byte, a attempt) ([]byte, error) {
+	var lastErr error
+	for n := 1; ; n++ {
+		body, done, backoff, err := g.finish(ctx, root, &a, lastErr)
+		if done {
+			return body, err
+		}
+		if n == maxInvokeAttempts {
+			// The give-up keeps the last failure's taxonomy code, so callers
+			// classify it the same way they would the failure itself.
+			return nil, errs.Wrapf(errs.CodeOf(err), err, "core: invoke %s.%s gave up after %d attempts",
+				g.Object(), method, maxInvokeAttempts)
+		}
+		lastErr = err
+		if fut != nil {
+			if _, _, resolved := fut.TryResult(); resolved {
+				return nil, future.ErrCanceled
+			}
+		}
+		if cerr := ctx.Err(); cerr != nil {
+			return nil, ctxAttemptErr(cerr, lastErr)
+		}
+		// The retry span covers the backoff wait and records why the
+		// previous attempt failed.
+		rs := root.Child("retry")
+		rs.SetCause(retryCause(lastErr))
+		if backoff {
+			if cerr := clock.SleepCtx(ctx, g.host.rt.Clock(), retryBackoff(n)); cerr != nil {
+				rs.End()
+				return nil, ctxAttemptErr(cerr, lastErr)
+			}
+		}
+		rs.End()
+		if a, err = g.issue(ctx, root, wire.TRequest, method, args, false); err != nil {
+			return nil, err
+		}
+	}
+}
+
+// Invoke calls a method on the remote object: it selects a protocol,
+// sends the request, and transparently adapts to migration (FaultMoved
+// refreshes the reference and re-selects), to stale protocol choices
+// (FaultNotApplicable re-selects), and to failing endpoints (transport
+// errors and FaultUnavailable demote the endpoint's breaker and fail
+// over down the reference's ordered protocol table).
+func (g *GlobalPtr) Invoke(method string, args []byte) ([]byte, error) {
+	return g.InvokeCtx(context.Background(), method, args)
+}
+
+// InvokeCtx is Invoke bounded by a context: the deadline travels in the
+// wire header (servers shed the request after expiry), retry backoffs
+// respect cancellation, and an in-flight call is abandoned — and its
+// endpoint demoted — when the deadline fires while the reply is
+// overdue. The returned error wraps ctx.Err() when the context ended
+// the invocation.
+//
+// With a span recorder installed (Runtime.Tracer) the invocation is
+// traced end to end: a root "invoke" span, per-attempt "select", "retry"
+// (carrying the failure cause) and per-protocol send spans, and — via
+// the trace IDs stamped into the wire header — the server's dispatch
+// spans, all under one trace ID.
+func (g *GlobalPtr) InvokeCtx(ctx context.Context, method string, args []byte) ([]byte, error) {
+	ifg := g.host.rt.inflightGauge
+	ifg.Inc()
+	defer ifg.Dec()
+	root := g.startRoot("invoke", method, args)
+	var body []byte
+	a, err := g.issue(ctx, root, wire.TRequest, method, args, false)
+	if err == nil {
+		body, err = g.run(ctx, root, nil, method, args, a)
+	}
+	root.SetErr(err)
+	root.End()
+	return body, err
+}

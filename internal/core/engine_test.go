@@ -1,0 +1,356 @@
+package core
+
+import (
+	"context"
+	"errors"
+	"strings"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"openhpcxx/internal/clock"
+	"openhpcxx/internal/errs"
+	"openhpcxx/internal/obs"
+	"openhpcxx/internal/obs/obstest"
+	"openhpcxx/internal/transport"
+	"openhpcxx/internal/wire"
+)
+
+// These tests hold the invocation engine to its one contract: whichever
+// surface issues an attempt and whichever protocol carries it, the
+// attempt is counted, timed, metered and traced exactly once.
+
+var errInjected = errors.New("injected send failure")
+
+// wrapFactory stands in for a built-in factory under the same protocol
+// id, so selection, health keys and metric names are the wrapped
+// protocol's. Its protocol objects fail the next *fail sends, and with
+// callOnly they expose nothing but Call.
+type wrapFactory struct {
+	ProtoFactory
+	callOnly bool
+	fail     *atomic.Int32
+	// inCall, when set, runs inside every Call before it is forwarded.
+	inCall func()
+}
+
+func (f wrapFactory) New(e ProtoEntry, ref *ObjectRef, host *Context) (Protocol, error) {
+	p, err := f.ProtoFactory.New(e, ref, host)
+	if err != nil {
+		return nil, err
+	}
+	w := &wrapProto{Protocol: p, f: f}
+	if f.callOnly {
+		return callOnlyProto{w}, nil
+	}
+	return w, nil
+}
+
+type wrapProto struct {
+	Protocol
+	f wrapFactory
+}
+
+func (p *wrapProto) failing() bool {
+	return p.f.fail != nil && p.f.fail.Add(-1) >= 0
+}
+
+func (p *wrapProto) Call(m *wire.Message) (*wire.Message, error) {
+	if p.f.inCall != nil {
+		p.f.inCall()
+	}
+	if p.failing() {
+		return nil, errInjected
+	}
+	return p.Protocol.Call(m)
+}
+
+func (p *wrapProto) Begin(m *wire.Message) (Pending, error) {
+	if p.failing() {
+		return nil, errInjected
+	}
+	return p.Protocol.(PipelinedProtocol).Begin(m)
+}
+
+func (p *wrapProto) Post(m *wire.Message) error {
+	if p.failing() {
+		return errInjected
+	}
+	return p.Protocol.(OneWayProtocol).Post(m)
+}
+
+func (p *wrapProto) SetBatching(policy transport.BatchPolicy) {
+	if bp, ok := p.Protocol.(BatchingProtocol); ok {
+		bp.SetBatching(policy)
+	}
+}
+
+// callOnlyProto embeds the Protocol interface alone, so Begin, Post and
+// SetBatching are out of the ORB's reach.
+type callOnlyProto struct{ Protocol }
+
+// engineCounts is everything the engine accounts per attempt.
+type engineCounts struct {
+	calls, oneway, reqBytes, respBytes, transportErrors uint64
+	latencyCount, meterLatency, meterBytes              uint64
+}
+
+func readEngineCounts(rt *Runtime, pid ProtoID) engineCounts {
+	snap := rt.MetricsSnapshot()
+	pre := "rpc." + string(pid) + "."
+	c := engineCounts{
+		calls:           snap.Counters[pre+"calls"],
+		oneway:          snap.Counters[pre+"oneway"],
+		reqBytes:        snap.Counters[pre+"req_bytes"],
+		respBytes:       snap.Counters[pre+"resp_bytes"],
+		transportErrors: snap.Counters[pre+"transport_errors"],
+		latencyCount:    snap.Histograms[pre+"latency_us"].Count,
+	}
+	for k, m := range snap.Meters {
+		switch {
+		case strings.HasPrefix(k, "rpc.endpoint.latency_us{"):
+			c.meterLatency += m.Count
+		case strings.HasPrefix(k, "rpc.endpoint.bytes_ps{"):
+			c.meterBytes += m.Count
+		}
+	}
+	return c
+}
+
+// engineWorld exports an echo servant reachable over pid and returns a
+// client GP whose pool wraps that protocol's factory. A nil clk leaves
+// the runtime on the real clock.
+func engineWorld(t *testing.T, pid ProtoID, f wrapFactory, clk clock.Clock) (*Runtime, *GlobalPtr) {
+	t.Helper()
+	_, rt := testWorld(t)
+	if clk != nil {
+		rt.SetClock(clk)
+	}
+	srv, _ := rt.NewContext("srv", "mA")
+	client, _ := rt.NewContext("client", "mC")
+	var entry ProtoEntry
+	var err error
+	if pid == ProtoNexus {
+		if err = srv.BindNexusSim(0); err == nil {
+			entry, err = srv.EntryNexus()
+		}
+	} else {
+		if err = srv.BindSim(0); err == nil {
+			entry, err = srv.EntryStream()
+		}
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := srv.Export("Echo", nil, echoMethods())
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.ProtoFactory, _ = client.Pool().Lookup(pid)
+	client.Pool().Register(f)
+	return rt, client.NewGlobalPtr(srv.NewRef(s, entry))
+}
+
+// TestEngineSurfaceParity drives one GP through every surface over a
+// pipelined stream, nexus, and a Call-only protocol, clean and with the
+// first send failing, and requires the same accounting everywhere: a
+// two-way attempt moves calls, req_bytes, latency_us and both endpoint
+// meters once, a one-way attempt moves oneway, req_bytes and the byte
+// meter once, and the trace starts root→select→<proto>.
+func TestEngineSurfaceParity(t *testing.T) {
+	const n = 5 // payload bytes
+	args := []byte("hello")
+	protos := []struct {
+		name     string
+		pid      ProtoID
+		callOnly bool
+	}{
+		{"stream", ProtoStream, false},
+		{"nexus", ProtoNexus, false},
+		{"call-only", ProtoStream, true},
+	}
+	twoWay := func(call func(gp *GlobalPtr) ([]byte, error)) func(*GlobalPtr) error {
+		return func(gp *GlobalPtr) error {
+			body, err := call(gp)
+			if err == nil && string(body) != string(args) {
+				err = errors.New("wrong echo: " + string(body))
+			}
+			return err
+		}
+	}
+	surfaces := []struct {
+		name   string
+		oneway bool
+		do     func(gp *GlobalPtr) error
+	}{
+		{"Invoke", false, twoWay(func(gp *GlobalPtr) ([]byte, error) { return gp.Invoke("echo", args) })},
+		{"InvokeCtx-deadline", false, twoWay(func(gp *GlobalPtr) ([]byte, error) {
+			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+			defer cancel()
+			return gp.InvokeCtx(ctx, "echo", args)
+		})},
+		{"InvokeAsync", false, twoWay(func(gp *GlobalPtr) ([]byte, error) { return gp.InvokeAsync("echo", args).Wait() })},
+		{"InvokeAsync-batched", false, twoWay(func(gp *GlobalPtr) ([]byte, error) {
+			policy := transport.DefaultBatchPolicy()
+			gp.SetBatchPolicy(&policy)
+			return gp.InvokeAsync("echo", args).Wait()
+		})},
+		{"Post", true, func(gp *GlobalPtr) error { return gp.Post("echo", args) }},
+	}
+	for _, p := range protos {
+		for _, s := range surfaces {
+			for _, failFirst := range []bool{false, true} {
+				name := p.name + "/" + s.name
+				if failFirst {
+					name += "/first-send-fails"
+				}
+				t.Run(name, func(t *testing.T) {
+					fail := new(atomic.Int32)
+					rt, gp := engineWorld(t, p.pid, wrapFactory{callOnly: p.callOnly, fail: fail}, nil)
+					if _, err := gp.SelectedProtocol(); err != nil {
+						t.Fatal(err)
+					}
+					col := obstest.Attach(t, rt.Tracer())
+					if failFirst {
+						fail.Store(1)
+					}
+					err := s.do(gp)
+
+					var want engineCounts
+					path := "invoke→select→" + string(p.pid)
+					switch {
+					case s.oneway && p.callOnly:
+						// Nothing is selected, so nothing is counted.
+						if !errors.Is(err, ErrOneWayUnsupported) {
+							t.Fatalf("err = %v, want ErrOneWayUnsupported", err)
+						}
+						path = "post→select"
+					case s.oneway:
+						want = engineCounts{oneway: 1, reqBytes: n, meterBytes: 1}
+						path = "post→select→" + string(p.pid)
+						if failFirst {
+							// At-most-once: the failure is classified, not retried.
+							want.transportErrors = 1
+							if !errors.Is(err, errInjected) || errs.CodeOf(err) != errs.Transport {
+								t.Fatalf("err = %v (code %v), want injected failure coded transport", err, errs.CodeOf(err))
+							}
+						} else if err != nil {
+							t.Fatal(err)
+						}
+					default:
+						if err != nil {
+							t.Fatal(err)
+						}
+						want = engineCounts{calls: 1, reqBytes: n, respBytes: n, latencyCount: 1, meterLatency: 1, meterBytes: 1}
+						if failFirst {
+							want = engineCounts{calls: 2, reqBytes: 2 * n, respBytes: n, transportErrors: 1,
+								latencyCount: 2, meterLatency: 2, meterBytes: 2}
+							path += "→retry→select→" + string(p.pid)
+						}
+					}
+					root := strings.SplitN(path, "→", 2)[0]
+					col.WaitForSpans(t, root, 1, 5*time.Second)
+					if got := readEngineCounts(rt, p.pid); got != want {
+						t.Fatalf("accounting\n got %+v\nwant %+v", got, want)
+					}
+					tr := col.TraceOf(t, func(sp obs.Span) bool { return sp.Name == root && sp.Parent == 0 })
+					obstest.AssertPath(t, tr, path)
+					if n := len(obstest.Named(tr, string(p.pid))); n != int(want.calls+want.oneway) {
+						t.Fatalf("%d send spans for %d attempts", n, want.calls+want.oneway)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestOneWayPostFailureIsClassified: a failed Post goes through the same
+// classification as every other send — coded transport with the cause
+// reachable, counted in rpc.errors, reported to the endpoint's breaker —
+// and still is not retried.
+func TestOneWayPostFailureIsClassified(t *testing.T) {
+	fail := new(atomic.Int32)
+	rt, gp := engineWorld(t, ProtoStream, wrapFactory{fail: fail}, nil)
+	for i := 1; i <= 2; i++ {
+		fail.Store(1)
+		err := gp.Post("echo", []byte("x"))
+		if !errors.Is(err, errInjected) || errs.CodeOf(err) != errs.Transport {
+			t.Fatalf("post %d: err = %v (code %v)", i, err, errs.CodeOf(err))
+		}
+		if fail.Load() != 0 {
+			t.Fatalf("post %d was retried", i)
+		}
+	}
+	snap := rt.MetricsSnapshot()
+	if got := snap.Counters[`rpc.errors{code="transport"}`]; got != 2 {
+		t.Fatalf("rpc.errors{code=transport} = %d, want 2 (%v)", got, snap.Counters)
+	}
+	// Two consecutive failures trip the breaker; the transition counter
+	// only grows, so a prober re-closing it meanwhile cannot hide that.
+	if got := snap.Counters["health.transitions"]; got == 0 {
+		t.Fatal("two failed posts never tripped the endpoint's breaker")
+	}
+	if got := snap.Counters["rpc.retry.attempts"]; got != 0 {
+		t.Fatalf("a one-way failure drew %d retry tokens", got)
+	}
+}
+
+// TestCallOnlyProtocol covers the engine's adapter for a protocol with
+// nothing but a blocking Call: InvokeAsync returns before the reply,
+// InvokeCtx with a deadline returns at the deadline even though the Call
+// is still blocked, and under a fake clock the latency histogram reads
+// the simulated round trip.
+func TestCallOnlyProtocol(t *testing.T) {
+	t.Run("async", func(t *testing.T) {
+		entered, release := make(chan struct{}), make(chan struct{})
+		_, gp := engineWorld(t, ProtoStream, wrapFactory{callOnly: true, inCall: func() {
+			close(entered)
+			<-release
+		}}, nil)
+		f := gp.InvokeAsync("upper", []byte("abc"))
+		<-entered // the Call is in flight and InvokeAsync has returned
+		if _, _, resolved := f.TryResult(); resolved {
+			t.Fatal("future resolved while the Call was blocked")
+		}
+		close(release)
+		if body, err := f.Wait(); err != nil || string(body) != "ABC" {
+			t.Fatalf("got %q %v", body, err)
+		}
+	})
+
+	t.Run("deadline", func(t *testing.T) {
+		release := make(chan struct{})
+		defer close(release)
+		_, gp := engineWorld(t, ProtoStream, wrapFactory{callOnly: true, inCall: func() { <-release }}, nil)
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+		defer cancel()
+		done := make(chan error, 1)
+		go func() {
+			_, err := gp.InvokeCtx(ctx, "echo", nil)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("err = %v, want DeadlineExceeded", err)
+			}
+		case <-clock.After(clock.Real{}, 5*time.Second):
+			t.Fatal("InvokeCtx ignored its deadline while the Call was blocked")
+		}
+	})
+
+	t.Run("fake-clock-latency", func(t *testing.T) {
+		fc := clock.NewFake(time.Unix(1000, 0))
+		rt, gp := engineWorld(t, ProtoStream, wrapFactory{callOnly: true, inCall: func() { fc.Advance(3 * time.Millisecond) }}, fc)
+		if _, err := gp.Invoke("echo", []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := gp.InvokeAsync("echo", []byte("x")).Wait(); err != nil {
+			t.Fatal(err)
+		}
+		h := rt.MetricsSnapshot().Histograms["rpc.hpcx-tcp.latency_us"]
+		if h.Count != 2 || h.Sum != 6000 {
+			t.Fatalf("latency_us count=%d sum=%d, want 2 and 6000 (two 3 ms round trips)", h.Count, h.Sum)
+		}
+	})
+}

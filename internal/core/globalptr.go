@@ -4,14 +4,11 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"math/rand"
 	"sync"
 	"time"
 
-	"openhpcxx/internal/clock"
 	"openhpcxx/internal/errs"
 	"openhpcxx/internal/health"
-	"openhpcxx/internal/obs"
 	"openhpcxx/internal/stats"
 	"openhpcxx/internal/transport"
 	"openhpcxx/internal/wire"
@@ -25,12 +22,10 @@ import (
 type GlobalPtr struct {
 	host *Context
 
-	mu      sync.Mutex
-	ref     *ObjectRef
-	proto   Protocol
-	entry   int           // index into ref.Protocols of the selected entry
-	metrics *protoMetrics // cached handles for the bound protocol
-	policy  *transport.BatchPolicy
+	mu     sync.Mutex
+	ref    *ObjectRef
+	b      *binding // nil until a protocol is selected
+	policy *transport.BatchPolicy
 
 	// healthGen is the health tracker generation observed when the
 	// current binding was made; when the tracker moves (an endpoint
@@ -52,25 +47,22 @@ type GlobalPtr struct {
 	inflight chan struct{} // per-GP async in-flight limiter
 }
 
-// protoMetrics caches the metric handles for one bound protocol, so the
-// invocation hot path increments atomics instead of rebuilding metric
-// names and taking the registry lock on every call.
-type protoMetrics struct {
-	calls, oneway, reqBytes, respBytes *stats.Counter
-	transportErrors, faults            *stats.Counter
-	latency                            *stats.Histogram
-}
+// binding is everything one protocol selection fixes until the next
+// invalidation. bindToLocked builds it once — the health key decoded
+// from the entry's proto-data, the metric and meter handles resolved —
+// and prepare hands out the pointer, so the invocation hot path derives
+// nothing: it increments atomics instead of rebuilding metric names and
+// taking the registry lock on every call, and takes no lock but the
+// GP's own.
+type binding struct {
+	proto Protocol
+	entry int    // index into ref.Protocols of the selected entry
+	key   string // health-tracker key of the bound endpoint
 
-func newProtoMetrics(r *stats.Registry, pid string) *protoMetrics {
-	return &protoMetrics{
-		calls:           r.Counter("rpc." + pid + ".calls"),
-		oneway:          r.Counter("rpc." + pid + ".oneway"),
-		reqBytes:        r.Counter("rpc." + pid + ".req_bytes"),
-		respBytes:       r.Counter("rpc." + pid + ".resp_bytes"),
-		transportErrors: r.Counter("rpc." + pid + ".transport_errors"),
-		faults:          r.Counter("rpc." + pid + ".faults"),
-		latency:         r.Histogram("rpc." + pid + ".latency_us"),
-	}
+	calls, oneway, reqBytes, respBytes *stats.Counter   // rpc.<pid>.*
+	transportErrors, faults            *stats.Counter   // rpc.<pid>.*
+	latency                            *stats.Histogram // rpc.<pid>.latency_us
+	em                                 *endpointMeters
 }
 
 // DefaultMaxInFlight is the default per-GP bound on outstanding
@@ -86,7 +78,6 @@ func (c *Context) NewGlobalPtr(ref *ObjectRef) *GlobalPtr {
 	g := &GlobalPtr{
 		host:     c,
 		ref:      ref.Clone(),
-		entry:    -1,
 		budget:   newRetryBudget(c.rt.RetryBudget()),
 		inflight: make(chan struct{}, DefaultMaxInFlight),
 	}
@@ -137,12 +128,10 @@ func (g *GlobalPtr) Invalidate() {
 }
 
 func (g *GlobalPtr) invalidateLocked() {
-	if g.proto != nil {
-		g.proto.Close()
-		g.proto = nil
+	if g.b != nil {
+		g.b.proto.Close()
+		g.b = nil
 	}
-	g.entry = -1
-	g.metrics = nil
 }
 
 // SetMaxInFlight resizes the per-GP bound on outstanding asynchronous
@@ -173,7 +162,7 @@ func (g *GlobalPtr) SetBatchPolicy(p *transport.BatchPolicy) {
 		cp := *p
 		g.policy = &cp
 	}
-	if g.proto != nil {
+	if g.b != nil {
 		g.applyBatchingLocked()
 	}
 }
@@ -192,7 +181,7 @@ func (g *GlobalPtr) BatchPolicy() *transport.BatchPolicy {
 // applyBatchingLocked pushes the GP's policy into the bound protocol, if
 // it listens. Caller holds g.mu.
 func (g *GlobalPtr) applyBatchingLocked() {
-	bp, ok := g.proto.(BatchingProtocol)
+	bp, ok := g.b.proto.(BatchingProtocol)
 	if !ok {
 		return
 	}
@@ -212,7 +201,7 @@ func (g *GlobalPtr) SelectedProtocol() (ProtoID, error) {
 	if err := g.bindLocked(); err != nil {
 		return "", err
 	}
-	return g.ref.Protocols[g.entry].ID, nil
+	return g.ref.Protocols[g.b.entry].ID, nil
 }
 
 // SelectedEntry reports the index into the reference's protocol table of
@@ -225,7 +214,7 @@ func (g *GlobalPtr) SelectedEntry() (int, ProtoID, error) {
 	if err := g.bindLocked(); err != nil {
 		return -1, "", err
 	}
-	return g.entry, g.ref.Protocols[g.entry].ID, nil
+	return g.b.entry, g.ref.Protocols[g.b.entry].ID, nil
 }
 
 // SetRefresh installs a reference-refresh hook consulted when an
@@ -267,7 +256,7 @@ func entryHealthKey(e ProtoEntry) string {
 func (g *GlobalPtr) bindLocked() error {
 	ht := g.host.rt.Health()
 	failover := g.host.rt.FailoverEnabled()
-	if g.proto != nil {
+	if g.b != nil {
 		if !failover || ht == nil || ht.Generation() == g.healthGen {
 			return nil
 		}
@@ -277,7 +266,7 @@ func (g *GlobalPtr) bindLocked() error {
 		// away from a newly tripped one). Same pick: keep the binding.
 		g.healthGen = ht.Generation()
 		f, idx, err := g.selectLocked(ht, failover)
-		if err != nil || idx == g.entry {
+		if err != nil || idx == g.b.entry {
 			return nil
 		}
 		g.invalidateLocked()
@@ -309,16 +298,28 @@ func (g *GlobalPtr) selectLocked(ht *health.Tracker, failover bool) (ProtoFactor
 	return g.host.pool.Select(g.ref, g.host.loc)
 }
 
-// bindToLocked instantiates the chosen entry and caches per-binding
-// state (metric handles are resolved once per bind, not once per call).
+// bindToLocked instantiates the chosen entry and builds its binding
+// (everything per-binding is resolved once per bind, not once per call).
 func (g *GlobalPtr) bindToLocked(f ProtoFactory, idx int, event string) error {
 	p, err := f.New(g.ref.Protocols[idx], g.ref, g.host)
 	if err != nil {
 		return errs.Wrapf(errs.Transport, err, "core: instantiating %s", f.ID())
 	}
-	g.proto = p
-	g.entry = idx
-	g.metrics = newProtoMetrics(g.host.rt.Metrics(), string(p.ID()))
+	key := entryHealthKey(g.ref.Protocols[idx])
+	r, pre := g.host.rt.Metrics(), "rpc."+string(p.ID())+"."
+	g.b = &binding{
+		proto:           p,
+		entry:           idx,
+		key:             key,
+		calls:           r.Counter(pre + "calls"),
+		oneway:          r.Counter(pre + "oneway"),
+		reqBytes:        r.Counter(pre + "req_bytes"),
+		respBytes:       r.Counter(pre + "resp_bytes"),
+		transportErrors: r.Counter(pre + "transport_errors"),
+		faults:          r.Counter(pre + "faults"),
+		latency:         r.Histogram(pre + "latency_us"),
+		em:              g.host.rt.endpointMeter(key),
+	}
 	g.applyBatchingLocked()
 	g.registerProbesLocked()
 	g.host.rt.recordEvent(event, g.ref.Object,
@@ -377,51 +378,15 @@ func probeEntry(host *Context, ref *ObjectRef, entry ProtoEntry) error {
 	return nil
 }
 
-// maxInvokeAttempts bounds migration chases: an object hopping contexts
-// mid-call yields FaultMoved chains; each hop refreshes the reference.
-const maxInvokeAttempts = 4
-
-// Retry backoff: attempts after a transport error or a stale protocol
-// choice wait base<<n capped at retryBackoffCap, with ±50% jitter so a
-// herd of GPs re-selecting against one recovering server de-correlates.
-// Migration chases (FaultMoved) skip the backoff — the tombstone hands
-// over a fresh, authoritative reference, so retrying immediately is
-// right. Sleeps go through the runtime clock: tests with clock.Fake pay
-// simulated time only.
-const (
-	retryBackoffBase = 2 * time.Millisecond
-	retryBackoffCap  = 50 * time.Millisecond
-)
-
-// retryBackoff computes the jittered delay before retry attempt n (n>=1).
-func retryBackoff(attempt int) time.Duration {
-	d := retryBackoffBase << (attempt - 1)
-	if d > retryBackoffCap || d <= 0 {
-		d = retryBackoffCap
-	}
-	// Jitter in [0.5d, 1.5d).
-	return d/2 + time.Duration(rand.Int63n(int64(d)))
-}
-
-// prepared is one ready-to-send attempt: the bound protocol, the frame,
-// the endpoint's health key, and the metric handles that account for it.
-type prepared struct {
-	proto Protocol
-	req   *wire.Message
-	pm    *protoMetrics
-	em    *endpointMeters
-	key   string // health-tracker key of the bound endpoint
-}
-
 // prepare binds (selecting a protocol if needed) and builds the request
 // frame for one attempt. The effective deadline — the sooner of the
 // context's and the GP default — travels in the wire header so servers
 // can shed the request once it expires.
-func (g *GlobalPtr) prepare(ctx context.Context, typ wire.MsgType, method string, args []byte) (prepared, error) {
+func (g *GlobalPtr) prepare(ctx context.Context, typ wire.MsgType, method string, args []byte) (*binding, *wire.Message, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if err := g.bindLocked(); err != nil {
-		return prepared{}, err
+		return nil, nil, err
 	}
 	var deadline int64
 	if t, ok := ctx.Deadline(); ok {
@@ -433,20 +398,13 @@ func (g *GlobalPtr) prepare(ctx context.Context, typ wire.MsgType, method string
 			deadline = d
 		}
 	}
-	key := entryHealthKey(g.ref.Protocols[g.entry])
-	return prepared{
-		proto: g.proto,
-		req: &wire.Message{
-			Type:     typ,
-			Object:   string(g.ref.Object),
-			Method:   method,
-			Epoch:    g.ref.Epoch,
-			Deadline: deadline,
-			Body:     args,
-		},
-		pm:  g.metrics,
-		em:  g.host.rt.endpointMeter(key),
-		key: key,
+	return g.b, &wire.Message{
+		Type:     typ,
+		Object:   string(g.ref.Object),
+		Method:   method,
+		Epoch:    g.ref.Epoch,
+		Deadline: deadline,
+		Body:     args,
 	}, nil
 }
 
@@ -455,20 +413,20 @@ func (g *GlobalPtr) prepare(ctx context.Context, typ wire.MsgType, method string
 // done=false means the caller should retry; backoff reports whether the
 // retry deserves a delay (transport errors and stale selections do,
 // migration chases do not).
-func (g *GlobalPtr) settle(p prepared, reply *wire.Message, err error) (body []byte, done bool, backoff bool, outErr error) {
+func (g *GlobalPtr) settle(b *binding, reply *wire.Message, err error) (body []byte, done bool, backoff bool, outErr error) {
 	ht := g.host.rt.Health()
 	report := func(ok bool) {
 		if ht == nil || !g.host.rt.FailoverEnabled() {
 			return
 		}
 		if ok {
-			ht.ReportSuccess(p.key)
+			ht.ReportSuccess(b.key)
 		} else {
-			ht.ReportFailure(p.key)
+			ht.ReportFailure(b.key)
 		}
 	}
 	if err != nil {
-		p.pm.transportErrors.Inc()
+		b.transportErrors.Inc()
 		// Transport-level failure: demote the endpoint and drop the
 		// binding, so the retry re-selects — past the tripped breaker to
 		// the next entry in the reference's ordered protocol table. An
@@ -485,14 +443,20 @@ func (g *GlobalPtr) settle(p prepared, reply *wire.Message, err error) (body []b
 		g.Invalidate()
 		return nil, false, true, serr
 	}
+	if reply == nil {
+		// A one-way post that left the client: there is no reply to
+		// classify and no proof the server ran it, so the breaker and the
+		// retry budget learn nothing from it.
+		return nil, true, false, nil
+	}
 	switch reply.Type {
 	case wire.TReply:
-		p.pm.respBytes.Add(uint64(len(reply.Body)))
+		b.respBytes.Add(uint64(len(reply.Body)))
 		report(true)
 		g.budgetRef().success()
 		return reply.Body, true, false, nil
 	case wire.TFault:
-		p.pm.faults.Inc()
+		b.faults.Inc()
 		ferr := wire.DecodeFault(reply.Body)
 		var f *wire.Fault
 		if !errors.As(ferr, &f) {
@@ -545,7 +509,7 @@ func (g *GlobalPtr) settle(p prepared, reply *wire.Message, err error) (body []b
 			// retry through a fresh selection. The request never executed,
 			// so re-issuing cannot double-execute anything.
 			if ht != nil && g.host.rt.FailoverEnabled() {
-				ht.Trip(p.key)
+				ht.Trip(b.key)
 			}
 			g.Invalidate()
 			return nil, false, true, f
@@ -570,24 +534,6 @@ func sameRef(a, b *ObjectRef) bool {
 	return aerr == nil && berr == nil && bytes.Equal(ab, bb)
 }
 
-// giveUp builds the terminal error after maxInvokeAttempts retries; it
-// keeps the last failure's taxonomy code so callers classify the
-// give-up the same way they would the failure itself.
-func (g *GlobalPtr) giveUp(method string, lastErr error) error {
-	return errs.Wrapf(errs.CodeOf(lastErr), lastErr, "core: invoke %s.%s gave up after %d attempts",
-		g.Object(), method, maxInvokeAttempts)
-}
-
-// Invoke calls a method on the remote object: it selects a protocol,
-// sends the request, and transparently adapts to migration (FaultMoved
-// refreshes the reference and re-selects), to stale protocol choices
-// (FaultNotApplicable re-selects), and to failing endpoints (transport
-// errors and FaultUnavailable demote the endpoint's breaker and fail
-// over down the reference's ordered protocol table).
-func (g *GlobalPtr) Invoke(method string, args []byte) ([]byte, error) {
-	return g.InvokeCtx(context.Background(), method, args)
-}
-
 // ctxAttemptErr wraps a context expiry with the last attempt's error so
 // callers see both why the invocation stopped and what it last hit. The
 // expiry stays the unwrap target (errors.Is(err, ctx.Err()) holds) and
@@ -598,132 +544,6 @@ func ctxAttemptErr(ctxErr, lastErr error) error {
 		return ctxErr
 	}
 	return errs.Wrapf(errs.CodeOf(ctxErr), ctxErr, "core: invocation stopped (last attempt: %v)", lastErr)
-}
-
-// InvokeCtx is Invoke bounded by a context: the deadline travels in the
-// wire header (servers shed the request after expiry), retry backoffs
-// respect cancellation, and an in-flight call is abandoned — and its
-// endpoint demoted — when the deadline fires while the reply is
-// overdue. The returned error wraps ctx.Err() when the context ended
-// the invocation.
-//
-// With a span recorder installed (Runtime.Tracer) the invocation is
-// traced end to end: a root "invoke" span, per-attempt "select", "retry"
-// (carrying the failure cause) and per-protocol send spans, and — via
-// the trace IDs stamped into the wire header — the server's dispatch
-// spans, all under one trace ID.
-func (g *GlobalPtr) InvokeCtx(ctx context.Context, method string, args []byte) ([]byte, error) {
-	ifg := g.host.rt.inflightGauge
-	ifg.Inc()
-	defer ifg.Dec()
-	root := g.host.rt.Tracer().StartRoot(obs.KindClient, "invoke")
-	if root != nil {
-		root.SetRPC(string(g.Object()), method)
-		root.SetBytes(len(args))
-	}
-	body, err := g.invokeAttempts(ctx, root, method, args)
-	root.SetErr(err)
-	root.End()
-	return body, err
-}
-
-// invokeAttempts runs the bounded retry loop under an (optional, nil
-// when untraced) root span.
-func (g *GlobalPtr) invokeAttempts(ctx context.Context, root *obs.Active, method string, args []byte) ([]byte, error) {
-	var lastErr error
-	needBackoff := false
-	for attempt := 0; attempt < maxInvokeAttempts; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return nil, ctxAttemptErr(err, lastErr)
-		}
-		if attempt > 0 {
-			// The retry span covers the backoff wait and records why the
-			// previous attempt failed.
-			rs := root.Child("retry")
-			rs.SetCause(retryCause(lastErr))
-			if needBackoff {
-				if err := clock.SleepCtx(ctx, g.host.rt.Clock(), retryBackoff(attempt)); err != nil {
-					rs.End()
-					return nil, ctxAttemptErr(err, lastErr)
-				}
-			}
-			rs.End()
-		}
-		sel := root.Child("select")
-		p, err := g.prepare(ctx, wire.TRequest, method, args)
-		if err != nil {
-			sel.SetErr(err)
-			sel.End()
-			return nil, err
-		}
-		var send *obs.Active
-		if root != nil {
-			sel.SetProto(string(p.proto.ID()), p.key)
-			sel.End()
-			stampTrace(g.host.rt.Tracer(), p.req, root)
-			send = root.Child(string(p.proto.ID()))
-			send.SetProto(string(p.proto.ID()), p.key)
-			send.SetBytes(len(args))
-		}
-		p.pm.calls.Inc()
-		p.pm.reqBytes.Add(uint64(len(args)))
-		start := time.Now()
-		reply, err := g.callWithCtx(ctx, p)
-		elapsed := time.Since(start)
-		p.pm.latency.ObserveDurationTraced(elapsed, uint64(root.TraceID()))
-		p.em.observe(elapsed, len(args)+replyBytes(reply), g.host.rt.Clock().Now())
-		send.SetErr(err)
-		send.End()
-		if err != nil && ctx.Err() != nil && errors.Is(err, ctx.Err()) {
-			// The context ended the attempt; callWithCtx already demoted
-			// the endpoint if the deadline fired mid-flight.
-			return nil, ctxAttemptErr(err, lastErr)
-		}
-
-		body, done, backoff, serr := g.settle(p, reply, err)
-		if done {
-			return body, serr
-		}
-		// The settle loop wants a retry: the budget gate decides. A
-		// backoff-charged retry draws a token; permanent classes and a
-		// dry bucket end the invocation here instead of amplifying.
-		if stop, berr := g.retryAdmit(serr, backoff); stop {
-			return nil, berr
-		}
-		lastErr, needBackoff = serr, backoff
-	}
-	return nil, g.giveUp(method, lastErr)
-}
-
-// callWithCtx issues one attempt, honoring cancellation mid-flight when
-// the protocol supports pipelining: on expiry the pending exchange is
-// abandoned (a late reply is dropped by the mux) and the endpoint is
-// reported failing — an endpoint that cannot answer within the deadline
-// is, for failover purposes, indistinguishable from a dead one.
-func (g *GlobalPtr) callWithCtx(ctx context.Context, p prepared) (*wire.Message, error) {
-	pp, ok := p.proto.(PipelinedProtocol)
-	if !ok || ctx.Done() == nil {
-		return p.proto.Call(p.req)
-	}
-	pending, err := pp.Begin(p.req)
-	if err != nil {
-		return nil, err
-	}
-	select {
-	case <-pending.Done():
-		return pending.Reply()
-	case <-ctx.Done():
-		if a, ok := pending.(interface{ Abandon() }); ok {
-			a.Abandon()
-		}
-		if errors.Is(ctx.Err(), context.DeadlineExceeded) && g.host.rt.FailoverEnabled() {
-			if ht := g.host.rt.Health(); ht != nil {
-				ht.ReportFailure(p.key)
-			}
-			g.Invalidate()
-		}
-		return nil, ctx.Err()
-	}
 }
 
 // Object returns the target object id.

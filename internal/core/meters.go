@@ -1,9 +1,9 @@
 // Per-endpoint telemetry meters: every bound endpoint ("proto|addr",
 // the same key the health tracker uses) carries a pair of EWMA channels
 // in the runtime registry — a smoothed latency level in microseconds
-// and a time-decayed payload rate in bytes/s. Send paths feed them
-// where the send span ends, so the meters describe exactly the traffic
-// the traces describe. Adaptive protocol selection (ROADMAP item 4)
+// and a time-decayed payload rate in bytes/s. The engine feeds them in
+// finish, where the send span ends, so the meters describe exactly the
+// traffic the traces describe. Adaptive protocol selection (ROADMAP item 4)
 // scores endpoints from these; /varz and Runtime.Status() surface them.
 package core
 
@@ -16,12 +16,12 @@ import (
 	"unicode/utf8"
 
 	"openhpcxx/internal/stats"
-	"openhpcxx/internal/wire"
 )
 
-// endpointMeters is the cached pair of meter handles for one endpoint,
-// carried in `prepared` next to the protocol metric handles so the hot
-// path never touches the registry lock.
+// endpointMeters is the cached pair of meter handles for one endpoint.
+// A GP resolves it once per bind (endpointMeter, under rt.epMu) and
+// keeps it in its binding next to the protocol metric handles, so an
+// invocation touches neither the metrics registry nor the meter cache.
 type endpointMeters struct {
 	latency *stats.EWMA // rpc.endpoint.latency_us — level channel, µs
 	bytes   *stats.EWMA // rpc.endpoint.bytes_ps — rate channel, bytes/s
@@ -45,15 +45,6 @@ func (em *endpointMeters) addBytes(n int, now time.Time) {
 		return
 	}
 	em.bytes.Add(float64(n), now)
-}
-
-// replyBytes is the reply payload size for meter accounting (0 for the
-// error paths that produced no frame).
-func replyBytes(m *wire.Message) int {
-	if m == nil {
-		return 0
-	}
-	return len(m.Body)
 }
 
 // meterLabel makes an endpoint address printable as a metric label:

@@ -8,6 +8,7 @@ import (
 
 	"openhpcxx/internal/clock"
 	"openhpcxx/internal/obs"
+	"openhpcxx/internal/stats"
 )
 
 // TestInvokeFeedsEndpointMeters pins the meter plumbing: every finished
@@ -58,25 +59,50 @@ func TestInvokeFeedsEndpointMeters(t *testing.T) {
 }
 
 // TestEndpointMeterDeterministicUnderFakeClock pins the fake-clock
-// contract: meter rates decay against the runtime clock, so a simulated
-// schedule produces exactly reproducible readings.
+// contract: the engine times attempts and decays meter rates against
+// the runtime clock, so a simulated schedule — ten 512 B exchanges of
+// 2 ms each, one per second — produces exactly reproducible readings in
+// the endpoint meters and in the protocol's latency histogram.
 func TestEndpointMeterDeterministicUnderFakeClock(t *testing.T) {
-	run := func() (float64, float64) {
-		rt := NewRuntime(nil, "p")
-		defer rt.Close()
+	run := func() (level, rate float64, lat stats.Snapshot) {
+		_, rt := testWorld(t)
 		fc := clock.NewFake(time.Unix(1000, 0))
 		rt.SetClock(fc)
-		em := rt.endpointMeter("hpcx-tcp|sim://mA:1")
+		srv, _ := rt.NewContext("srv", "mA")
+		client, _ := rt.NewContext("client", "mC")
+		if err := srv.BindSim(0); err != nil {
+			t.Fatal(err)
+		}
+		s, err := srv.Export("Slow", nil, map[string]Method{
+			"work": func(args []byte) ([]byte, error) {
+				fc.Advance(2 * time.Millisecond)
+				return args, nil
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, _ := srv.EntryStream()
+		gp := client.NewGlobalPtr(srv.NewRef(s, e))
 		for i := 0; i < 10; i++ {
-			em.observe(2*time.Millisecond, 512, fc.Now())
+			if _, err := gp.Invoke("work", make([]byte, 256)); err != nil {
+				t.Fatal(err)
+			}
 			fc.Advance(time.Second)
 		}
-		ms := rt.MetricsSnapshot().Meters[`rpc.endpoint.latency_us{endpoint="sim://mA:1",proto="hpcx-tcp"}`]
-		bs := rt.MetricsSnapshot().Meters[`rpc.endpoint.bytes_ps{endpoint="sim://mA:1",proto="hpcx-tcp"}`]
-		return ms.Level, bs.Rate
+		snap := rt.MetricsSnapshot()
+		for k, m := range snap.Meters {
+			switch {
+			case strings.HasPrefix(k, "rpc.endpoint.latency_us{"):
+				level = m.Level
+			case strings.HasPrefix(k, "rpc.endpoint.bytes_ps{"):
+				rate = m.Rate
+			}
+		}
+		return level, rate, snap.Histograms["rpc.hpcx-tcp.latency_us"]
 	}
-	l1, r1 := run()
-	l2, r2 := run()
+	l1, r1, h1 := run()
+	l2, r2, h2 := run()
 	if l1 != l2 || r1 != r2 {
 		t.Fatalf("fake-clock meters diverged: level %g vs %g, rate %g vs %g", l1, l2, r1, r2)
 	}
@@ -85,6 +111,9 @@ func TestEndpointMeterDeterministicUnderFakeClock(t *testing.T) {
 	}
 	if r1 <= 0 || r1 > 512 {
 		t.Fatalf("byte rate %g for 512 B/s offered load", r1)
+	}
+	if h1.Count != 10 || h1.Sum != 20000 || h2.Count != h1.Count || h2.Sum != h1.Sum {
+		t.Fatalf("latency_us count/sum %d/%d and %d/%d, want 10/20000 on both runs", h1.Count, h1.Sum, h2.Count, h2.Sum)
 	}
 }
 

@@ -29,51 +29,15 @@ var ErrOneWayUnsupported = errors.New("core: selected protocol does not support 
 // capability chain, so one-way calls are metered and protected exactly
 // like two-way ones.
 func (g *GlobalPtr) Post(method string, args []byte) error {
-	root := g.host.rt.Tracer().StartRoot(obs.KindClient, "post")
-	if root != nil {
-		root.SetRPC(string(g.Object()), method)
-		root.SetBytes(len(args))
+	root := g.startRoot("post", method, args)
+	ctx := context.Background()
+	a, err := g.issue(ctx, root, wire.TControl, method, args, false)
+	if err == nil {
+		_, _, _, err = g.finish(ctx, root, &a, nil)
 	}
-	err := g.post(root, method, args)
 	root.SetErr(err)
 	root.End()
 	return err
-}
-
-func (g *GlobalPtr) post(root *obs.Active, method string, args []byte) error {
-	sel := root.Child("select")
-	p, err := g.prepare(context.Background(), wire.TControl, method, args)
-	if err != nil {
-		sel.SetErr(err)
-		sel.End()
-		return err
-	}
-	ow, ok := p.proto.(OneWayProtocol)
-	if !ok {
-		sel.End()
-		return ErrOneWayUnsupported
-	}
-	var send *obs.Active
-	if root != nil {
-		sel.SetProto(string(p.proto.ID()), p.key)
-		sel.End()
-		stampTrace(g.host.rt.Tracer(), p.req, root)
-		send = root.Child(string(p.proto.ID()))
-		send.SetProto(string(p.proto.ID()), p.key)
-		send.SetBytes(len(args))
-	}
-	p.pm.oneway.Inc()
-	p.pm.reqBytes.Add(uint64(len(args)))
-	p.em.addBytes(len(args), g.host.rt.Clock().Now())
-	if err := ow.Post(p.req); err != nil {
-		send.SetErr(err)
-		send.End()
-		p.pm.transportErrors.Inc()
-		g.Invalidate()
-		return err
-	}
-	send.End()
-	return nil
 }
 
 // handleOneWay executes a one-way request: same path as handleRequest

@@ -38,9 +38,9 @@ type Pending interface {
 // transport.Mux always supported this (replies are matched by request
 // id); Protocol.Call used to hide it. The built-in stream (TCP, sim,
 // shm), nexus, and glue protocols all implement it; protocols that do
-// not are still usable asynchronously — the ORB falls back to running
-// Call in the completion goroutine, losing pipelining but keeping the
-// futures surface.
+// not are still usable asynchronously — Begin (engine.go) runs their
+// Call in a goroutine, losing pipelining but keeping the futures
+// surface.
 type PipelinedProtocol interface {
 	Protocol
 	Begin(m *wire.Message) (Pending, error)

@@ -268,20 +268,14 @@ type nexusProto struct {
 
 func (p *nexusProto) ID() ProtoID { return ProtoNexus }
 
+// Call is Begin plus the wait, so synchronous and pipelined invocations
+// share one embed/decode path.
 func (p *nexusProto) Call(m *wire.Message) (*wire.Message, error) {
-	e := xdr.NewEncoder(64 + len(m.Body))
-	if err := m.MarshalXDR(e); err != nil {
-		return nil, err
-	}
-	out, err := p.host.nexus().RSR(p.sp, orbInvokeHandler, e.Bytes())
+	pending, err := p.Begin(m)
 	if err != nil {
 		return nil, err
 	}
-	reply := new(wire.Message)
-	if err := xdr.Unmarshal(out, reply); err != nil {
-		return nil, errs.Wrap(errs.Codec, err, "core: embedded reply")
-	}
-	return reply, nil
+	return pending.Reply()
 }
 
 // nexusPending adapts a nexus.PendingRSR to core.Pending by decoding the

@@ -230,8 +230,8 @@ func (g *GlobalPtr) status(ht *health.Tracker) GPStatus {
 		Iface:         g.ref.Iface,
 		Epoch:         g.ref.Epoch,
 		Server:        string(g.ref.Server.Machine),
-		Bound:         g.proto != nil,
-		SelectedEntry: g.entry,
+		Bound:         g.b != nil,
+		SelectedEntry: -1,
 	}
 	if tokens, cfg, exhausted := g.budget.snapshot(); !cfg.Disabled {
 		st.Retry = GPRetryStatus{
@@ -242,9 +242,10 @@ func (g *GlobalPtr) status(ht *health.Tracker) GPStatus {
 			Exhausted: exhausted,
 		}
 	}
-	if g.proto != nil {
-		st.SelectedProto = string(g.proto.ID())
-		if bp, ok := g.proto.(interface {
+	if g.b != nil {
+		st.SelectedEntry = g.b.entry
+		st.SelectedProto = string(g.b.proto.ID())
+		if bp, ok := g.b.proto.(interface {
 			BatchStats() (int, int, bool)
 		}); ok && g.policy != nil {
 			if q, b, on := bp.BatchStats(); on {
@@ -265,7 +266,7 @@ func (g *GlobalPtr) status(ht *health.Tracker) GPStatus {
 			Proto:    string(e.ID),
 			Endpoint: key,
 			Health:   health.Closed.String(),
-			Selected: i == g.entry && g.proto != nil,
+			Selected: i == st.SelectedEntry,
 		}
 		if ht != nil {
 			es.Health = ht.State(key).String()
