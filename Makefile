@@ -1,8 +1,14 @@
 GO ?= go
 
-.PHONY: ci vet lint build test race determinism cover faults fuzz load-smoke bench-smoke bench-json bench-async bench-faults bench-directory bench-errors bench-retention bench-saturation top registry
+.PHONY: ci fmt-check vet lint build test race determinism cover faults fuzz load-smoke bench-smoke bench-json bench-async bench-faults bench-directory bench-errors bench-retention bench-saturation top registry
 
-ci: vet lint build test race determinism cover load-smoke bench-smoke bench-json
+ci: fmt-check vet lint build test race determinism cover load-smoke bench-smoke bench-json
+
+# Every tracked .go file outside testdata/ (analyzer corpora keep their
+# own layout) must be gofmt-clean.
+fmt-check:
+	@out=$$(git ls-files '*.go' | grep -v '/testdata/' | xargs gofmt -l); \
+	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...

@@ -619,9 +619,9 @@ func TestDescribeEntry(t *testing.T) {
 // charged.
 type rejectingCap struct{}
 
-func (rejectingCap) Kind() string                          { return "reject" }
-func (rejectingCap) Applicable(_, _ netsim.Locality) bool  { return true }
-func (rejectingCap) Config() ([]byte, error)               { return nil, nil }
+func (rejectingCap) Kind() string                         { return "reject" }
+func (rejectingCap) Applicable(_, _ netsim.Locality) bool { return true }
+func (rejectingCap) Config() ([]byte, error)              { return nil, nil }
 func (rejectingCap) Process(*Frame, []byte) ([]byte, []byte, error) {
 	return nil, nil, errors.New("denied")
 }

@@ -308,6 +308,7 @@ func (rt *Runtime) NewContext(name string, machine netsim.MachineID) (*Context, 
 		gps:         make(map[*GlobalPtr]struct{}),
 		srvConns:    rt.metrics.GaugeWith("srv.conns", stats.Labels{"context": name}),
 		srvInflight: rt.metrics.GaugeWith("srv.inflight", stats.Labels{"context": name}),
+		srv:         newSrvCounters(rt.metrics),
 	}
 	c.muxes = transport.NewPool(c.dialAddr)
 	c.muxes.SetSizeGauge(rt.metrics.GaugeWith("transport.muxes", stats.Labels{"context": name}))
@@ -372,6 +373,29 @@ type Context struct {
 	// context binds (additive: each server Inc/Decs deltas only).
 	srvConns    *stats.Gauge
 	srvInflight *stats.Gauge
+	srv         srvCounters
+}
+
+// srvCounters are the runtime-wide dispatch counters, resolved when the
+// context is created so that a dispatch increments a handle instead of
+// taking the registry lock for a map lookup.
+type srvCounters struct {
+	requests, faults, drained, expired *stats.Counter
+	batches, batchMsgs                 *stats.Counter
+	oneway, onewayFaults               *stats.Counter
+}
+
+func newSrvCounters(m *stats.Registry) srvCounters {
+	return srvCounters{
+		requests:     m.Counter("srv.requests"),
+		faults:       m.Counter("srv.faults"),
+		drained:      m.Counter("srv.drained"),
+		expired:      m.Counter("srv.expired"),
+		batches:      m.Counter("srv.batches"),
+		batchMsgs:    m.Counter("srv.batch_msgs"),
+		oneway:       m.Counter("srv.oneway"),
+		onewayFaults: m.Counter("srv.oneway_faults"),
+	}
 }
 
 // Name returns the context's name.

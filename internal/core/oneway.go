@@ -43,10 +43,10 @@ func (g *GlobalPtr) Post(method string, args []byte) error {
 // handleOneWay executes a one-way request: same path as handleRequest
 // but all results and errors are discarded and no frame travels back.
 func (c *Context) handleOneWay(m *wire.Message, ds *obs.Active) {
-	c.rt.Metrics().Counter("srv.oneway").Inc()
+	c.srv.oneway.Inc()
 	req := *m
 	req.Type = wire.TRequest
 	if _, err := c.handleRequest(&req, ds); err != nil {
-		c.rt.Metrics().Counter("srv.oneway_faults").Inc()
+		c.srv.onewayFaults.Inc()
 	}
 }

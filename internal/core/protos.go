@@ -309,11 +309,11 @@ func (n *nexusPending) Reply() (*wire.Message, error) {
 // Begin implements PipelinedProtocol: the RSR is issued without waiting,
 // so many embedded invocations may be in flight on the Nexus connection.
 func (p *nexusProto) Begin(m *wire.Message) (Pending, error) {
-	e := xdr.NewEncoder(64 + len(m.Body))
-	if err := m.MarshalXDR(e); err != nil {
+	buf, err := wire.Marshal(m)
+	if err != nil {
 		return nil, err
 	}
-	pr, err := p.host.nexus().BeginRSR(p.sp, orbInvokeHandler, e.Bytes())
+	pr, err := p.host.nexus().BeginRSR(p.sp, orbInvokeHandler, buf)
 	if err != nil {
 		return nil, err
 	}
@@ -322,11 +322,11 @@ func (p *nexusProto) Begin(m *wire.Message) (Pending, error) {
 
 // Post implements OneWayProtocol via a one-way Nexus RSR.
 func (p *nexusProto) Post(m *wire.Message) error {
-	e := xdr.NewEncoder(64 + len(m.Body))
-	if err := m.MarshalXDR(e); err != nil {
+	buf, err := wire.Marshal(m)
+	if err != nil {
 		return err
 	}
-	return p.host.nexus().Post(p.sp, orbInvokeHandler, e.Bytes())
+	return p.host.nexus().Post(p.sp, orbInvokeHandler, buf)
 }
 
 func (p *nexusProto) Close() error { return nil } // the node is shared

@@ -196,7 +196,7 @@ func (c *Context) dispatch(m *wire.Message) *wire.Message {
 			rej = movedFault(tomb)
 		} else {
 			ds.SetCause("draining")
-			c.rt.Metrics().Counter("srv.drained").Inc()
+			c.srv.drained.Inc()
 			rej = wire.Faultf(wire.FaultUnavailable, "context %s draining", c.name)
 		}
 		ds.SetErr(rej)
@@ -206,11 +206,11 @@ func (c *Context) dispatch(m *wire.Message) *wire.Message {
 		}
 		return f
 	}
-	c.rt.Metrics().Counter("srv.requests").Inc()
+	c.srv.requests.Inc()
 	reply, err := c.handleRequest(m, ds)
 	if err != nil {
 		ds.SetErr(err)
-		c.rt.Metrics().Counter("srv.faults").Inc()
+		c.srv.faults.Inc()
 		f, ferr := wire.FaultMessage(m, err)
 		if ferr != nil {
 			return nil
@@ -267,7 +267,7 @@ func (c *Context) handleRequest(m *wire.Message, ds *obs.Active) (*wire.Message,
 	// client: the caller's deadline has passed, retrying cannot help.
 	if m.Expired(c.rt.Clock().Now().UnixNano()) {
 		ds.SetCause("expired")
-		c.rt.Metrics().Counter("srv.expired").Inc()
+		c.srv.expired.Inc()
 		return nil, wire.Faultf(wire.FaultExpired, "deadline expired before %s.%s executed", m.Object, m.Method)
 	}
 
@@ -309,8 +309,8 @@ func (c *Context) handleBatch(m *wire.Message) *wire.Message {
 	if err != nil {
 		return whole(wire.Faultf(wire.FaultBadRequest, "batch: %v", err))
 	}
-	c.rt.Metrics().Counter("srv.batches").Inc()
-	c.rt.Metrics().Counter("srv.batch_msgs").Add(uint64(len(subs)))
+	c.srv.batches.Inc()
+	c.srv.batchMsgs.Add(uint64(len(subs)))
 	replies := make([]*wire.Message, len(subs))
 	for i, sub := range subs {
 		r := c.dispatch(sub)
@@ -341,9 +341,5 @@ func (c *Context) nexusInvoke(buf []byte) ([]byte, error) {
 	if reply == nil {
 		reply = &wire.Message{Type: wire.TReply, Object: req.Object, Method: req.Method}
 	}
-	e := xdr.NewEncoder(64 + len(reply.Body))
-	if err := reply.MarshalXDR(e); err != nil {
-		return nil, err
-	}
-	return e.Bytes(), nil
+	return wire.Marshal(reply)
 }

@@ -64,9 +64,11 @@ type Options struct {
 	// failover lands by the third attempt.
 	FailureThreshold int
 	// ProbeInterval is how often the background prober re-tests Open
-	// endpoints that registered a Probe. Default 50ms. The prober runs
-	// on the wall clock (the netsim shapes traffic in real time); tests
-	// that want determinism call ProbeNow instead.
+	// endpoints that registered a Probe. Default 50ms. The prober's
+	// interval timer runs on Clock, like the probe timeout: under a fake
+	// clock it is one more waiter and fires only when the test advances
+	// past the interval; tests that want a pass at a known point call
+	// ProbeNow instead.
 	ProbeInterval time.Duration
 	// ProbeTimeout bounds one probe invocation; a probe that exceeds it
 	// counts as failure and the breaker stays Open. Default 1s. A probe
@@ -267,7 +269,7 @@ func (t *Tracker) probeLoop() {
 // ProbeNow runs one probe pass synchronously: every Open endpoint with a
 // registered probe is tested (HalfOpen while the probe is in flight) and
 // re-closed on success. Exported so deterministic tests can drive
-// probing without waiting on the wall-clock prober.
+// probing without waiting on the background prober.
 func (t *Tracker) ProbeNow() {
 	type job struct {
 		key   string

@@ -168,8 +168,12 @@ func TestProbeTimeoutCountsAsFailure(t *testing.T) {
 		tr.ProbeNow()
 		close(done)
 	}()
-	// Advance only once ProbeNow has armed its timeout.
-	for fc.Waiters() == 0 {
+	// Advance only once ProbeNow has armed its timeout. SetProbe started
+	// the background prober, whose interval timer waits on the same fake
+	// clock, so one waiter is not yet proof of that: wait for both. The
+	// advance is shorter than the probe interval and fires the timeout
+	// alone.
+	for fc.Waiters() < 2 {
 		select {
 		case <-done:
 			t.Fatal("ProbeNow returned before the hung probe timed out")

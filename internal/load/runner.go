@@ -94,12 +94,12 @@ type Result struct {
 
 	// OfferedPerSec is the arrival rate the generator held the system
 	// to (open mode) or the completion-paced rate it achieved (closed).
-	OfferedPerSec float64 `json:"offered_per_sec"`
-	Issued        int     `json:"issued"`
-	Completed     int     `json:"completed"`
-	Failed        int     `json:"failed"`
-	Migrations    uint64  `json:"migrations,omitempty"`
-	GoodputPerSec float64 `json:"goodput_per_sec"`
+	OfferedPerSec float64       `json:"offered_per_sec"`
+	Issued        int           `json:"issued"`
+	Completed     int           `json:"completed"`
+	Failed        int           `json:"failed"`
+	Migrations    uint64        `json:"migrations,omitempty"`
+	GoodputPerSec float64       `json:"goodput_per_sec"`
 	Elapsed       time.Duration `json:"elapsed_ns"`
 
 	// Latency is the coordinated-omission-safe distribution: open mode

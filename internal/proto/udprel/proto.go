@@ -45,11 +45,11 @@ func Bind(ctx *core.Context, port int, cfg Config) error {
 }
 
 func mustEncode(m *wire.Message) []byte {
-	e := xdr.NewEncoder(64 + len(m.Body))
-	if err := m.MarshalXDR(e); err != nil {
+	buf, err := wire.Marshal(m)
+	if err != nil {
 		return nil
 	}
-	return e.Bytes()
+	return buf
 }
 
 // Entry builds a protocol table entry for a context bound with Bind.
@@ -127,11 +127,11 @@ func (*proto) ID() core.ProtoID { return ID }
 
 // Call implements core.Protocol.
 func (p *proto) Call(m *wire.Message) (*wire.Message, error) {
-	e := xdr.NewEncoder(64 + len(m.Body))
-	if err := m.MarshalXDR(e); err != nil {
+	buf, err := wire.Marshal(m)
+	if err != nil {
 		return nil, err
 	}
-	out, err := p.node.Request(p.peer, e.Bytes())
+	out, err := p.node.Request(p.peer, buf)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,8 @@
 package wire
 
 import (
+	"encoding/binary"
+
 	"openhpcxx/internal/errs"
 	"openhpcxx/internal/xdr"
 )
@@ -31,37 +33,41 @@ func EncodeBatch(msgs []*Message) (*Message, error) {
 	if len(msgs) > MaxBatchMessages {
 		return nil, errs.Newf(errs.BadRequest, "wire: batch of %d exceeds %d", len(msgs), MaxBatchMessages)
 	}
-	size := 0
-	for _, m := range msgs {
-		size += 64 + len(m.Body)
-	}
-	e := xdr.NewEncoder(size)
-	e.PutUint32(uint32(len(msgs)))
-	sub := xdr.NewEncoder(0)
+	size := 4
 	for _, m := range msgs {
 		if m.Type == TBatch {
 			return nil, errs.New(errs.BadRequest, "wire: nested batch")
 		}
-		sub.Reset()
-		if err := m.MarshalXDR(sub); err != nil {
+		size += 4 + m.encodedLen()
+	}
+	if size > MaxFrame {
+		return nil, ErrTooLarge
+	}
+	// Each sub-message is an XDR opaque: encoded in place behind its
+	// length word, which is patched once the length is known. An
+	// encoding is a whole number of words, so no padding follows.
+	body := binary.BigEndian.AppendUint32(make([]byte, 0, size), uint32(len(msgs)))
+	for _, m := range msgs {
+		at := len(body)
+		var err error
+		if body, err = appendMessage(append(body, 0, 0, 0, 0), m); err != nil {
 			return nil, err
 		}
-		e.PutOpaque(sub.Bytes())
-	}
-	body := e.Bytes()
-	if len(body) > MaxFrame {
-		return nil, ErrTooLarge
+		binary.BigEndian.PutUint32(body[at:], uint32(len(body)-at-4))
 	}
 	return &Message{Type: TBatch, Body: body}, nil
 }
 
 // DecodeBatch unpacks a TBatch frame into its sub-messages. Nested
 // batches are rejected, so dispatch recursion is bounded at one level.
+// Sub-message bodies are disjoint views of m.Body: keeping one
+// sub-message keeps the whole batch frame.
 func DecodeBatch(m *Message) ([]*Message, error) {
 	if m.Type != TBatch {
 		return nil, errs.Newf(errs.Codec, "wire: DecodeBatch on %v frame", m.Type)
 	}
-	d := xdr.NewDecoder(m.Body)
+	var d xdr.Decoder
+	d.Reset(m.Body)
 	n, err := d.Uint32()
 	if err != nil {
 		return nil, err
@@ -74,12 +80,12 @@ func DecodeBatch(m *Message) ([]*Message, error) {
 	}
 	out := make([]*Message, 0, n)
 	for i := uint32(0); i < n; i++ {
-		raw, err := d.Opaque()
+		raw, err := d.OpaqueView()
 		if err != nil {
 			return nil, errs.Wrapf(errs.Codec, err, "wire: batch entry %d", i)
 		}
 		sub := new(Message)
-		if err := xdr.Unmarshal(raw, sub); err != nil {
+		if err := decodeMessage(raw, sub); err != nil {
 			return nil, errs.Wrapf(errs.Codec, err, "wire: batch entry %d", i)
 		}
 		if sub.Type == TBatch {

@@ -18,13 +18,13 @@ type FaultCode uint32
 
 // Fault codes.
 const (
-	FaultInternal      FaultCode = 1 // unclassified server-side failure
-	FaultNoObject      FaultCode = 2 // unknown object id
-	FaultNoMethod      FaultCode = 3 // object has no such method
-	FaultMoved         FaultCode = 4 // object migrated; Data holds the new OR
-	FaultAuth          FaultCode = 5 // authentication failed
-	FaultQuota         FaultCode = 6 // quota capability exhausted
-	FaultCapability    FaultCode = 7 // capability processing failed
+	FaultInternal      FaultCode = 1  // unclassified server-side failure
+	FaultNoObject      FaultCode = 2  // unknown object id
+	FaultNoMethod      FaultCode = 3  // object has no such method
+	FaultMoved         FaultCode = 4  // object migrated; Data holds the new OR
+	FaultAuth          FaultCode = 5  // authentication failed
+	FaultQuota         FaultCode = 6  // quota capability exhausted
+	FaultCapability    FaultCode = 7  // capability processing failed
 	FaultNotApplicable FaultCode = 8  // protocol not applicable for this pair
 	FaultBadRequest    FaultCode = 9  // malformed arguments
 	FaultExpired       FaultCode = 10 // request deadline already passed; not retryable

@@ -1,0 +1,398 @@
+package wire
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
+	"math/rand"
+	"runtime"
+	"sync"
+	"testing"
+
+	"openhpcxx/internal/errs"
+	"openhpcxx/internal/xdr"
+)
+
+// The frame path's contract, pinned layer by layer: Write borrows its
+// buffer, Read allocates the frame once and decodes views of it, a batch
+// is encoded in place, and none of that loosens what the decoder rejects.
+
+const bulkBody = 256 << 10
+
+func bulkMessage() *Message {
+	body := make([]byte, bulkBody)
+	rand.New(rand.NewSource(1)).Read(body)
+	return &Message{Type: TRequest, RequestID: 9, Object: "ctx-a/obj-7", Method: "exchange", Epoch: 2, Body: body}
+}
+
+// allocBytesPerRun is testing.AllocsPerRun for bytes: the mean number of
+// heap bytes one call of f allocates, large objects counted in whole
+// pages as the runtime accounts them.
+func allocBytesPerRun(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
+func TestWriteSteadyStateAllocatesNothing(t *testing.T) {
+	m := bulkMessage()
+	if n := testing.AllocsPerRun(50, func() {
+		if err := Write(io.Discard, m); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("Write of a %d-byte body: %v allocs per frame, want 0 (pooled, exact-size buffer)", bulkBody, n)
+	}
+}
+
+func TestReadAllocatesTheFrameOnce(t *testing.T) {
+	var frame bytes.Buffer
+	if err := Write(&frame, bulkMessage()); err != nil {
+		t.Fatal(err)
+	}
+	var r bytes.Reader
+	read := func() {
+		r.Reset(frame.Bytes())
+		if _, err := Read(&r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// One frame buffer (rounded up to whole pages), the message and its
+	// two header strings. A second copy of the body would double this.
+	const slack = 8<<10 + 1<<10
+	if got := allocBytesPerRun(20, read); got < bulkBody || got > uint64(frame.Len())+slack {
+		t.Fatalf("Read allocated %d bytes for a %d-byte frame, want one frame buffer (at most %d)", got, frame.Len(), frame.Len()+slack)
+	}
+	if n := testing.AllocsPerRun(20, read); n > 4 {
+		t.Fatalf("Read: %v allocs per frame, want at most 4 (frame, message, object, method)", n)
+	}
+}
+
+func smallBatch(n int) []*Message {
+	msgs := make([]*Message, n)
+	for i := range msgs {
+		msgs[i] = &Message{Type: TRequest, RequestID: uint64(i), Object: "ctx/obj-1", Method: "exchange",
+			Body: bytes.Repeat([]byte{byte(i)}, 260)}
+	}
+	return msgs
+}
+
+func TestEncodeBatchAllocatesTheBodyOnce(t *testing.T) {
+	msgs := smallBatch(64)
+	if n := testing.AllocsPerRun(50, func() {
+		if _, err := EncodeBatch(msgs); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 2 {
+		t.Fatalf("EncodeBatch of 64 messages: %v allocs, want at most 2 (body, frame)", n)
+	}
+}
+
+func TestDecodeBatchCopiesNoBody(t *testing.T) {
+	const body = 64 << 10
+	msgs := make([]*Message, 4)
+	for i := range msgs {
+		msgs[i] = &Message{Type: TRequest, Object: "ctx/obj-1", Method: "exchange", Body: bytes.Repeat([]byte{byte(i + 1)}, body)}
+	}
+	frame, err := EncodeBatch(msgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := allocBytesPerRun(50, func() {
+		if _, err := DecodeBatch(frame); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > 2<<10 {
+		t.Fatalf("DecodeBatch allocated %d bytes for 4 bodies of %d, want headers only", got, body)
+	}
+}
+
+func TestEncodedLenIsExact(t *testing.T) {
+	cases := []*Message{
+		{},
+		sample(),
+		bulkMessage(),
+		{Type: TReply, TraceID: 7, SpanID: 8, Body: []byte{1}},                // v3 framing
+		{Type: TReply, TraceID: 7, SpanID: 8, Flags: 0, Object: "abcde"},      // v4: cleared keep-hint on a traced frame
+		{Type: TRequest, Flags: 1 << 9, Envelopes: []Envelope{{ID: "x"}, {}}}, // v4: unknown bit
+	}
+	for i, m := range cases {
+		buf, err := Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(buf) != m.encodedLen() || cap(buf) != len(buf) {
+			t.Errorf("case %d: encodedLen %d, Marshal produced len %d cap %d", i, m.encodedLen(), len(buf), cap(buf))
+		}
+		if want := encodeFrame(t, m); !bytes.Equal(buf, want) {
+			t.Errorf("case %d: Marshal differs from MarshalXDR", i)
+		}
+	}
+}
+
+func TestDecodedBodyAliasesTheFrame(t *testing.T) {
+	in := sample()
+	buf := encodeFrame(t, in)
+	var out Message
+	if err := decodeMessage(buf, &out); err != nil {
+		t.Fatal(err)
+	}
+	at := bytes.Index(buf, in.Body)
+	if at < 0 || !bytes.Equal(out.Body, in.Body) {
+		t.Fatalf("body %q not found in the encoding", in.Body)
+	}
+	buf[at] ^= 0xff
+	if out.Body[0] != in.Body[0]^0xff {
+		t.Fatal("Body is a copy: a write to the frame did not show through it")
+	}
+	envAt := bytes.Index(buf, in.Envelopes[0].Data)
+	buf[envAt] ^= 0xff
+	if out.Envelopes[0].Data[0] != in.Envelopes[0].Data[0]^0xff {
+		t.Fatal("Envelope.Data is a copy: a write to the frame did not show through it")
+	}
+	// A view ends where its bytes end: appending to it must reallocate,
+	// not write into the frame.
+	if cap(out.Body) != len(out.Body) {
+		t.Fatalf("Body has cap %d beyond len %d: an append would write into the frame", cap(out.Body), len(out.Body))
+	}
+}
+
+func TestBatchBodiesAreDisjointViews(t *testing.T) {
+	msgs := smallBatch(8)
+	frame, err := EncodeBatch(msgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	subs, err := DecodeBatch(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every sub-body is a window of the batch frame...
+	saved := append([]byte(nil), frame.Body...)
+	for i := range frame.Body {
+		frame.Body[i] = 0xee
+	}
+	for i, sub := range subs {
+		if !bytes.Equal(sub.Body, bytes.Repeat([]byte{0xee}, len(msgs[i].Body))) {
+			t.Fatalf("sub %d body is a copy of the batch frame, not a view", i)
+		}
+	}
+	copy(frame.Body, saved)
+	// ...and no two windows overlap, even through append.
+	for i, sub := range subs {
+		for j := range sub.Body {
+			sub.Body[j] = byte(0x80 + i)
+		}
+		_ = append(sub.Body, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff)
+	}
+	for i, sub := range subs {
+		if !bytes.Equal(sub.Body, bytes.Repeat([]byte{byte(0x80 + i)}, len(msgs[i].Body))) {
+			t.Fatalf("sub %d body was written through another sub-message's view", i)
+		}
+		if sub.Object != msgs[i].Object || sub.RequestID != msgs[i].RequestID {
+			t.Fatalf("sub %d header changed: %+v", i, sub)
+		}
+	}
+}
+
+// rawHeader encodes a v3 header up to and including the envelope count.
+func rawHeader(envelopes uint32) *xdr.Encoder {
+	e := xdr.NewEncoder(128)
+	e.PutUint32(Magic)
+	e.PutUint32(3)
+	e.PutUint32(uint32(TRequest))
+	e.PutUint64(1)
+	e.PutString("ctx/obj-1")
+	e.PutString("m")
+	e.PutUint64(0)
+	e.PutInt64(0)
+	e.PutUint64(0)
+	e.PutUint64(0)
+	e.PutUint32(envelopes)
+	return e
+}
+
+// TestAliasingDecodeStillRejects feeds the malformed encodings the
+// copying decoder rejected through both entry points of the aliasing
+// one, and expects the same errors.
+func TestAliasingDecodeStillRejects(t *testing.T) {
+	padded := func() []byte {
+		e := rawHeader(0)
+		e.PutOpaque([]byte{1, 2, 3})
+		b := e.Bytes()
+		b[len(b)-1] = 0x01
+		return b
+	}
+	envPadded := func() []byte {
+		e := rawHeader(1)
+		e.PutString("glue")
+		e.PutOpaque([]byte{1, 2, 3, 4, 5})
+		b := e.Bytes()
+		b[len(b)-2] = 0x01
+		e.PutOpaque(nil)
+		return e.Bytes()
+	}
+	truncated := func() []byte {
+		e := rawHeader(0)
+		e.PutUint32(100) // body claims 100 bytes, 8 follow
+		e.PutUint64(0)
+		return e.Bytes()
+	}
+	tooManyEnvelopes := func() []byte { return rawHeader(65).Bytes() }
+	trailing := func() []byte {
+		e := rawHeader(0)
+		e.PutOpaque([]byte("body"))
+		e.PutUint32(0)
+		return e.Bytes()
+	}
+	cases := []struct {
+		name string
+		raw  []byte
+		is   func(error) bool
+	}{
+		{"nonzero body pad", padded(), func(err error) bool { return errors.Is(err, xdr.ErrPadding) }},
+		{"nonzero envelope pad", envPadded(), func(err error) bool { return errors.Is(err, xdr.ErrPadding) }},
+		{"truncated body", truncated(), func(err error) bool { return errors.Is(err, xdr.ErrShortBuffer) }},
+		{"oversize envelope count", tooManyEnvelopes(), func(err error) bool { return errs.HasCode(err, errs.Codec) }},
+		{"trailing bytes", trailing(), func(err error) bool {
+			return errors.Is(err, xdr.ErrTrailing) && errs.HasCode(err, errs.Codec)
+		}},
+	}
+	for _, c := range cases {
+		framed := binary.BigEndian.AppendUint32(nil, uint32(len(c.raw)))
+		if _, err := Read(bytes.NewReader(append(framed, c.raw...))); err == nil || !c.is(err) {
+			t.Errorf("Read, %s: got %v", c.name, err)
+		}
+		e := xdr.NewEncoder(len(c.raw) + 8)
+		e.PutUint32(1)
+		e.PutOpaque(c.raw)
+		if _, err := DecodeBatch(&Message{Type: TBatch, Body: e.Bytes()}); err == nil || !c.is(err) {
+			t.Errorf("DecodeBatch, %s: got %v", c.name, err)
+		}
+	}
+}
+
+// stallingReader hands out data and then blocks, like a peer that sends
+// a length prefix and a few bytes and goes quiet.
+type stallingReader struct {
+	data    []byte
+	stalled chan struct{} // closed when data is exhausted
+	release chan struct{} // Read returns EOF once this is closed
+}
+
+func (s *stallingReader) Read(p []byte) (int, error) {
+	if len(s.data) == 0 {
+		close(s.stalled)
+		<-s.release
+		return 0, io.EOF
+	}
+	n := copy(p, s.data)
+	s.data = s.data[n:]
+	return n, nil
+}
+
+// TestReadDoesNotTrustTheLengthPrefix: a peer that claims a MaxFrame
+// frame, sends 16 bytes and stalls must pin about readAhead, not 64 MiB.
+func TestReadDoesNotTrustTheLengthPrefix(t *testing.T) {
+	data := binary.BigEndian.AppendUint32(nil, MaxFrame)
+	data = append(data, make([]byte, 16)...)
+	r := &stallingReader{data: data, stalled: make(chan struct{}), release: make(chan struct{})}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	done := make(chan error, 1)
+	go func() {
+		_, err := Read(r)
+		done <- err
+	}()
+	<-r.stalled
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 2<<20 {
+		t.Errorf("a %d-byte length prefix and 16 bytes made Read allocate %d bytes, want well under 2 MiB", MaxFrame, got)
+	}
+	close(r.release)
+	if err := <-done; !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("Read of the abandoned frame: %v, want io.ErrUnexpectedEOF", err)
+	}
+}
+
+// dribbleReader returns at most step bytes per Read, so a large frame
+// arrives across piece boundaries at every alignment.
+type dribbleReader struct {
+	r    io.Reader
+	step int
+}
+
+func (d dribbleReader) Read(p []byte) (int, error) {
+	return d.r.Read(p[:min(len(p), d.step)])
+}
+
+func TestLargeFrameRoundTrips(t *testing.T) {
+	in := &Message{Type: TReply, RequestID: 3, Object: "ctx/obj-1", Method: "bulk", Body: make([]byte, 8<<20)}
+	rand.New(rand.NewSource(2)).Read(in.Body)
+	var buf bytes.Buffer
+	if err := Write(&buf, in); err != nil {
+		t.Fatal(err)
+	}
+	frame := append([]byte(nil), buf.Bytes()...)
+	out, err := Read(dribbleReader{bytes.NewReader(frame), 300<<10 + 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Object != in.Object || out.Method != in.Method || out.RequestID != in.RequestID || !bytes.Equal(out.Body, in.Body) {
+		t.Fatal("8 MiB frame did not round-trip byte for byte")
+	}
+	// Cut off exactly at a piece boundary, the stream is still short.
+	if _, err := Read(bytes.NewReader(frame[:4+2*readAhead])); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("frame cut at a piece boundary: %v, want io.ErrUnexpectedEOF", err)
+	}
+}
+
+// TestConcurrentWritersShareThePool: the write-buffer pool is the only
+// state Write shares between connections. Eight writers with mixed frame
+// sizes must each see exactly their own frames come back (run with -race).
+func TestConcurrentWritersShareThePool(t *testing.T) {
+	const writers, frames = 8, 24
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			var conn bytes.Buffer
+			var sent [][]byte
+			for i := 0; i < frames; i++ {
+				body := make([]byte, 64)
+				if rng.Intn(3) == 0 {
+					body = make([]byte, bulkBody)
+				}
+				rng.Read(body)
+				sent = append(sent, body)
+				if err := Write(&conn, &Message{Type: TRequest, RequestID: uint64(w<<16 | i), Object: "ctx/obj-1", Method: "exchange", Body: body}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			for i, body := range sent {
+				m, err := Read(&conn)
+				if err != nil {
+					t.Errorf("writer %d frame %d: %v", w, i, err)
+					return
+				}
+				if m.RequestID != uint64(w<<16|i) || !bytes.Equal(m.Body, body) {
+					t.Errorf("writer %d frame %d came back as another frame (id %#x)", w, i, m.RequestID)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+}

@@ -11,9 +11,11 @@
 package wire
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 
 	"openhpcxx/internal/errs"
 	"openhpcxx/internal/xdr"
@@ -183,6 +185,58 @@ func (m *Message) MarshalXDR(e *xdr.Encoder) error {
 	return nil
 }
 
+// xdrLen is the encoded size of a string or opaque of n bytes: the
+// length word plus the bytes padded to a four-byte boundary.
+func xdrLen(n int) int { return 4 + (n+3)&^3 }
+
+// encodedLen is the exact number of bytes MarshalXDR appends for m, so
+// every encode site allocates once and nothing grows.
+func (m *Message) encodedLen() int {
+	// magic, version, type; request id, epoch, deadline, trace id, span
+	// id; envelope count.
+	n := 3*4 + 5*8 + 4
+	if m.wireVersion() >= 4 {
+		n += 4
+	}
+	n += xdrLen(len(m.Object)) + xdrLen(len(m.Method))
+	for i := range m.Envelopes {
+		n += xdrLen(len(m.Envelopes[i].ID)) + xdrLen(len(m.Envelopes[i].Data))
+	}
+	return n + xdrLen(len(m.Body))
+}
+
+// appendMessage appends m's encoding to dst. Callers size dst with
+// encodedLen, so the encoder — held on this stack frame — never grows.
+func appendMessage(dst []byte, m *Message) ([]byte, error) {
+	var e xdr.Encoder
+	e.SetBuf(dst)
+	if err := m.MarshalXDR(&e); err != nil {
+		return nil, err
+	}
+	return e.Bytes(), nil
+}
+
+// Marshal returns m's encoding — everything after the frame length
+// prefix — in a buffer of exactly that size, for protocols that embed a
+// message in a carrier of their own instead of framing it with Write.
+func Marshal(m *Message) ([]byte, error) {
+	return appendMessage(make([]byte, 0, m.encodedLen()), m)
+}
+
+// decodeMessage decodes buf, which must hold exactly one encoding, into
+// m. Body and Envelope.Data alias buf.
+func decodeMessage(buf []byte, m *Message) error {
+	var d xdr.Decoder
+	d.Reset(buf)
+	if err := m.UnmarshalXDR(&d); err != nil {
+		return err
+	}
+	if d.Remaining() != 0 {
+		return errs.Wrapf(errs.Codec, xdr.ErrTrailing, "%d bytes", d.Remaining())
+	}
+	return nil
+}
+
 // Frame errors.
 var (
 	ErrBadMagic   = errors.New("wire: bad magic")
@@ -190,7 +244,10 @@ var (
 	ErrTooLarge   = errors.New("wire: frame exceeds MaxFrame")
 )
 
-// UnmarshalXDR decodes everything after the frame length prefix.
+// UnmarshalXDR decodes everything after the frame length prefix. Body
+// and Envelope.Data are views of the decoder's input, not copies: the
+// message stays valid as long as that input is left alone, and keeps it
+// reachable.
 func (m *Message) UnmarshalXDR(d *xdr.Decoder) error {
 	magic, err := d.Uint32()
 	if err != nil {
@@ -259,52 +316,104 @@ func (m *Message) UnmarshalXDR(d *xdr.Decoder) error {
 		if m.Envelopes[i].ID, err = d.String(); err != nil {
 			return err
 		}
-		if m.Envelopes[i].Data, err = d.Opaque(); err != nil {
+		if m.Envelopes[i].Data, err = d.OpaqueView(); err != nil {
 			return err
 		}
 	}
-	m.Body, err = d.Opaque()
+	m.Body, err = d.OpaqueView()
 	return err
 }
+
+// maxPooledFrame is the largest write buffer kept for reuse. A larger
+// frame is rare enough that holding its buffer would cost more live heap
+// than the allocation it saves; the collector takes it.
+const maxPooledFrame = 4 << 20
+
+// writeBufs lends Write its frame buffer. io.Writer may not retain the
+// slice it is handed, so a buffer is back in the pool before Write
+// returns and no caller ever sees one.
+var writeBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // Write frames and writes m to w. It is not safe for concurrent use on
 // one writer; callers serialize per connection.
 func Write(w io.Writer, m *Message) error {
-	e := xdr.NewEncoder(64 + len(m.Body))
-	e.PutUint32(0) // frame length placeholder
-	if err := m.MarshalXDR(e); err != nil {
-		return err
-	}
-	buf := e.Bytes()
-	n := len(buf) - 4
+	n := m.encodedLen()
 	if n > MaxFrame {
 		return ErrTooLarge
 	}
-	buf[0] = byte(n >> 24)
-	buf[1] = byte(n >> 16)
-	buf[2] = byte(n >> 8)
-	buf[3] = byte(n)
-	_, err := w.Write(buf)
+	bp := writeBufs.Get().(*[]byte)
+	defer writeBufs.Put(bp)
+	buf := *bp
+	if cap(buf) < 4+n {
+		buf = make([]byte, 0, 4+n)
+		if cap(buf) <= maxPooledFrame {
+			*bp = buf
+		}
+	}
+	buf, err := appendMessage(binary.BigEndian.AppendUint32(buf[:0], uint32(n)), m)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(buf)
 	return err
 }
 
-// Read reads one frame from r.
+// readAhead is how far Read allocates beyond the bytes a peer has
+// actually sent: a frame up to this size is one allocation, a larger one
+// is gathered in pieces of this size, so a length prefix alone pins at
+// most this much memory however large it claims the frame to be.
+const readAhead = 1 << 20
+
+// readFrame reads the n bytes of a frame body into one buffer.
+func readFrame(r io.Reader, n int) ([]byte, error) {
+	if n <= readAhead {
+		buf := make([]byte, n)
+		_, err := io.ReadFull(r, buf)
+		return buf, err
+	}
+	var pieces [][]byte
+	for got := 0; got < n; {
+		p := make([]byte, min(n-got, readAhead))
+		if _, err := io.ReadFull(r, p); err != nil {
+			if err == io.EOF && got > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+		pieces = append(pieces, p)
+		got += len(p)
+	}
+	buf := make([]byte, 0, n)
+	for _, p := range pieces {
+		buf = append(buf, p...)
+	}
+	return buf, nil
+}
+
+// Read reads one frame from r. The returned message's Body and envelope
+// data alias the frame's buffer, which nothing else references: it lives
+// exactly as long as the message (or any slice of it) does.
 func Read(r io.Reader) (*Message, error) {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
+	// The length word is read into the message's own allocation: a
+	// local array would escape through the io.Reader call and cost an
+	// allocation of its own.
+	f := new(struct {
+		Message
+		prefix [4]byte
+	})
+	if _, err := io.ReadFull(r, f.prefix[:]); err != nil {
 		return nil, err
 	}
-	n := int(uint32(lenBuf[0])<<24 | uint32(lenBuf[1])<<16 | uint32(lenBuf[2])<<8 | uint32(lenBuf[3]))
+	n := int(binary.BigEndian.Uint32(f.prefix[:]))
 	if n > MaxFrame {
 		return nil, ErrTooLarge
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
+	buf, err := readFrame(r, n)
+	if err != nil {
 		return nil, err
 	}
-	m := new(Message)
-	if err := xdr.Unmarshal(buf, m); err != nil {
+	if err := decodeMessage(buf, &f.Message); err != nil {
 		return nil, err
 	}
-	return m, nil
+	return &f.Message, nil
 }

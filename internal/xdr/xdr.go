@@ -9,10 +9,18 @@
 //
 // Encoder and Decoder operate over an internal byte buffer to avoid
 // per-item interface calls; Bytes/Reset allow buffer reuse so steady-state
-// encoding performs no allocation beyond buffer growth.
+// encoding performs no allocation beyond buffer growth, and the zero
+// value of either is ready to use (SetBuf, Decoder.Reset), so a caller
+// that keeps one on its stack allocates nothing for it.
+//
+// Decoding copies where the result has its own type — String, Int32s,
+// Float64s, Opaque and FixedOpaque return fresh memory the caller owns
+// outright — and aliases only where the name says so: OpaqueView returns
+// a slice of the decoder's input, valid for as long as that input is.
 package xdr
 
 import (
+	"encoding/binary"
 	"errors"
 	"math"
 
@@ -72,12 +80,21 @@ func (e *Encoder) Len() int { return len(e.buf) }
 // Reset discards the buffer contents, retaining capacity.
 func (e *Encoder) Reset() { e.buf = e.buf[:0] }
 
+// SetBuf makes the encoder append to buf, after whatever buf already
+// holds. A caller that knows the encoded size hands over a buffer of
+// that capacity and gets it back, unmoved, from Bytes.
+func (e *Encoder) SetBuf(buf []byte) { e.buf = buf }
+
+// grow extends the buffer by n bytes and returns them. A buffer that
+// must move grows to max(need, 2*len): geometric, so a run of small
+// Puts reallocates O(log n) times, yet one large Put allocates exactly
+// what it needs rather than twice that.
 func (e *Encoder) grow(n int) []byte {
 	l := len(e.buf)
 	if l+n <= cap(e.buf) {
 		e.buf = e.buf[:l+n]
 	} else {
-		nb := make([]byte, l+n, (l+n)*2)
+		nb := make([]byte, l+n, max(l+n, 2*l))
 		copy(nb, e.buf)
 		e.buf = nb
 	}
@@ -86,11 +103,7 @@ func (e *Encoder) grow(n int) []byte {
 
 // PutUint32 encodes a 32-bit unsigned integer.
 func (e *Encoder) PutUint32(v uint32) {
-	b := e.grow(4)
-	b[0] = byte(v >> 24)
-	b[1] = byte(v >> 16)
-	b[2] = byte(v >> 8)
-	b[3] = byte(v)
+	binary.BigEndian.PutUint32(e.grow(4), v)
 }
 
 // PutInt32 encodes a 32-bit signed integer.
@@ -98,15 +111,7 @@ func (e *Encoder) PutInt32(v int32) { e.PutUint32(uint32(v)) }
 
 // PutUint64 encodes an XDR unsigned hyper.
 func (e *Encoder) PutUint64(v uint64) {
-	b := e.grow(8)
-	b[0] = byte(v >> 56)
-	b[1] = byte(v >> 48)
-	b[2] = byte(v >> 40)
-	b[3] = byte(v >> 32)
-	b[4] = byte(v >> 24)
-	b[5] = byte(v >> 16)
-	b[6] = byte(v >> 8)
-	b[7] = byte(v)
+	binary.BigEndian.PutUint64(e.grow(8), v)
 }
 
 // PutInt64 encodes an XDR hyper.
@@ -161,12 +166,9 @@ func (e *Encoder) PutString(s string) {
 func (e *Encoder) PutInt32s(v []int32) {
 	e.PutUint32(uint32(len(v)))
 	b := e.grow(4 * len(v))
-	for i, x := range v {
-		u := uint32(x)
-		b[4*i] = byte(u >> 24)
-		b[4*i+1] = byte(u >> 16)
-		b[4*i+2] = byte(u >> 8)
-		b[4*i+3] = byte(u)
+	for _, x := range v {
+		binary.BigEndian.PutUint32(b, uint32(x))
+		b = b[4:]
 	}
 }
 
@@ -174,16 +176,9 @@ func (e *Encoder) PutInt32s(v []int32) {
 func (e *Encoder) PutFloat64s(v []float64) {
 	e.PutUint32(uint32(len(v)))
 	b := e.grow(8 * len(v))
-	for i, x := range v {
-		u := math.Float64bits(x)
-		b[8*i] = byte(u >> 56)
-		b[8*i+1] = byte(u >> 48)
-		b[8*i+2] = byte(u >> 40)
-		b[8*i+3] = byte(u >> 32)
-		b[8*i+4] = byte(u >> 24)
-		b[8*i+5] = byte(u >> 16)
-		b[8*i+6] = byte(u >> 8)
-		b[8*i+7] = byte(u)
+	for _, x := range v {
+		binary.BigEndian.PutUint64(b, math.Float64bits(x))
+		b = b[8:]
 	}
 }
 
@@ -222,6 +217,9 @@ type Decoder struct {
 // NewDecoder returns a Decoder reading from p.
 func NewDecoder(p []byte) *Decoder { return &Decoder{buf: p} }
 
+// Reset makes the decoder read p from its start.
+func (d *Decoder) Reset(p []byte) { d.buf, d.off = p, 0 }
+
 // Remaining returns the number of unread bytes.
 func (d *Decoder) Remaining() int { return len(d.buf) - d.off }
 
@@ -241,7 +239,7 @@ func (d *Decoder) Uint32() (uint32, error) {
 	if err != nil {
 		return 0, err
 	}
-	return uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3]), nil
+	return binary.BigEndian.Uint32(b), nil
 }
 
 // Int32 decodes a 32-bit signed integer.
@@ -256,8 +254,7 @@ func (d *Decoder) Uint64() (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return uint64(b[0])<<56 | uint64(b[1])<<48 | uint64(b[2])<<40 | uint64(b[3])<<32 |
-		uint64(b[4])<<24 | uint64(b[5])<<16 | uint64(b[6])<<8 | uint64(b[7]), nil
+	return binary.BigEndian.Uint64(b), nil
 }
 
 // Int64 decodes an XDR hyper.
@@ -312,7 +309,9 @@ func (d *Decoder) checkPad(n int) error {
 	return nil
 }
 
-// FixedOpaque decodes opaque data of known length into a fresh slice.
+// FixedOpaque decodes opaque data of known length into a fresh slice:
+// the one copy the decoder makes of opaque data, for callers that keep
+// the bytes beyond the life of the input.
 func (d *Decoder) FixedOpaque(n int) ([]byte, error) {
 	b, err := d.take(n)
 	if err != nil {
@@ -334,7 +333,8 @@ func (d *Decoder) length() (int, error) {
 	return int(v), nil
 }
 
-// Opaque decodes variable-length opaque data.
+// Opaque decodes variable-length opaque data into a fresh slice (see
+// FixedOpaque).
 func (d *Decoder) Opaque() ([]byte, error) {
 	n, err := d.length()
 	if err != nil {
@@ -343,8 +343,10 @@ func (d *Decoder) Opaque() ([]byte, error) {
 	return d.FixedOpaque(n)
 }
 
-// OpaqueView decodes variable-length opaque data without copying; the
-// returned slice aliases the decoder's input.
+// OpaqueView decodes variable-length opaque data without copying: the
+// returned slice aliases the decoder's input and keeps all of it
+// reachable. Its capacity is its length, so an append to it reallocates
+// instead of writing over whatever follows in the input.
 func (d *Decoder) OpaqueView() ([]byte, error) {
 	n, err := d.length()
 	if err != nil {
@@ -354,7 +356,7 @@ func (d *Decoder) OpaqueView() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return b, d.checkPad(n)
+	return b[:n:n], d.checkPad(n)
 }
 
 // String decodes a string.
@@ -383,7 +385,8 @@ func (d *Decoder) Int32s() ([]int32, error) {
 	}
 	out := make([]int32, n)
 	for i := range out {
-		out[i] = int32(uint32(b[4*i])<<24 | uint32(b[4*i+1])<<16 | uint32(b[4*i+2])<<8 | uint32(b[4*i+3]))
+		out[i] = int32(binary.BigEndian.Uint32(b))
+		b = b[4:]
 	}
 	return out, nil
 }
@@ -400,9 +403,8 @@ func (d *Decoder) Float64s() ([]float64, error) {
 	}
 	out := make([]float64, n)
 	for i := range out {
-		u := uint64(b[8*i])<<56 | uint64(b[8*i+1])<<48 | uint64(b[8*i+2])<<40 | uint64(b[8*i+3])<<32 |
-			uint64(b[8*i+4])<<24 | uint64(b[8*i+5])<<16 | uint64(b[8*i+6])<<8 | uint64(b[8*i+7])
-		out[i] = math.Float64frombits(u)
+		out[i] = math.Float64frombits(binary.BigEndian.Uint64(b))
+		b = b[8:]
 	}
 	return out, nil
 }

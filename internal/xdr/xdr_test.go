@@ -146,6 +146,9 @@ func TestOpaqueView(t *testing.T) {
 	if &v[0] != &e.Bytes()[4] {
 		t.Fatal("OpaqueView must alias input")
 	}
+	if cap(v) != len(v) {
+		t.Fatalf("view has cap %d beyond its %d bytes: an append would write over the pad and what follows", cap(v), len(v))
+	}
 }
 
 func TestOptional(t *testing.T) {
