@@ -60,9 +60,8 @@ faults:
 		./internal/netsim/ ./internal/transport/ ./internal/health/ \
 		./internal/core/ ./internal/capability/ ./internal/bench/
 
-# Frame-decoder fuzzing: the header decoder (with the v3 trace fields)
-# and the TBatch body decoder must never panic and must round-trip every
-# input they accept. Go runs one fuzz target per invocation.
+# Frame-decoder fuzzing: the header decoder and the TBatch body decoder
+# must never panic and must round-trip every input they accept. Go runs one fuzz target per invocation.
 fuzz:
 	$(GO) test ./internal/wire/ -run='^$$' -fuzz=FuzzDecodeHeader -fuzztime=10s
 	$(GO) test ./internal/wire/ -run='^$$' -fuzz=FuzzDecodeBatch -fuzztime=10s

@@ -29,6 +29,7 @@ import (
 	"openhpcxx/internal/core"
 	"openhpcxx/internal/errs"
 	"openhpcxx/internal/introspect"
+	"openhpcxx/internal/stats"
 )
 
 func main() {
@@ -103,7 +104,7 @@ func render(base, window string) (string, error) {
 	return b.String(), nil
 }
 
-// protoRow aggregates one rpc.<proto>.* family over a window.
+// protoRow aggregates one protocol's rpc.*{proto=…} series over a window.
 type protoRow struct {
 	proto     string
 	calls     float64 // calls/s
@@ -125,33 +126,27 @@ func renderRates(b *strings.Builder, window string, w introspect.Window) {
 		}
 		return r
 	}
-	for name, rate := range w.Rates {
-		rest, ok := strings.CutPrefix(name, "rpc.")
+	for key, rate := range w.Rates {
+		name, labels := stats.SplitKey(key)
+		proto, ok := labels["proto"]
 		if !ok {
 			continue
 		}
-		proto, field, ok := strings.Cut(rest, ".")
-		if !ok {
-			continue
-		}
-		switch field {
-		case "calls":
+		switch name {
+		case "rpc.calls":
 			row(proto).calls = rate
-		case "req_bytes":
+		case "rpc.req_bytes":
 			row(proto).reqBps = rate
-		case "resp_bytes":
+		case "rpc.resp_bytes":
 			row(proto).respBps = rate
-		case "faults", "transport_errors":
+		case "rpc.faults", "rpc.transport_errors":
 			row(proto).errRate += rate
 		}
 	}
-	for name, h := range w.Histograms {
-		rest, ok := strings.CutPrefix(name, "rpc.")
-		if !ok {
-			continue
-		}
-		proto, field, ok := strings.Cut(rest, ".")
-		if !ok || field != "latency_us" {
+	for key, h := range w.Histograms {
+		name, labels := stats.SplitKey(key)
+		proto, ok := labels["proto"]
+		if !ok || name != "rpc.latency_us" {
 			continue
 		}
 		r := row(proto)
@@ -210,11 +205,11 @@ func renderMeters(b *strings.Builder, w introspect.Window) {
 	}
 	rows := map[string]*meterRow{}
 	for key, m := range w.Meters {
-		name, labels, ok := strings.Cut(key, "{")
-		if !ok {
+		name, set := stats.SplitKey(key)
+		if len(set) == 0 {
 			continue
 		}
-		labels = strings.TrimSuffix(labels, "}")
+		labels := key[len(name)+1 : len(key)-1] // the block, unbraced
 		r, seen := rows[labels]
 		if !seen {
 			r = &meterRow{labels: labels}

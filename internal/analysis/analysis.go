@@ -26,8 +26,6 @@
 //   - ctxflow:     exported *Ctx functions must thread their context
 //     into callees — no context.Background(), no dropping into a
 //     non-Ctx sibling.
-//   - wirever:     wire-format version constants are compared/branched
-//     only inside internal/wire.
 //   - codederr:    errors are built with the errs constructors so they
 //     carry a taxonomy code — no naked fmt.Errorf outside internal/errs
 //     (test files exempt).
@@ -120,7 +118,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // All lists every analyzer in the suite, in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{NoSleep, LockedBlock, SpanEnd, CheckedErr, CtxFlow, WireVer, CodedErr, GoLife, LockOrder, CapRefund}
+	return []*Analyzer{NoSleep, LockedBlock, SpanEnd, CheckedErr, CtxFlow, CodedErr, GoLife, LockOrder, CapRefund}
 }
 
 // ByName resolves a comma-separated analyzer list ("nosleep,spanend").

@@ -19,7 +19,6 @@ var goldenCorpora = []string{
 	"spanend",
 	"checkederr",
 	"ctxflow",
-	"wirever",
 	"codederr",
 	"golife",
 	"lockorder",

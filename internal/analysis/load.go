@@ -60,8 +60,7 @@ func Load(root string, patterns []string) ([]*Unit, error) {
 	if err != nil {
 		return nil, err
 	}
-	fset := token.NewFileSet()
-	imp := newSharedImporter(fset)
+	fset, imp := sharedImporter()
 
 	type slot struct {
 		units []*Unit
@@ -116,28 +115,29 @@ func Load(root string, patterns []string) ([]*Unit, error) {
 // golden-test harness uses it to type-check a corpus package under
 // testdata with a synthetic import path.
 func LoadDir(dir, importPath string) ([]*Unit, error) {
+	fset, imp := sharedImporter()
+	return loadDir(fset, imp, dir, importPath)
+}
+
+// sharedImporter returns the process's one file set and source importer.
+// The importer type-checks imported packages (stdlib and this module
+// alike) from source and caches them, so every Load and LoadDir after
+// the first finds the standard library already checked.
+var sharedImporter = sync.OnceValues(func() (*token.FileSet, types.Importer) {
 	fset := token.NewFileSet()
-	return loadDir(fset, newSharedImporter(fset), dir, importPath)
-}
+	imp := importer.ForCompiler(fset, "source", nil).(types.ImporterFrom)
+	return fset, &lockedImporter{imp: imp, done: map[string]*types.Package{}}
+})
 
-// newSharedImporter builds the one source importer every unit shares:
-// it type-checks imported packages (stdlib and this module alike) from
-// source and caches them across Import calls. The source importer's
-// internal cache is not goroutine-safe, so it is wrapped in a mutex;
-// the *types.Package values it returns are immutable once complete and
-// safe to read concurrently.
-func newSharedImporter(fset *token.FileSet) types.Importer {
-	imp := importer.ForCompiler(fset, "source", nil)
-	if from, ok := imp.(types.ImporterFrom); ok {
-		return &lockedImporter{imp: from}
-	}
-	return imp
-}
-
-// lockedImporter serializes a non-goroutine-safe ImporterFrom.
+// lockedImporter serializes the source importer, whose cache is not
+// goroutine-safe (the *types.Package values it returns are immutable
+// once complete), and remembers its answer per import path: the source
+// importer runs `go list` to find a module package's directory before
+// it consults its own cache, on every import of every unit.
 type lockedImporter struct {
-	mu  sync.Mutex
-	imp types.ImporterFrom
+	mu   sync.Mutex
+	imp  types.ImporterFrom
+	done map[string]*types.Package
 }
 
 func (l *lockedImporter) Import(path string) (*types.Package, error) {
@@ -147,7 +147,14 @@ func (l *lockedImporter) Import(path string) (*types.Package, error) {
 func (l *lockedImporter) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.imp.ImportFrom(path, dir, mode)
+	if pkg := l.done[path]; pkg != nil {
+		return pkg, nil
+	}
+	pkg, err := l.imp.ImportFrom(path, dir, mode)
+	if err == nil {
+		l.done[path] = pkg
+	}
+	return pkg, err
 }
 
 // modulePath reads the module path out of root's go.mod.

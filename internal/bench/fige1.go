@@ -28,7 +28,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"time"
 
@@ -36,6 +35,7 @@ import (
 	"openhpcxx/internal/core"
 	"openhpcxx/internal/errs"
 	"openhpcxx/internal/netsim"
+	"openhpcxx/internal/stats"
 	"openhpcxx/internal/wire"
 )
 
@@ -145,7 +145,7 @@ type E1Point struct {
 	Exhausted int `json:"exhausted"`
 	Failed    int `json:"failed"`
 	// Attempts is the number of wire attempts actually sent (the sum of
-	// the per-protocol rpc.*.calls counters — retries included), and
+	// the per-protocol rpc.calls counters — retries included), and
 	// Amplification the attempts-per-task ratio the budgets bound.
 	Attempts      uint64  `json:"attempts"`
 	Amplification float64 `json:"amplification"`
@@ -290,31 +290,20 @@ func e1Plan(cfg E1Config, d *e1Deployment) (*netsim.FaultPlan, []string) {
 	}
 }
 
-// e1Attempts sums the per-protocol rpc.*.calls counters: wire attempts
-// actually sent, retries included.
-func e1Attempts(rt *core.Runtime) uint64 {
-	var total uint64
-	for name, v := range rt.Metrics().Snapshot().Counters {
-		if strings.HasPrefix(name, "rpc.") && strings.HasSuffix(name, ".calls") {
-			total += v
+// e1Counters reads the runtime's registry: the per-protocol rpc.calls
+// counters summed (wire attempts actually sent, retries included) and
+// the per-code error counters.
+func e1Counters(rt *core.Runtime) (attempts uint64, byCode map[string]uint64) {
+	byCode = map[string]uint64{}
+	for key, v := range rt.Metrics().Snapshot().Counters {
+		switch name, labels := stats.SplitKey(key); {
+		case name == "rpc.calls":
+			attempts += v
+		case name == "rpc.errors" && v != 0:
+			byCode[labels["code"]] = v
 		}
 	}
-	return total
-}
-
-// e1ErrorsByCode reads the per-code error counters.
-func e1ErrorsByCode(rt *core.Runtime) map[string]uint64 {
-	out := map[string]uint64{}
-	const prefix = `rpc.errors{code="`
-	for name, v := range rt.Metrics().Snapshot().Counters {
-		if v == 0 || !strings.HasPrefix(name, prefix) {
-			continue
-		}
-		if code, ok := strings.CutSuffix(strings.TrimPrefix(name, prefix), `"}`); ok {
-			out[code] = v
-		}
-	}
-	return out
+	return attempts, byCode
 }
 
 // runE1Mode drives the worker pool through the schedule under one
@@ -359,7 +348,7 @@ func runE1Mode(cfg E1Config, budgeted bool) (E1Point, []string, error) {
 		total, steadyOK, flakyOK, exhausted, failed int
 		latencies                                   []time.Duration
 	}
-	attemptsBefore := e1Attempts(d.Runtime)
+	attemptsBefore, _ := e1Counters(d.Runtime)
 	tallies := make([]tally, cfg.Workers)
 	start := time.Now()
 	var wg sync.WaitGroup
@@ -417,7 +406,8 @@ func runE1Mode(cfg E1Config, budgeted bool) (E1Point, []string, error) {
 		latencies = append(latencies, tallies[i].latencies...)
 	}
 	pt.OK = pt.SteadyOK + pt.FlakyOK
-	pt.Attempts = e1Attempts(d.Runtime) - attemptsBefore
+	pt.Attempts, pt.ErrorsByCode = e1Counters(d.Runtime)
+	pt.Attempts -= attemptsBefore
 	if pt.Total > 0 {
 		pt.Amplification = float64(pt.Attempts) / float64(pt.Total)
 	}
@@ -425,7 +415,6 @@ func runE1Mode(cfg E1Config, budgeted bool) (E1Point, []string, error) {
 		pt.Goodput = float64(pt.OK) / secs
 	}
 	pt.P50, pt.P99 = percentiles(latencies)
-	pt.ErrorsByCode = e1ErrorsByCode(d.Runtime)
 	return pt, schedule, nil
 }
 

@@ -241,21 +241,11 @@ func (g *Glue) wrapRequest(m *wire.Message) (*wire.Message, error) {
 	out.Body = body
 	out.Envelopes = envs
 	if sp != nil {
-		sp.SetCaps(envCaps(envs))
+		sp.SetCaps(core.EnvCaps(envs))
 		sp.SetBytes(len(body))
 		sp.End()
 	}
 	return &out, nil
-}
-
-// envCaps joins the envelope chain's capability kinds (everything after
-// the leading glue entry) for span records.
-func envCaps(envs []wire.Envelope) string {
-	kinds := make([]string, 0, len(envs))
-	for _, e := range envs[1:] {
-		kinds = append(kinds, e.ID)
-	}
-	return strings.Join(kinds, ",")
 }
 
 // baseSpan opens a client-side span named after the base protocol,

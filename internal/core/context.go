@@ -235,7 +235,7 @@ func (rt *Runtime) Clock() clock.Clock { return rt.clock }
 
 // Metrics returns the runtime's metrics registry. The ORB accounts for
 // per-protocol calls, faults, payload bytes, and round-trip latencies
-// under "rpc.<protocol>.*"; server-side dispatch under "srv.*".
+// under "rpc.*{proto=...}"; server-side dispatch under "srv.*".
 func (rt *Runtime) Metrics() *stats.Registry { return rt.metrics }
 
 // MetricsSnapshot exports every runtime metric at a point in time —

@@ -615,16 +615,16 @@ func TestMetricsAccounting(t *testing.T) {
 		t.Fatal("want fault")
 	}
 	m := rt.Metrics()
-	if got := m.Counter("rpc.hpcx-tcp.calls").Value(); got != 4 {
+	if got := m.Counter(`rpc.calls{proto="hpcx-tcp"}`).Value(); got != 4 {
 		t.Fatalf("calls %d", got)
 	}
-	if got := m.Counter("rpc.hpcx-tcp.faults").Value(); got != 1 {
+	if got := m.Counter(`rpc.faults{proto="hpcx-tcp"}`).Value(); got != 1 {
 		t.Fatalf("faults %d", got)
 	}
-	if got := m.Counter("rpc.hpcx-tcp.req_bytes").Value(); got != 12 {
+	if got := m.Counter(`rpc.req_bytes{proto="hpcx-tcp"}`).Value(); got != 12 {
 		t.Fatalf("req_bytes %d", got)
 	}
-	if got := m.Counter("rpc.hpcx-tcp.resp_bytes").Value(); got != 12 {
+	if got := m.Counter(`rpc.resp_bytes{proto="hpcx-tcp"}`).Value(); got != 12 {
 		t.Fatalf("resp_bytes %d", got)
 	}
 	if got := m.Counter("srv.requests").Value(); got != 4 {
@@ -633,7 +633,7 @@ func TestMetricsAccounting(t *testing.T) {
 	if got := m.Counter("srv.faults").Value(); got != 1 {
 		t.Fatalf("srv.faults %d", got)
 	}
-	lat := m.Histogram("rpc.hpcx-tcp.latency_us").Snapshot()
+	lat := m.Histogram(`rpc.latency_us{proto="hpcx-tcp"}`).Snapshot()
 	if lat.Count != 4 || lat.Mean <= 0 {
 		t.Fatalf("latency %+v", lat)
 	}
@@ -671,7 +671,7 @@ func TestOneWayPost(t *testing.T) {
 	case <-clock.After(clock.Real{}, 2*time.Second):
 		t.Fatal("one-way request never arrived")
 	}
-	if got := rt.Metrics().Counter("rpc.hpcx-tcp.oneway").Value(); got != 1 {
+	if got := rt.Metrics().Counter(`rpc.oneway{proto="hpcx-tcp"}`).Value(); got != 1 {
 		t.Fatalf("oneway counter %d", got)
 	}
 	if waitCounter(rt, "srv.oneway", 1) != 1 {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"strings"
 	"sync/atomic"
@@ -12,6 +13,7 @@ import (
 	"openhpcxx/internal/errs"
 	"openhpcxx/internal/obs"
 	"openhpcxx/internal/obs/obstest"
+	"openhpcxx/internal/stats"
 	"openhpcxx/internal/transport"
 	"openhpcxx/internal/wire"
 )
@@ -97,14 +99,16 @@ type engineCounts struct {
 
 func readEngineCounts(rt *Runtime, pid ProtoID) engineCounts {
 	snap := rt.MetricsSnapshot()
-	pre := "rpc." + string(pid) + "."
+	key := func(name string) string {
+		return stats.KeyWithLabels(name, stats.Labels{"proto": string(pid)})
+	}
 	c := engineCounts{
-		calls:           snap.Counters[pre+"calls"],
-		oneway:          snap.Counters[pre+"oneway"],
-		reqBytes:        snap.Counters[pre+"req_bytes"],
-		respBytes:       snap.Counters[pre+"resp_bytes"],
-		transportErrors: snap.Counters[pre+"transport_errors"],
-		latencyCount:    snap.Histograms[pre+"latency_us"].Count,
+		calls:           snap.Counters[key("rpc.calls")],
+		oneway:          snap.Counters[key("rpc.oneway")],
+		reqBytes:        snap.Counters[key("rpc.req_bytes")],
+		respBytes:       snap.Counters[key("rpc.resp_bytes")],
+		transportErrors: snap.Counters[key("rpc.transport_errors")],
+		latencyCount:    snap.Histograms[key("rpc.latency_us")].Count,
 	}
 	for k, m := range snap.Meters {
 		switch {
@@ -348,9 +352,63 @@ func TestCallOnlyProtocol(t *testing.T) {
 		if _, err := gp.InvokeAsync("echo", []byte("x")).Wait(); err != nil {
 			t.Fatal(err)
 		}
-		h := rt.MetricsSnapshot().Histograms["rpc.hpcx-tcp.latency_us"]
+		h := rt.MetricsSnapshot().Histograms[`rpc.latency_us{proto="hpcx-tcp"}`]
 		if h.Count != 2 || h.Sum != 6000 {
 			t.Fatalf("latency_us count=%d sum=%d, want 2 and 6000 (two 3 ms round trips)", h.Count, h.Sum)
 		}
 	})
+}
+
+// TestVersionSkewFailsFast: a peer that answers in another wire layout
+// will answer in it again, so the invocation ends on the first attempt
+// with a permanent codec error instead of being re-sent as a transport
+// blip.
+func TestVersionSkewFailsFast(t *testing.T) {
+	n, rt := testWorld(t)
+	l, err := n.Listen("mA", 7400)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var requests atomic.Int32
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		for {
+			conn, err := l.Accept()
+			if err != nil {
+				return
+			}
+			// One request per connection is all a client that fails
+			// fast sends; a retrying one dials again.
+			if req, err := wire.Read(conn); err == nil {
+				requests.Add(1)
+				reply, _ := wire.Marshal(&wire.Message{Type: wire.TReply, RequestID: req.RequestID})
+				reply[7] = 3 // the version word follows the magic
+				frame := binary.BigEndian.AppendUint32(nil, uint32(len(reply)))
+				_, _ = conn.Write(append(frame, reply...))
+			}
+			_ = conn.Close()
+		}
+	}()
+	t.Cleanup(func() {
+		_ = l.Close()
+		<-served
+	})
+
+	client, _ := rt.NewContext("client", "mC")
+	gp := client.NewGlobalPtr(&ObjectRef{Object: "old/obj-1", Protocols: []ProtoEntry{StreamEntryAt("sim://mA:7400")}})
+	_, err = gp.Invoke("echo", []byte("x"))
+	if !errors.Is(err, wire.ErrBadVersion) || errs.CodeOf(err) != errs.Codec {
+		t.Fatalf("invoke against a version-3 peer: %v (code %v), want wire.ErrBadVersion coded codec", err, errs.CodeOf(err))
+	}
+	if got := requests.Load(); got != 1 {
+		t.Fatalf("peer saw %d requests, want exactly one attempt", got)
+	}
+	snap := rt.MetricsSnapshot()
+	if got := snap.Counters[`rpc.errors{code="codec"}`]; got != 1 {
+		t.Fatalf(`rpc.errors{code="codec"} = %d, want 1`, got)
+	}
+	if got := snap.Counters[`rpc.errors{code="transport"}`] + snap.Counters["rpc.retry.attempts"]; got != 0 {
+		t.Fatalf("version skew was accounted as %d transport errors or retries", got)
+	}
 }

@@ -59,9 +59,9 @@ type binding struct {
 	entry int    // index into ref.Protocols of the selected entry
 	key   string // health-tracker key of the bound endpoint
 
-	calls, oneway, reqBytes, respBytes *stats.Counter   // rpc.<pid>.*
-	transportErrors, faults            *stats.Counter   // rpc.<pid>.*
-	latency                            *stats.Histogram // rpc.<pid>.latency_us
+	calls, oneway, reqBytes, respBytes *stats.Counter   // rpc.*{proto=<pid>}
+	transportErrors, faults            *stats.Counter   // rpc.*{proto=<pid>}
+	latency                            *stats.Histogram // rpc.latency_us{proto=<pid>}
 	em                                 *endpointMeters
 }
 
@@ -306,18 +306,18 @@ func (g *GlobalPtr) bindToLocked(f ProtoFactory, idx int, event string) error {
 		return errs.Wrapf(errs.Transport, err, "core: instantiating %s", f.ID())
 	}
 	key := entryHealthKey(g.ref.Protocols[idx])
-	r, pre := g.host.rt.Metrics(), "rpc."+string(p.ID())+"."
+	r, by := g.host.rt.Metrics(), stats.Labels{"proto": string(p.ID())}
 	g.b = &binding{
 		proto:           p,
 		entry:           idx,
 		key:             key,
-		calls:           r.Counter(pre + "calls"),
-		oneway:          r.Counter(pre + "oneway"),
-		reqBytes:        r.Counter(pre + "req_bytes"),
-		respBytes:       r.Counter(pre + "resp_bytes"),
-		transportErrors: r.Counter(pre + "transport_errors"),
-		faults:          r.Counter(pre + "faults"),
-		latency:         r.Histogram(pre + "latency_us"),
+		calls:           r.CounterWith("rpc.calls", by),
+		oneway:          r.CounterWith("rpc.oneway", by),
+		reqBytes:        r.CounterWith("rpc.req_bytes", by),
+		respBytes:       r.CounterWith("rpc.resp_bytes", by),
+		transportErrors: r.CounterWith("rpc.transport_errors", by),
+		faults:          r.CounterWith("rpc.faults", by),
+		latency:         r.HistogramWith("rpc.latency_us", by),
 		em:              g.host.rt.endpointMeter(key),
 	}
 	g.applyBatchingLocked()

@@ -99,7 +99,7 @@ func TestEndpointMeterDeterministicUnderFakeClock(t *testing.T) {
 				rate = m.Rate
 			}
 		}
-		return level, rate, snap.Histograms["rpc.hpcx-tcp.latency_us"]
+		return level, rate, snap.Histograms[`rpc.latency_us{proto="hpcx-tcp"}`]
 	}
 	l1, r1, h1 := run()
 	l2, r2, h2 := run()

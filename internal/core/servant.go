@@ -153,9 +153,9 @@ func (s *Servant) SnapshotLocked() ([]byte, error) {
 // frames the reply (Figure 1's path C -> server object, plus Figure 2's
 // GC un-processing step).
 func (c *Context) dispatch(m *wire.Message) *wire.Message {
-	// Continue the caller's trace when its header carries one (wire v3)
-	// and a recorder is installed. Untraced frames — old-format or from
-	// a caller whose tracer is off — cost one nil-check here.
+	// Continue the caller's trace when its header carries one and a
+	// recorder is installed. Untraced frames — the caller's tracer is
+	// off — cost one nil-check here.
 	ds := c.rt.Tracer().StartChild(obs.TraceID(m.TraceID), obs.SpanID(m.SpanID), obs.KindServer, "dispatch")
 	if ds != nil {
 		ds.SetHint(m.KeepHint())
@@ -251,7 +251,7 @@ func (c *Context) handleRequest(m *wire.Message, ds *obs.Active) (*wire.Message,
 		var err error
 		body, err = gs.UnwrapRequest(m)
 		if gu != nil {
-			gu.SetCaps(envCaps(m.Envelopes))
+			gu.SetCaps(EnvCaps(m.Envelopes))
 			gu.SetErr(err)
 			gu.End()
 		}

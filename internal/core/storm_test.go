@@ -2,13 +2,13 @@ package core
 
 import (
 	"errors"
-	"strings"
 	"testing"
 	"time"
 
 	"openhpcxx/internal/clock"
 	"openhpcxx/internal/errs"
 	"openhpcxx/internal/netsim"
+	"openhpcxx/internal/stats"
 )
 
 // stormWorld is a one-server/one-client world on a fake clock: retry
@@ -35,12 +35,12 @@ func stormWorld(t *testing.T) (*netsim.Network, *Runtime, *clock.Fake, *Context,
 
 const stormPort = 7301
 
-// attemptCalls sums every per-protocol rpc.*.calls counter — the number
+// attemptCalls sums every per-protocol rpc.calls counter — the number
 // of wire attempts actually sent, retries included.
 func attemptCalls(rt *Runtime) uint64 {
 	var total uint64
-	for name, v := range rt.Metrics().Snapshot().Counters {
-		if strings.HasPrefix(name, "rpc.") && strings.HasSuffix(name, ".calls") {
+	for key, v := range rt.Metrics().Snapshot().Counters {
+		if name, _ := stats.SplitKey(key); name == "rpc.calls" {
 			total += v
 		}
 	}

@@ -7,12 +7,12 @@ import (
 )
 
 // stampTrace copies an open root span's identity into a request header
-// so server-side spans join the caller's trace (wire v3), plus the
-// retention keep-hint bit (wire v4): when a tail-based keeper has
-// already decided this trace is not worth keeping, the bit is clear and
-// downstream servers skip buffering its spans. A nil span — the
-// no-recorder fast path — leaves the header untraced (zero IDs), which
-// old and new peers alike treat as "don't trace".
+// so server-side spans join the caller's trace, plus the retention
+// keep-hint flag: when a tail-based keeper has already decided this
+// trace is not worth keeping, the bit is clear and downstream servers
+// skip buffering its spans. A nil span — the no-recorder fast path —
+// leaves the header untraced (zero IDs), which peers treat as "don't
+// trace".
 func stampTrace(t *obs.Tracer, m *wire.Message, root *obs.Active) {
 	if root != nil {
 		m.TraceID, m.SpanID = uint64(root.TraceID()), uint64(root.SpanID())
@@ -33,9 +33,9 @@ func retryCause(err error) string {
 	return "transport"
 }
 
-// envCaps joins an envelope chain's capability kinds (everything after
+// EnvCaps joins an envelope chain's capability kinds (everything after
 // the leading glue entry) in processing order, for Span.Caps.
-func envCaps(envs []wire.Envelope) string {
+func EnvCaps(envs []wire.Envelope) string {
 	if len(envs) <= 1 {
 		return ""
 	}

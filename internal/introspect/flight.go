@@ -17,7 +17,6 @@ package introspect
 import (
 	"encoding/json"
 	"io"
-	"strings"
 	"sync"
 	"time"
 
@@ -194,7 +193,7 @@ type Window struct {
 	// Histograms maps every histogram to its windowed view.
 	Histograms map[string]HistWindow `json:"histograms"`
 	// ErrorRatio is (faults + transport errors) / calls over the
-	// window, across every rpc.* family; 0 when no calls happened.
+	// window, across every protocol; 0 when no calls happened.
 	ErrorRatio float64 `json:"error_ratio"`
 	// ErrorRatioByCode splits the ratio by taxonomy code (the
 	// rpc.errors{code=...} counters the settle path keeps): errors with
@@ -246,21 +245,17 @@ func computeWindow(base, newest sample, secs float64) Window {
 	}
 	var calls, errs uint64
 	byCode := map[string]uint64{}
-	for name, v := range newest.snap.Counters {
-		delta := v - base.snap.Counters[name] // missing old counter reads 0
-		w.Rates[name] = float64(delta) / secs
-		if code, ok := errCodeLabel(name); ok {
-			if delta > 0 {
+	for key, v := range newest.snap.Counters {
+		delta := v - base.snap.Counters[key] // missing old counter reads 0
+		w.Rates[key] = float64(delta) / secs
+		switch name, labels := stats.SplitKey(key); name {
+		case "rpc.calls":
+			calls += delta
+		case "rpc.faults", "rpc.transport_errors":
+			errs += delta
+		case "rpc.errors":
+			if code := labels["code"]; code != "" && delta > 0 {
 				byCode[code] += delta
-			}
-			continue
-		}
-		if strings.HasPrefix(name, "rpc.") {
-			switch {
-			case strings.HasSuffix(name, ".calls"):
-				calls += delta
-			case strings.HasSuffix(name, ".faults"), strings.HasSuffix(name, ".transport_errors"):
-				errs += delta
 			}
 		}
 	}
@@ -291,25 +286,6 @@ func computeWindow(base, newest sample, secs float64) Window {
 		}
 	}
 	return w
-}
-
-// errCodeLabelPrefix matches the canonical key of the per-code error
-// counters the core settle path keeps (stats.KeyWithLabels renders
-// rpc.errors with its single code label exactly this way).
-const errCodeLabelPrefix = `rpc.errors{code="`
-
-// errCodeLabel extracts the taxonomy code from a per-code error
-// counter key; ok is false for every other counter.
-func errCodeLabel(name string) (string, bool) {
-	if !strings.HasPrefix(name, errCodeLabelPrefix) {
-		return "", false
-	}
-	rest := strings.TrimPrefix(name, errCodeLabelPrefix)
-	code, ok := strings.CutSuffix(rest, `"}`)
-	if !ok || strings.ContainsAny(code, `"{}`) {
-		return "", false
-	}
-	return code, true
 }
 
 // Varz is the /varz payload: the standard windows plus the newest raw

@@ -3,7 +3,6 @@ package introspect
 import (
 	"bytes"
 	"encoding/json"
-	"strings"
 	"testing"
 	"time"
 
@@ -23,12 +22,12 @@ func TestFlightRatesAreCounterDeltasOverElapsedTime(t *testing.T) {
 	fc := clock.NewFake(time.Unix(100, 0))
 	f := flightOver(reg, fc)
 
-	reg.Counter("rpc.sim.calls").Add(5)
+	reg.CounterWith("rpc.calls", stats.Labels{"proto": "sim"}).Add(5)
 	f.SampleNow()
 	fc.Advance(2 * time.Second)
-	reg.Counter("rpc.sim.calls").Add(20) // 10 calls/s over the window
-	reg.Counter("rpc.sim.faults").Add(4)
-	reg.Counter("rpc.sim.transport_errors").Add(1)
+	reg.CounterWith("rpc.calls", stats.Labels{"proto": "sim"}).Add(20) // 10 calls/s over the window
+	reg.CounterWith("rpc.faults", stats.Labels{"proto": "sim"}).Add(4)
+	reg.CounterWith("rpc.transport_errors", stats.Labels{"proto": "sim"}).Add(1)
 	reg.Gauge("rpc.inflight").Set(3)
 	f.SampleNow()
 
@@ -39,10 +38,10 @@ func TestFlightRatesAreCounterDeltasOverElapsedTime(t *testing.T) {
 	if w.Seconds != 2 {
 		t.Fatalf("window seconds = %v, want 2", w.Seconds)
 	}
-	if got := w.Rates["rpc.sim.calls"]; got != 10 {
+	if got := w.Rates[`rpc.calls{proto="sim"}`]; got != 10 {
 		t.Fatalf("calls rate = %v, want 10 (delta 20 over 2s)", got)
 	}
-	if got := w.Rates["rpc.sim.faults"]; got != 2 {
+	if got := w.Rates[`rpc.faults{proto="sim"}`]; got != 2 {
 		t.Fatalf("faults rate = %v, want 2", got)
 	}
 	if got := w.Gauges["rpc.inflight"]; got != 3 {
@@ -65,9 +64,11 @@ func TestFlightPerCodeErrorRatio(t *testing.T) {
 	stale.Add(7) // before the window: must not appear
 	f.SampleNow()
 	fc.Advance(2 * time.Second)
-	reg.Counter("rpc.sim.calls").Add(20)
+	reg.CounterWith("rpc.calls", stats.Labels{"proto": "sim"}).Add(20)
 	unavailable.Add(4)
 	quota.Add(1)
+	// Another family with a code label is not an error count.
+	reg.CounterWith("rpc.retry.budget_exhausted", stats.Labels{"code": "transport"}).Add(9)
 	f.SampleNow()
 
 	w, ok := f.Rates(2 * time.Second)
@@ -83,35 +84,18 @@ func TestFlightPerCodeErrorRatio(t *testing.T) {
 	if _, present := w.ErrorRatioByCode["auth"]; present {
 		t.Fatal("auth erred only before the window but appears in the per-code ratios")
 	}
+	if len(w.ErrorRatioByCode) != 2 {
+		t.Fatalf("per-code ratios %v, want exactly unavailable and quota", w.ErrorRatioByCode)
+	}
 	// The labeled counters still get plain rates too.
 	if got := w.Rates[`rpc.errors{code="unavailable"}`]; got != 2 {
 		t.Fatalf("labeled counter rate = %v, want 2/s", got)
 	}
-	// And they must not double into the blanket ratio (no .faults/.calls
-	// suffix match): 0 faults recorded, so the blanket ratio stays 0.
+	// And they must not double into the blanket ratio (rpc.errors is
+	// neither rpc.faults nor rpc.transport_errors): 0 faults recorded,
+	// so the blanket ratio stays 0.
 	if w.ErrorRatio != 0 {
 		t.Fatalf("blanket error ratio = %v, want 0 (per-code counters are a split, not an addition)", w.ErrorRatio)
-	}
-}
-
-func TestErrCodeLabelParsing(t *testing.T) {
-	cases := []struct {
-		key  string
-		code string
-		ok   bool
-	}{
-		{`rpc.errors{code="unavailable"}`, "unavailable", true},
-		{`rpc.errors{code="code(999)"}`, "code(999)", true},
-		{`rpc.errors{code="retry-budget-exhausted"}`, "retry-budget-exhausted", true},
-		{`rpc.sim.calls`, "", false},
-		{`rpc.errors{code="bad"`, "", false},
-		{`rpc.retry.budget_exhausted{code="transport"}`, "", false},
-	}
-	for _, c := range cases {
-		code, ok := errCodeLabel(c.key)
-		if ok != c.ok || code != c.code {
-			t.Errorf("errCodeLabel(%q) = (%q, %v), want (%q, %v)", c.key, code, ok, c.code, c.ok)
-		}
 	}
 }
 
@@ -120,25 +104,25 @@ func TestFlightHistogramWindowTracksQuantileMovement(t *testing.T) {
 	fc := clock.NewFake(time.Unix(100, 0))
 	f := flightOver(reg, fc)
 
-	h := reg.Histogram("rpc.sim.latency_us")
+	h := reg.HistogramWith("rpc.latency_us", stats.Labels{"proto": "sim"})
 	for i := 0; i < 100; i++ {
 		h.Observe(100)
 	}
 	f.SampleNow()
-	base := reg.Snapshot().Histograms["rpc.sim.latency_us"]
+	base := reg.Snapshot().Histograms[`rpc.latency_us{proto="sim"}`]
 
 	fc.Advance(time.Second)
 	for i := 0; i < 50; i++ {
 		h.Observe(10000) // a slow endpoint appears: p99 jumps
 	}
 	f.SampleNow()
-	cur := reg.Snapshot().Histograms["rpc.sim.latency_us"]
+	cur := reg.Snapshot().Histograms[`rpc.latency_us{proto="sim"}`]
 
 	w, ok := f.Rates(time.Second)
 	if !ok {
 		t.Fatal("Rates not ok")
 	}
-	hw, ok := w.Histograms["rpc.sim.latency_us"]
+	hw, ok := w.Histograms[`rpc.latency_us{proto="sim"}`]
 	if !ok {
 		t.Fatalf("histogram missing from window: %v", w.Histograms)
 	}
@@ -157,7 +141,7 @@ func TestFlightWindowSelectionPicksYoungestOldEnoughSample(t *testing.T) {
 	reg := stats.New()
 	fc := clock.NewFake(time.Unix(100, 0))
 	f := flightOver(reg, fc)
-	c := reg.Counter("rpc.sim.calls")
+	c := reg.CounterWith("rpc.calls", stats.Labels{"proto": "sim"})
 
 	// 13 samples, 1s apart, +1 call between each: rate is 1/s whatever
 	// the base, but Seconds reveals which sample was chosen.
@@ -171,8 +155,8 @@ func TestFlightWindowSelectionPicksYoungestOldEnoughSample(t *testing.T) {
 	if !ok || w.Seconds != 10 {
 		t.Fatalf("10s window spans %.1fs (ok=%v), want exactly 10 (youngest sample >= 10s old)", w.Seconds, ok)
 	}
-	if w.Rates["rpc.sim.calls"] != 1 {
-		t.Fatalf("rate = %v, want 1/s", w.Rates["rpc.sim.calls"])
+	if w.Rates[`rpc.calls{proto="sim"}`] != 1 {
+		t.Fatalf("rate = %v, want 1/s", w.Rates[`rpc.calls{proto="sim"}`])
 	}
 	// Not enough history for 60s: fall back to the oldest sample and
 	// report the actual span.
@@ -220,7 +204,7 @@ func TestFlightVarz(t *testing.T) {
 	reg := stats.New()
 	fc := clock.NewFake(time.Unix(100, 0))
 	f := flightOver(reg, fc)
-	c := reg.Counter("rpc.sim.calls")
+	c := reg.CounterWith("rpc.calls", stats.Labels{"proto": "sim"})
 	f.SampleNow()
 	for i := 0; i < 15; i++ {
 		fc.Advance(time.Second)
@@ -246,8 +230,8 @@ func TestFlightVarz(t *testing.T) {
 		t.Fatalf("varz 60s window = %+v (ok=%v), want a 15s fallback span", w, ok)
 	}
 	// Current carries the newest raw snapshot.
-	if v.Current.Counters["rpc.sim.calls"] != 15 {
-		t.Fatalf("varz current counter = %d, want 15", v.Current.Counters["rpc.sim.calls"])
+	if v.Current.Counters[`rpc.calls{proto="sim"}`] != 15 {
+		t.Fatalf("varz current counter = %d, want 15", v.Current.Counters[`rpc.calls{proto="sim"}`])
 	}
 }
 
@@ -300,7 +284,7 @@ func TestDumpOnCrashWritesRecordingAndRepanics(t *testing.T) {
 	reg := stats.New()
 	fc := clock.NewFake(time.Unix(100, 0))
 	f := flightOver(reg, fc)
-	reg.Counter("rpc.sim.calls").Add(7)
+	reg.CounterWith("rpc.calls", stats.Labels{"proto": "sim"}).Add(7)
 	f.SampleNow()
 
 	var buf bytes.Buffer
@@ -321,7 +305,7 @@ func TestDumpOnCrashWritesRecordingAndRepanics(t *testing.T) {
 	if v.Samples != 2 {
 		t.Fatalf("crash dump samples = %d, want 2 (one pre-crash + the final one)", v.Samples)
 	}
-	if !strings.Contains(buf.String(), "rpc.sim.calls") {
+	if v.Current.Counters[`rpc.calls{proto="sim"}`] != 7 {
 		t.Fatalf("crash dump missing counters:\n%s", buf.String())
 	}
 

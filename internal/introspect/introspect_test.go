@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -104,6 +105,30 @@ func get(t *testing.T, base, path string) (int, string) {
 	return resp.StatusCode, string(body)
 }
 
+// getOpenMetrics fetches /metrics the way an OpenMetrics scraper does
+// and checks the negotiated content type.
+func getOpenMetrics(t *testing.T, base string) string {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodGet, base+"/metrics", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Accept", "application/openmetrics-text; version=1.0.0")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("GET /metrics: read: %v", err)
+	}
+	if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "application/openmetrics-text") {
+		t.Fatalf("negotiated content-type = %q, want openmetrics", ct)
+	}
+	return string(body)
+}
+
 // getJSON decodes base+path into v, failing on non-200.
 func getJSON(t *testing.T, base, path string, v any) {
 	t.Helper()
@@ -152,10 +177,10 @@ func TestPlaneServesAllEndpoints(t *testing.T) {
 	}
 	metrics := string(mb)
 	for _, want := range []string{
-		"# TYPE rpc_hpcx_tcp_calls counter",
-		"rpc_hpcx_tcp_calls 5",
+		"# TYPE rpc_calls counter",
+		`rpc_calls{proto="hpcx-tcp"} 5`,
 		"# TYPE rpc_inflight gauge",
-		"# TYPE rpc_hpcx_tcp_latency_us summary",
+		"# TYPE rpc_latency_us summary",
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Fatalf("/metrics missing %q:\n%s", want, metrics)
@@ -169,30 +194,21 @@ func TestPlaneServesAllEndpoints(t *testing.T) {
 
 	// /metrics with an OpenMetrics Accept header: negotiated exposition
 	// with histogram-typed families and the # EOF trailer.
-	req, err := http.NewRequest(http.MethodGet, base+"/metrics", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Accept", "application/openmetrics-text; version=1.0.0")
-	resp, err = http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ob, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "application/openmetrics-text") {
-		t.Fatalf("negotiated content-type = %q, want openmetrics", ct)
-	}
-	om := string(ob)
+	om := getOpenMetrics(t, base)
 	for _, want := range []string{
-		"rpc_hpcx_tcp_calls_total 5",
-		"# TYPE rpc_hpcx_tcp_latency_us histogram",
-		`le="+Inf"`,
+		`rpc_calls_total{proto="hpcx-tcp"} 5`,
+		"# TYPE rpc_latency_us histogram",
+		`rpc_latency_us_bucket{proto="hpcx-tcp",le="+Inf"} 5`,
 		"# EOF\n",
 	} {
 		if !strings.Contains(om, want) {
 			t.Fatalf("openmetrics /metrics missing %q:\n%s", want, om)
 		}
+	}
+	// The plane's ring traced those calls, so their latency buckets
+	// carry exemplars.
+	if !regexp.MustCompile(`(?m)^rpc_latency_us_bucket\{proto="hpcx-tcp",le="\d+"\} \d+ # \{trace_id="[0-9a-f]{16}"\} \d+$`).MatchString(om) {
+		t.Fatalf("openmetrics /metrics has no exemplar on an rpc_latency_us bucket:\n%s", om)
 	}
 
 	// /statusz: the structured runtime snapshot.
@@ -227,12 +243,12 @@ func TestPlaneServesAllEndpoints(t *testing.T) {
 	if v.Samples < 1 {
 		t.Fatalf("varz samples = %d, want >= 1", v.Samples)
 	}
-	if v.Current.Counters["rpc.hpcx-tcp.calls"] == 0 && rt.MetricsSnapshot().Counters["rpc.hpcx-tcp.calls"] != 0 {
+	if v.Current.Counters[`rpc.calls{proto="hpcx-tcp"}`] == 0 && rt.MetricsSnapshot().Counters[`rpc.calls{proto="hpcx-tcp"}`] != 0 {
 		// The flight recorder samples on its own cadence; force one so
 		// Current reflects the traffic, then re-fetch.
 		s.Flight().SampleNow()
 		getJSON(t, base, "/varz", &v)
-		if v.Current.Counters["rpc.hpcx-tcp.calls"] == 0 {
+		if v.Current.Counters[`rpc.calls{proto="hpcx-tcp"}`] == 0 {
 			t.Fatalf("varz current snapshot missing call counters: %+v", v.Current.Counters)
 		}
 	}
@@ -666,5 +682,95 @@ func TestScrapeWhileSamplingTailKeeper(t *testing.T) {
 	st := s.Keeper().Stats()
 	if st.TotalSpans == 0 {
 		t.Fatal("no spans flowed through the keeper")
+	}
+}
+
+// loopFactory registers a call-only protocol under an arbitrary id; its
+// protocol objects answer every request themselves — "fail" with a
+// fault, anything else with an echo.
+type loopFactory core.ProtoID
+
+func (f loopFactory) ID() core.ProtoID { return core.ProtoID(f) }
+
+func (f loopFactory) Applicable(core.ProtoEntry, netsim.Locality, netsim.Locality) bool {
+	return true
+}
+
+func (f loopFactory) New(core.ProtoEntry, *core.ObjectRef, *core.Context) (core.Protocol, error) {
+	return loopProto(f), nil
+}
+
+type loopProto core.ProtoID
+
+func (p loopProto) ID() core.ProtoID { return core.ProtoID(p) }
+func (p loopProto) Close() error     { return nil }
+
+func (p loopProto) Call(m *wire.Message) (*wire.Message, error) {
+	if m.Method == "fail" {
+		return wire.FaultMessage(m, wire.Faultf(wire.FaultBadRequest, "nope"))
+	}
+	return &wire.Message{Type: wire.TReply, RequestID: m.RequestID, Body: m.Body}, nil
+}
+
+// A protocol id is an arbitrary string. Two ids that differ only where
+// a name would be sanitized, one of them with the separator the old
+// rpc.<pid>.<field> names were cut at, must stay two series of one
+// family on every surface.
+func TestProtocolIDsStayDistinctSeries(t *testing.T) {
+	n := netsim.New()
+	n.AddLAN("lan", "campus", netsim.ProfileUnshaped)
+	n.MustAddMachine("m", "lan")
+	rt := core.NewRuntime(n, "ids")
+	t.Cleanup(rt.Close)
+	client, err := rt.NewContext("client", "m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pid, calls := range map[core.ProtoID]int{"a.b": 3, "a_b": 1} {
+		client.Pool().Register(loopFactory(pid))
+		gp := client.NewGlobalPtr(&core.ObjectRef{Object: "x/obj-1", Protocols: []core.ProtoEntry{{ID: pid}}})
+		for i := 0; i < calls; i++ {
+			if _, err := gp.Invoke("echo", []byte("hi")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := gp.Invoke("fail", nil); err == nil {
+			t.Fatalf("%s: fail returned no fault", pid)
+		}
+	}
+	s := attach(t, rt, Options{})
+	base := "http://" + s.Addr()
+
+	_, classic := get(t, base, "/metrics")
+	for _, want := range []string{
+		"# TYPE rpc_calls counter\n" + `rpc_calls{proto="a.b"} 4` + "\n" + `rpc_calls{proto="a_b"} 2` + "\n",
+		`rpc_faults{proto="a.b"} 1`,
+		`rpc_faults{proto="a_b"} 1`,
+		`rpc_latency_us_count{proto="a.b"} 4`,
+	} {
+		if !strings.Contains(classic, want) {
+			t.Errorf("/metrics missing %q:\n%s", want, classic)
+		}
+	}
+	om := getOpenMetrics(t, base)
+	if want := "# TYPE rpc_calls counter\n" + `rpc_calls_total{proto="a.b"} 4` + "\n" + `rpc_calls_total{proto="a_b"} 2` + "\n"; !strings.Contains(om, want) {
+		t.Errorf("openmetrics /metrics missing %q:\n%s", want, om)
+	}
+	for _, body := range []string{classic, om} {
+		if strings.Contains(body, "rpc_a_b") {
+			t.Errorf("a protocol id leaked into a family name:\n%s", body)
+		}
+	}
+
+	// /varz: both series feed the one error ratio.
+	s.Flight().SampleNow()
+	var v Varz
+	getJSON(t, base, "/varz", &v)
+	if v.Current.Counters[`rpc.calls{proto="a.b"}`] != 4 || v.Current.Counters[`rpc.calls{proto="a_b"}`] != 2 {
+		t.Fatalf("varz counters: %v", v.Current.Counters)
+	}
+	w := computeWindow(sample{}, sample{snap: v.Current}, 1)
+	if w.ErrorRatio != 2.0/6.0 {
+		t.Fatalf("error ratio %v, want 2 faults over 6 calls", w.ErrorRatio)
 	}
 }

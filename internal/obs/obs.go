@@ -2,11 +2,11 @@
 // metrics-export subsystem.
 //
 // Every Invoke/InvokeAsync/Post mints a trace ID and a span ID at the
-// global pointer; the IDs travel in the wire header (wire version 3),
-// so the server-side spans — decode, glue un-processing, dispatch,
-// servant — join the client-side spans (protocol selection, glue
-// processing, in-flight wait, failover retries, batch coalescing) in a
-// single causally connected trace. The paper's evaluation (§5) rests on
+// global pointer; the IDs travel in the wire header, so the server-side
+// spans — decode, glue un-processing, dispatch, servant — join the
+// client-side spans (protocol selection, glue processing, in-flight
+// wait, failover retries, batch coalescing) in a single causally
+// connected trace. The paper's evaluation (§5) rests on
 // knowing exactly which path each invocation took; a trace answers
 // that question per invocation instead of per aggregate counter.
 //

@@ -1,9 +1,12 @@
 package stats
 
 import (
+	"math/rand"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
+	"testing/quick"
 )
 
 func TestGaugeBasics(t *testing.T) {
@@ -74,6 +77,67 @@ func TestKeyWithLabels(t *testing.T) {
 	esc := KeyWithLabels("n", Labels{"k": "a\"b\\c\nd"})
 	if esc != `n{k="a\"b\\c\nd"}` {
 		t.Fatalf("escaping = %q", esc)
+	}
+}
+
+// SplitKey(KeyWithLabels(n, l)) == (n, l), whatever the label values
+// hold: every byte the key syntax or its escapes use is in the alphabet
+// the values are drawn from, and so are bytes that are not UTF-8.
+func TestSplitKeyInvertsKeyWithLabels(t *testing.T) {
+	alphabet := []byte("ab.\"\\\n{},= n'`\t\x01\xc3\xa9\xff")
+	value := func(r *rand.Rand) string {
+		v := make([]byte, r.Intn(8))
+		for i := range v {
+			v[i] = alphabet[r.Intn(len(alphabet))]
+		}
+		return string(v)
+	}
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		labels := Labels{}
+		for _, k := range []string{"proto", "endpoint", "code"}[:r.Intn(4)] {
+			labels[k] = value(r)
+		}
+		key := KeyWithLabels("rpc.calls", labels)
+		name, got := SplitKey(key)
+		if name != "rpc.calls" || len(got) != len(labels) {
+			t.Logf("SplitKey(%q) = %q, %v; labels were %v", key, name, got, labels)
+			return false
+		}
+		for k, v := range labels {
+			if got[k] != v {
+				t.Logf("SplitKey(%q)[%q] = %q, want %q", key, k, got[k], v)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestSplitKey(t *testing.T) {
+	for _, c := range []struct {
+		key, name string
+		labels    Labels
+	}{
+		{"rpc.inflight", "rpc.inflight", nil},
+		{"", "", nil},
+		{`rpc.errors{code="code(999)"}`, "rpc.errors", Labels{"code": "code(999)"}},
+		{`rpc.retry.budget_exhausted{code="transport"}`, "rpc.retry.budget_exhausted", Labels{"code": "transport"}},
+		{`m{endpoint="sim://m:1",proto="a.b"}`, "m", Labels{"endpoint": "sim://m:1", "proto": "a.b"}},
+		{`m{k="a\"},x=\"b"}`, "m", Labels{"k": `a"},x="b`}},
+		{`m{k=""}`, "m", Labels{"k": ""}},
+		// Not the canonical form: the key comes back whole.
+		{`rpc.errors{code="bad"`, `rpc.errors{code="bad"`, nil},
+		{`m{k="unterminated}`, `m{k="unterminated}`, nil},
+		{`m{novalue}`, `m{novalue}`, nil},
+	} {
+		name, labels := SplitKey(c.key)
+		if name != c.name || !reflect.DeepEqual(labels, c.labels) {
+			t.Errorf("SplitKey(%q) = %q, %v; want %q, %v", c.key, name, labels, c.name, c.labels)
+		}
 	}
 }
 

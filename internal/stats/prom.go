@@ -8,9 +8,10 @@
 // scraper's Accept header selects.
 //
 // Metric keys translate as follows: dots and other non-identifier
-// characters in the name become underscores ("rpc.shm.calls" ->
-// "rpc_shm_calls"), and a canonical label block produced by
-// KeyWithLabels ("name{k=\"v\"}") passes through verbatim. Output is in
+// characters in the name become underscores ("rpc.calls" ->
+// "rpc_calls"), and the label block KeyWithLabels rendered
+// ("{proto=\"shm\"}", found with SplitKey) passes through verbatim, so a
+// label value is never sanitized into a name. Output is in
 // sorted key order, so consecutive scrapes of an unchanged registry are
 // byte-identical.
 package stats
@@ -22,11 +23,10 @@ import (
 	"strings"
 )
 
-// promSeries is one exposition line: the sanitized family name, the
-// (possibly empty) canonical label block, and the original registry key
-// to look the value up under.
+// promSeries is one exposition line of a family: the (possibly empty)
+// canonical label block, and the original registry key to look the
+// value up under.
 type promSeries struct {
-	fam    string
 	labels string
 	key    string
 }
@@ -37,15 +37,13 @@ func promFamilies(keys []string) ([]string, map[string][]promSeries) {
 	fams := make(map[string][]promSeries)
 	var order []string
 	for _, key := range keys { // keys arrive sorted
-		name, labels := key, ""
-		if i := strings.IndexByte(key, '{'); i >= 0 {
-			name, labels = key[:i], key[i:]
-		}
+		name, _ := SplitKey(key)
+		labels := key[len(name):] // already in exposition syntax
 		fam := sanitizePromName(name)
 		if _, seen := fams[fam]; !seen {
 			order = append(order, fam)
 		}
-		fams[fam] = append(fams[fam], promSeries{fam: fam, labels: labels, key: key})
+		fams[fam] = append(fams[fam], promSeries{labels: labels, key: key})
 	}
 	sort.Strings(order)
 	return order, fams
@@ -59,7 +57,7 @@ func (s RegistrySnapshot) WriteProm(w io.Writer) error {
 	for _, fam := range order {
 		fmt.Fprintf(&b, "# TYPE %s counter\n", fam)
 		for _, sr := range fams[fam] {
-			fmt.Fprintf(&b, "%s%s %d\n", sr.fam, sr.labels, s.Counters[sr.key])
+			fmt.Fprintf(&b, "%s%s %d\n", fam, sr.labels, s.Counters[sr.key])
 		}
 	}
 
@@ -67,7 +65,7 @@ func (s RegistrySnapshot) WriteProm(w io.Writer) error {
 	for _, fam := range order {
 		fmt.Fprintf(&b, "# TYPE %s gauge\n", fam)
 		for _, sr := range fams[fam] {
-			fmt.Fprintf(&b, "%s%s %d\n", sr.fam, sr.labels, s.Gauges[sr.key])
+			fmt.Fprintf(&b, "%s%s %d\n", fam, sr.labels, s.Gauges[sr.key])
 		}
 	}
 
@@ -85,10 +83,10 @@ func (s RegistrySnapshot) WriteProm(w io.Writer) error {
 				q string
 				v int64
 			}{{"0.5", h.P50}, {"0.9", h.P90}, {"0.99", h.P99}} {
-				fmt.Fprintf(&b, "%s%s %d\n", sr.fam, mergeLabels(sr.labels, `quantile="`+q.q+`"`), q.v)
+				fmt.Fprintf(&b, "%s%s %d\n", fam, mergeLabels(sr.labels, `quantile="`+q.q+`"`), q.v)
 			}
-			fmt.Fprintf(&b, "%s_sum%s %d\n", sr.fam, sr.labels, h.Sum)
-			fmt.Fprintf(&b, "%s_count%s %d\n", sr.fam, sr.labels, h.Count)
+			fmt.Fprintf(&b, "%s_sum%s %d\n", fam, sr.labels, h.Sum)
+			fmt.Fprintf(&b, "%s_count%s %d\n", fam, sr.labels, h.Count)
 		}
 	}
 
@@ -97,11 +95,11 @@ func (s RegistrySnapshot) WriteProm(w io.Writer) error {
 	for _, fam := range order {
 		fmt.Fprintf(&b, "# TYPE %s_level gauge\n", fam)
 		for _, sr := range fams[fam] {
-			fmt.Fprintf(&b, "%s_level%s %g\n", sr.fam, sr.labels, s.Meters[sr.key].Level)
+			fmt.Fprintf(&b, "%s_level%s %g\n", fam, sr.labels, s.Meters[sr.key].Level)
 		}
 		fmt.Fprintf(&b, "# TYPE %s_rate gauge\n", fam)
 		for _, sr := range fams[fam] {
-			fmt.Fprintf(&b, "%s_rate%s %g\n", sr.fam, sr.labels, s.Meters[sr.key].Rate)
+			fmt.Fprintf(&b, "%s_rate%s %g\n", fam, sr.labels, s.Meters[sr.key].Rate)
 		}
 	}
 	_, err := io.WriteString(w, b.String())
@@ -137,7 +135,7 @@ func (s RegistrySnapshot) WriteOpenMetrics(w io.Writer) error {
 	for _, fam := range order {
 		fmt.Fprintf(&b, "# TYPE %s gauge\n", fam)
 		for _, sr := range fams[fam] {
-			fmt.Fprintf(&b, "%s%s %d\n", sr.fam, sr.labels, s.Gauges[sr.key])
+			fmt.Fprintf(&b, "%s%s %d\n", fam, sr.labels, s.Gauges[sr.key])
 		}
 	}
 
@@ -148,11 +146,11 @@ func (s RegistrySnapshot) WriteOpenMetrics(w io.Writer) error {
 			h := s.Histograms[sr.key]
 			for _, ex := range h.Exemplars {
 				fmt.Fprintf(&b, "%s_bucket%s %d # {trace_id=\"%016x\"} %d\n",
-					sr.fam, mergeLabels(sr.labels, fmt.Sprintf(`le="%d"`, ex.Upper)), ex.Cum, ex.Trace, ex.Value)
+					fam, mergeLabels(sr.labels, fmt.Sprintf(`le="%d"`, ex.Upper)), ex.Cum, ex.Trace, ex.Value)
 			}
-			fmt.Fprintf(&b, "%s_bucket%s %d\n", sr.fam, mergeLabels(sr.labels, `le="+Inf"`), h.Count)
-			fmt.Fprintf(&b, "%s_sum%s %d\n", sr.fam, sr.labels, h.Sum)
-			fmt.Fprintf(&b, "%s_count%s %d\n", sr.fam, sr.labels, h.Count)
+			fmt.Fprintf(&b, "%s_bucket%s %d\n", fam, mergeLabels(sr.labels, `le="+Inf"`), h.Count)
+			fmt.Fprintf(&b, "%s_sum%s %d\n", fam, sr.labels, h.Sum)
+			fmt.Fprintf(&b, "%s_count%s %d\n", fam, sr.labels, h.Count)
 		}
 	}
 
@@ -160,11 +158,11 @@ func (s RegistrySnapshot) WriteOpenMetrics(w io.Writer) error {
 	for _, fam := range order {
 		fmt.Fprintf(&b, "# TYPE %s_level gauge\n", fam)
 		for _, sr := range fams[fam] {
-			fmt.Fprintf(&b, "%s_level%s %g\n", sr.fam, sr.labels, s.Meters[sr.key].Level)
+			fmt.Fprintf(&b, "%s_level%s %g\n", fam, sr.labels, s.Meters[sr.key].Level)
 		}
 		fmt.Fprintf(&b, "# TYPE %s_rate gauge\n", fam)
 		for _, sr := range fams[fam] {
-			fmt.Fprintf(&b, "%s_rate%s %g\n", sr.fam, sr.labels, s.Meters[sr.key].Rate)
+			fmt.Fprintf(&b, "%s_rate%s %g\n", fam, sr.labels, s.Meters[sr.key].Rate)
 		}
 	}
 	b.WriteString("# EOF\n")

@@ -77,18 +77,22 @@ type Labels map[string]string
 
 // KeyWithLabels renders the canonical registry key for a labeled
 // metric: name{k="v",...} with label keys sorted. Empty labels return
-// the bare name. Exporters split the key at the first '{' to recover
-// name and label block.
+// the bare name. SplitKey is the inverse.
 func KeyWithLabels(name string, labels Labels) string {
 	if len(labels) == 0 {
 		return name
 	}
-	keys := make([]string, 0, len(labels))
-	for k := range labels {
+	// One allocation — the key — for the usual few labels with nothing
+	// to escape: a GP builds seven of these on every bind.
+	var few [4]string
+	keys, size := few[:0], len(name)+1
+	for k, v := range labels {
 		keys = append(keys, k)
+		size += len(k) + len(v) + len(`="",`)
 	}
 	sort.Strings(keys)
 	var b strings.Builder
+	b.Grow(size)
 	b.WriteString(name)
 	b.WriteByte('{')
 	for i, k := range keys {
@@ -97,19 +101,46 @@ func KeyWithLabels(name string, labels Labels) string {
 		}
 		b.WriteString(k)
 		b.WriteString(`="`)
-		b.WriteString(escapeLabelValue(labels[k]))
+		b.WriteString(labelEscaper.Replace(labels[k]))
 		b.WriteString(`"`)
 	}
 	b.WriteByte('}')
 	return b.String()
 }
 
-// escapeLabelValue applies the text-exposition escapes (backslash,
-// quote, newline) so label values survive round trips through scrapes.
-func escapeLabelValue(v string) string {
-	v = strings.ReplaceAll(v, `\`, `\\`)
-	v = strings.ReplaceAll(v, `"`, `\"`)
-	return strings.ReplaceAll(v, "\n", `\n`)
+// The text-exposition escapes (backslash, quote, newline) and their
+// inverse, so label values survive round trips through keys and scrapes.
+var (
+	labelEscaper   = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+	labelUnescaper = strings.NewReplacer(`\\`, `\`, `\"`, `"`, `\n`, "\n")
+)
+
+// SplitKey is the inverse of KeyWithLabels: the metric name and its
+// labels, values unescaped. A bare name — or a key not in the canonical
+// form — comes back whole with no labels. name is always a prefix of
+// key, so key[len(name):] is the label block as rendered.
+func SplitKey(key string) (name string, labels Labels) {
+	open := strings.IndexByte(key, '{')
+	if open < 0 || !strings.HasSuffix(key, "}") {
+		return key, nil
+	}
+	labels = Labels{}
+	for rest := key[open+1 : len(key)-1]; rest != ""; {
+		k, after, _ := strings.Cut(rest, `="`)
+		end := 0 // of the value: the first quote no backslash escapes
+		for end < len(after) && after[end] != '"' {
+			if after[end] == '\\' {
+				end++
+			}
+			end++
+		}
+		if end >= len(after) {
+			return key, nil
+		}
+		labels[k] = labelUnescaper.Replace(after[:end])
+		rest = strings.TrimPrefix(after[end+1:], ",")
+	}
+	return key[:open], labels
 }
 
 // Histogram accumulates int64 observations into power-of-two buckets:
@@ -413,30 +444,6 @@ func (r *Registry) Meter(name string) *EWMA {
 // MeterWith returns the meter for name decorated with labels.
 func (r *Registry) MeterWith(name string, labels Labels) *EWMA {
 	return r.Meter(KeyWithLabels(name, labels))
-}
-
-// CounterNames lists registered counters, sorted.
-func (r *Registry) CounterNames() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.counters))
-	for n := range r.counters {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// GaugeNames lists registered gauges, sorted.
-func (r *Registry) GaugeNames() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.gauges))
-	for n := range r.gauges {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // RegistrySnapshot is a point-in-time export of every registered

@@ -140,7 +140,7 @@ func TestRegistry(t *testing.T) {
 	c1.Inc()
 	r.Counter("b.calls").Add(2)
 	r.Histogram("a.latency").Observe(7)
-	names := r.CounterNames()
+	names := r.Snapshot().CounterNames()
 	if len(names) != 2 || names[0] != "a.calls" || names[1] != "b.calls" {
 		t.Fatalf("names %v", names)
 	}

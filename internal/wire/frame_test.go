@@ -120,9 +120,9 @@ func TestEncodedLenIsExact(t *testing.T) {
 		{},
 		sample(),
 		bulkMessage(),
-		{Type: TReply, TraceID: 7, SpanID: 8, Body: []byte{1}},                // v3 framing
-		{Type: TReply, TraceID: 7, SpanID: 8, Flags: 0, Object: "abcde"},      // v4: cleared keep-hint on a traced frame
-		{Type: TRequest, Flags: 1 << 9, Envelopes: []Envelope{{ID: "x"}, {}}}, // v4: unknown bit
+		{Type: TReply, TraceID: 7, SpanID: 8, Flags: FlagKeepHint, Body: []byte{1}},
+		{Type: TReply, TraceID: 7, SpanID: 8, Flags: 0, Object: "abcde"},      // cleared keep-hint on a traced frame
+		{Type: TRequest, Flags: 1 << 9, Envelopes: []Envelope{{ID: "x"}, {}}}, // unknown bit
 	}
 	for i, m := range cases {
 		buf, err := Marshal(m)
@@ -203,11 +203,11 @@ func TestBatchBodiesAreDisjointViews(t *testing.T) {
 	}
 }
 
-// rawHeader encodes a v3 header up to and including the envelope count.
+// rawHeader encodes a header up to and including the envelope count.
 func rawHeader(envelopes uint32) *xdr.Encoder {
 	e := xdr.NewEncoder(128)
 	e.PutUint32(Magic)
-	e.PutUint32(3)
+	e.PutUint32(Version)
 	e.PutUint32(uint32(TRequest))
 	e.PutUint64(1)
 	e.PutString("ctx/obj-1")
@@ -216,6 +216,7 @@ func rawHeader(envelopes uint32) *xdr.Encoder {
 	e.PutInt64(0)
 	e.PutUint64(0)
 	e.PutUint64(0)
+	e.PutUint32(0)
 	e.PutUint32(envelopes)
 	return e
 }
@@ -267,17 +268,27 @@ func TestAliasingDecodeStillRejects(t *testing.T) {
 		}},
 	}
 	for _, c := range cases {
-		framed := binary.BigEndian.AppendUint32(nil, uint32(len(c.raw)))
-		if _, err := Read(bytes.NewReader(append(framed, c.raw...))); err == nil || !c.is(err) {
-			t.Errorf("Read, %s: got %v", c.name, err)
+		readErr, batchErr := decodeBothWays(c.raw)
+		if readErr == nil || !c.is(readErr) {
+			t.Errorf("Read, %s: got %v", c.name, readErr)
 		}
-		e := xdr.NewEncoder(len(c.raw) + 8)
-		e.PutUint32(1)
-		e.PutOpaque(c.raw)
-		if _, err := DecodeBatch(&Message{Type: TBatch, Body: e.Bytes()}); err == nil || !c.is(err) {
-			t.Errorf("DecodeBatch, %s: got %v", c.name, err)
+		if batchErr == nil || !c.is(batchErr) {
+			t.Errorf("DecodeBatch, %s: got %v", c.name, batchErr)
 		}
 	}
+}
+
+// decodeBothWays hands one message encoding to the two decoders that
+// take bytes off a connection: Read, framed, and DecodeBatch, as a batch
+// of one.
+func decodeBothWays(raw []byte) (readErr, batchErr error) {
+	framed := binary.BigEndian.AppendUint32(nil, uint32(len(raw)))
+	_, readErr = Read(bytes.NewReader(append(framed, raw...)))
+	e := xdr.NewEncoder(len(raw) + 8)
+	e.PutUint32(1)
+	e.PutOpaque(raw)
+	_, batchErr = DecodeBatch(&Message{Type: TBatch, Body: e.Bytes()})
+	return readErr, batchErr
 }
 
 // stallingReader hands out data and then blocks, like a peer that sends

@@ -94,9 +94,8 @@ func encodeFrame(t testing.TB, m *Message) []byte {
 // decoder (no length prefix). The decoder must never panic, and any
 // input it accepts must re-encode to a frame that decodes to the same
 // message — corrupt trace IDs, envelope chains, or deadlines cannot
-// smuggle state through a re-encode. Seeds cover current-version frames
-// with the v3 trace fields and a hand-rolled v1 frame, so the fuzzer
-// explores the version-gated decode paths.
+// smuggle state through a re-encode. Seeds cover traced and untraced
+// frames, a hand-rolled one, and one with the wrong version word.
 func FuzzDecodeHeader(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x48, 0x50, 0x43, 0x58}) // bare magic
@@ -108,18 +107,25 @@ func FuzzDecodeHeader(f *testing.F) {
 		Body:      bytes.Repeat([]byte{0xab}, 32),
 	}))
 	f.Add(encodeFrame(f, &Message{Type: TFault, Method: "m", Body: []byte("boom")}))
-	// Hand-rolled v1 frame: no deadline, no trace ids.
-	v1 := xdr.NewEncoder(64)
-	v1.PutUint32(Magic)
-	v1.PutUint32(1)
-	v1.PutUint32(uint32(TRequest))
-	v1.PutUint64(5)
-	v1.PutString("o")
-	v1.PutString("m")
-	v1.PutUint64(0)
-	v1.PutUint32(0)
-	v1.PutOpaque([]byte("v1"))
-	f.Add(append([]byte(nil), v1.Bytes()...))
+	// Hand-rolled frame, field by field.
+	raw := xdr.NewEncoder(64)
+	raw.PutUint32(Magic)
+	raw.PutUint32(Version)
+	raw.PutUint32(uint32(TRequest))
+	raw.PutUint64(5)
+	raw.PutString("o")
+	raw.PutString("m")
+	raw.PutUint64(0)
+	raw.PutInt64(0)
+	raw.PutUint64(0)
+	raw.PutUint64(0)
+	raw.PutUint32(0)
+	raw.PutUint32(0)
+	raw.PutOpaque([]byte("raw"))
+	f.Add(append([]byte(nil), raw.Bytes()...))
+	wrongVersion := append([]byte(nil), raw.Bytes()...)
+	wrongVersion[7] = 3
+	f.Add(wrongVersion)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var m1 Message

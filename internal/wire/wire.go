@@ -1,13 +1,37 @@
 // Package wire defines the Open HPC++ on-the-wire message format shared
 // by every protocol object.
 //
-// A message is a length-delimited frame containing an XDR-encoded header
-// (message type, request id, target object, method, migration epoch, and
-// a chain of capability envelopes) followed by an opaque body. Capability
-// objects transform only the body and record what they did in the
-// envelope chain, so a glue protocol can un-process a request on the
-// server side in exactly the reverse order it was processed on the client
-// side (paper §4.2, Figure 2).
+// A message is a length-delimited frame: a big-endian uint32 byte count,
+// then one fixed XDR header, a chain of capability envelopes and an
+// opaque body. Capability objects transform only the body and record
+// what they did in the envelope chain, so a glue protocol can un-process
+// a request on the server side in exactly the reverse order it was
+// processed on the client side (paper §4.2, Figure 2).
+//
+// There is one layout. Integers are big-endian; a string or opaque is a
+// uint32 length followed by the bytes, zero-padded to four:
+//
+//	field       width     meaning
+//	magic       4         Magic ("HPCX")
+//	version     4         Version; anything else is ErrBadVersion
+//	type        4         MsgType
+//	request id  8         reply matching, assigned by the transport
+//	object      4+n pad   target object id ("context-id/obj-N")
+//	method      4+n pad   method name
+//	epoch       8         migration epoch of the OR the caller used
+//	deadline    8         absolute Unix ns, 0 = none
+//	trace id    8         caller's trace, 0 = untraced
+//	span id     8         caller's span within that trace
+//	flags       4         Flag* bits; unknown bits are carried verbatim
+//	envelopes   4         count (at most 64), then per envelope:
+//	  id        4+n pad   capability kind
+//	  data      4+n pad   what the capability needs to undo its work
+//	body        4+n pad   the (possibly transformed) argument bytes
+//
+// The flags word is the only extension point: a new boolean rides in a
+// new bit, which peers that do not know it relay untouched. Anything
+// that changes the layout bumps Version and is a flag day — a decoder
+// accepts exactly its own Version and nothing else.
 package wire
 
 import (
@@ -24,28 +48,9 @@ import (
 // Magic identifies Open HPC++ frames ("HPCX").
 const Magic uint32 = 0x48504358
 
-// Version is the newest wire protocol version this package speaks.
-// Version 2 added the absolute invocation deadline to the header;
-// version 3 added the optional trace and span IDs so a server can
-// continue the caller's trace; version 4 added the flags word carrying
-// the trace keep-hint bit. Frames from older versions are still
-// accepted, decoding with the missing fields zero (no deadline,
-// untraced) — except that traced v3 frames decode with the keep-hint
-// flag set, because a v3 peer predates tail-based retention and must
-// be buffered conservatively.
-//
-// The encoder emits the LOWEST version that represents a message
-// exactly (see wireVersion): most frames still go out as v3, so a
-// rolling mixed-version deployment keeps connectivity. Only frames
-// whose flags a v3 decoder would mis-infer — in practice a traced
-// frame whose tail keeper cleared the keep-hint — need v4 framing, and
-// a v3 peer rejects those with ErrBadVersion; it would have buffered
-// the trace conservatively anyway, so the loss is the optimization,
-// not correctness.
+// Version is the wire layout this package speaks, the only one it
+// decodes (see the package comment for the compatibility rule).
 const Version uint32 = 4
-
-// minVersion is the oldest wire version the decoder accepts.
-const minVersion uint32 = 1
 
 // MaxFrame bounds a frame's total size (64 MiB), protecting servers from
 // hostile length prefixes.
@@ -97,15 +102,15 @@ type Message struct {
 	// the caller no longer wants the result; 0 means no deadline.
 	// Servers shed already-expired requests instead of doing dead work.
 	Deadline int64
-	// TraceID and SpanID (wire v3) carry the caller's end-to-end trace
+	// TraceID and SpanID carry the caller's end-to-end trace
 	// identity so server-side spans join the client's trace. Both zero
 	// means the caller was not tracing; servers must treat them as
 	// opaque and never allocate based on their values.
 	TraceID uint64
 	SpanID  uint64
-	// Flags (wire v4) carries per-message boolean hints. Unknown bits
-	// are preserved verbatim through a decode/encode round trip so
-	// future versions can add bits without breaking v4 relays.
+	// Flags carries per-message boolean hints. Unknown bits are
+	// preserved verbatim through a decode/encode round trip, so a new
+	// bit does not break relays that predate it.
 	Flags     uint32
 	Envelopes []Envelope
 	Body      []byte
@@ -142,29 +147,10 @@ func (m *Message) Expired(now int64) bool {
 	return m.Deadline != 0 && now > m.Deadline
 }
 
-// wireVersion is the lowest wire version that represents m exactly. A
-// v3 decoder reconstructs the flags word as "keep-hint iff traced", so
-// any message whose flags match that inference round-trips through v3
-// framing losslessly; emitting v3 for those keeps pre-flags peers
-// decoding upgraded senders through a rolling deploy. Only a flags
-// word a v3 decoder would get wrong — a cleared keep-hint on a traced
-// frame, a set hint on an untraced one, or any future bit — forces v4.
-func (m *Message) wireVersion() uint32 {
-	implicit := uint32(0)
-	if m.TraceID != 0 {
-		implicit = FlagKeepHint
-	}
-	if m.Flags != implicit {
-		return Version
-	}
-	return 3
-}
-
 // MarshalXDR encodes everything after the frame length prefix.
 func (m *Message) MarshalXDR(e *xdr.Encoder) error {
-	ver := m.wireVersion()
 	e.PutUint32(Magic)
-	e.PutUint32(ver)
+	e.PutUint32(Version)
 	e.PutUint32(uint32(m.Type))
 	e.PutUint64(m.RequestID)
 	e.PutString(m.Object)
@@ -173,9 +159,7 @@ func (m *Message) MarshalXDR(e *xdr.Encoder) error {
 	e.PutInt64(m.Deadline)
 	e.PutUint64(m.TraceID)
 	e.PutUint64(m.SpanID)
-	if ver >= 4 {
-		e.PutUint32(m.Flags)
-	}
+	e.PutUint32(m.Flags)
 	e.PutUint32(uint32(len(m.Envelopes)))
 	for _, env := range m.Envelopes {
 		e.PutString(env.ID)
@@ -193,11 +177,8 @@ func xdrLen(n int) int { return 4 + (n+3)&^3 }
 // every encode site allocates once and nothing grows.
 func (m *Message) encodedLen() int {
 	// magic, version, type; request id, epoch, deadline, trace id, span
-	// id; envelope count.
-	n := 3*4 + 5*8 + 4
-	if m.wireVersion() >= 4 {
-		n += 4
-	}
+	// id; flags, envelope count.
+	n := 3*4 + 5*8 + 2*4
 	n += xdrLen(len(m.Object)) + xdrLen(len(m.Method))
 	for i := range m.Envelopes {
 		n += xdrLen(len(m.Envelopes[i].ID)) + xdrLen(len(m.Envelopes[i].Data))
@@ -239,8 +220,11 @@ func decodeMessage(buf []byte, m *Message) error {
 
 // Frame errors.
 var (
-	ErrBadMagic   = errors.New("wire: bad magic")
-	ErrBadVersion = errors.New("wire: unsupported version")
+	// A peer that speaks another protocol or layout will do so again on
+	// a retry: both are coded permanent, so the calls a mux read loop
+	// fails with one are not re-sent as if the transport had blipped.
+	ErrBadMagic   = errs.New(errs.Codec, "wire: bad magic")
+	ErrBadVersion = errs.New(errs.Codec, "wire: unsupported version")
 	ErrTooLarge   = errors.New("wire: frame exceeds MaxFrame")
 )
 
@@ -260,7 +244,7 @@ func (m *Message) UnmarshalXDR(d *xdr.Decoder) error {
 	if err != nil {
 		return err
 	}
-	if ver < minVersion || ver > Version {
+	if ver != Version {
 		return ErrBadVersion
 	}
 	typ, err := d.Uint32()
@@ -280,29 +264,17 @@ func (m *Message) UnmarshalXDR(d *xdr.Decoder) error {
 	if m.Epoch, err = d.Uint64(); err != nil {
 		return err
 	}
-	m.Deadline = 0
-	if ver >= 2 {
-		if m.Deadline, err = d.Int64(); err != nil {
-			return err
-		}
+	if m.Deadline, err = d.Int64(); err != nil {
+		return err
 	}
-	m.TraceID, m.SpanID = 0, 0
-	if ver >= 3 {
-		if m.TraceID, err = d.Uint64(); err != nil {
-			return err
-		}
-		if m.SpanID, err = d.Uint64(); err != nil {
-			return err
-		}
+	if m.TraceID, err = d.Uint64(); err != nil {
+		return err
 	}
-	m.Flags = 0
-	if ver >= 4 {
-		if m.Flags, err = d.Uint32(); err != nil {
-			return err
-		}
-	} else if m.TraceID != 0 {
-		// A traced frame from a pre-hint peer: buffer conservatively.
-		m.Flags = FlagKeepHint
+	if m.SpanID, err = d.Uint64(); err != nil {
+		return err
+	}
+	if m.Flags, err = d.Uint32(); err != nil {
+		return err
 	}
 	n, err := d.Uint32()
 	if err != nil {

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -10,6 +11,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"openhpcxx/internal/errs"
 	"openhpcxx/internal/xdr"
 )
 
@@ -85,16 +87,37 @@ func TestBadMagic(t *testing.T) {
 	}
 }
 
-func TestBadVersion(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Write(&buf, sample()); err != nil {
+// withVersion returns m's encoding (no length prefix) with the version
+// word overwritten; it lives after the magic.
+func withVersion(t *testing.T, m *Message, ver uint32) []byte {
+	t.Helper()
+	raw, err := Marshal(m)
+	if err != nil {
 		t.Fatal(err)
 	}
-	b := buf.Bytes()
-	b[11] = 99 // version lives after the length (4) and magic (4)
-	_, err := Read(bytes.NewReader(b))
-	if !errors.Is(err, ErrBadVersion) {
-		t.Fatalf("want ErrBadVersion, got %v", err)
+	binary.BigEndian.PutUint32(raw[4:], ver)
+	return raw
+}
+
+// The decoder accepts exactly Version: every other version word is
+// rejected, whichever entry point the bytes arrive through, with the
+// permanent (codec) sentinel.
+func TestBadVersion(t *testing.T) {
+	for _, ver := range []uint32{0, 1, 2, 3, 5, 0xFFFFFFFF} {
+		raw := withVersion(t, sample(), ver)
+		check := func(entry string, err error) {
+			t.Helper()
+			if !errors.Is(err, ErrBadVersion) || errs.CodeOf(err) != errs.Codec {
+				t.Errorf("version %#x through %s: got %v, want ErrBadVersion coded codec", ver, entry, err)
+			}
+		}
+		readErr, batchErr := decodeBothWays(raw)
+		check("Read", readErr)
+		check("DecodeBatch", batchErr)
+		check("xdr.Unmarshal", xdr.Unmarshal(raw, new(Message)))
+	}
+	if err := xdr.Unmarshal(withVersion(t, sample(), Version), new(Message)); err != nil {
+		t.Fatalf("version %d rejected: %v", Version, err)
 	}
 }
 
@@ -237,140 +260,89 @@ func TestQuickReadRobust(t *testing.T) {
 	}
 }
 
-// encodeVersion hand-rolls a frame in an older wire version so decoder
-// back-compat can be checked against real layouts.
-func encodeVersion(ver uint32, m *Message) []byte {
-	e := xdr.NewEncoder(64 + len(m.Body))
-	e.PutUint32(0) // length placeholder
-	e.PutUint32(Magic)
-	e.PutUint32(ver)
-	e.PutUint32(uint32(m.Type))
-	e.PutUint64(m.RequestID)
-	e.PutString(m.Object)
-	e.PutString(m.Method)
-	e.PutUint64(m.Epoch)
-	if ver >= 2 {
-		e.PutInt64(m.Deadline)
-	}
-	if ver >= 3 {
-		e.PutUint64(m.TraceID)
-		e.PutUint64(m.SpanID)
-	}
-	if ver >= 4 {
-		e.PutUint32(m.Flags)
-	}
-	e.PutUint32(uint32(len(m.Envelopes)))
-	for _, env := range m.Envelopes {
-		e.PutString(env.ID)
-		e.PutOpaque(env.Data)
-	}
-	e.PutOpaque(m.Body)
-	buf := e.Bytes()
-	n := len(buf) - 4
-	buf[0], buf[1], buf[2], buf[3] = byte(n>>24), byte(n>>16), byte(n>>8), byte(n)
-	return buf
+// goldenFrame is one fully populated frame — traced, hinted, one flag
+// bit this version does not know, two envelopes — and goldenBytes its
+// encoding. A change to the layout shows up here as a diff.
+var goldenFrame = Message{
+	Type:      TRequest,
+	RequestID: 0x0102030405060708,
+	Object:    "ctx/o",
+	Method:    "get",
+	Epoch:     9,
+	Deadline:  0x1122334455667788,
+	TraceID:   0xa1a2a3a4a5a6a7a8,
+	SpanID:    0xb1b2b3b4b5b6b7b8,
+	Flags:     FlagKeepHint | 1<<31,
+	Envelopes: []Envelope{{ID: "glue", Data: []byte{1, 2, 3, 4, 5}}, {ID: "q", Data: nil}},
+	Body:      []byte("hello!"),
 }
 
-func TestOldVersionFramesDecode(t *testing.T) {
-	for _, ver := range []uint32{1, 2} {
+var goldenBytes = []byte{
+	0x00, 0x00, 0x00, 0x7c, // length prefix: 124 bytes follow
+	'H', 'P', 'C', 'X', // magic
+	0x00, 0x00, 0x00, 0x04, // version
+	0x00, 0x00, 0x00, 0x01, // type: request
+	0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, // request id
+	0x00, 0x00, 0x00, 0x05, 'c', 't', 'x', '/', 'o', 0, 0, 0, // object
+	0x00, 0x00, 0x00, 0x03, 'g', 'e', 't', 0, // method
+	0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x09, // epoch
+	0x11, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77, 0x88, // deadline
+	0xa1, 0xa2, 0xa3, 0xa4, 0xa5, 0xa6, 0xa7, 0xa8, // trace id
+	0xb1, 0xb2, 0xb3, 0xb4, 0xb5, 0xb6, 0xb7, 0xb8, // span id
+	0x80, 0x00, 0x00, 0x01, // flags: unknown bit 31, keep-hint
+	0x00, 0x00, 0x00, 0x02, // envelope count
+	0x00, 0x00, 0x00, 0x04, 'g', 'l', 'u', 'e', // envelope 0 id
+	0x00, 0x00, 0x00, 0x05, 1, 2, 3, 4, 5, 0, 0, 0, // envelope 0 data
+	0x00, 0x00, 0x00, 0x01, 'q', 0, 0, 0, // envelope 1 id
+	0x00, 0x00, 0x00, 0x00, // envelope 1 data: empty
+	0x00, 0x00, 0x00, 0x06, 'h', 'e', 'l', 'l', 'o', '!', 0, 0, // body
+}
+
+func TestGoldenFrame(t *testing.T) {
+	var buf bytes.Buffer
+	if err := Write(&buf, &goldenFrame); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), goldenBytes) {
+		t.Fatalf("frame layout changed:\n got %x\nwant %x", buf.Bytes(), goldenBytes)
+	}
+	out, err := Read(bytes.NewReader(goldenBytes))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := goldenFrame
+	want.Envelopes = []Envelope{goldenFrame.Envelopes[0], {ID: "q", Data: []byte{}}}
+	if !reflect.DeepEqual(*out, want) {
+		t.Fatalf("golden bytes decoded to\n %+v\nwant\n %+v", *out, want)
+	}
+}
+
+// The flags word is carried, never interpreted: whatever a peer set —
+// bits this version does not know, or a cleared keep-hint on a traced
+// frame — leaves a relay exactly as it arrived.
+func TestFlagsSurviveRelayByteForByte(t *testing.T) {
+	for _, flags := range []uint32{0, FlagKeepHint, 1 << 7, 0xFFFFFFFE, 0xFFFFFFFF} {
 		in := sample()
-		in.Deadline = 123456789
-		in.TraceID, in.SpanID = 7, 8 // must NOT survive in old formats
-		out, err := Read(bytes.NewReader(encodeVersion(ver, in)))
+		in.TraceID, in.SpanID = 7, 8
+		in.Flags = flags
+		raw, err := Marshal(in)
 		if err != nil {
-			t.Fatalf("v%d: %v", ver, err)
+			t.Fatal(err)
 		}
-		if out.Object != in.Object || out.Method != in.Method || !bytes.Equal(out.Body, in.Body) {
-			t.Fatalf("v%d: header/body mismatch: %+v", ver, out)
+		var relayed Message
+		if err := xdr.Unmarshal(raw, &relayed); err != nil {
+			t.Fatal(err)
 		}
-		if ver < 2 && out.Deadline != 0 {
-			t.Fatalf("v%d frame decoded with deadline %d", ver, out.Deadline)
+		if relayed.Flags != flags || relayed.KeepHint() != (flags&FlagKeepHint != 0) {
+			t.Fatalf("flags %#x decoded as %#x (keep-hint %v)", flags, relayed.Flags, relayed.KeepHint())
 		}
-		if ver >= 2 && out.Deadline != in.Deadline {
-			t.Fatalf("v%d frame lost deadline: %d", ver, out.Deadline)
+		again, err := Marshal(&relayed)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if out.TraceID != 0 || out.SpanID != 0 {
-			t.Fatalf("v%d frame decoded with trace ids %d/%d, want 0/0", ver, out.TraceID, out.SpanID)
+		if !bytes.Equal(raw, again) {
+			t.Fatalf("flags %#x: relay changed the frame:\n in  %x\n out %x", flags, raw, again)
 		}
-		if out.Flags != 0 {
-			t.Fatalf("v%d frame decoded with flags %#x, want 0", ver, out.Flags)
-		}
-	}
-}
-
-// Traced v3 frames predate the keep-hint bit; the decoder must mark
-// them as retention candidates so tail keepers buffer conservatively.
-// Untraced v3 frames must stay flagless.
-func TestV3FramesDecodeConservativeKeepHint(t *testing.T) {
-	traced := sample()
-	traced.TraceID, traced.SpanID = 7, 8
-	out, err := Read(bytes.NewReader(encodeVersion(3, traced)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.TraceID != 7 || out.SpanID != 8 {
-		t.Fatalf("v3 trace ids %d/%d, want 7/8", out.TraceID, out.SpanID)
-	}
-	if !out.KeepHint() {
-		t.Fatal("traced v3 frame decoded without keep-hint")
-	}
-	untraced := sample()
-	out, err = Read(bytes.NewReader(encodeVersion(3, untraced)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Flags != 0 {
-		t.Fatalf("untraced v3 frame decoded with flags %#x", out.Flags)
-	}
-}
-
-// framedVersion reads the version word out of an encoded frame
-// (length prefix, magic, version).
-func framedVersion(t *testing.T, m *Message) uint32 {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := Write(&buf, m); err != nil {
-		t.Fatal(err)
-	}
-	b := buf.Bytes()
-	return uint32(b[8])<<24 | uint32(b[9])<<16 | uint32(b[10])<<8 | uint32(b[11])
-}
-
-// The encoder emits the lowest version that represents the message
-// exactly, so mixed-version deployments keep decoding each other:
-// only a flags word a v3 decoder would mis-infer needs v4 framing.
-func TestEncoderEmitsMinimalVersion(t *testing.T) {
-	untraced := sample()
-	if v := framedVersion(t, untraced); v != 3 {
-		t.Fatalf("untraced frame emitted v%d, want v3", v)
-	}
-	hinted := sample()
-	hinted.TraceID, hinted.SpanID = 7, 8
-	hinted.SetKeepHint(true) // matches the v3 traced-implies-hinted inference
-	if v := framedVersion(t, hinted); v != 3 {
-		t.Fatalf("traced+hinted frame emitted v%d, want v3", v)
-	}
-	unhinted := sample()
-	unhinted.TraceID, unhinted.SpanID = 7, 8 // hint cleared: only v4 can say so
-	if v := framedVersion(t, unhinted); v != 4 {
-		t.Fatalf("traced+unhinted frame emitted v%d, want v4", v)
-	}
-	future := sample()
-	future.Flags = 1 << 7 // unknown bit: v3 would drop it
-	if v := framedVersion(t, future); v != 4 {
-		t.Fatalf("future-flagged frame emitted v%d, want v4", v)
-	}
-	// The v3-framed hinted message still decodes with its hint.
-	var buf bytes.Buffer
-	if err := Write(&buf, hinted); err != nil {
-		t.Fatal(err)
-	}
-	out, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !out.KeepHint() {
-		t.Fatal("v3-framed hinted message lost its keep-hint")
 	}
 }
 
