@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci fmt-check vet lint build test race determinism cover faults fuzz load-smoke bench-smoke bench-json bench-async bench-faults bench-directory bench-errors bench-retention bench-saturation top registry
+.PHONY: ci fmt-check vet lint build test race determinism cover faults fuzz load-smoke bench-smoke bench-json bench-async bench-faults bench-directory bench-errors bench-retention bench-saturation loc top registry
 
 ci: fmt-check vet lint build test race determinism cover load-smoke bench-smoke bench-json
 
@@ -115,6 +115,14 @@ bench-retention:
 # offered load, batching on/off, with failover) quickly and emit JSON.
 bench-saturation:
 	$(GO) run ./cmd/ohpc-bench -fig=s1 -quick -json=-
+
+# Non-test Go lines per package outside benchmark/ (and outside the
+# analyzer corpora under testdata/), then the total: the number ROADMAP
+# quotes and every simplicity PR reports its per-package delta against.
+loc:
+	@git ls-files '*.go' | grep -v -e '_test\.go$$' -e '^benchmark/' -e '/testdata/' | xargs wc -l | \
+	awk '$$2 != "total" { d = $$2; if (!sub("/[^/]*$$", "", d)) d = "."; n[d] += $$1; t += $$1 } \
+	     END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
 
 # Directory demo: serve the sharded name service (3 shards x 2 replicas)
 # on real TCP for a few seconds and print the client bootstrap blob.

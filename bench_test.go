@@ -19,6 +19,7 @@ import (
 	"openhpcxx/internal/hpcxx"
 	"openhpcxx/internal/migrate"
 	"openhpcxx/internal/netsim"
+	"openhpcxx/internal/testbed"
 	"openhpcxx/internal/xdr"
 )
 
@@ -28,7 +29,7 @@ var benchSizes = []int{1, 1024, 65536, 1 << 20}
 
 // figure5 drives one (series, size) cell through a deployment.
 func figure5(b *testing.B, profile netsim.LinkProfile) {
-	d, err := bench.NewFig5Deployment(profile)
+	d, err := bench.NewFig5Deployment(profile, bench.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -76,7 +77,7 @@ func BenchmarkFigure4Scenario(b *testing.B) {
 			MinReps:     1,
 			MinDuration: time.Nanosecond,
 			Profile:     netsim.ProfileUnshaped,
-		})
+		}, bench.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -90,7 +91,7 @@ func BenchmarkFigure4Scenario(b *testing.B) {
 // (two clients, one migration, four observations).
 func BenchmarkFigure3Scenario(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := bench.RunFigure3(); err != nil {
+		if _, err := bench.RunFigure3(bench.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -106,7 +107,7 @@ func capOverheadWorld(b *testing.B, caps ...capability.Capability) *core.GlobalP
 	n.MustAddMachine("sm", "lan")
 	rt := core.NewRuntime(n, "bench")
 	capability.Install(rt.DefaultPool())
-	rt.RegisterIface(bench.ExchangeIface, bench.ExchangeActivator)
+	rt.RegisterIface(testbed.ExchangeIface, testbed.ExchangeActivator)
 	b.Cleanup(rt.Close)
 
 	server, err := rt.NewContext("server", "sm")
@@ -116,8 +117,8 @@ func capOverheadWorld(b *testing.B, caps ...capability.Capability) *core.GlobalP
 	if err := server.BindSim(0); err != nil {
 		b.Fatal(err)
 	}
-	impl, methods := bench.ExchangeActivator()
-	s, err := server.Export(bench.ExchangeIface, impl, methods)
+	impl, methods := testbed.ExchangeActivator()
+	s, err := server.Export(testbed.ExchangeIface, impl, methods)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -200,7 +201,7 @@ func BenchmarkGlueDepth(b *testing.B) {
 // selection path (invalidate + re-select against a 4-entry table) —
 // the cost the ORB pays to be adaptive.
 func BenchmarkProtocolSelection(b *testing.B) {
-	d, err := bench.NewFig5Deployment(netsim.ProfileUnshaped)
+	d, err := bench.NewFig5Deployment(netsim.ProfileUnshaped, bench.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -280,7 +281,7 @@ func BenchmarkMigration(b *testing.B) {
 func BenchmarkRefCodec(b *testing.B) {
 	ref := &core.ObjectRef{
 		Object: "ctx/obj-1",
-		Iface:  bench.ExchangeIface,
+		Iface:  testbed.ExchangeIface,
 		Epoch:  3,
 		Server: netsim.Locality{Machine: "m1", LAN: "lan1", Campus: "c1", Process: "p"},
 		Protocols: []core.ProtoEntry{
@@ -345,8 +346,8 @@ func BenchmarkGroupGather(b *testing.B) {
 				if err := ctx.BindSim(0); err != nil {
 					b.Fatal(err)
 				}
-				impl, methods := bench.ExchangeActivator()
-				s, err := ctx.Export(bench.ExchangeIface, impl, methods)
+				impl, methods := testbed.ExchangeActivator()
+				s, err := ctx.Export(testbed.ExchangeIface, impl, methods)
 				if err != nil {
 					b.Fatal(err)
 				}

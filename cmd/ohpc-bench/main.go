@@ -1,5 +1,8 @@
 // Command ohpc-bench regenerates every figure of the paper's evaluation
-// section as text tables (and an ASCII rendering of the Figure 5 plot).
+// section, and this repository's extensions, as text tables (and an
+// ASCII rendering of the Figure 5 plot). The figures are one table in
+// internal/bench; -quick, -reps, -json and -introspect apply to every
+// one of them.
 //
 // Usage:
 //
@@ -12,6 +15,7 @@
 //	ohpc-bench -fig=o2 -quick -json=-     # tail-based retention vs FIFO
 //	ohpc-bench -fig=d1 -json=dir.json     # directory plane: scale + crash
 //	ohpc-bench -fig=s1 -quick -json=-     # saturation sweep (goodput vs offered load)
+//	ohpc-bench -fig=r1 -introspect=127.0.0.1:8090   # watch /statusz mid-failover
 //
 // Absolute numbers depend on the host and the simulated link rates; the
 // shapes — which protocol wins, by roughly what factor, and where the
@@ -22,460 +26,159 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
-	"time"
 
 	"openhpcxx/internal/bench"
 	"openhpcxx/internal/core"
-	"openhpcxx/internal/errs"
 	"openhpcxx/internal/introspect"
-	"openhpcxx/internal/netsim"
 )
 
+// figUsage is the -fig help text: every id in the figure table.
+func figUsage() string {
+	var ids []string
+	for _, f := range bench.Figures() {
+		ids = append(ids, f.ID)
+	}
+	return "figure to regenerate: " + strings.Join(ids, ", ") + ", or all"
+}
+
+// selectFigures returns the table entries -fig names: all of them for
+// "all", one for a known id, none for anything else.
+func selectFigures(id string) []bench.Figure {
+	if id == "all" {
+		return bench.Figures()
+	}
+	for _, f := range bench.Figures() {
+		if f.ID == id {
+			return []bench.Figure{f}
+		}
+	}
+	return nil
+}
+
+// create opens path for writing: stdout for "-", else a new file.
+func create(path string) (*os.File, error) {
+	if path == "-" {
+		return os.Stdout, nil
+	}
+	return os.Create(path)
+}
+
+// finish closes what create opened, leaving stdout open.
+func finish(f *os.File) error {
+	if f == os.Stdout {
+		return nil
+	}
+	return f.Close()
+}
+
+// writeTo creates path, runs write against it and closes it.
+func writeTo(path string, write func(io.Writer) error) error {
+	f, err := create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		_ = finish(f)
+		return err
+	}
+	return finish(f)
+}
+
+func fatal(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "ohpc-bench: "+format+"\n", args...)
+	os.Exit(1)
+}
+
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate: 1, 2, 3, 4, 5, a1 (async), l1 (loss sweep), e1 (retry budgets), r1 (robustness), o1 (tracing overhead), o2 (tail-based retention), d1 (directory), s1 (saturation sweep), or all")
+	fig := flag.String("fig", "all", figUsage())
 	profile := flag.String("profile", "both", "network for figure 5: atm, ethernet, or both")
-	quick := flag.Bool("quick", false, "time-scale the links 16x and shorten averaging")
+	quick := flag.Bool("quick", false, "time-scale the links 16x and shorten runs and sweeps")
 	plot := flag.Bool("plot", true, "also render figure 5 as an ASCII log-log plot")
-	reps := flag.Int("reps", 0, "minimum exchanges per measurement cell (0 = default)")
+	reps := flag.Int("reps", 0, "minimum exchanges (or operations) per measurement cell (0 = default)")
 	csvPath := flag.String("csv", "", "also write figure 5 data as CSV to this file")
-	jsonPath := flag.String("json", "", "write the a1/r1 figure data as JSON to this file ('-' for stdout)")
+	jsonPath := flag.String("json", "", "write every figure's data as JSON to this file ('-' for stdout)")
 	calls := flag.Int("calls", 0, "calls per mode for the async figure (0 = default)")
 	tracePath := flag.String("trace", "", "write the o1 figure's recorded spans as JSON to this file ('-' for stdout)")
-	introspectAddr := flag.String("introspect", "", "serve the introspection plane on this address while the r1 figure runs (curl /statusz or run ohpc-top mid-failover)")
+	introspectAddr := flag.String("introspect", "", "serve the introspection plane on this address for every runtime a figure builds (curl /statusz or run ohpc-top mid-run)")
 	flag.Parse()
 
-	var csvOut *os.File
-	if *csvPath != "" {
-		f, err := os.Create(*csvPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ohpc-bench: %v\n", err)
-			os.Exit(1)
+	figures := selectFigures(*fig)
+	if figures == nil {
+		fmt.Fprintf(os.Stderr, "ohpc-bench: unknown figure %q; the figures are:\n", *fig)
+		for _, f := range bench.Figures() {
+			fmt.Fprintf(os.Stderr, "  %-4s %s\n", f.ID, f.Title)
 		}
-		defer f.Close()
-		csvOut = f
-		fmt.Fprintln(csvOut, "profile,series,ints,bytes,reps,avg_rtt_us,bandwidth_mbps")
-	}
-
-	run := func(name string, fn func() error) {
-		if *fig != "all" && *fig != name {
-			return
-		}
-		if err := fn(); err != nil {
-			fmt.Fprintf(os.Stderr, "ohpc-bench: figure %s: %v\n", name, err)
-			os.Exit(1)
-		}
-	}
-
-	run("1", func() error {
-		r, err := bench.RunFigure1()
-		if err != nil {
-			return err
-		}
-		fmt.Println(bench.FormatPathReport(r))
-		return nil
-	})
-	run("2", func() error {
-		r, err := bench.RunFigure2()
-		if err != nil {
-			return err
-		}
-		fmt.Println(bench.FormatPathReport(r))
-		return nil
-	})
-	run("3", func() error {
-		phases, err := bench.RunFigure3()
-		if err != nil {
-			return err
-		}
-		fmt.Println(bench.FormatFigure3(phases))
-		return nil
-	})
-	run("4", func() error {
-		cfg := bench.Fig4Config{}
-		if *quick {
-			cfg.Profile = netsim.ProfileATM155.Scaled(16)
-			cfg.MinDuration = 30 * time.Millisecond
-		}
-		if *reps > 0 {
-			cfg.MinReps = *reps
-		}
-		steps, err := bench.RunFigure4(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println(bench.FormatFigure4(steps))
-		expect := bench.Fig4Expected()
-		ok := true
-		for i, s := range steps {
-			if s.Selected != expect[i] {
-				ok = false
-			}
-		}
-		fmt.Printf("selection sequence matches the paper: %v\n\n", ok)
-		return nil
-	})
-	run("l1", func() error {
-		cfg := bench.LossSweepConfig{}
-		if *quick {
-			cfg.MinDuration = 30 * time.Millisecond
-		}
-		points, err := bench.RunLossSweep(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println(bench.FormatLossSweep(points))
-		return nil
-	})
-	run("e1", func() error {
-		cfg := bench.E1Config{}
-		if *quick {
-			cfg.Duration = 600 * time.Millisecond
-		}
-		if *introspectAddr != "" {
-			cfg.OnRuntime = func(mode string, rt *core.Runtime) func() {
-				insp, err := introspect.Attach(rt, introspect.Options{Addr: *introspectAddr})
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "ohpc-bench: introspect (%s): %v\n", mode, err)
-					return nil
-				}
-				fmt.Printf("introspection plane for mode %s on http://%s\n", mode, insp.Addr())
-				return func() { _ = insp.Close() }
-			}
-		}
-		res, err := bench.RunFigureE1(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println(bench.FormatFigureE1(res))
-		if *jsonPath != "" {
-			out := os.Stdout
-			if *jsonPath != "-" {
-				f, err := os.Create(*jsonPath)
-				if err != nil {
-					return err
-				}
-				defer f.Close()
-				out = f
-			}
-			enc := json.NewEncoder(out)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(res); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	run("5", func() error {
-		profiles := map[string]netsim.LinkProfile{
-			"atm":      netsim.ProfileATM155,
-			"ethernet": netsim.ProfileEthernet,
-		}
-		names := []string{"atm", "ethernet"}
-		if *profile != "both" {
-			if _, ok := profiles[*profile]; !ok {
-				return errs.Newf(errs.Config, "unknown profile %q", *profile)
-			}
-			names = []string{*profile}
-		}
-		for _, pn := range names {
-			p := profiles[pn]
-			cfg := bench.Fig5Config{Profile: p}
-			if *quick {
-				cfg.Profile = p.Scaled(16)
-				cfg.MinDuration = 50 * time.Millisecond
-				cfg.MinReps = 2
-			}
-			if *reps > 0 {
-				cfg.MinReps = *reps
-			}
-			series, err := bench.RunFigure5(cfg)
-			if err != nil {
-				return err
-			}
-			title := fmt.Sprintf("Figure 5: bandwidth vs. array size over %s", cfg.Profile)
-			fmt.Println(bench.FormatFigure5(title, series))
-			if *plot {
-				fmt.Println(bench.FormatFigure5ASCII(title, series))
-			}
-			if csvOut != nil {
-				for _, s := range series {
-					for _, p := range s.Points {
-						fmt.Fprintf(csvOut, "%s,%s,%d,%d,%d,%d,%.3f\n",
-							pn, s.Name, p.Ints, p.Bytes, p.Reps, p.AvgRTT.Microseconds(), p.BandwidthBps/1e6)
-					}
-				}
-			}
-			summarizeFig5(series)
-		}
-		return nil
-	})
-
-	run("a1", func() error {
-		profiles := []netsim.LinkProfile{netsim.ProfileWAN, netsim.ProfileEthernet}
-		var results []*bench.AsyncResult
-		for _, p := range profiles {
-			cfg := bench.AsyncConfig{Profile: p, Calls: *calls}
-			if *quick {
-				cfg.Profile = p.Scaled(16)
-				if cfg.Calls == 0 {
-					cfg.Calls = 128
-				}
-			}
-			res, err := bench.RunFigureAsync(cfg)
-			if err != nil {
-				return err
-			}
-			results = append(results, res)
-			fmt.Println(bench.FormatFigureAsync(res))
-		}
-		if *jsonPath != "" {
-			out := os.Stdout
-			if *jsonPath != "-" {
-				f, err := os.Create(*jsonPath)
-				if err != nil {
-					return err
-				}
-				defer f.Close()
-				out = f
-			}
-			enc := json.NewEncoder(out)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(results); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-
-	run("r1", func() error {
-		cfg := bench.R1Config{}
-		if *quick {
-			cfg.Duration = 600 * time.Millisecond
-		}
-		if *introspectAddr != "" {
-			// Each mode gets its own runtime; re-attach the plane to the
-			// current one so /statusz and /varz track the live failover.
-			cfg.OnRuntime = func(mode string, rt *core.Runtime) func() {
-				insp, err := introspect.Attach(rt, introspect.Options{Addr: *introspectAddr})
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "ohpc-bench: introspect (%s): %v\n", mode, err)
-					return nil
-				}
-				fmt.Printf("introspection plane for mode %s on http://%s\n", mode, insp.Addr())
-				return func() {
-					// Teardown between modes; the next mode re-binds the addr.
-					_ = insp.Close()
-				}
-			}
-		}
-		res, err := bench.RunFigureR1(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println(bench.FormatFigureR1(res))
-		if *jsonPath != "" {
-			out := os.Stdout
-			if *jsonPath != "-" {
-				f, err := os.Create(*jsonPath)
-				if err != nil {
-					return err
-				}
-				defer f.Close()
-				out = f
-			}
-			enc := json.NewEncoder(out)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(res); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-
-	run("d1", func() error {
-		cfg := bench.D1Config{}
-		if *quick {
-			cfg.Sizes = []int{1_000, 100_000}
-			cfg.Ops = 400
-			cfg.CrashDuration = 700 * time.Millisecond
-		}
-		if *reps > 0 {
-			cfg.Ops = *reps
-		}
-		if *introspectAddr != "" {
-			cfg.OnRuntime = func(mode string, rt *core.Runtime) func() {
-				insp, err := introspect.Attach(rt, introspect.Options{Addr: *introspectAddr})
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "ohpc-bench: introspect (%s): %v\n", mode, err)
-					return nil
-				}
-				fmt.Printf("introspection plane for mode %s on http://%s\n", mode, insp.Addr())
-				return func() { _ = insp.Close() }
-			}
-		}
-		res, err := bench.RunFigureD1(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println(bench.FormatFigureD1(res))
-		if *jsonPath != "" {
-			out := os.Stdout
-			if *jsonPath != "-" {
-				f, err := os.Create(*jsonPath)
-				if err != nil {
-					return err
-				}
-				defer f.Close()
-				out = f
-			}
-			enc := json.NewEncoder(out)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(res); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-
-	run("s1", func() error {
-		cfg := bench.S1Config{}
-		if *quick {
-			cfg.Rates = []float64{1000, 2000, 4000, 8000}
-			cfg.StepDuration = 150 * time.Millisecond
-			cfg.Workers = 24
-			cfg.Deadline = 50 * time.Millisecond
-		}
-		res, err := bench.RunFigureS1(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println(bench.FormatFigureS1(res))
-		if *jsonPath != "" {
-			out := os.Stdout
-			if *jsonPath != "-" {
-				f, err := os.Create(*jsonPath)
-				if err != nil {
-					return err
-				}
-				defer f.Close()
-				out = f
-			}
-			enc := json.NewEncoder(out)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(res); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-
-	run("o1", func() error {
-		cfg := bench.O1Config{}
-		if *quick {
-			cfg.MinReps = 200
-			cfg.MinDuration = 30 * time.Millisecond
-		}
-		if *reps > 0 {
-			cfg.MinReps = *reps
-		}
-		res, err := bench.RunFigureO1(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println(bench.FormatFigureO1(res))
-		if *jsonPath != "" {
-			out := os.Stdout
-			if *jsonPath != "-" {
-				f, err := os.Create(*jsonPath)
-				if err != nil {
-					return err
-				}
-				defer f.Close()
-				out = f
-			}
-			enc := json.NewEncoder(out)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(res); err != nil {
-				return err
-			}
-		}
-		if *tracePath != "" {
-			out := os.Stdout
-			if *tracePath != "-" {
-				f, err := os.Create(*tracePath)
-				if err != nil {
-					return err
-				}
-				defer f.Close()
-				out = f
-			}
-			if err := res.Ring.WriteJSON(out); err != nil {
-				return err
-			}
-			if *tracePath != "-" {
-				fmt.Printf("wrote %d spans (of %d recorded) to %s\n", len(res.Ring.Spans()), res.Ring.Total(), *tracePath)
-			}
-		}
-		return nil
-	})
-
-	run("o2", func() error {
-		cfg := bench.O2Config{}
-		if *quick {
-			cfg.MinReps = 200
-			cfg.MinDuration = 30 * time.Millisecond
-		}
-		if *reps > 0 {
-			cfg.MinReps = *reps
-		}
-		res, err := bench.RunFigureO2(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println(bench.FormatFigureO2(res))
-		if *jsonPath != "" {
-			out := os.Stdout
-			if *jsonPath != "-" {
-				f, err := os.Create(*jsonPath)
-				if err != nil {
-					return err
-				}
-				defer f.Close()
-				out = f
-			}
-			enc := json.NewEncoder(out)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(res); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-
-	if !strings.Contains("1 2 3 4 5 a1 l1 e1 r1 o1 o2 d1 s1 all", *fig) {
-		fmt.Fprintf(os.Stderr, "ohpc-bench: unknown figure %q\n", *fig)
 		os.Exit(2)
+	}
+
+	opts := bench.Options{Quick: *quick, Reps: *reps, Calls: *calls, Profile: *profile, Plot: *plot}
+	if *introspectAddr != "" {
+		// A figure builds one runtime per mode or cell, one after the
+		// other; the plane re-binds the address to each in turn, so
+		// /statusz and /varz track whichever is live.
+		opts.OnRuntime = func(label string, rt *core.Runtime) func() {
+			insp, err := introspect.Attach(rt, introspect.Options{Addr: *introspectAddr})
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "ohpc-bench: introspect (%s): %v\n", label, err)
+				return nil
+			}
+			fmt.Printf("introspection plane for %s on http://%s\n", label, insp.Addr())
+			return func() { _ = insp.Close() }
+		}
+	}
+
+	// One JSON writer for every figure: each report is one indented
+	// document, streamed as its figure completes.
+	encode := func(bench.Report) error { return nil }
+	if *jsonPath != "" {
+		out, err := create(*jsonPath)
+		if err != nil {
+			fatal("%v", err)
+		}
+		enc := json.NewEncoder(out)
+		enc.SetIndent("", "  ")
+		encode = func(rep bench.Report) error { return enc.Encode(rep) }
+		defer func() {
+			if err := finish(out); err != nil {
+				fatal("%v", err)
+			}
+		}()
+	}
+	for _, f := range figures {
+		rep, err := f.Run(opts)
+		if err == nil {
+			fmt.Println(rep.Format())
+			if err = encode(rep); err == nil {
+				err = exportExtras(rep, *csvPath, *tracePath)
+			}
+		}
+		if err != nil {
+			fatal("figure %s: %v", f.ID, err)
+		}
 	}
 }
 
-// summarizeFig5 prints the two claims the paper draws from the plot.
-func summarizeFig5(series []bench.Series) {
-	var shm, bestNet, worstNet float64
-	for _, s := range series {
-		last := s.Points[len(s.Points)-1].BandwidthBps
-		if s.Name == bench.SeriesSharedMemory {
-			shm = last
-			continue
+// exportExtras writes the two figure-specific side files: Figure 5's
+// cells as CSV and Figure O1's recorded spans.
+func exportExtras(rep bench.Report, csvPath, tracePath string) error {
+	switch r := rep.(type) {
+	case *bench.Fig5Report:
+		if csvPath != "" {
+			return writeTo(csvPath, r.WriteCSV)
 		}
-		if bestNet == 0 || last > bestNet {
-			bestNet = last
+	case *bench.O1Result:
+		if tracePath == "" {
+			break
 		}
-		if worstNet == 0 || last < worstNet {
-			worstNet = last
+		if err := writeTo(tracePath, r.Ring.WriteJSON); err != nil {
+			return err
+		}
+		if tracePath != "-" {
+			fmt.Printf("wrote %d spans (of %d recorded) to %s\n", len(r.Ring.Spans()), r.Ring.Total(), tracePath)
 		}
 	}
-	fmt.Printf("at the largest size: network protocols within %.2fx of each other; shared memory %.1fx faster than the best network protocol\n\n",
-		bestNet/worstNet, shm/bestNet)
+	return nil
 }

@@ -24,6 +24,7 @@ import (
 	"openhpcxx/internal/netsim"
 	"openhpcxx/internal/obs"
 	"openhpcxx/internal/registry"
+	"openhpcxx/internal/testbed"
 )
 
 func main() {
@@ -44,7 +45,7 @@ func main() {
 
 	rt := core.NewRuntime(n, "demo")
 	capability.Install(rt.DefaultPool())
-	rt.RegisterIface(bench.ExchangeIface, bench.ExchangeActivator)
+	rt.RegisterIface(testbed.ExchangeIface, testbed.ExchangeActivator)
 	defer rt.Close()
 
 	// With -trace, every invocation in the demo records its span tree —
@@ -93,8 +94,8 @@ func main() {
 
 	// The service: exchange servant behind an authenticated glue for
 	// off-LAN clients, plain nexus for local ones.
-	impl, methods := bench.ExchangeActivator()
-	servant, err := host1.Export(bench.ExchangeIface, impl, methods)
+	impl, methods := testbed.ExchangeActivator()
+	servant, err := host1.Export(testbed.ExchangeIface, impl, methods)
 	must(err)
 	streamE, err := host1.EntryStream()
 	must(err)

@@ -28,8 +28,10 @@ import (
 	"time"
 
 	"openhpcxx/internal/clock"
+	"openhpcxx/internal/core"
 	"openhpcxx/internal/introspect"
 	"openhpcxx/internal/load"
+	"openhpcxx/internal/testbed"
 )
 
 func main() {
@@ -61,21 +63,24 @@ func main() {
 	if *fake {
 		clk = clock.NewFake(time.Unix(1_000_000, 0))
 	}
-	runner, err := load.NewRunner(sc, clk)
+	var hook testbed.Hook
+	if *introspectAddr != "" {
+		hook = func(_ string, rt *core.Runtime) func() {
+			insp, err := introspect.Attach(rt, introspect.Options{Addr: *introspectAddr})
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "ohpc-load: introspect: %v\n", err)
+				os.Exit(1)
+			}
+			fmt.Printf("introspection plane on http://%s\n", insp.Addr())
+			return func() { _ = insp.Close() }
+		}
+	}
+	runner, err := load.NewRunner(sc, clk, hook)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ohpc-load: %v\n", err)
 		os.Exit(1)
 	}
 	defer runner.Close()
-	if *introspectAddr != "" {
-		insp, err := introspect.Attach(runner.Runtime(), introspect.Options{Addr: *introspectAddr})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ohpc-load: introspect: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("introspection plane on http://%s\n", insp.Addr())
-		defer insp.Close()
-	}
 
 	res, err := runner.Run(context.Background())
 	if err != nil {

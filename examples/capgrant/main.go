@@ -18,11 +18,11 @@ import (
 	"log"
 	"time"
 
-	"openhpcxx/internal/bench"
 	"openhpcxx/internal/capability"
 	"openhpcxx/internal/core"
 	"openhpcxx/internal/netsim"
 	"openhpcxx/internal/registry"
+	"openhpcxx/internal/testbed"
 	"openhpcxx/internal/wire"
 )
 
@@ -62,8 +62,8 @@ func main() {
 	_, _, err = registry.Serve(regCtx)
 	must(err)
 
-	impl, methods := bench.ExchangeActivator()
-	servant, err := server.Export(bench.ExchangeIface, impl, methods)
+	impl, methods := testbed.ExchangeActivator()
+	servant, err := server.Export(testbed.ExchangeIface, impl, methods)
 	must(err)
 	streamE, err := server.EntryStream()
 	must(err)

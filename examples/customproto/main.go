@@ -23,6 +23,7 @@ import (
 	"openhpcxx/internal/migrate"
 	"openhpcxx/internal/netsim"
 	"openhpcxx/internal/proto/udprel"
+	"openhpcxx/internal/testbed"
 )
 
 func main() {
@@ -45,7 +46,7 @@ func main() {
 	capability.Install(rt.DefaultPool())
 	arq := udprel.Config{RTO: 10 * time.Millisecond, MaxTries: 30}
 	rt.DefaultPool().Register(udprel.NewFactory(arq)) // the custom proto-class
-	rt.RegisterIface(bench.ExchangeIface, bench.ExchangeActivator)
+	rt.RegisterIface(testbed.ExchangeIface, testbed.ExchangeActivator)
 	// Objects served over udprel survive migration once a reanchorer is
 	// registered (the same hook the built-ins use internally).
 	migrate.RegisterReanchor(udprel.ID, func(dst *core.Context, old core.ProtoEntry) (core.ProtoEntry, bool, error) {
@@ -63,8 +64,8 @@ func main() {
 	server, err := rt.NewContext("server", "beta")
 	must(err)
 	must(udprel.Bind(server, 0, arq))
-	impl, methods := bench.ExchangeActivator()
-	servant, err := server.Export(bench.ExchangeIface, impl, methods)
+	impl, methods := testbed.ExchangeActivator()
+	servant, err := server.Export(testbed.ExchangeIface, impl, methods)
 	must(err)
 
 	base, err := udprel.Entry(server)

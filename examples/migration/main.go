@@ -23,6 +23,7 @@ import (
 	"openhpcxx/internal/core"
 	"openhpcxx/internal/migrate"
 	"openhpcxx/internal/netsim"
+	"openhpcxx/internal/testbed"
 )
 
 func main() {
@@ -42,7 +43,7 @@ func main() {
 
 	rt := core.NewRuntime(net, "migration-example")
 	capability.Install(rt.DefaultPool())
-	rt.RegisterIface(bench.ExchangeIface, bench.ExchangeActivator)
+	rt.RegisterIface(testbed.ExchangeIface, testbed.ExchangeActivator)
 	defer rt.Close()
 
 	must := func(err error) {
@@ -69,8 +70,8 @@ func main() {
 	must(err)
 
 	// The server object starts on M1.
-	impl, methods := bench.ExchangeActivator()
-	servant, err := s1.Export(bench.ExchangeIface, impl, methods)
+	impl, methods := testbed.ExchangeActivator()
+	servant, err := s1.Export(testbed.ExchangeIface, impl, methods)
 	must(err)
 
 	streamE, err := s1.EntryStream()

@@ -1,6 +1,10 @@
-// Package bench builds the deployments and measurements behind every
-// figure in the paper's evaluation, shared by the repository's
-// testing.B benchmarks and the ohpc-bench command.
+// Package bench is the harness behind every figure in the paper's
+// evaluation and this repository's extensions: one table of figures
+// (figures.go), each a Run function from harness Options to a Report
+// that formats itself and marshals to JSON, shared by the repository's
+// testing.B benchmarks and the ohpc-bench command. Figures build their
+// worlds with internal/testbed and, where they push a paced call stream
+// through a fault schedule, drive it with the one loop in driver.go.
 //
 // The workload is the paper's: a client makes a series of remote service
 // requests that exchange an array of integers with the server, and the
@@ -11,31 +15,46 @@ package bench
 import (
 	"time"
 
-	"openhpcxx/internal/capability"
 	"openhpcxx/internal/core"
 	"openhpcxx/internal/errs"
-	"openhpcxx/internal/netsim"
+	"openhpcxx/internal/testbed"
 )
 
-// ExchangeIface is the bandwidth servant's interface name.
-const ExchangeIface = "openhpcxx.bench.Exchange"
-
-// ExchangeActivator builds the bandwidth servant: one method,
-// "exchange", that decodes an integer array and echoes it back. The
-// servant is stateless, hence trivially migratable.
-func ExchangeActivator() (any, map[string]core.Method) {
-	impl := &exchangeImpl{}
-	return impl, map[string]core.Method{
-		"exchange": core.Handler(func(in *core.Int32Slice) (*core.Int32Slice, error) {
-			return in, nil
-		}),
-	}
+// Options are the harness-wide knobs ohpc-bench's flags set. Each
+// figure's fill folds them into its own defaults, so what -quick means
+// for a figure is written next to what its full run is.
+type Options struct {
+	// Quick time-scales shaped links 16x and shortens runs and sweeps.
+	Quick bool
+	// Reps, when > 0, overrides a figure's per-cell repetition count.
+	Reps int
+	// Calls, when > 0, overrides the async figure's calls per mode.
+	Calls int
+	// Profile selects Figure 5's network: "atm", "ethernet", or both
+	// ("" or "both").
+	Profile string
+	// Plot adds the ASCII log-log rendering to Figure 5's report.
+	Plot bool
+	// OnRuntime, when set, observes every runtime a figure builds, from
+	// construction to shutdown (ohpc-bench -introspect attaches here).
+	OnRuntime testbed.Hook
 }
 
-type exchangeImpl struct{}
+// pick returns the full-run value, or the quick one under -quick.
+func pick[T any](o Options, full, quick T) T {
+	if o.Quick {
+		return quick
+	}
+	return full
+}
 
-func (*exchangeImpl) Snapshot() ([]byte, error) { return nil, nil }
-func (*exchangeImpl) Restore([]byte) error      { return nil }
+// setDefault assigns v to *p when the caller left *p at its zero value.
+func setDefault[T comparable](p *T, v T) {
+	var zero T
+	if *p == zero {
+		*p = v
+	}
+}
 
 // Sizes1ToM is the paper's sweep: array sizes from 1 to 1M integers in
 // powers of four.
@@ -61,6 +80,11 @@ type Measurement struct {
 	BandwidthBps float64
 }
 
+// exchange performs one echo call.
+func exchange(gp *core.GlobalPtr, arr *core.Int32Slice) (*core.Int32Slice, error) {
+	return core.Call[*core.Int32Slice, core.Int32Slice](gp, "exchange", arr)
+}
+
 // MeasureExchange performs repeated exchanges of an n-int array through
 // gp and reports the averaged bandwidth. It runs at least minReps
 // exchanges and keeps going until minDuration has elapsed.
@@ -68,12 +92,9 @@ func MeasureExchange(gp *core.GlobalPtr, n int, minReps int, minDuration time.Du
 	if minReps < 1 {
 		minReps = 1
 	}
-	arr := &core.Int32Slice{V: make([]int32, n)}
-	for i := range arr.V {
-		arr.V[i] = int32(i)
-	}
+	arr := testbed.Ints(n)
 	// Warm-up: protocol selection, connection setup, and one transfer.
-	if _, err := core.Call[*core.Int32Slice, core.Int32Slice](gp, "exchange", arr); err != nil {
+	if _, err := exchange(gp, arr); err != nil {
 		return Measurement{}, err
 	}
 
@@ -81,7 +102,7 @@ func MeasureExchange(gp *core.GlobalPtr, n int, minReps int, minDuration time.Du
 	reps := 0
 	start := time.Now()
 	for {
-		out, err := core.Call[*core.Int32Slice, core.Int32Slice](gp, "exchange", arr)
+		out, err := exchange(gp, arr)
 		if err != nil {
 			return Measurement{}, err
 		}
@@ -104,47 +125,11 @@ func MeasureExchange(gp *core.GlobalPtr, n int, minReps int, minDuration time.Du
 	}, nil
 }
 
-// Deployment is a simulated testbed: a runtime plus named contexts, set
-// up per figure.
-type Deployment struct {
-	Net     *netsim.Network
-	Runtime *core.Runtime
-	Client  *core.Context
-}
-
-// Close shuts the deployment down.
-func (d *Deployment) Close() { d.Runtime.Close() }
-
-// serverContext creates a fully bound server context (shm + stream +
-// nexus) hosting nothing yet.
-func serverContext(rt *core.Runtime, name string, machine netsim.MachineID) (*core.Context, error) {
-	ctx, err := rt.NewContext(name, machine)
+// measure is MeasureExchange with the failing cell named in the error.
+func measure(gp *core.GlobalPtr, n, minReps int, minDuration time.Duration, cell string, args ...any) (Measurement, error) {
+	m, err := MeasureExchange(gp, n, minReps, minDuration)
 	if err != nil {
-		return nil, err
+		return m, errs.Wrapf(errs.CodeOf(err), err, "bench: "+cell, args...)
 	}
-	if err := ctx.BindSHM(); err != nil {
-		return nil, err
-	}
-	if err := ctx.BindSim(0); err != nil {
-		return nil, err
-	}
-	if err := ctx.BindNexusSim(0); err != nil {
-		return nil, err
-	}
-	return ctx, nil
-}
-
-// exportExchange exports the bandwidth servant on ctx.
-func exportExchange(ctx *core.Context) (*core.Servant, error) {
-	impl, methods := ExchangeActivator()
-	return ctx.Export(ExchangeIface, impl, methods)
-}
-
-// newRuntime builds a runtime with glue support and the exchange
-// activator registered.
-func newRuntime(n *netsim.Network, process string) *core.Runtime {
-	rt := core.NewRuntime(n, process)
-	capability.Install(rt.DefaultPool())
-	rt.RegisterIface(ExchangeIface, ExchangeActivator)
-	return rt
+	return m, nil
 }

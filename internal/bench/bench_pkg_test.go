@@ -10,7 +10,7 @@ import (
 )
 
 func TestMeasureExchange(t *testing.T) {
-	d, err := NewFig5Deployment(netsim.ProfileUnshaped)
+	d, err := NewFig5Deployment(netsim.ProfileUnshaped, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func TestMeasureExchange(t *testing.T) {
 }
 
 func TestFig5DeploymentSelections(t *testing.T) {
-	d, err := NewFig5Deployment(netsim.ProfileUnshaped)
+	d, err := NewFig5Deployment(netsim.ProfileUnshaped, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,6 +64,7 @@ func TestFigure5Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shaped-network sweep")
 	}
+	parallel(t)
 	// The unscaled ATM profile keeps the network (not the CPU) as the
 	// bottleneck even under the race detector's slowdown, so the
 	// shm-vs-network gap stays robustly wide.
@@ -72,7 +73,7 @@ func TestFigure5Shape(t *testing.T) {
 		Sizes:       []int{16, 4096, 65536},
 		MinReps:     3,
 		MinDuration: 30 * time.Millisecond,
-	})
+	}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +127,7 @@ func TestFigure4Selection(t *testing.T) {
 		MinReps:     2,
 		MinDuration: 5 * time.Millisecond,
 		Profile:     netsim.ProfileUnshaped,
-	})
+	}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +153,7 @@ func TestFigure4Selection(t *testing.T) {
 }
 
 func TestFigure3Scenario(t *testing.T) {
-	phases, err := RunFigure3()
+	phases, err := RunFigure3(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +182,7 @@ func TestFigure3Scenario(t *testing.T) {
 }
 
 func TestRunFigure1Report(t *testing.T) {
-	r, err := RunFigure1()
+	r, err := RunFigure1(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +195,7 @@ func TestRunFigure1Report(t *testing.T) {
 }
 
 func TestRunFigure2Report(t *testing.T) {
-	r, err := RunFigure2()
+	r, err := RunFigure2(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,12 +261,13 @@ func TestLossSweepShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loss sweep")
 	}
+	parallel(t)
 	points, err := RunLossSweep(LossSweepConfig{
 		Rates:       []float64{0, 0.3},
 		Ints:        2048,
 		MinReps:     3,
 		MinDuration: 50 * time.Millisecond,
-	})
+	}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

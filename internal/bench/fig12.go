@@ -9,6 +9,7 @@ import (
 	"openhpcxx/internal/core"
 	"openhpcxx/internal/errs"
 	"openhpcxx/internal/netsim"
+	"openhpcxx/internal/testbed"
 	"openhpcxx/internal/wire"
 	"openhpcxx/internal/xdr"
 )
@@ -48,34 +49,19 @@ func (p *capturingProto) Close() error { return p.base.Close() }
 // invocation travels through a protocol object P to the server-side
 // protocol class C and into the server object, and the reply retraces
 // the path.
-func RunFigure1() (*PathReport, error) {
-	n := netsim.New()
-	n.AddLAN("lan", "campus", netsim.ProfileUnshaped)
-	n.MustAddMachine("cm", "lan")
-	n.MustAddMachine("sm", "lan")
-	rt := newRuntime(n, "fig1")
-	defer rt.Close()
+func RunFigure1(o Options) (*PathReport, error) {
+	tb := testbed.New("fig1", o.OnRuntime)
+	defer tb.Close()
+	tb.LAN("lan", "campus", netsim.ProfileUnshaped, "cm", "sm")
+	sn := tb.Context("server", "sm").BindAll().Echo("")
+	cn := tb.Context("client", "cm")
+	ref := sn.Ref(sn.Stream())
+	if err := tb.Build(); err != nil {
+		return nil, err
+	}
+	gp := cn.Ctx.NewGlobalPtr(ref)
 
-	server, err := serverContext(rt, "server", "sm")
-	if err != nil {
-		return nil, err
-	}
-	client, err := rt.NewContext("client", "cm")
-	if err != nil {
-		return nil, err
-	}
-	servant, err := exportExchange(server)
-	if err != nil {
-		return nil, err
-	}
-	streamE, err := server.EntryStream()
-	if err != nil {
-		return nil, err
-	}
-	ref := server.NewRef(servant, streamE)
-	gp := client.NewGlobalPtr(ref)
-
-	before := servant.Calls()
+	before := sn.Servant.Calls()
 	m, err := MeasureExchange(gp, 256, 1, 0)
 	if err != nil {
 		return nil, err
@@ -84,14 +70,14 @@ func RunFigure1() (*PathReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	addr, _ := server.Binding(core.ProtoStream)
+	addr, _ := sn.Ctx.Binding(core.ProtoStream)
 
 	r := &PathReport{Title: "Figure 1: ORB communication mechanism"}
-	r.add("client GP for %s (context %q, machine %s)", ref.Object, client.Name(), client.Locality().Machine)
+	r.add("client GP for %s (context %q, machine %s)", ref.Object, cn.Ctx.Name(), cn.Ctx.Locality().Machine)
 	r.add("  -> protocol object P: %s", id)
 	r.add("  -> wire: %s", addr)
-	r.add("  -> protocol class C at context %q (machine %s)", server.Name(), server.Locality().Machine)
-	r.add("  -> server object %s :: exchange (servant calls: %d -> %d)", ref.Object, before, servant.Calls())
+	r.add("  -> protocol class C at context %q (machine %s)", sn.Ctx.Name(), sn.Ctx.Locality().Machine)
+	r.add("  -> server object %s :: exchange (servant calls: %d -> %d)", ref.Object, before, sn.Servant.Calls())
 	r.add("  <- reply retraced the path; %d ints echoed in %v", m.Ints, m.AvgRTT)
 	return r, nil
 }
@@ -102,28 +88,15 @@ func RunFigure1() (*PathReport, error) {
 // in reverse order by the glue class on the server, and the reply
 // retraces the path. The report shows the envelope chain and proves the
 // body was actually encrypted on the wire.
-func RunFigure2() (*PathReport, error) {
-	n := netsim.New()
-	n.AddLAN("lan", "campus", netsim.ProfileUnshaped)
-	n.MustAddMachine("cm", "lan")
-	n.MustAddMachine("sm", "lan")
-	rt := newRuntime(n, "fig2")
-	defer rt.Close()
-
-	server, err := serverContext(rt, "server", "sm")
-	if err != nil {
-		return nil, err
-	}
-	client, err := rt.NewContext("client", "cm")
-	if err != nil {
-		return nil, err
-	}
-	servant, err := exportExchange(server)
-	if err != nil {
-		return nil, err
-	}
-	streamE, err := server.EntryStream()
-	if err != nil {
+func RunFigure2(o Options) (*PathReport, error) {
+	tb := testbed.New("fig2", o.OnRuntime)
+	defer tb.Close()
+	tb.LAN("lan", "campus", netsim.ProfileUnshaped, "cm", "sm")
+	sn := tb.Context("server", "sm").BindAll().Echo("")
+	cn := tb.Context("client", "cm")
+	streamE := sn.Stream()
+	ref := sn.Ref(streamE)
+	if err := tb.Build(); err != nil {
 		return nil, err
 	}
 
@@ -134,19 +107,18 @@ func RunFigure2() (*PathReport, error) {
 	c2 := capability.NewQuota(1000, time.Time{})
 	gc1 := capability.MustNewEncrypt(key, capability.ScopeAlways)
 	gc2 := capability.NewQuota(1000, time.Time{})
-	server.RegisterGlue("fig2", capability.NewGlueServer("fig2", []capability.Capability{gc1, gc2}, rt.Clock()))
+	sn.Ctx.RegisterGlue("fig2", capability.NewGlueServer("fig2", []capability.Capability{gc1, gc2}, tb.RT.Clock()))
 
-	baseFactory, ok := client.Pool().Lookup(core.ProtoStream)
+	baseFactory, ok := cn.Ctx.Pool().Lookup(core.ProtoStream)
 	if !ok {
 		return nil, errs.New(errs.Config, "bench: stream factory missing")
 	}
-	ref := server.NewRef(servant, streamE)
-	base, err := baseFactory.New(streamE, ref, client)
+	base, err := baseFactory.New(streamE, ref, cn.Ctx)
 	if err != nil {
 		return nil, err
 	}
 	capture := &capturingProto{base: base}
-	glue := capability.NewGlue("fig2", capture, rt.Clock(), c1, c2)
+	glue := capability.NewGlue("fig2", capture, tb.RT.Clock(), c1, c2)
 
 	reply, err := glue.Call(&wire.Message{
 		Type:   wire.TRequest,
@@ -181,16 +153,15 @@ func RunFigure2() (*PathReport, error) {
 	return r, nil
 }
 
+// Format implements Report.
+func (r *PathReport) Format() string { return FormatPathReport(r) }
+
 func (r *PathReport) add(format string, args ...any) {
 	r.Lines = append(r.Lines, fmt.Sprintf(format, args...))
 }
 
 func encodeIntArray(n int) []byte {
-	arr := &core.Int32Slice{V: make([]int32, n)}
-	for i := range arr.V {
-		arr.V[i] = int32(i)
-	}
-	b, _ := xdr.Marshal(arr)
+	b, _ := xdr.Marshal(testbed.Ints(n))
 	return b
 }
 

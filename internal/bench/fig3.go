@@ -3,9 +3,9 @@ package bench
 import (
 	"openhpcxx/internal/capability"
 	"openhpcxx/internal/core"
-	"openhpcxx/internal/errs"
 	"openhpcxx/internal/migrate"
 	"openhpcxx/internal/netsim"
+	"openhpcxx/internal/testbed"
 )
 
 // Fig3Client is one client's observation at one phase of the Figure 3
@@ -25,6 +25,13 @@ type Fig3Phase struct {
 	Clients       []Fig3Client
 }
 
+// Fig3Phases is the figure's report: the phase before the migration and
+// the phase after it.
+type Fig3Phases []Fig3Phase
+
+// Format implements Report.
+func (p Fig3Phases) Format() string { return FormatFigure3(p) }
+
 // RunFigure3 reproduces the paper's Figure 3 scenario: server object S0
 // is accessed by clients P1 and P2 on different LANs. The server's OR
 // offers a glue protocol with an authentication capability (preferred)
@@ -32,58 +39,26 @@ type Fig3Phase struct {
 // across LANs, so the local client skips authentication while the remote
 // one authenticates every request. When load forces S0 to migrate onto
 // P2's LAN the roles swap automatically.
-func RunFigure3() ([]Fig3Phase, error) {
-	n := netsim.New()
-	n.AddLAN("lan1", "campus", netsim.ProfileUnshaped)
-	n.AddLAN("lan2", "campus", netsim.ProfileUnshaped)
-	n.CampusLink = netsim.ProfileUnshaped
-	n.MustAddMachine("srv1", "lan1") // server's first home, P1's LAN
-	n.MustAddMachine("p1", "lan1")
-	n.MustAddMachine("srv2", "lan2") // server's second home, P2's LAN
-	n.MustAddMachine("p2", "lan2")
-
-	rt := newRuntime(n, "fig3")
-	defer rt.Close()
-
-	home1, err := serverContext(rt, "home1", "srv1")
-	if err != nil {
-		return nil, err
-	}
-	home2, err := serverContext(rt, "home2", "srv2")
-	if err != nil {
-		return nil, err
-	}
-	p1, err := rt.NewContext("P1", "p1")
-	if err != nil {
-		return nil, err
-	}
-	p2, err := rt.NewContext("P2", "p2")
-	if err != nil {
-		return nil, err
-	}
-
-	servant, err := exportExchange(home1)
-	if err != nil {
-		return nil, err
-	}
-	streamE, err := home1.EntryStream()
-	if err != nil {
-		return nil, err
-	}
-	nexusE, err := home1.EntryNexus()
-	if err != nil {
-		return nil, err
-	}
-	glueAuth, err := capability.GlueEntry(home1, "fig3-auth", streamE,
-		capability.MustNewAuth("client", []byte("fig3-shared-secret"), capability.ScopeCrossLAN))
-	if err != nil {
-		return nil, err
-	}
+func RunFigure3(o Options) (Fig3Phases, error) {
+	tb := testbed.New("fig3", o.OnRuntime)
+	defer tb.Close()
+	tb.LAN("lan1", "campus", netsim.ProfileUnshaped, "srv1", "p1") // server's first home, P1's LAN
+	tb.LAN("lan2", "campus", netsim.ProfileUnshaped, "srv2", "p2") // server's second home, P2's LAN
+	tb.Net.CampusLink = netsim.ProfileUnshaped
+	home1 := tb.Context("home1", "srv1").BindAll().Echo("")
+	home2 := tb.Context("home2", "srv2").BindAll()
+	p1 := tb.Context("P1", "p1").Ctx
+	p2 := tb.Context("P2", "p2").Ctx
 	// Preference: authenticated glue first, plain Nexus second — both
 	// clients receive copies of the same GP (paper: "the server provides
 	// both the clients with copies of a GP whose OR has two protocols").
-	ref := home1.NewRef(servant, glueAuth, nexusE)
-
+	ref := home1.Ref(
+		home1.Glue("fig3-auth", home1.Stream(),
+			capability.MustNewAuth("client", []byte("fig3-shared-secret"), capability.ScopeCrossLAN)),
+		home1.Nexus())
+	if err := tb.Build(); err != nil {
+		return nil, err
+	}
 	gp1 := p1.NewGlobalPtr(ref)
 	gp2 := p2.NewGlobalPtr(ref)
 
@@ -95,8 +70,8 @@ func RunFigure3() ([]Fig3Phase, error) {
 			gp   *core.GlobalPtr
 		}{{"P1", p1, gp1}, {"P2", p2, gp2}} {
 			// Exercise the path (and chase any tombstone).
-			if _, err := MeasureExchange(c.gp, 64, 1, 0); err != nil {
-				return phase, errs.Wrapf(errs.CodeOf(err), err, "bench: %s exchange", c.name)
+			if _, err := measure(c.gp, 64, 1, 0, "%s exchange", c.name); err != nil {
+				return phase, err
 			}
 			id, err := c.gp.SelectedProtocol()
 			if err != nil {
@@ -120,7 +95,7 @@ func RunFigure3() ([]Fig3Phase, error) {
 	// "The load on the server's machine increases beyond a high-water
 	// mark and the application decides to migrate S0 to a machine
 	// residing on the LAN of client P2."
-	if _, err := migrate.MoveLocal(home1, ref, home2); err != nil {
+	if _, err := migrate.MoveLocal(home1.Ctx, ref, home2.Ctx); err != nil {
 		return nil, err
 	}
 
@@ -128,7 +103,7 @@ func RunFigure3() ([]Fig3Phase, error) {
 	if err != nil {
 		return nil, err
 	}
-	return []Fig3Phase{before, after}, nil
+	return Fig3Phases{before, after}, nil
 }
 
 // Fig3Expected returns, per phase, the clients expected to authenticate.

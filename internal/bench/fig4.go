@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"time"
 
 	"openhpcxx/internal/capability"
@@ -8,6 +9,7 @@ import (
 	"openhpcxx/internal/errs"
 	"openhpcxx/internal/migrate"
 	"openhpcxx/internal/netsim"
+	"openhpcxx/internal/testbed"
 )
 
 // Fig4Step is one stage of the Figure 4 experiment: where the server
@@ -22,6 +24,19 @@ type Fig4Step struct {
 	// "quota") when Selected is the glue protocol.
 	Detail string
 	Sample Measurement
+}
+
+// Fig4Steps is the figure's report: one step per station of the tour.
+type Fig4Steps []Fig4Step
+
+// Format implements Report: the step table, then whether the selection
+// sequence is the paper's.
+func (s Fig4Steps) Format() string {
+	ok := len(s) == len(Fig4Expected())
+	for i := 0; ok && i < len(s); i++ {
+		ok = s[i].Selected == Fig4Expected()[i]
+	}
+	return fmt.Sprintf("%s\nselection sequence matches the paper: %v\n", FormatFigure4(s), ok)
 }
 
 // Fig4Config parameterizes the migration scenario.
@@ -48,99 +63,50 @@ type Fig4Config struct {
 //   - M1: lan1, campus2 — both capabilities apply.
 //   - M2: lan2, campus1 — same campus: security (cross-campus) does not
 //     apply, timeout still does.
-func RunFigure4(cfg Fig4Config) ([]Fig4Step, error) {
-	if cfg.SampleInts == 0 {
-		cfg.SampleInts = 16 * 1024
-	}
-	if cfg.MinReps == 0 {
-		cfg.MinReps = 3
-	}
-	if cfg.MinDuration == 0 {
-		cfg.MinDuration = 100 * time.Millisecond
-	}
-	profile := cfg.Profile
-	if profile.Name == "" {
-		profile = netsim.ProfileATM155
-	}
+func RunFigure4(cfg Fig4Config, o Options) (Fig4Steps, error) {
+	setDefault(&cfg.SampleInts, 16*1024)
+	setDefault(&cfg.MinReps, o.Reps)
+	setDefault(&cfg.MinReps, 3)
+	setDefault(&cfg.MinDuration, pick(o, 100*time.Millisecond, 30*time.Millisecond))
+	setDefault(&cfg.Profile, pick(o, netsim.ProfileATM155, netsim.ProfileATM155.Scaled(16)))
 
-	n := netsim.New()
-	n.AddLAN("lan0", "campus1", profile)
-	n.AddLAN("lan1", "campus2", profile)
-	n.AddLAN("lan2", "campus1", profile)
-	n.CampusLink = profile
-	n.WANLink = profile
-	n.MustAddMachine("M0", "lan0")
-	n.MustAddMachine("M1", "lan1")
-	n.MustAddMachine("M2", "lan2")
-	n.MustAddMachine("M3", "lan0")
-
-	rt := newRuntime(n, "fig4")
-	defer rt.Close()
-
-	client, err := rt.NewContext("client", "M0")
-	if err != nil {
-		return nil, err
-	}
-	ctx1, err := serverContext(rt, "S1", "M1")
-	if err != nil {
-		return nil, err
-	}
-	ctx2, err := serverContext(rt, "S2", "M2")
-	if err != nil {
-		return nil, err
-	}
-	ctx3, err := serverContext(rt, "S3", "M3")
-	if err != nil {
-		return nil, err
-	}
-	ctx0, err := serverContext(rt, "S4", "M0")
-	if err != nil {
+	tb := testbed.New("fig4", o.OnRuntime)
+	defer tb.Close()
+	tb.LAN("lan0", "campus1", cfg.Profile, "M0", "M3")
+	tb.LAN("lan1", "campus2", cfg.Profile, "M1")
+	tb.LAN("lan2", "campus1", cfg.Profile, "M2")
+	tb.Net.CampusLink = cfg.Profile
+	tb.Net.WANLink = cfg.Profile
+	client := tb.Context("client", "M0")
+	// The server object starts on M1 with Figure 4-B's protocol table
+	// and tours M2, M3 and M0.
+	first := tb.Context("S1", "M1").BindAll().Echo("")
+	hops := []*testbed.Node{first,
+		tb.Context("S2", "M2").BindAll(), tb.Context("S3", "M3").BindAll(), tb.Context("S4", "M0").BindAll()}
+	streamE := first.Stream()
+	ref := first.Ref(
+		first.Glue("fig4-ts", streamE,
+			capability.NewScopedQuota(0, time.Time{}, capability.ScopeCrossLAN),
+			capability.NewRandomEncrypt(capability.ScopeCrossCampus)),
+		first.Glue("fig4-t", streamE,
+			capability.NewScopedQuota(0, time.Time{}, capability.ScopeCrossLAN)),
+		first.SHM(), first.Nexus())
+	if err := tb.Build(); err != nil {
 		return nil, err
 	}
 
-	// The server object starts on M1 with Figure 4-B's protocol table.
-	servant, err := exportExchange(ctx1)
-	if err != nil {
-		return nil, err
-	}
-	streamE, err := ctx1.EntryStream()
-	if err != nil {
-		return nil, err
-	}
-	shmE, err := ctx1.EntrySHM()
-	if err != nil {
-		return nil, err
-	}
-	nexusE, err := ctx1.EntryNexus()
-	if err != nil {
-		return nil, err
-	}
-	glueTS, err := capability.GlueEntry(ctx1, "fig4-ts", streamE,
-		capability.NewScopedQuota(0, time.Time{}, capability.ScopeCrossLAN),
-		capability.NewRandomEncrypt(capability.ScopeCrossCampus))
-	if err != nil {
-		return nil, err
-	}
-	glueT, err := capability.GlueEntry(ctx1, "fig4-t", streamE,
-		capability.NewScopedQuota(0, time.Time{}, capability.ScopeCrossLAN))
-	if err != nil {
-		return nil, err
-	}
-	ref := ctx1.NewRef(servant, glueTS, glueT, shmE, nexusE)
-
-	gp := client.NewGlobalPtr(ref)
-	hops := []*core.Context{ctx1, ctx2, ctx3, ctx0}
+	gp := client.Ctx.NewGlobalPtr(ref)
 	// Figure 4-B table indexes; preserved across migrations because
 	// ReanchorTable keeps order and every hop supports every protocol.
 	entryDetail := []string{"quota+encrypt", "quota", "", ""}
 
-	var steps []Fig4Step
-	cur := ref
-	curCtx := ctx1
-	for i, hop := range hops {
+	var steps Fig4Steps
+	cur, curCtx := ref, first.Ctx
+	for i, node := range hops {
+		hop := node.Ctx
 		if hop != curCtx {
-			cur, err = migrate.MoveLocal(curCtx, cur, hop)
-			if err != nil {
+			var err error
+			if cur, err = migrate.MoveLocal(curCtx, cur, hop); err != nil {
 				return nil, errs.Wrapf(errs.CodeOf(err), err, "bench: migrating to %s", hop.Name())
 			}
 			curCtx = hop
@@ -148,12 +114,12 @@ func RunFigure4(cfg Fig4Config) ([]Fig4Step, error) {
 		// One exchange first: if the GP still holds the pre-migration
 		// reference, this chases the tombstone so selection reflects
 		// the object's new locality.
-		if _, err := MeasureExchange(gp, 1, 1, 0); err != nil {
-			return nil, errs.Wrapf(errs.CodeOf(err), err, "bench: step %d warm-up", i)
+		if _, err := measure(gp, 1, 1, 0, "step %d warm-up", i); err != nil {
+			return nil, err
 		}
-		m, err := MeasureExchange(gp, cfg.SampleInts, cfg.MinReps, cfg.MinDuration)
+		m, err := measure(gp, cfg.SampleInts, cfg.MinReps, cfg.MinDuration, "step %d measurement", i)
 		if err != nil {
-			return nil, errs.Wrapf(errs.CodeOf(err), err, "bench: step %d measurement", i)
+			return nil, err
 		}
 		idx, selected, err := gp.SelectedEntry()
 		if err != nil {

@@ -8,6 +8,7 @@
 package bench
 
 import (
+	"strings"
 	"time"
 
 	"openhpcxx/internal/capability"
@@ -15,6 +16,7 @@ import (
 	"openhpcxx/internal/errs"
 	"openhpcxx/internal/future"
 	"openhpcxx/internal/netsim"
+	"openhpcxx/internal/testbed"
 	"openhpcxx/internal/transport"
 	"openhpcxx/internal/xdr"
 )
@@ -48,16 +50,11 @@ type AsyncConfig struct {
 	MaxInFlight int
 }
 
-func (c *AsyncConfig) fill() {
-	if c.Ints <= 0 {
-		c.Ints = 64
-	}
-	if c.Calls <= 0 {
-		c.Calls = 256
-	}
-	if c.MaxInFlight <= 0 {
-		c.MaxInFlight = core.DefaultMaxInFlight
-	}
+func (c *AsyncConfig) fill(o Options) {
+	setDefault(&c.Ints, 64)
+	setDefault(&c.Calls, o.Calls)
+	setDefault(&c.Calls, pick(o, 256, 128))
+	setDefault(&c.MaxInFlight, core.DefaultMaxInFlight)
 }
 
 // AsyncPoint is one row of the figure: one invocation discipline.
@@ -84,65 +81,9 @@ type AsyncResult struct {
 	Points  []AsyncPoint `json:"points"`
 }
 
-// asyncDeployment is the figure's testbed: client and server machines
-// joined by the configured link, with a plain stream reference and a
-// glue (encrypt+auth) reference to the same servant.
-type asyncDeployment struct {
-	Deployment
-	plainRef *core.ObjectRef
-	glueRef  *core.ObjectRef
-}
-
-func newAsyncDeployment(profile netsim.LinkProfile) (*asyncDeployment, error) {
-	n := netsim.New()
-	n.AddLAN("lan", "campus", profile)
-	n.MustAddMachine("client-m", "lan")
-	n.MustAddMachine("server-m", "lan")
-	rt := newRuntime(n, "bench-async")
-
-	clientCtx, err := rt.NewContext("client", "client-m")
-	if err != nil {
-		rt.Close()
-		return nil, err
-	}
-	remote, err := serverContext(rt, "server", "server-m")
-	if err != nil {
-		rt.Close()
-		return nil, err
-	}
-	s, err := exportExchange(remote)
-	if err != nil {
-		rt.Close()
-		return nil, err
-	}
-	streamE, err := remote.EntryStream()
-	if err != nil {
-		rt.Close()
-		return nil, err
-	}
-	glueE, err := capability.GlueEntry(remote, "async-sec", streamE,
-		capability.NewRandomEncrypt(capability.ScopeAlways),
-		capability.MustNewAuth("bench", []byte("bench-key"), capability.ScopeAlways),
-	)
-	if err != nil {
-		rt.Close()
-		return nil, err
-	}
-	return &asyncDeployment{
-		Deployment: Deployment{Net: n, Runtime: rt, Client: clientCtx},
-		plainRef:   remote.NewRef(s, streamE),
-		glueRef:    remote.NewRef(s, glueE),
-	}, nil
-}
-
 // runAsyncMode executes cfg.Calls exchanges under one discipline and
 // reports the wall-clock throughput.
-func runAsyncMode(d *asyncDeployment, cfg AsyncConfig, mode string) (AsyncPoint, error) {
-	ref := d.plainRef
-	if mode == ModeBatchedGlue {
-		ref = d.glueRef
-	}
-	gp := d.Client.NewGlobalPtr(ref)
+func runAsyncMode(gp *core.GlobalPtr, cfg AsyncConfig, mode string) (AsyncPoint, error) {
 	gp.SetMaxInFlight(cfg.MaxInFlight)
 	switch mode {
 	case ModeBatched, ModeBatchedGlue:
@@ -152,14 +93,11 @@ func runAsyncMode(d *asyncDeployment, cfg AsyncConfig, mode string) (AsyncPoint,
 		})
 	}
 
-	arr := &core.Int32Slice{V: make([]int32, cfg.Ints)}
-	for i := range arr.V {
-		arr.V[i] = int32(i)
-	}
+	arr := testbed.Ints(cfg.Ints)
 	payload := 4 + 4*cfg.Ints
 
 	// Warm-up: selection, connection setup, one full exchange.
-	if _, err := core.Call[*core.Int32Slice, core.Int32Slice](gp, "exchange", arr); err != nil {
+	if _, err := exchange(gp, arr); err != nil {
 		return AsyncPoint{}, errs.Wrapf(errs.CodeOf(err), err, "bench: %s warm-up", mode)
 	}
 
@@ -209,18 +147,32 @@ func runAsyncMode(d *asyncDeployment, cfg AsyncConfig, mode string) (AsyncPoint,
 }
 
 // RunFigureAsync produces the async throughput figure for one profile.
-func RunFigureAsync(cfg AsyncConfig) (*AsyncResult, error) {
-	cfg.fill()
-	d, err := newAsyncDeployment(cfg.Profile)
-	if err != nil {
+func RunFigureAsync(cfg AsyncConfig, o Options) (*AsyncResult, error) {
+	cfg.fill(o)
+	// Client and server machines joined by the configured link; a plain
+	// stream reference and a glue (encrypt+auth) reference to one servant.
+	tb := testbed.New("bench-async", o.OnRuntime)
+	defer tb.Close()
+	tb.LAN("lan", "campus", cfg.Profile, "client-m", "server-m")
+	client := tb.Context("client", "client-m")
+	remote := tb.Context("server", "server-m").BindAll().Echo("")
+	streamE := remote.Stream()
+	plainRef := remote.Ref(streamE)
+	glueRef := remote.Ref(remote.Glue("async-sec", streamE,
+		capability.NewRandomEncrypt(capability.ScopeAlways),
+		capability.MustNewAuth("bench", []byte("bench-key"), capability.ScopeAlways)))
+	if err := tb.Build(); err != nil {
 		return nil, err
 	}
-	defer d.Close()
 
 	res := &AsyncResult{Profile: cfg.Profile.Name, Ints: cfg.Ints}
 	var syncRate float64
 	for _, mode := range AsyncModes() {
-		p, err := runAsyncMode(d, cfg, mode)
+		ref := plainRef
+		if mode == ModeBatchedGlue {
+			ref = glueRef
+		}
+		p, err := runAsyncMode(client.Ctx.NewGlobalPtr(ref), cfg, mode)
 		if err != nil {
 			return nil, err
 		}
@@ -233,4 +185,30 @@ func RunFigureAsync(cfg AsyncConfig) (*AsyncResult, error) {
 		res.Points = append(res.Points, p)
 	}
 	return res, nil
+}
+
+// AsyncReport is the whole figure: one result per target profile.
+type AsyncReport []*AsyncResult
+
+// runFigureAsyncAll runs the figure over the profiles it targets — the
+// WAN and the Ethernet, where round trips are expensive.
+func runFigureAsyncAll(o Options) (AsyncReport, error) {
+	var rep AsyncReport
+	for _, p := range []netsim.LinkProfile{netsim.ProfileWAN, netsim.ProfileEthernet} {
+		res, err := RunFigureAsync(AsyncConfig{Profile: pick(o, p, p.Scaled(16))}, o)
+		if err != nil {
+			return nil, err
+		}
+		rep = append(rep, res)
+	}
+	return rep, nil
+}
+
+// Format implements Report.
+func (r AsyncReport) Format() string {
+	parts := make([]string, len(r))
+	for i, res := range r {
+		parts[i] = FormatFigureAsync(res)
+	}
+	return strings.Join(parts, "\n")
 }

@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
-	"strings"
 	"testing"
 
 	"openhpcxx/internal/netsim"
@@ -13,6 +11,7 @@ import (
 // synchronous request/reply by at least 2x, and every mode returns
 // correct payloads (runAsyncMode verifies reply sizes call by call).
 func TestFigureAsyncSpeedup(t *testing.T) {
+	parallel(t)
 	scale := 32.0
 	if raceEnabled {
 		scale = 64
@@ -21,7 +20,7 @@ func TestFigureAsyncSpeedup(t *testing.T) {
 		Profile:     netsim.ProfileWAN.Scaled(scale),
 		Calls:       96,
 		MaxInFlight: 16,
-	})
+	}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,10 +47,11 @@ func TestFigureAsyncSpeedup(t *testing.T) {
 // TestFigureAsyncEthernet runs the second target profile briefly — the
 // figure must hold its shape on a LAN, not just a WAN.
 func TestFigureAsyncEthernet(t *testing.T) {
+	parallel(t)
 	res, err := RunFigureAsync(AsyncConfig{
 		Profile: netsim.ProfileEthernet.Scaled(8),
 		Calls:   48,
-	})
+	}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,34 +61,5 @@ func TestFigureAsyncEthernet(t *testing.T) {
 	if res.Points[1].CallsPerSec <= res.Points[0].CallsPerSec {
 		t.Errorf("pipelined (%.0f/s) not faster than sync (%.0f/s) on ethernet",
 			res.Points[1].CallsPerSec, res.Points[0].CallsPerSec)
-	}
-}
-
-// TestFigureAsyncJSONRoundTrip keeps the ohpc-bench JSON emission
-// stable: the result must marshal and carry every mode.
-func TestFigureAsyncJSONRoundTrip(t *testing.T) {
-	res, err := RunFigureAsync(AsyncConfig{
-		Profile: netsim.ProfileUnshaped,
-		Calls:   16,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := json.Marshal(res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back AsyncResult
-	if err := json.Unmarshal(b, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Profile != res.Profile || len(back.Points) != len(res.Points) {
-		t.Fatalf("round-trip mismatch: %+v vs %+v", back, res)
-	}
-	out := FormatFigureAsync(res)
-	for _, mode := range AsyncModes() {
-		if !strings.Contains(out, mode) {
-			t.Errorf("formatted table missing mode %q:\n%s", mode, out)
-		}
 	}
 }

@@ -18,18 +18,17 @@
 package bench
 
 import (
-	"errors"
+	"context"
 	"fmt"
 	"runtime"
 	"time"
 
-	"openhpcxx/internal/clock"
 	"openhpcxx/internal/core"
 	"openhpcxx/internal/directory"
 	"openhpcxx/internal/errs"
 	"openhpcxx/internal/health"
 	"openhpcxx/internal/netsim"
-	"openhpcxx/internal/stats"
+	"openhpcxx/internal/testbed"
 )
 
 // D1 figure mode names.
@@ -66,41 +65,19 @@ type D1Config struct {
 	CrashDuration time.Duration
 	// Pace is the gap between crash-schedule resolves (default 1ms).
 	Pace time.Duration
-	// Clock paces the crash loop (default real, matching the real-time
-	// fault plan).
-	Clock clock.Clock
-	// OnRuntime, when set, is invoked with each part's runtime right
-	// after its deployment is built, mirroring R1Config.OnRuntime: the
-	// hook ohpc-bench uses to attach the -introspect plane. The mode
-	// string is one of the D1Mode* constants.
-	OnRuntime func(mode string, rt *core.Runtime) func()
 }
 
-func (c *D1Config) fill() {
-	if c.Profile.Name == "" {
-		c.Profile = netsim.ProfileEthernet
-	}
+func (c *D1Config) fill(o Options) {
+	setDefault(&c.Profile, netsim.ProfileEthernet)
 	if len(c.Sizes) == 0 {
-		c.Sizes = []int{1_000, 10_000, 100_000, 1_000_000}
+		c.Sizes = pick(o, []int{1_000, 10_000, 100_000, 1_000_000}, []int{1_000, 100_000})
 	}
-	if c.Ops <= 0 {
-		c.Ops = 1500
-	}
-	if c.HotNames <= 0 {
-		c.HotNames = 128
-	}
-	if c.Shards <= 0 {
-		c.Shards = 3
-	}
-	if c.CrashDuration <= 0 {
-		c.CrashDuration = 1200 * time.Millisecond
-	}
-	if c.Pace <= 0 {
-		c.Pace = time.Millisecond
-	}
-	if c.Clock == nil {
-		c.Clock = clock.Real{}
-	}
+	setDefault(&c.Ops, o.Reps)
+	setDefault(&c.Ops, pick(o, 1500, 400))
+	setDefault(&c.HotNames, 128)
+	setDefault(&c.Shards, 3)
+	setDefault(&c.CrashDuration, pick(o, 1200*time.Millisecond, 700*time.Millisecond))
+	setDefault(&c.Pace, time.Millisecond)
 }
 
 // D1ScalePoint is one cell of the scale sweep.
@@ -141,116 +118,60 @@ type D1Result struct {
 // d1Deployment is one directory testbed: shard hosts on their own
 // machines, an echo server, and a client.
 type d1Deployment struct {
-	Deployment
-	dirCtxs []*core.Context
-	plane   *directory.Plane
-	boot    *directory.Bootstrap
-	echoRef []byte // encoded reference of the echo servant
+	*testbed.Builder
+	client *core.Context
+	dir0   *testbed.Node // hosts shard 0's primary
+	plane  *directory.Plane
+	boot   *directory.Bootstrap
+	echo   []byte // encoded reference of the echo servant
 }
 
-const d1Object = core.ObjectID("d1/exchange")
-
 // newD1Deployment builds a plane of cfg.Shards shards with the given
-// replication across three shard-hosting machines.
-func newD1Deployment(cfg D1Config, replicas int) (*d1Deployment, error) {
-	n := netsim.New()
-	n.AddLAN("lan", "campus", cfg.Profile)
-	const hosts = 3
-	for i := 0; i < hosts; i++ {
-		n.MustAddMachine(netsim.MachineID(fmt.Sprintf("dir-m%d", i)), "lan")
-	}
-	n.MustAddMachine("server-m", "lan")
-	n.MustAddMachine("client-m", "lan")
-	rt := newRuntime(n, "bench-d1")
-	rt.SetHealthOptions(health.Options{
+// replication across three shard-hosting machines. Every port is fixed:
+// the crash schedule's restart hook re-binds the advertised address.
+func newD1Deployment(cfg D1Config, label string, replicas int, o Options) (*d1Deployment, error) {
+	tb := testbed.New("bench-d1-"+label, o.OnRuntime)
+	tb.LAN("lan", "campus", cfg.Profile, "dir-m0", "dir-m1", "dir-m2", "server-m", "client-m")
+	tb.RT.SetHealthOptions(health.Options{
 		ProbeInterval: 20 * time.Millisecond,
 		ProbeTimeout:  150 * time.Millisecond,
 	})
-	fail := func(err error) (*d1Deployment, error) {
-		rt.Close()
+	d := &d1Deployment{Builder: tb, dir0: tb.Context("dir0", "dir-m0").Bind(d1DirPort)}
+	dirCtxs := []*core.Context{d.dir0.Ctx,
+		tb.Context("dir1", "dir-m1").Bind(d1DirPort + 1).Ctx,
+		tb.Context("dir2", "dir-m2").Bind(d1DirPort + 2).Ctx}
+	srv := tb.Context("server", "server-m").Bind(7200).Echo("d1/exchange")
+	ref := srv.Ref(srv.Stream())
+	client := tb.Context("client", "client-m").Bind(7300)
+	tb.Do(func() (err error) {
+		if d.echo, err = core.EncodeRef(ref); err != nil {
+			return err
+		}
+		if d.plane, err = directory.ServePlane(dirCtxs, directory.Topology{Shards: cfg.Shards, Replicas: replicas}); err != nil {
+			return err
+		}
+		d.boot, err = d.plane.Bootstrap()
+		return err
+	})
+	if err := tb.Build(); err != nil {
 		return nil, err
 	}
-	d := &d1Deployment{Deployment: Deployment{Net: n, Runtime: rt}}
-	for i := 0; i < hosts; i++ {
-		ctx, err := rt.NewContext(fmt.Sprintf("dir%d", i), netsim.MachineID(fmt.Sprintf("dir-m%d", i)))
-		if err != nil {
-			return fail(err)
-		}
-		if err := ctx.BindSim(d1DirPort + i); err != nil {
-			return fail(err)
-		}
-		d.dirCtxs = append(d.dirCtxs, ctx)
-	}
-	srv, err := rt.NewContext("server", "server-m")
-	if err != nil {
-		return fail(err)
-	}
-	if err := srv.BindSim(7200); err != nil {
-		return fail(err)
-	}
-	impl, methods := ExchangeActivator()
-	sv, err := srv.ExportAs(d1Object, ExchangeIface, impl, methods, 0)
-	if err != nil {
-		return fail(err)
-	}
-	se, err := srv.EntryStream()
-	if err != nil {
-		return fail(err)
-	}
-	d.echoRef, err = core.EncodeRef(srv.NewRef(sv, se))
-	if err != nil {
-		return fail(err)
-	}
-	cli, err := rt.NewContext("client", "client-m")
-	if err != nil {
-		return fail(err)
-	}
-	if err := cli.BindSim(7300); err != nil {
-		return fail(err)
-	}
-	d.Client = cli
-	d.plane, err = directory.ServePlane(d.dirCtxs, directory.Topology{
-		Shards:   cfg.Shards,
-		Replicas: replicas,
-	})
-	if err != nil {
-		return fail(err)
-	}
-	d.boot, err = d.plane.Bootstrap()
-	if err != nil {
-		return fail(err)
-	}
+	d.client = client.Ctx
 	return d, nil
 }
 
 // d1Name is the i-th registered name.
 func d1Name(i int) string { return fmt.Sprintf("d1/obj-%07d", i) }
 
-// counterDelta samples a counter before a run and reports the increment
-// after it — the runtime's metrics registry is shared across modes.
-type counterDelta struct {
-	c     *stats.Counter
-	start uint64
-}
-
-func sampleCounter(rt *core.Runtime, name string) counterDelta {
-	c := rt.Metrics().Counter(name)
-	return counterDelta{c: c, start: c.Value()}
-}
-
-func (d counterDelta) delta() uint64 { return d.c.Value() - d.start }
-
 // runD1ScaleCell measures one (size, mode) cell against an already
 // preloaded deployment.
-func runD1ScaleCell(cfg D1Config, d *d1Deployment, size int, cached bool) (D1ScalePoint, error) {
-	mode := D1ModeUncached
+func runD1ScaleCell(cfg D1Config, d *d1Deployment, size int, mode string) (D1ScalePoint, error) {
 	cacheSize := -1
-	if cached {
-		mode = D1ModeCached
+	if mode == D1ModeCached {
 		cacheSize = 0 // default bound
 	}
-	pt := D1ScalePoint{Mode: mode, Registered: size}
-	res, err := directory.NewResolver(d.Client, d.boot, directory.ResolverOptions{CacheSize: cacheSize})
+	pt := D1ScalePoint{Mode: mode, Registered: size, Ops: cfg.Ops}
+	res, err := directory.NewResolver(d.client, d.boot, directory.ResolverOptions{CacheSize: cacheSize})
 	if err != nil {
 		return pt, err
 	}
@@ -262,14 +183,14 @@ func runD1ScaleCell(cfg D1Config, d *d1Deployment, size int, cached bool) (D1Sca
 		// front, so every cell exercises arbitrary positions.
 		hot[i] = d1Name(i * (size / cfg.HotNames))
 	}
-	arr := &core.Int32Slice{V: make([]int32, 16)}
+	arr := testbed.Ints(16)
 	op := func(name string) error {
 		ref, err := res.Resolve(name)
 		if err != nil {
 			return err
 		}
-		gp := d.Client.NewGlobalPtr(ref)
-		_, err = core.Call[*core.Int32Slice, core.Int32Slice](gp, "exchange", arr)
+		gp := d.client.NewGlobalPtr(ref)
+		_, err = exchange(gp, arr)
 		gp.Release()
 		return err
 	}
@@ -279,8 +200,9 @@ func runD1ScaleCell(cfg D1Config, d *d1Deployment, size int, cached bool) (D1Sca
 			return pt, errs.Wrapf(errs.CodeOf(err), err, "bench: d1 %s warm-up", mode)
 		}
 	}
-	hits := sampleCounter(d.Runtime, "dir.cache.hits")
-	misses := sampleCounter(d.Runtime, "dir.cache.misses")
+	// The registry is shared with the other mode's cell: count from here.
+	hits, misses := d.RT.Metrics().Counter("dir.cache.hits"), d.RT.Metrics().Counter("dir.cache.misses")
+	hits0, misses0 := hits.Value(), misses.Value()
 	var latencies []time.Duration
 	start := time.Now()
 	for i := 0; i < cfg.Ops; i++ {
@@ -291,100 +213,60 @@ func runD1ScaleCell(cfg D1Config, d *d1Deployment, size int, cached bool) (D1Sca
 		}
 		latencies = append(latencies, time.Since(t0))
 	}
-	elapsed := time.Since(start)
-	pt.Ops = cfg.Ops
-	if elapsed > 0 {
+	if elapsed := time.Since(start); elapsed > 0 {
 		pt.Throughput = float64(cfg.Ops) / elapsed.Seconds()
 	}
 	pt.P50, pt.P99 = percentiles(latencies)
-	if consulted := hits.delta() + misses.delta(); consulted > 0 {
-		pt.HitRate = float64(hits.delta()) / float64(consulted)
-	}
+	h, m := hits.Value()-hits0, misses.Value()-misses0
+	pt.HitRate = ratio(int(h), int(h+m))
 	return pt, nil
 }
 
-// runD1Scale runs the sweep: per size, one preloaded plane serves the
+// runD1Size runs one size of the sweep: one preloaded plane serves the
 // cached and uncached cells back to back.
-func runD1Scale(cfg D1Config) ([]D1ScalePoint, error) {
+func runD1Size(cfg D1Config, size int, o Options) ([]D1ScalePoint, error) {
+	d, err := newD1Deployment(cfg, fmt.Sprintf("scale-%d", size), 1, o)
+	if err != nil {
+		return nil, err
+	}
+	defer d.Close()
+	// Preload through BindDirect: a million names through the wire
+	// handlers would measure the preloader, not the resolver. No
+	// lease — nothing heartbeats these.
+	for i := 0; i < size; i++ {
+		d.plane.Preload(d1Name(i), d.echo, 0)
+	}
+	// Quiesce after the bulk build so the cells measure resolution,
+	// not the collector digesting a freshly allocated table.
+	runtime.GC()
 	var points []D1ScalePoint
-	for _, size := range cfg.Sizes {
-		d, err := newD1Deployment(cfg, 1)
+	for _, mode := range []string{D1ModeCached, D1ModeUncached} {
+		pt, err := runD1ScaleCell(cfg, d, size, mode)
 		if err != nil {
 			return nil, err
 		}
-		var done func()
-		if cfg.OnRuntime != nil {
-			done = cfg.OnRuntime(D1ModeCached, d.Runtime)
-		}
-		closeAll := func() {
-			if done != nil {
-				done()
-			}
-			d.Close()
-		}
-		// Preload through BindDirect: a million names through the wire
-		// handlers would measure the preloader, not the resolver. No
-		// lease — nothing heartbeats these.
-		for i := 0; i < size; i++ {
-			d.plane.Preload(d1Name(i), d.echoRef, 0)
-		}
-		// Quiesce after the bulk build so the cells measure resolution,
-		// not the collector digesting a freshly allocated table.
-		runtime.GC()
-		for _, cached := range []bool{true, false} {
-			pt, err := runD1ScaleCell(cfg, d, size, cached)
-			if err != nil {
-				closeAll()
-				return nil, err
-			}
-			points = append(points, pt)
-		}
-		closeAll()
+		points = append(points, pt)
 	}
 	return points, nil
 }
 
-// d1CrashPlan crashes shard 0's primary host a quarter in and restarts
-// it (re-binding the advertised port) at the halfway mark.
-func d1CrashPlan(cfg D1Config, d *d1Deployment) (*netsim.FaultPlan, []string) {
-	crashAt := cfg.CrashDuration / 4
-	restartAt := cfg.CrashDuration / 2
-	plan := new(netsim.FaultPlan)
-	plan.CrashAt(crashAt, "dir-m0")
-	plan.RestartAt(restartAt, "dir-m0", func() {
-		_ = d.dirCtxs[0].BindSim(d1DirPort)
-	})
-	return plan, []string{
-		fmt.Sprintf("%6v  crash dir-m0 (hosts shard 0's primary)", crashAt.Round(time.Millisecond)),
-		fmt.Sprintf("%6v  restart dir-m0 (re-bind sim port %d)", restartAt.Round(time.Millisecond), d1DirPort),
-	}
-}
-
-// runD1CrashMode streams uncached resolves across every shard through
-// the crash schedule under one replication setting.
-func runD1CrashMode(cfg D1Config, replicas int) (D1CrashPoint, []string, error) {
-	mode := D1ModeSingle
-	if replicas > 1 {
-		mode = D1ModeReplicated
-	}
+// runD1CrashMode streams uncached resolves across every shard under one
+// replication setting while shard 0's primary host crashes a quarter in
+// and restarts (re-binding the advertised port) at the halfway mark.
+func runD1CrashMode(cfg D1Config, mode string, replicas int, o Options) (D1CrashPoint, []string, error) {
 	pt := D1CrashPoint{Mode: mode, Replicas: replicas}
-	d, err := newD1Deployment(cfg, replicas)
+	d, err := newD1Deployment(cfg, mode, replicas, o)
 	if err != nil {
 		return pt, nil, err
 	}
 	defer d.Close()
-	if cfg.OnRuntime != nil {
-		if done := cfg.OnRuntime(mode, d.Runtime); done != nil {
-			defer done()
-		}
-	}
 	// A small table is enough — the crash part measures availability,
 	// not scale. Uncached resolver: every resolve must reach a shard.
 	const names = 64
 	for i := 0; i < names; i++ {
-		d.plane.Preload(d1Name(i), d.echoRef, 0)
+		d.plane.Preload(d1Name(i), d.echo, 0)
 	}
-	res, err := directory.NewResolver(d.Client, d.boot, directory.ResolverOptions{CacheSize: -1})
+	res, err := directory.NewResolver(d.client, d.boot, directory.ResolverOptions{CacheSize: -1})
 	if err != nil {
 		return pt, nil, err
 	}
@@ -396,59 +278,53 @@ func runD1CrashMode(cfg D1Config, replicas int) (D1CrashPoint, []string, error) 
 		}
 	}
 
-	plan, schedule := d1CrashPlan(cfg, d)
-	run := plan.Run(d.Net)
-	defer run.Stop()
-
-	var latencies []time.Duration
-	start := time.Now()
-	for i := 0; time.Since(start) < cfg.CrashDuration; i++ {
-		name := d1Name(i % names)
-		t0 := time.Now()
-		_, err := res.Resolve(name)
-		lat := time.Since(t0)
-		pt.Total++
-		if err == nil {
-			pt.OK++
-			latencies = append(latencies, lat)
-		} else {
-			pt.Failed++
-		}
-		clock.Sleep(cfg.Clock, cfg.Pace)
-	}
-	run.Wait()
-
-	if pt.Total > 0 {
-		pt.Availability = float64(pt.OK) / float64(pt.Total)
-	}
-	pt.P50, pt.P99 = percentiles(latencies)
-	return pt, schedule, nil
+	plan := new(netsim.FaultPlan).
+		CrashAt(cfg.CrashDuration/4, "dir-m0").
+		RestartAt(cfg.CrashDuration/2, "dir-m0", d.dir0.Rebind)
+	t := paced{Duration: cfg.CrashDuration, Pace: cfg.Pace, Workers: 1}.run(d.Builder, plan,
+		func(_ context.Context, _, i int) (string, bool) {
+			if _, err := res.Resolve(d1Name(i % names)); err != nil {
+				return "failed", false
+			}
+			return "ok", true
+		})
+	pt.Total, pt.OK, pt.Failed = t.Total, t.By["ok"], t.By["failed"]
+	pt.Availability = ratio(pt.OK, pt.Total)
+	pt.P50, pt.P99 = t.P50, t.P99
+	return pt, plan.Schedule(), nil
 }
 
 // RunFigureD1 produces the directory figure: the scale sweep, then the
 // crash schedule with and without replication.
-func RunFigureD1(cfg D1Config) (*D1Result, error) {
-	cfg.fill()
+func RunFigureD1(cfg D1Config, o Options) (*D1Result, error) {
+	cfg.fill(o)
 	if cfg.HotNames > cfg.Sizes[0] {
-		return nil, errors.New("bench: d1 hot set larger than the smallest table")
+		return nil, errs.New(errs.Config, "bench: d1 hot set larger than the smallest table")
 	}
 	res := &D1Result{Profile: cfg.Profile.Name, Shards: cfg.Shards}
-	var err error
-	if res.Scale, err = runD1Scale(cfg); err != nil {
-		return nil, err
-	}
-	for _, replicas := range []int{2, 1} {
-		pt, schedule, err := runD1CrashMode(cfg, replicas)
+	for _, size := range cfg.Sizes {
+		points, err := runD1Size(cfg, size, o)
 		if err != nil {
 			return nil, err
 		}
-		if res.Schedule == nil {
-			res.Schedule = schedule
+		res.Scale = append(res.Scale, points...)
+	}
+	for _, m := range []struct {
+		mode     string
+		replicas int
+	}{{D1ModeReplicated, 2}, {D1ModeSingle, 1}} {
+		pt, schedule, err := runD1CrashMode(cfg, m.mode, m.replicas, o)
+		if err != nil {
+			return nil, err
 		}
+		res.Schedule = schedule
 		res.Crash = append(res.Crash, pt)
 	}
 	return res, nil
 }
+
+// Format implements Report.
+func (r *D1Result) Format() string { return FormatFigureD1(r) }
 
 // FormatFigureD1 renders the figure as text tables.
 func FormatFigureD1(r *D1Result) string {

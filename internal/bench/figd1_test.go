@@ -11,6 +11,7 @@ import (
 // figure exists to demonstrate: cached p99 flat within 2x across the
 // size sweep, and resolution surviving the shard crash when replicated.
 func TestFigureD1Shapes(t *testing.T) {
+	parallel(t)
 	cfg := D1Config{
 		Profile:       netsim.ProfileUnshaped,
 		Sizes:         []int{1_000, 50_000},
@@ -18,7 +19,7 @@ func TestFigureD1Shapes(t *testing.T) {
 		HotNames:      64,
 		CrashDuration: 700 * time.Millisecond,
 	}
-	res, err := RunFigureD1(cfg)
+	res, err := RunFigureD1(cfg, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,6 +36,7 @@ import (
 	"openhpcxx/internal/errs"
 	"openhpcxx/internal/netsim"
 	"openhpcxx/internal/stats"
+	"openhpcxx/internal/testbed"
 	"openhpcxx/internal/wire"
 )
 
@@ -81,53 +82,20 @@ type E1Config struct {
 	Ratio     float64
 	// Ints is the array length exchanged per call (default 16).
 	Ints int
-	// Clock paces the workers (default the real clock, matching the
-	// real-time netsim shaping and fault schedule).
-	Clock clock.Clock
-	// OnRuntime, when set, is invoked with each mode's runtime right
-	// after its deployment is built (ohpc-bench attaches -introspect
-	// through it); the returned cleanup (may be nil) runs before that
-	// mode's runtime shuts down.
-	OnRuntime func(mode string, rt *core.Runtime) func()
 }
 
-func (c *E1Config) fill() {
-	if c.Profile.Name == "" {
-		c.Profile = netsim.ProfileEthernet
-	}
-	if c.Duration <= 0 {
-		c.Duration = 1200 * time.Millisecond
-	}
-	if c.Deadline <= 0 {
-		c.Deadline = 50 * time.Millisecond
-	}
-	if c.Pace <= 0 {
-		c.Pace = 200 * time.Microsecond
-	}
-	if c.Workers <= 0 {
-		c.Workers = 4
-	}
-	if c.Mix <= 0 {
-		c.Mix = 2
-	}
-	if c.Cap <= 0 {
-		c.Cap = 2
-	}
-	if c.Hold <= 0 {
-		c.Hold = 500 * time.Microsecond
-	}
-	if c.MaxTokens <= 0 {
-		c.MaxTokens = core.DefaultRetryBudget.MaxTokens
-	}
-	if c.Ratio <= 0 {
-		c.Ratio = core.DefaultRetryBudget.Ratio
-	}
-	if c.Ints <= 0 {
-		c.Ints = 16
-	}
-	if c.Clock == nil {
-		c.Clock = clock.Real{}
-	}
+func (c *E1Config) fill(o Options) {
+	setDefault(&c.Profile, netsim.ProfileEthernet)
+	setDefault(&c.Duration, pick(o, 1200*time.Millisecond, 600*time.Millisecond))
+	setDefault(&c.Deadline, 50*time.Millisecond)
+	setDefault(&c.Pace, 200*time.Microsecond)
+	setDefault(&c.Workers, 4)
+	setDefault(&c.Mix, 2)
+	setDefault(&c.Cap, 2)
+	setDefault(&c.Hold, 500*time.Microsecond)
+	setDefault(&c.MaxTokens, core.DefaultRetryBudget.MaxTokens)
+	setDefault(&c.Ratio, core.DefaultRetryBudget.Ratio)
+	setDefault(&c.Ints, 16)
 }
 
 // E1Point is one row of the figure: one budget mode through the same
@@ -209,87 +177,6 @@ func (s *e1Servant) methods() map[string]core.Method {
 	}
 }
 
-// e1Deployment is one mode's testbed: one client machine, one steady
-// server, one flaky capacity-limited server, no backups.
-type e1Deployment struct {
-	Deployment
-	flakyCtx  *core.Context
-	steadyRef *core.ObjectRef
-	flakyRef  *core.ObjectRef
-}
-
-func newE1Deployment(cfg E1Config, budgeted bool) (*e1Deployment, error) {
-	n := netsim.New()
-	n.AddLAN("lan", "campus", cfg.Profile)
-	n.MustAddMachine("client-m", "lan")
-	n.MustAddMachine("steady-m", "lan")
-	n.MustAddMachine("flaky-m", "lan")
-	rt := newRuntime(n, "bench-e1")
-	rt.SetFailover(false)
-	if budgeted {
-		rt.SetRetryBudget(core.RetryBudgetConfig{MaxTokens: cfg.MaxTokens, Ratio: cfg.Ratio})
-	} else {
-		rt.SetRetryBudget(core.RetryBudgetConfig{Disabled: true})
-	}
-	fail := func(err error) (*e1Deployment, error) {
-		rt.Close()
-		return nil, err
-	}
-	clientCtx, err := rt.NewContext("client", "client-m")
-	if err != nil {
-		return fail(err)
-	}
-	export := func(ctxName string, machine netsim.MachineID, port int, object core.ObjectID, capacity int) (*core.Context, *core.ObjectRef, error) {
-		sctx, err := rt.NewContext(ctxName, machine)
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := sctx.BindSim(port); err != nil {
-			return nil, nil, err
-		}
-		sv := &e1Servant{clk: rt.Clock(), hold: cfg.Hold, capacity: capacity}
-		s, err := sctx.ExportAs(object, ExchangeIface, nil, sv.methods(), 0)
-		if err != nil {
-			return nil, nil, err
-		}
-		e, err := sctx.EntryStream()
-		if err != nil {
-			return nil, nil, err
-		}
-		return sctx, sctx.NewRef(s, e), nil
-	}
-	_, steadyRef, err := export("steady", "steady-m", e1SteadyPort, e1SteadyObject, 1<<20)
-	if err != nil {
-		return fail(err)
-	}
-	flakyCtx, flakyRef, err := export("flaky", "flaky-m", e1FlakyPort, e1FlakyObject, cfg.Cap)
-	if err != nil {
-		return fail(err)
-	}
-	return &e1Deployment{
-		Deployment: Deployment{Net: n, Runtime: rt, Client: clientCtx},
-		flakyCtx:   flakyCtx,
-		steadyRef:  steadyRef,
-		flakyRef:   flakyRef,
-	}, nil
-}
-
-// e1Plan builds the fault schedule: the flaky dependency crashes at 1/4
-// and restarts at 1/2 of the run.
-func e1Plan(cfg E1Config, d *e1Deployment) (*netsim.FaultPlan, []string) {
-	crashAt := cfg.Duration / 6
-	restartAt := cfg.Duration / 2
-	plan := new(netsim.FaultPlan)
-	plan.CrashAt(crashAt, "flaky-m")
-	plan.RestartAt(restartAt, "flaky-m", func() {
-		_ = d.flakyCtx.BindSim(e1FlakyPort)
-	})
-	return plan, []string{
-		fmt.Sprintf("%6v  crash flaky-m", crashAt.Round(time.Millisecond)),
-		fmt.Sprintf("%6v  restart flaky-m (re-bind sim port %d)", restartAt.Round(time.Millisecond), e1FlakyPort),
-	}
-}
-
 // e1Counters reads the runtime's registry: the per-protocol rpc.calls
 // counters summed (wire attempts actually sent, retries included) and
 // the per-code error counters.
@@ -307,121 +194,95 @@ func e1Counters(rt *core.Runtime) (attempts uint64, byCode map[string]uint64) {
 }
 
 // runE1Mode drives the worker pool through the schedule under one
-// budget setting.
-func runE1Mode(cfg E1Config, budgeted bool) (E1Point, []string, error) {
-	d, err := newE1Deployment(cfg, budgeted)
-	if err != nil {
+// budget setting, on a testbed of one client machine, one steady server
+// and one flaky capacity-limited server, no backups.
+func runE1Mode(cfg E1Config, mode string, o Options) (E1Point, []string, error) {
+	tb := testbed.New("bench-e1-"+mode, o.OnRuntime)
+	defer tb.Close()
+	tb.LAN("lan", "campus", cfg.Profile, "client-m", "steady-m", "flaky-m")
+	tb.RT.SetFailover(false)
+	if mode == ModeBudgeted {
+		tb.RT.SetRetryBudget(core.RetryBudgetConfig{MaxTokens: cfg.MaxTokens, Ratio: cfg.Ratio})
+	} else {
+		tb.RT.SetRetryBudget(core.RetryBudgetConfig{Disabled: true})
+	}
+	client := tb.Context("client", "client-m")
+	// Fixed ports, so the restart hook can re-bind the address the flaky
+	// reference advertises.
+	serve := func(name string, m netsim.MachineID, port int, object core.ObjectID, capacity int) (*testbed.Node, *core.ObjectRef) {
+		sv := &e1Servant{clk: tb.RT.Clock(), hold: cfg.Hold, capacity: capacity}
+		node := tb.Context(name, m).Bind(port).Export(object, nil, sv.methods())
+		return node, node.Ref(node.Stream())
+	}
+	_, steadyRef := serve("steady", "steady-m", e1SteadyPort, e1SteadyObject, 1<<20)
+	flaky, flakyRef := serve("flaky", "flaky-m", e1FlakyPort, e1FlakyObject, cfg.Cap)
+	if err := tb.Build(); err != nil {
 		return E1Point{}, nil, err
 	}
-	defer d.Close()
 
-	mode := ModeUnbudgeted
-	if budgeted {
-		mode = ModeBudgeted
-	}
-	if cfg.OnRuntime != nil {
-		if done := cfg.OnRuntime(mode, d.Runtime); done != nil {
-			defer done()
-		}
-	}
-	arr := &core.Int32Slice{V: make([]int32, cfg.Ints)}
-	for i := range arr.V {
-		arr.V[i] = int32(i)
-	}
+	arr := testbed.Ints(cfg.Ints)
 	// Warm-up outside the measured window: selection + connection setup
 	// against both dependencies on dedicated GPs (a failed warm-up is a
 	// config error, not a data point).
-	for _, ref := range []*core.ObjectRef{d.steadyRef, d.flakyRef} {
-		warm := d.Client.NewGlobalPtr(ref)
-		if _, err := core.Call[*core.Int32Slice, core.Int32Slice](warm, "exchange", arr); err != nil {
-			warm.Release()
+	for _, ref := range []*core.ObjectRef{steadyRef, flakyRef} {
+		warm := client.Ctx.NewGlobalPtr(ref)
+		_, err := exchange(warm, arr)
+		warm.Release()
+		if err != nil {
 			return E1Point{}, nil, errs.Wrapf(errs.CodeOf(err), err, "bench: e1 %s warm-up of %s", mode, ref.Object)
 		}
-		warm.Release()
+	}
+	// One GP — and so one retry bucket — per worker per target, the way
+	// a real client process holds one handle per dependency.
+	steady := make([]*core.GlobalPtr, cfg.Workers)
+	flakyGP := make([]*core.GlobalPtr, cfg.Workers)
+	for w := range steady {
+		steady[w], flakyGP[w] = client.Ctx.NewGlobalPtr(steadyRef), client.Ctx.NewGlobalPtr(flakyRef)
+		defer steady[w].Release()
+		defer flakyGP[w].Release()
 	}
 
-	plan, schedule := e1Plan(cfg, d)
-	run := plan.Run(d.Net)
-	defer run.Stop()
-
-	type tally struct {
-		total, steadyOK, flakyOK, exhausted, failed int
-		latencies                                   []time.Duration
-	}
-	attemptsBefore, _ := e1Counters(d.Runtime)
-	tallies := make([]tally, cfg.Workers)
-	start := time.Now()
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			// One GP — and so one retry bucket — per worker per target,
-			// the way a real client process holds one handle per
-			// dependency.
-			steady := d.Client.NewGlobalPtr(d.steadyRef)
-			defer steady.Release()
-			flaky := d.Client.NewGlobalPtr(d.flakyRef)
-			defer flaky.Release()
-			tl := &tallies[w]
-			for task := 0; time.Since(start) < cfg.Duration; task++ {
-				gp, onFlaky := steady, false
-				if task%cfg.Mix == cfg.Mix-1 {
-					gp, onFlaky = flaky, true
-				}
-				callCtx, cancel := context.WithTimeout(context.Background(), cfg.Deadline)
-				t0 := time.Now()
-				_, err := core.CallCtx[*core.Int32Slice, core.Int32Slice](callCtx, gp, "exchange", arr)
-				lat := time.Since(t0)
-				cancel()
-				tl.total++
-				tl.latencies = append(tl.latencies, lat)
-				var be *errs.BudgetExhausted
-				switch {
-				case err == nil && onFlaky:
-					tl.flakyOK++
-				case err == nil:
-					tl.steadyOK++
-				case errors.As(err, &be):
-					tl.exhausted++
-				default:
-					tl.failed++
-				}
-				clock.Sleep(cfg.Clock, cfg.Pace)
+	// The flaky dependency crashes at 1/6 and restarts at 1/2 of the run.
+	plan := new(netsim.FaultPlan).
+		CrashAt(cfg.Duration/6, "flaky-m").
+		RestartAt(cfg.Duration/2, "flaky-m", flaky.Rebind)
+	attemptsBefore, _ := e1Counters(tb.RT)
+	t := paced{Duration: cfg.Duration, Deadline: cfg.Deadline, Pace: cfg.Pace, Workers: cfg.Workers}.run(tb, plan,
+		func(ctx context.Context, w, task int) (string, bool) {
+			gp, ok := steady[w], "steady_ok"
+			if task%cfg.Mix == cfg.Mix-1 {
+				gp, ok = flakyGP[w], "flaky_ok"
 			}
-		}(w)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	run.Wait()
+			_, err := core.CallCtx[*core.Int32Slice, core.Int32Slice](ctx, gp, "exchange", arr)
+			var be *errs.BudgetExhausted
+			switch {
+			case err == nil:
+				return ok, true
+			case errors.As(err, &be):
+				return "exhausted", true
+			default:
+				return "failed", true
+			}
+		})
 
-	pt := E1Point{Mode: mode}
-	var latencies []time.Duration
-	for i := range tallies {
-		pt.Total += tallies[i].total
-		pt.SteadyOK += tallies[i].steadyOK
-		pt.FlakyOK += tallies[i].flakyOK
-		pt.Exhausted += tallies[i].exhausted
-		pt.Failed += tallies[i].failed
-		latencies = append(latencies, tallies[i].latencies...)
+	pt := E1Point{
+		Mode: mode, Total: t.Total, SteadyOK: t.By["steady_ok"], FlakyOK: t.By["flaky_ok"],
+		Exhausted: t.By["exhausted"], Failed: t.By["failed"], P50: t.P50, P99: t.P99,
 	}
 	pt.OK = pt.SteadyOK + pt.FlakyOK
-	pt.Attempts, pt.ErrorsByCode = e1Counters(d.Runtime)
+	pt.Attempts, pt.ErrorsByCode = e1Counters(tb.RT)
 	pt.Attempts -= attemptsBefore
-	if pt.Total > 0 {
-		pt.Amplification = float64(pt.Attempts) / float64(pt.Total)
-	}
-	if secs := elapsed.Seconds(); secs > 0 {
+	pt.Amplification = ratio(int(pt.Attempts), pt.Total)
+	if secs := t.Elapsed.Seconds(); secs > 0 {
 		pt.Goodput = float64(pt.OK) / secs
 	}
-	pt.P50, pt.P99 = percentiles(latencies)
-	return pt, schedule, nil
+	return pt, plan.Schedule(), nil
 }
 
 // RunFigureE1 produces the retry-budget figure: the same overload +
 // crash schedule with budgets on and off.
-func RunFigureE1(cfg E1Config) (*E1Result, error) {
-	cfg.fill()
+func RunFigureE1(cfg E1Config, o Options) (*E1Result, error) {
+	cfg.fill(o)
 	res := &E1Result{
 		Profile:  cfg.Profile.Name,
 		Duration: cfg.Duration,
@@ -430,18 +291,19 @@ func RunFigureE1(cfg E1Config) (*E1Result, error) {
 		Mix:      cfg.Mix,
 		Cap:      cfg.Cap,
 	}
-	for _, budgeted := range []bool{true, false} {
-		pt, schedule, err := runE1Mode(cfg, budgeted)
+	for _, mode := range []string{ModeBudgeted, ModeUnbudgeted} {
+		pt, schedule, err := runE1Mode(cfg, mode, o)
 		if err != nil {
 			return nil, err
 		}
-		if res.Schedule == nil {
-			res.Schedule = schedule
-		}
+		res.Schedule = schedule
 		res.Points = append(res.Points, pt)
 	}
 	return res, nil
 }
+
+// Format implements Report.
+func (r *E1Result) Format() string { return FormatFigureE1(r) }
 
 // FormatFigureE1 renders the figure as a text table.
 func FormatFigureE1(r *E1Result) string {

@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
-	"strings"
 	"testing"
 	"time"
 
@@ -16,11 +14,12 @@ import (
 // against the dead endpoint, budgeted workers drain their buckets, fail
 // fast with typed exhaustion, and keep serving the path that works.
 func TestFigureE1BudgetsWin(t *testing.T) {
+	parallel(t)
 	cfg := E1Config{
 		Profile:  netsim.ProfileEthernet,
 		Duration: 900 * time.Millisecond,
 	}
-	res, err := RunFigureE1(cfg)
+	res, err := RunFigureE1(cfg, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,41 +64,5 @@ func TestFigureE1BudgetsWin(t *testing.T) {
 	}
 	if len(on.ErrorsByCode) == 0 {
 		t.Error("budgeted mode recorded no per-code error counters through an outage")
-	}
-}
-
-// TestFigureE1JSONRoundTrip keeps the ohpc-bench JSON emission stable:
-// the result must marshal, unmarshal, and format with both modes and
-// the fault schedule present.
-func TestFigureE1JSONRoundTrip(t *testing.T) {
-	res := &E1Result{
-		Profile:  "ethernet",
-		Duration: time.Second,
-		Deadline: 50 * time.Millisecond,
-		Workers:  4,
-		Mix:      2,
-		Cap:      2,
-		Schedule: []string{"200ms crash flaky-m"},
-		Points: []E1Point{
-			{Mode: ModeBudgeted, Total: 10, OK: 9, SteadyOK: 6, FlakyOK: 3, Exhausted: 1, Attempts: 11, Amplification: 1.1, Goodput: 9},
-			{Mode: ModeUnbudgeted, Total: 8, OK: 6, SteadyOK: 4, FlakyOK: 2, Failed: 2, Attempts: 14, Amplification: 1.75, Goodput: 6},
-		},
-	}
-	b, err := json.Marshal(res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back E1Result
-	if err := json.Unmarshal(b, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Profile != res.Profile || len(back.Points) != 2 || back.Points[0].Mode != ModeBudgeted {
-		t.Fatalf("round-trip mismatch: %+v", back)
-	}
-	out := FormatFigureE1(res)
-	for _, want := range []string{ModeBudgeted, ModeUnbudgeted, "crash flaky-m", "amplification", "exhausted"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("formatted figure missing %q:\n%s", want, out)
-		}
 	}
 }

@@ -21,9 +21,9 @@ import (
 	"fmt"
 	"time"
 
-	"openhpcxx/internal/errs"
 	"openhpcxx/internal/netsim"
 	"openhpcxx/internal/obs"
+	"openhpcxx/internal/testbed"
 )
 
 // O1 figure mode names.
@@ -47,19 +47,12 @@ type O1Config struct {
 	RingSize int
 }
 
-func (c *O1Config) fill() {
-	if c.Ints <= 0 {
-		c.Ints = 16
-	}
-	if c.MinReps <= 0 {
-		c.MinReps = 2000
-	}
-	if c.MinDuration <= 0 {
-		c.MinDuration = 250 * time.Millisecond
-	}
-	if c.RingSize <= 0 {
-		c.RingSize = obs.DefaultRingSize
-	}
+func (c *O1Config) fill(o Options) {
+	setDefault(&c.Ints, 16)
+	setDefault(&c.MinReps, o.Reps)
+	setDefault(&c.MinReps, pick(o, 2000, 200))
+	setDefault(&c.MinDuration, pick(o, 250*time.Millisecond, 30*time.Millisecond))
+	setDefault(&c.RingSize, obs.DefaultRingSize)
 }
 
 // O1Point is one mode's measurement.
@@ -84,70 +77,58 @@ type O1Result struct {
 	Ring   *obs.Ring `json:"-"`
 }
 
+// tracingOverhead measures the exchange workload untraced — the default
+// runtime state — and then with rec installed, on one deployment so
+// connection state and protocol selection are shared (stream protocol,
+// unshaped LAN).
+func tracingOverhead(label string, ints, minReps int, minDuration time.Duration, rec obs.Recorder, o Options) (base, traced Measurement, err error) {
+	tb := testbed.New(label, o.OnRuntime)
+	defer tb.Close()
+	tb.LAN("lan", "campus", netsim.ProfileUnshaped, "client-m", "server-m")
+	client := tb.Context("client", "client-m")
+	server := tb.Context("server", "server-m").Bind(0).Echo("")
+	ref := server.Ref(server.Stream())
+	if err = tb.Build(); err != nil {
+		return
+	}
+	gp := client.Ctx.NewGlobalPtr(ref)
+	if base, err = measure(gp, ints, minReps, minDuration, "%s untraced", label); err != nil {
+		return
+	}
+	tb.RT.Tracer().SetRecorder(rec)
+	defer tb.RT.Tracer().SetRecorder(nil)
+	traced, err = measure(gp, ints, minReps, minDuration, "%s traced", label)
+	return
+}
+
+// overheadPct is traced's average round trip relative to base's.
+func overheadPct(base, traced Measurement) float64 {
+	if base.AvgRTT <= 0 {
+		return 0
+	}
+	return 100 * (float64(traced.AvgRTT)/float64(base.AvgRTT) - 1)
+}
+
 // RunFigureO1 measures the exchange workload with tracing disabled and
-// with a ring recorder installed, on one deployment so connection state
-// and protocol selection are shared.
-func RunFigureO1(cfg O1Config) (*O1Result, error) {
-	cfg.fill()
-	n := netsim.New()
-	n.AddLAN("lan", "campus", netsim.ProfileUnshaped)
-	n.MustAddMachine("client-m", "lan")
-	n.MustAddMachine("server-m", "lan")
-	rt := newRuntime(n, "bench-o1")
-	defer rt.Close()
-
-	clientCtx, err := rt.NewContext("client", "client-m")
-	if err != nil {
-		return nil, err
-	}
-	srvCtx, err := rt.NewContext("server", "server-m")
-	if err != nil {
-		return nil, err
-	}
-	if err := srvCtx.BindSim(0); err != nil {
-		return nil, err
-	}
-	s, err := exportExchange(srvCtx)
-	if err != nil {
-		return nil, err
-	}
-	entry, err := srvCtx.EntryStream()
-	if err != nil {
-		return nil, err
-	}
-	gp := clientCtx.NewGlobalPtr(srvCtx.NewRef(s, entry))
-
+// with a ring recorder installed: every invocation then records its
+// span tree.
+func RunFigureO1(cfg O1Config, o Options) (*O1Result, error) {
+	cfg.fill(o)
 	res := &O1Result{Ints: cfg.Ints, Ring: obs.NewRing(cfg.RingSize)}
-	measure := func(mode string) (O1Point, error) {
-		m, err := MeasureExchange(gp, cfg.Ints, cfg.MinReps, cfg.MinDuration)
-		if err != nil {
-			return O1Point{}, errs.Wrapf(errs.CodeOf(err), err, "bench: o1 %s", mode)
-		}
-		return O1Point{Mode: mode, Reps: m.Reps, AvgRTT: m.AvgRTT}, nil
-	}
-
-	// Untraced first: the default runtime state.
-	base, err := measure(ModeUntraced)
+	base, traced, err := tracingOverhead("bench-o1", cfg.Ints, cfg.MinReps, cfg.MinDuration, res.Ring, o)
 	if err != nil {
 		return nil, err
 	}
-	res.Points = append(res.Points, base)
-
-	// Ring recorder on: every invocation now records its span tree.
-	rt.Tracer().SetRecorder(res.Ring)
-	defer rt.Tracer().SetRecorder(nil)
-	traced, err := measure(ModeRing)
-	if err != nil {
-		return nil, err
+	res.Points = []O1Point{
+		{Mode: ModeUntraced, Reps: base.Reps, AvgRTT: base.AvgRTT},
+		{Mode: ModeRing, Reps: traced.Reps, AvgRTT: traced.AvgRTT, OverheadPct: overheadPct(base, traced),
+			SpansTotal: res.Ring.Total(), SpansRetained: len(res.Ring.Spans())},
 	}
-	if base.AvgRTT > 0 {
-		traced.OverheadPct = 100 * (float64(traced.AvgRTT)/float64(base.AvgRTT) - 1)
-	}
-	traced.SpansTotal = res.Ring.Total()
-	traced.SpansRetained = len(res.Ring.Spans())
-	res.Points = append(res.Points, traced)
 	return res, nil
 }
+
+// Format implements Report.
+func (r *O1Result) Format() string { return FormatFigureO1(r) }
 
 // FormatFigureO1 renders the figure as a text table.
 func FormatFigureO1(r *O1Result) string {

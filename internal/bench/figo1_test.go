@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"strings"
 	"testing"
 	"time"
 
@@ -14,7 +13,7 @@ import (
 // the ring mode actually captures connected span trees, and the two
 // points are measured on the same deployment.
 func TestFigureO1RecordsSpansOnlyWhenTraced(t *testing.T) {
-	res, err := RunFigureO1(O1Config{MinReps: 50, MinDuration: 10 * time.Millisecond, RingSize: 4096})
+	res, err := RunFigureO1(O1Config{MinReps: 50, MinDuration: 10 * time.Millisecond, RingSize: 4096}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,20 +49,4 @@ func TestFigureO1RecordsSpansOnlyWhenTraced(t *testing.T) {
 	tr := obstest.Trace(spans, root.Trace)
 	obstest.AssertConnected(t, tr)
 	obstest.AssertPath(t, tr, "invoke→select→hpcx-tcp→decode→dispatch→servant")
-}
-
-func TestFigureO1Format(t *testing.T) {
-	res := &O1Result{
-		Ints: 16,
-		Points: []O1Point{
-			{Mode: ModeUntraced, Reps: 100, AvgRTT: 10 * time.Microsecond},
-			{Mode: ModeRing, Reps: 100, AvgRTT: 11 * time.Microsecond, OverheadPct: 10, SpansTotal: 600, SpansRetained: 512},
-		},
-	}
-	out := FormatFigureO1(res)
-	for _, want := range []string{ModeUntraced, ModeRing, "overhead", "600"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("formatted figure missing %q:\n%s", want, out)
-		}
-	}
 }

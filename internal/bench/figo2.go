@@ -21,11 +21,8 @@ package bench
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"time"
 
-	"openhpcxx/internal/errs"
-	"openhpcxx/internal/netsim"
 	"openhpcxx/internal/obs"
 )
 
@@ -65,34 +62,19 @@ type O2Config struct {
 	Ints        int
 }
 
-func (c *O2Config) fill() {
-	if c.Traces <= 0 {
-		c.Traces = 2048
-	}
-	if c.SpansPerTrace <= 0 {
-		c.SpansPerTrace = 3
-	}
-	if c.StoreSpans <= 0 {
-		c.StoreSpans = 256
-	}
-	if c.SlowEvery <= 0 {
-		c.SlowEvery = 150
-	}
+func (c *O2Config) fill(o Options) {
+	setDefault(&c.Traces, 2048)
+	setDefault(&c.SpansPerTrace, 3)
+	setDefault(&c.StoreSpans, 256)
+	setDefault(&c.SlowEvery, 150)
 	if c.OverloadFrac <= 0 || c.OverloadFrac > 1 {
 		c.OverloadFrac = 0.6
 	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	if c.MinReps <= 0 {
-		c.MinReps = 2000
-	}
-	if c.MinDuration <= 0 {
-		c.MinDuration = 250 * time.Millisecond
-	}
-	if c.Ints <= 0 {
-		c.Ints = 16
-	}
+	setDefault(&c.Seed, 1)
+	setDefault(&c.MinReps, o.Reps)
+	setDefault(&c.MinReps, pick(o, 2000, 200))
+	setDefault(&c.MinDuration, pick(o, 250*time.Millisecond, 30*time.Millisecond))
+	setDefault(&c.Ints, 16)
 }
 
 // O2Point is one store's retention outcome.
@@ -132,8 +114,8 @@ type O2Result struct {
 
 // RunFigureO2 runs the retention comparison and the live overhead
 // measurement.
-func RunFigureO2(cfg O2Config) (*O2Result, error) {
-	cfg.fill()
+func RunFigureO2(cfg O2Config, o Options) (*O2Result, error) {
+	cfg.fill(o)
 	res := &O2Result{
 		Traces:        cfg.Traces,
 		SpansPerTrace: cfg.SpansPerTrace,
@@ -184,8 +166,7 @@ func RunFigureO2(cfg O2Config) (*O2Result, error) {
 		})
 	}
 	res.SlowTraces = len(slow)
-	sort.Slice(calm, func(i, j int) bool { return calm[i] < calm[j] })
-	res.CalmP99 = calm[(len(calm)*99)/100]
+	_, res.CalmP99 = percentiles(calm)
 
 	point := func(mode string, spans []obs.Span) O2Point {
 		p := O2Point{Mode: mode, SlowTotal: len(slow), SpansRetained: len(spans)}
@@ -207,71 +188,24 @@ func RunFigureO2(cfg O2Config) (*O2Result, error) {
 	tp.KeptTraces, tp.DroppedTraces = st.KeptTraces, st.DroppedTraces
 	res.Points = append(res.Points, tp)
 
-	over, err := runO2Overhead(cfg)
+	// The live overhead of running with a tail keeper installed, on the
+	// exchange workload (the O1 shape).
+	tk := obs.NewTailKeeper(obs.TailKeeperOptions{})
+	tk.Start()
+	defer tk.Close()
+	base, traced, err := tracingOverhead("bench-o2", cfg.Ints, cfg.MinReps, cfg.MinDuration, tk, o)
 	if err != nil {
 		return nil, err
 	}
-	res.Overhead = over
+	res.Overhead = []O2Overhead{
+		{Mode: ModeUntraced, Reps: base.Reps, AvgRTT: base.AvgRTT},
+		{Mode: ModeTail, Reps: traced.Reps, AvgRTT: traced.AvgRTT, OverheadPct: overheadPct(base, traced)},
+	}
 	return res, nil
 }
 
-// runO2Overhead measures the exchange workload untraced and with a tail
-// keeper installed, on one deployment (the O1 shape).
-func runO2Overhead(cfg O2Config) ([]O2Overhead, error) {
-	n := netsim.New()
-	n.AddLAN("lan", "campus", netsim.ProfileUnshaped)
-	n.MustAddMachine("client-m", "lan")
-	n.MustAddMachine("server-m", "lan")
-	rt := newRuntime(n, "bench-o2")
-	defer rt.Close()
-
-	clientCtx, err := rt.NewContext("client", "client-m")
-	if err != nil {
-		return nil, err
-	}
-	srvCtx, err := rt.NewContext("server", "server-m")
-	if err != nil {
-		return nil, err
-	}
-	if err := srvCtx.BindSim(0); err != nil {
-		return nil, err
-	}
-	s, err := exportExchange(srvCtx)
-	if err != nil {
-		return nil, err
-	}
-	entry, err := srvCtx.EntryStream()
-	if err != nil {
-		return nil, err
-	}
-	gp := clientCtx.NewGlobalPtr(srvCtx.NewRef(s, entry))
-
-	measure := func(mode string) (O2Overhead, error) {
-		m, err := MeasureExchange(gp, cfg.Ints, cfg.MinReps, cfg.MinDuration)
-		if err != nil {
-			return O2Overhead{}, errs.Wrapf(errs.CodeOf(err), err, "bench: o2 %s", mode)
-		}
-		return O2Overhead{Mode: mode, Reps: m.Reps, AvgRTT: m.AvgRTT}, nil
-	}
-
-	base, err := measure(ModeUntraced)
-	if err != nil {
-		return nil, err
-	}
-	tk := obs.NewTailKeeper(obs.TailKeeperOptions{Clock: rt.Clock()})
-	tk.Start()
-	defer tk.Close()
-	rt.Tracer().SetRecorder(tk)
-	defer rt.Tracer().SetRecorder(nil)
-	traced, err := measure(ModeTail)
-	if err != nil {
-		return nil, err
-	}
-	if base.AvgRTT > 0 {
-		traced.OverheadPct = 100 * (float64(traced.AvgRTT)/float64(base.AvgRTT) - 1)
-	}
-	return []O2Overhead{base, traced}, nil
-}
+// Format implements Report.
+func (r *O2Result) Format() string { return FormatFigureO2(r) }
 
 // FormatFigureO2 renders the figure as a text table.
 func FormatFigureO2(r *O2Result) string {

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"strings"
 	"testing"
 	"time"
 
@@ -14,7 +13,7 @@ import (
 // seeded, so the retention fractions are deterministic; the live
 // overhead cells are timing-dependent and only sanity-checked.
 func TestFigureO2Shapes(t *testing.T) {
-	r, err := RunFigureO2(O2Config{MinReps: 50, MinDuration: 5 * time.Millisecond})
+	r, err := RunFigureO2(O2Config{MinReps: 50, MinDuration: 5 * time.Millisecond}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,29 +59,6 @@ func TestFigureO2Shapes(t *testing.T) {
 	for _, o := range r.Overhead {
 		if o.Reps < 50 || o.AvgRTT <= 0 {
 			t.Fatalf("overhead cell %+v not measured", o)
-		}
-	}
-}
-
-func TestFormatFigureO2(t *testing.T) {
-	r := &O2Result{
-		Traces: 2048, SpansPerTrace: 3, SpanBudget: 256, SlowTraces: 8,
-		CalmP99: 999 * time.Microsecond,
-		Points: []O2Point{
-			{Mode: ModeFIFO, SlowTotal: 8, SlowRetained: 0, RetentionPct: 0, SpansRetained: 256},
-			{Mode: ModeTail, SlowTotal: 8, SlowRetained: 8, RetentionPct: 100, SpansRetained: 39,
-				KeptTraces:    map[string]uint64{obs.PolicySlow: 8},
-				DroppedTraces: map[string]uint64{obs.DropNormal: 2036}},
-		},
-		Overhead: []O2Overhead{
-			{Mode: ModeUntraced, Reps: 2000, AvgRTT: 10 * time.Microsecond},
-			{Mode: ModeTail, Reps: 2000, AvgRTT: 11 * time.Microsecond, OverheadPct: 10},
-		},
-	}
-	out := FormatFigureO2(r)
-	for _, want := range []string{O2FigureTitle, ModeFIFO, ModeTail, "100.0%", "overhead", obs.PolicySlow} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("FormatFigureO2 missing %q:\n%s", want, out)
 		}
 	}
 }

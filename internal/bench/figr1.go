@@ -17,14 +17,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
-	"openhpcxx/internal/clock"
 	"openhpcxx/internal/core"
 	"openhpcxx/internal/errs"
 	"openhpcxx/internal/health"
 	"openhpcxx/internal/netsim"
+	"openhpcxx/internal/testbed"
 	"openhpcxx/internal/wire"
 )
 
@@ -56,37 +55,14 @@ type R1Config struct {
 	Pace time.Duration
 	// Ints is the array length exchanged per call (default 16).
 	Ints int
-	// Clock paces the call loop (default the real clock, matching the
-	// real-time netsim shaping). Tests inject a fake to make pacing
-	// cost simulated time only.
-	Clock clock.Clock
-	// OnRuntime, when set, is invoked with each mode's runtime right
-	// after its deployment is built — the hook ohpc-bench uses to
-	// attach the -introspect telemetry plane so /statusz and /varz can
-	// be watched live through the fault schedule. The returned cleanup
-	// (may be nil) runs before that mode's runtime shuts down.
-	OnRuntime func(mode string, rt *core.Runtime) func()
 }
 
-func (c *R1Config) fill() {
-	if c.Profile.Name == "" {
-		c.Profile = netsim.ProfileEthernet
-	}
-	if c.Duration <= 0 {
-		c.Duration = 1200 * time.Millisecond
-	}
-	if c.Deadline <= 0 {
-		c.Deadline = 50 * time.Millisecond
-	}
-	if c.Pace <= 0 {
-		c.Pace = time.Millisecond
-	}
-	if c.Ints <= 0 {
-		c.Ints = 16
-	}
-	if c.Clock == nil {
-		c.Clock = clock.Real{}
-	}
+func (c *R1Config) fill(o Options) {
+	setDefault(&c.Profile, netsim.ProfileEthernet)
+	setDefault(&c.Duration, pick(o, 1200*time.Millisecond, 600*time.Millisecond))
+	setDefault(&c.Deadline, 50*time.Millisecond)
+	setDefault(&c.Pace, time.Millisecond)
+	setDefault(&c.Ints, 16)
 }
 
 // R1Point is one row of the figure: one failover mode through the same
@@ -120,167 +96,73 @@ type R1Result struct {
 	Points   []R1Point `json:"points"`
 }
 
-// r1Deployment is one mode's testbed: client, primary, backup.
-type r1Deployment struct {
-	Deployment
-	primary *core.Context
-	ref     *core.ObjectRef
-}
-
 const r1Object = core.ObjectID("r1/exchange")
 
-func newR1Deployment(cfg R1Config, failover bool) (*r1Deployment, error) {
-	n := netsim.New()
-	n.AddLAN("lan", "campus", cfg.Profile)
-	n.MustAddMachine("client-m", "lan")
-	n.MustAddMachine("primary-m", "lan")
-	n.MustAddMachine("backup-m", "lan")
-	rt := newRuntime(n, "bench-r1")
-	rt.SetFailover(failover)
-	if failover {
+// runR1Mode drives the call stream through the fault schedule under one
+// failover setting.
+func runR1Mode(cfg R1Config, mode string, o Options) (R1Point, []string, error) {
+	tb := testbed.New("bench-r1-"+mode, o.OnRuntime)
+	defer tb.Close()
+	tb.LAN("lan", "campus", cfg.Profile, "client-m", "primary-m", "backup-m")
+	tb.RT.SetFailover(mode == ModeFailover)
+	if mode == ModeFailover {
 		// Fast probes so re-promotion lands inside the run; bounded so a
 		// probe into the blackhole cannot wedge the prober.
-		rt.SetHealthOptions(health.Options{
+		tb.RT.SetHealthOptions(health.Options{
 			ProbeInterval: 20 * time.Millisecond,
 			ProbeTimeout:  150 * time.Millisecond,
 		})
 	}
-	fail := func(err error) (*r1Deployment, error) {
-		rt.Close()
-		return nil, err
-	}
-	clientCtx, err := rt.NewContext("client", "client-m")
-	if err != nil {
-		return fail(err)
-	}
-	primary, err := rt.NewContext("primary", "primary-m")
-	if err != nil {
-		return fail(err)
-	}
-	if err := primary.BindSim(r1SimPort); err != nil {
-		return fail(err)
-	}
-	backup, err := rt.NewContext("backup", "backup-m")
-	if err != nil {
-		return fail(err)
-	}
-	if err := backup.BindSim(0); err != nil {
-		return fail(err)
-	}
+	client := tb.Context("client", "client-m")
 	// The same stateless servant on both machines, under one object id:
 	// the backup is a replica, and the reference's ordered table is the
-	// failover chain.
-	impl, methods := ExchangeActivator()
-	s, err := primary.ExportAs(r1Object, ExchangeIface, impl, methods, 0)
-	if err != nil {
-		return fail(err)
-	}
-	bimpl, bmethods := ExchangeActivator()
-	if _, err := backup.ExportAs(r1Object, ExchangeIface, bimpl, bmethods, 0); err != nil {
-		return fail(err)
-	}
-	pe, err := primary.EntryStream()
-	if err != nil {
-		return fail(err)
-	}
-	be, err := backup.EntryStream()
-	if err != nil {
-		return fail(err)
-	}
-	return &r1Deployment{
-		Deployment: Deployment{Net: n, Runtime: rt, Client: clientCtx},
-		primary:    primary,
-		ref:        primary.NewRef(s, pe, be),
-	}, nil
-}
-
-// r1Plan builds the fault schedule for one run, scaled to its duration.
-func r1Plan(cfg R1Config, d *r1Deployment) (*netsim.FaultPlan, []string) {
-	crashAt := cfg.Duration / 6
-	restartAt := cfg.Duration * 2 / 5
-	holeAt := cfg.Duration * 3 / 5
-	healAt := cfg.Duration * 3 / 4
-	plan := new(netsim.FaultPlan)
-	plan.CrashAt(crashAt, "primary-m")
-	plan.RestartAt(restartAt, "primary-m", func() {
-		// The supervisor brings the service back on the same port the
-		// protocol table advertises.
-		_ = d.primary.BindSim(r1SimPort)
-	})
-	plan.BlackholeAt(holeAt, "client-m", "primary-m", true)
-	plan.BlackholeAt(healAt, "client-m", "primary-m", false)
-	return plan, []string{
-		fmt.Sprintf("%6v  crash primary-m", crashAt.Round(time.Millisecond)),
-		fmt.Sprintf("%6v  restart primary-m (re-bind sim port %d)", restartAt.Round(time.Millisecond), r1SimPort),
-		fmt.Sprintf("%6v  blackhole client-m -> primary-m", holeAt.Round(time.Millisecond)),
-		fmt.Sprintf("%6v  heal blackhole", healAt.Round(time.Millisecond)),
-	}
-}
-
-// runR1Mode drives the call stream through the fault schedule under one
-// failover setting.
-func runR1Mode(cfg R1Config, failover bool) (R1Point, []string, error) {
-	d, err := newR1Deployment(cfg, failover)
-	if err != nil {
+	// failover chain. The primary's port is fixed so the restart hook
+	// can re-bind the address the table advertises.
+	primary := tb.Context("primary", "primary-m").Bind(r1SimPort).Echo(r1Object)
+	backup := tb.Context("backup", "backup-m").Bind(0).Echo(r1Object)
+	ref := primary.Ref(primary.Stream(), backup.Stream())
+	if err := tb.Build(); err != nil {
 		return R1Point{}, nil, err
 	}
-	defer d.Close()
 
-	mode := ModeNoFailover
-	if failover {
-		mode = ModeFailover
-	}
-	if cfg.OnRuntime != nil {
-		if done := cfg.OnRuntime(mode, d.Runtime); done != nil {
-			defer done()
-		}
-	}
-	gp := d.Client.NewGlobalPtr(d.ref)
+	gp := client.Ctx.NewGlobalPtr(ref)
 	gp.SetDefaultDeadline(cfg.Deadline)
-	arr := &core.Int32Slice{V: make([]int32, cfg.Ints)}
-	for i := range arr.V {
-		arr.V[i] = int32(i)
-	}
+	arr := testbed.Ints(cfg.Ints)
 	// Warm-up before the schedule starts: selection + connection setup.
-	if _, err := core.Call[*core.Int32Slice, core.Int32Slice](gp, "exchange", arr); err != nil {
+	if _, err := exchange(gp, arr); err != nil {
 		return R1Point{}, nil, errs.Wrapf(errs.CodeOf(err), err, "bench: %s warm-up", mode)
 	}
 
-	plan, schedule := r1Plan(cfg, d)
-	run := plan.Run(d.Net)
-	defer run.Stop()
+	// The schedule scales with the run: crash at 1/6, restart at 2/5,
+	// blackhole at 3/5, heal at 3/4.
+	plan := new(netsim.FaultPlan).
+		CrashAt(cfg.Duration/6, "primary-m").
+		RestartAt(cfg.Duration*2/5, "primary-m", primary.Rebind).
+		BlackholeAt(cfg.Duration*3/5, "client-m", "primary-m", true).
+		Add(cfg.Duration*3/4, "heal blackhole client-m->primary-m", func(n *netsim.Network) {
+			n.SetBlackhole("client-m", "primary-m", false)
+		})
+	t := paced{Duration: cfg.Duration, Deadline: cfg.Deadline, Pace: cfg.Pace, Workers: 1}.run(tb, plan,
+		func(ctx context.Context, _, _ int) (string, bool) {
+			_, err := core.CallCtx[*core.Int32Slice, core.Int32Slice](ctx, gp, "exchange", arr)
+			switch {
+			case err == nil:
+				return "ok", true
+			case errors.Is(err, context.DeadlineExceeded) || isFaultCode(err, wire.FaultExpired):
+				return "expired", false
+			default:
+				return "failed", false
+			}
+		})
 
-	pt := R1Point{Mode: mode}
-	var latencies []time.Duration
-	start := time.Now()
-	for time.Since(start) < cfg.Duration {
-		callCtx, cancel := context.WithTimeout(context.Background(), cfg.Deadline)
-		t0 := time.Now()
-		_, err := core.CallCtx[*core.Int32Slice, core.Int32Slice](callCtx, gp, "exchange", arr)
-		lat := time.Since(t0)
-		cancel()
-		pt.Total++
-		switch {
-		case err == nil:
-			pt.OK++
-			latencies = append(latencies, lat)
-		case errors.Is(err, context.DeadlineExceeded) || isFaultCode(err, wire.FaultExpired):
-			pt.Expired++
-		default:
-			pt.Failed++
-		}
-		clock.Sleep(cfg.Clock, cfg.Pace)
+	pt := R1Point{
+		Mode: mode, Total: t.Total, OK: t.By["ok"], Expired: t.By["expired"], Failed: t.By["failed"],
+		Availability: ratio(t.By["ok"], t.Total), P50: t.P50, P99: t.P99,
 	}
-	run.Wait()
-
-	if pt.Total > 0 {
-		pt.Availability = float64(pt.OK) / float64(pt.Total)
-	}
-	pt.P50, pt.P99 = percentiles(latencies)
 	if idx, _, err := gp.SelectedEntry(); err == nil {
 		pt.Promoted = idx == 0
 	}
-	return pt, schedule, nil
+	return pt, plan.Schedule(), nil
 }
 
 // isFaultCode reports whether err carries the given wire fault code.
@@ -289,40 +171,28 @@ func isFaultCode(err error, code wire.FaultCode) bool {
 	return errors.As(err, &f) && f.Code == code
 }
 
-// percentiles returns the p50 and p99 of the sample (zero when empty).
-func percentiles(ls []time.Duration) (p50, p99 time.Duration) {
-	if len(ls) == 0 {
-		return 0, 0
-	}
-	sort.Slice(ls, func(i, j int) bool { return ls[i] < ls[j] })
-	idx := func(q float64) time.Duration {
-		i := int(q * float64(len(ls)-1))
-		return ls[i]
-	}
-	return idx(0.50), idx(0.99)
-}
-
 // RunFigureR1 produces the availability figure: the same fault schedule
 // with failover on and off.
-func RunFigureR1(cfg R1Config) (*R1Result, error) {
-	cfg.fill()
+func RunFigureR1(cfg R1Config, o Options) (*R1Result, error) {
+	cfg.fill(o)
 	res := &R1Result{
 		Profile:  cfg.Profile.Name,
 		Duration: cfg.Duration,
 		Deadline: cfg.Deadline,
 	}
-	for _, failover := range []bool{true, false} {
-		pt, schedule, err := runR1Mode(cfg, failover)
+	for _, mode := range []string{ModeFailover, ModeNoFailover} {
+		pt, schedule, err := runR1Mode(cfg, mode, o)
 		if err != nil {
 			return nil, err
 		}
-		if res.Schedule == nil {
-			res.Schedule = schedule
-		}
+		res.Schedule = schedule
 		res.Points = append(res.Points, pt)
 	}
 	return res, nil
 }
+
+// Format implements Report.
+func (r *R1Result) Format() string { return FormatFigureR1(r) }
 
 // FormatFigureR1 renders the figure as a text table.
 func FormatFigureR1(r *R1Result) string {

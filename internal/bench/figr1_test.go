@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
-	"strings"
 	"testing"
 	"time"
 
@@ -16,11 +14,12 @@ import (
 // invoke retry budget, so the worst case during an outage is a
 // deadline-bounded expiry, not a hard failure).
 func TestFigureR1FailoverWins(t *testing.T) {
+	parallel(t)
 	cfg := R1Config{
 		Profile:  netsim.ProfileEthernet,
 		Duration: 800 * time.Millisecond,
 	}
-	res, err := RunFigureR1(cfg)
+	res, err := RunFigureR1(cfg, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,38 +46,5 @@ func TestFigureR1FailoverWins(t *testing.T) {
 	}
 	if nf.Failed == 0 {
 		t.Error("no-failover mode survived the crash unscathed — the schedule injected nothing")
-	}
-}
-
-// TestFigureR1JSONRoundTrip keeps the ohpc-bench JSON emission stable:
-// the result must marshal, unmarshal, and format with both modes and
-// the fault schedule present.
-func TestFigureR1JSONRoundTrip(t *testing.T) {
-	res := &R1Result{
-		Profile:  "ethernet",
-		Duration: time.Second,
-		Deadline: 50 * time.Millisecond,
-		Schedule: []string{"200ms crash primary-m"},
-		Points: []R1Point{
-			{Mode: ModeFailover, Total: 10, OK: 10, Availability: 1, Promoted: true},
-			{Mode: ModeNoFailover, Total: 10, OK: 8, Failed: 2, Availability: 0.8},
-		},
-	}
-	b, err := json.Marshal(res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back R1Result
-	if err := json.Unmarshal(b, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Profile != res.Profile || len(back.Points) != 2 || back.Points[0].Mode != ModeFailover {
-		t.Fatalf("round-trip mismatch: %+v", back)
-	}
-	out := FormatFigureR1(res)
-	for _, want := range []string{ModeFailover, ModeNoFailover, "crash primary-m", "availability"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("formatted figure missing %q:\n%s", want, out)
-		}
 	}
 }

@@ -29,7 +29,6 @@ import (
 	"fmt"
 	"time"
 
-	"openhpcxx/internal/clock"
 	"openhpcxx/internal/load"
 	"openhpcxx/internal/netsim"
 )
@@ -84,36 +83,19 @@ type S1Config struct {
 	// goodput still covers this fraction of the offered load (default
 	// 0.75).
 	SaturationFraction float64
-	// Clock paces the workers and fault schedule (default real; the
-	// netsim shapes traffic in wall-clock time, so sweeps are
-	// real-time).
-	Clock clock.Clock
 }
 
-func (c *S1Config) fill() {
+func (c *S1Config) fill(o Options) {
 	if len(c.Rates) == 0 {
-		c.Rates = []float64{1000, 2000, 4000, 8000, 16000}
+		c.Rates = pick(o, []float64{1000, 2000, 4000, 8000, 16000}, []float64{1000, 2000, 4000, 8000})
 	}
-	if c.StepDuration <= 0 {
-		c.StepDuration = 400 * time.Millisecond
-	}
-	if c.Workers <= 0 {
-		c.Workers = 32
-	}
-	if c.Servers <= 0 {
-		c.Servers = 3
-	}
-	if c.Ints <= 0 {
-		c.Ints = 4
-	}
-	if c.Deadline <= 0 {
-		c.Deadline = 80 * time.Millisecond
-	}
+	setDefault(&c.StepDuration, pick(o, 400*time.Millisecond, 150*time.Millisecond))
+	setDefault(&c.Workers, pick(o, 32, 24))
+	setDefault(&c.Servers, 3)
+	setDefault(&c.Ints, 4)
+	setDefault(&c.Deadline, pick(o, 80*time.Millisecond, 50*time.Millisecond))
 	if c.SaturationFraction <= 0 || c.SaturationFraction >= 1 {
 		c.SaturationFraction = 0.75
-	}
-	if c.Clock == nil {
-		c.Clock = clock.Real{}
 	}
 }
 
@@ -193,15 +175,16 @@ func s1Scenario(cfg S1Config, mode string, rate float64) *load.Scenario {
 }
 
 // runS1Curve walks one mode up the ladder.
-func runS1Curve(cfg S1Config, mode string) (S1Curve, error) {
+func runS1Curve(cfg S1Config, mode string, o Options) (S1Curve, error) {
 	curve := S1Curve{
 		Mode:     mode,
 		Batching: mode != S1ModePlain,
 		Failover: mode == S1ModeFailover,
 	}
 	for _, rate := range cfg.Rates {
-		sc := s1Scenario(cfg, mode, rate)
-		res, err := load.RunScenario(context.Background(), sc, cfg.Clock)
+		// Every rung is a load scenario on the real clock: the netsim
+		// shapes traffic in wall-clock time.
+		res, err := load.RunScenario(context.Background(), s1Scenario(cfg, mode, rate), nil, o.OnRuntime)
 		if err != nil {
 			return curve, err
 		}
@@ -226,8 +209,8 @@ func runS1Curve(cfg S1Config, mode string) (S1Curve, error) {
 
 // RunFigureS1 produces the saturation figure: the same offered-load
 // ladder under the three modes.
-func RunFigureS1(cfg S1Config) (*S1Result, error) {
-	cfg.fill()
+func RunFigureS1(cfg S1Config, o Options) (*S1Result, error) {
+	cfg.fill(o)
 	res := &S1Result{
 		Profile:            S1ProfileName,
 		StepDuration:       cfg.StepDuration,
@@ -237,7 +220,7 @@ func RunFigureS1(cfg S1Config) (*S1Result, error) {
 		SaturationFraction: cfg.SaturationFraction,
 	}
 	for _, mode := range []string{S1ModePlain, S1ModeBatched, S1ModeFailover} {
-		c, err := runS1Curve(cfg, mode)
+		c, err := runS1Curve(cfg, mode, o)
 		if err != nil {
 			return nil, err
 		}
@@ -245,6 +228,9 @@ func RunFigureS1(cfg S1Config) (*S1Result, error) {
 	}
 	return res, nil
 }
+
+// Format implements Report.
+func (r *S1Result) Format() string { return FormatFigureS1(r) }
 
 // Curve returns the named curve (nil if absent).
 func (r *S1Result) Curve(mode string) *S1Curve {

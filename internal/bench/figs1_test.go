@@ -11,13 +11,14 @@ import (
 // moves the knee measurably up the offered-load ladder. Absolute rates
 // are host-dependent; the asserted shapes are generous.
 func TestFigureS1Shapes(t *testing.T) {
+	parallel(t)
 	cfg := S1Config{
 		Rates:        []float64{1000, 2000, 4000, 8000},
 		StepDuration: 150 * time.Millisecond,
 		Workers:      24,
 		Deadline:     50 * time.Millisecond,
 	}
-	res, err := RunFigureS1(cfg)
+	res, err := RunFigureS1(cfg, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,10 +4,9 @@ import (
 	"fmt"
 	"time"
 
-	"openhpcxx/internal/core"
-	"openhpcxx/internal/errs"
 	"openhpcxx/internal/netsim"
 	"openhpcxx/internal/proto/udprel"
+	"openhpcxx/internal/testbed"
 )
 
 // LossPoint is one cell of the extension experiment L1: goodput of the
@@ -33,73 +32,54 @@ type LossSweepConfig struct {
 // RunLossSweep measures udprel end-to-end goodput across loss rates —
 // an extension beyond the paper demonstrating a user-written protocol
 // under conditions the built-ins cannot survive.
-func RunLossSweep(cfg LossSweepConfig) ([]LossPoint, error) {
+func RunLossSweep(cfg LossSweepConfig, o Options) (LossPoints, error) {
 	if cfg.Rates == nil {
 		cfg.Rates = []float64{0, 0.05, 0.1, 0.2, 0.4}
 	}
-	if cfg.Ints == 0 {
-		cfg.Ints = 4096
-	}
-	if cfg.MinReps == 0 {
-		cfg.MinReps = 3
-	}
-	if cfg.MinDuration == 0 {
-		cfg.MinDuration = 100 * time.Millisecond
-	}
-	if cfg.RTO == 0 {
-		cfg.RTO = 10 * time.Millisecond
-	}
-	arq := udprel.Config{RTO: cfg.RTO, MaxTries: 50, FragSize: 2048}
+	setDefault(&cfg.Ints, 4096)
+	setDefault(&cfg.MinReps, 3)
+	setDefault(&cfg.MinDuration, pick(o, 100*time.Millisecond, 30*time.Millisecond))
+	setDefault(&cfg.RTO, 10*time.Millisecond)
 
-	var out []LossPoint
+	var out LossPoints
 	for _, rate := range cfg.Rates {
-		n := netsim.New()
-		n.Seed(int64(1000 + 1000*rate))
-		n.AddLAN("lan", "c", netsim.ProfileUnshaped)
-		n.MustAddMachine("a", "lan")
-		n.MustAddMachine("b", "lan")
-		n.SetDatagramShaping("a", "b", netsim.DatagramProfile{
-			Link:     netsim.ProfileUnshaped,
-			LossRate: rate,
-		})
-		rt := core.NewRuntime(n, "losssweep")
-		rt.DefaultPool().Register(udprel.NewFactory(arq))
-		rt.RegisterIface(ExchangeIface, ExchangeActivator)
-
-		server, err := rt.NewContext("server", "b")
+		m, err := lossCell(cfg, rate, o)
 		if err != nil {
-			rt.Close()
 			return nil, err
-		}
-		if err := udprel.Bind(server, 0, arq); err != nil {
-			rt.Close()
-			return nil, err
-		}
-		servant, err := exportExchange(server)
-		if err != nil {
-			rt.Close()
-			return nil, err
-		}
-		entry, err := udprel.Entry(server)
-		if err != nil {
-			rt.Close()
-			return nil, err
-		}
-		client, err := rt.NewContext("client", "a")
-		if err != nil {
-			rt.Close()
-			return nil, err
-		}
-		gp := client.NewGlobalPtr(server.NewRef(servant, entry))
-		m, err := MeasureExchange(gp, cfg.Ints, cfg.MinReps, cfg.MinDuration)
-		rt.Close()
-		if err != nil {
-			return nil, errs.Wrapf(errs.CodeOf(err), err, "bench: loss %.0f%%", rate*100)
 		}
 		out = append(out, LossPoint{LossRate: rate, Sample: m})
 	}
 	return out, nil
 }
+
+// lossCell measures one loss rate on a fresh two-machine testbed whose
+// only binding is the udprel protocol.
+func lossCell(cfg LossSweepConfig, rate float64, o Options) (Measurement, error) {
+	arq := udprel.Config{RTO: cfg.RTO, MaxTries: 50, FragSize: 2048}
+	tb := testbed.New("losssweep", o.OnRuntime)
+	defer tb.Close()
+	tb.LAN("lan", "c", netsim.ProfileUnshaped, "a", "b")
+	tb.Net.Seed(int64(1000 + 1000*rate))
+	tb.Net.SetDatagramShaping("a", "b", netsim.DatagramProfile{
+		Link:     netsim.ProfileUnshaped,
+		LossRate: rate,
+	})
+	tb.RT.DefaultPool().Register(udprel.NewFactory(arq))
+	server := tb.Context("server", "b").Echo("")
+	tb.Do(func() error { return udprel.Bind(server.Ctx, 0, arq) })
+	client := tb.Context("client", "a")
+	ref := server.Ref(server.Entry(udprel.Entry))
+	if err := tb.Build(); err != nil {
+		return Measurement{}, err
+	}
+	return measure(client.Ctx.NewGlobalPtr(ref), cfg.Ints, cfg.MinReps, cfg.MinDuration, "loss %.0f%%", rate*100)
+}
+
+// LossPoints is the sweep's report.
+type LossPoints []LossPoint
+
+// Format implements Report.
+func (p LossPoints) Format() string { return FormatLossSweep(p) }
 
 // FormatLossSweep renders L1 as a table.
 func FormatLossSweep(points []LossPoint) string {

@@ -11,6 +11,7 @@ import (
 
 	"openhpcxx/internal/clock"
 	"openhpcxx/internal/errs"
+	"openhpcxx/internal/health"
 	"openhpcxx/internal/obs"
 	"openhpcxx/internal/obs/obstest"
 	"openhpcxx/internal/stats"
@@ -359,56 +360,75 @@ func TestCallOnlyProtocol(t *testing.T) {
 	})
 }
 
-// TestVersionSkewFailsFast: a peer that answers in another wire layout
-// will answer in it again, so the invocation ends on the first attempt
-// with a permanent codec error instead of being re-sent as a transport
-// blip.
+// TestVersionSkewFailsFast: a peer that answers in another wire layout,
+// or announces a frame past MaxFrame, will answer the same way again, so
+// the invocation ends on the first attempt with a permanent codec error
+// instead of being re-sent as a transport blip, and the endpoint's
+// breaker never hears of it.
 func TestVersionSkewFailsFast(t *testing.T) {
-	n, rt := testWorld(t)
-	l, err := n.Listen("mA", 7400)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var requests atomic.Int32
-	served := make(chan struct{})
-	go func() {
-		defer close(served)
-		for {
-			conn, err := l.Accept()
+	for _, tc := range []struct {
+		name  string
+		reply func(req *wire.Message) []byte
+		want  error
+	}{
+		{"version-3-reply", func(req *wire.Message) []byte {
+			reply, _ := wire.Marshal(&wire.Message{Type: wire.TReply, RequestID: req.RequestID})
+			reply[7] = 3 // the version word follows the magic
+			return append(binary.BigEndian.AppendUint32(nil, uint32(len(reply))), reply...)
+		}, wire.ErrBadVersion},
+		{"oversize-length-prefix", func(*wire.Message) []byte {
+			return binary.BigEndian.AppendUint32(nil, wire.MaxFrame+1)
+		}, wire.ErrTooLarge},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n, rt := testWorld(t)
+			l, err := n.Listen("mA", 7400)
 			if err != nil {
-				return
+				t.Fatal(err)
 			}
-			// One request per connection is all a client that fails
-			// fast sends; a retrying one dials again.
-			if req, err := wire.Read(conn); err == nil {
-				requests.Add(1)
-				reply, _ := wire.Marshal(&wire.Message{Type: wire.TReply, RequestID: req.RequestID})
-				reply[7] = 3 // the version word follows the magic
-				frame := binary.BigEndian.AppendUint32(nil, uint32(len(reply)))
-				_, _ = conn.Write(append(frame, reply...))
-			}
-			_ = conn.Close()
-		}
-	}()
-	t.Cleanup(func() {
-		_ = l.Close()
-		<-served
-	})
+			var requests atomic.Int32
+			served := make(chan struct{})
+			go func() {
+				defer close(served)
+				for {
+					conn, err := l.Accept()
+					if err != nil {
+						return
+					}
+					// One request per connection is all a client that fails
+					// fast sends; a retrying one dials again.
+					if req, err := wire.Read(conn); err == nil {
+						requests.Add(1)
+						_, _ = conn.Write(tc.reply(req))
+					}
+					_ = conn.Close()
+				}
+			}()
+			t.Cleanup(func() {
+				_ = l.Close()
+				<-served
+			})
 
-	client, _ := rt.NewContext("client", "mC")
-	gp := client.NewGlobalPtr(&ObjectRef{Object: "old/obj-1", Protocols: []ProtoEntry{StreamEntryAt("sim://mA:7400")}})
-	_, err = gp.Invoke("echo", []byte("x"))
-	if !errors.Is(err, wire.ErrBadVersion) || errs.CodeOf(err) != errs.Codec {
-		t.Fatalf("invoke against a version-3 peer: %v (code %v), want wire.ErrBadVersion coded codec", err, errs.CodeOf(err))
-	}
-	if got := requests.Load(); got != 1 {
-		t.Fatalf("peer saw %d requests, want exactly one attempt", got)
-	}
-	snap := rt.MetricsSnapshot()
-	if got := snap.Counters[`rpc.errors{code="codec"}`]; got != 1 {
-		t.Fatalf(`rpc.errors{code="codec"} = %d, want 1`, got)
-	}
-	if got := snap.Counters[`rpc.errors{code="transport"}`] + snap.Counters["rpc.retry.attempts"]; got != 0 {
-		t.Fatalf("version skew was accounted as %d transport errors or retries", got)
+			client, _ := rt.NewContext("client", "mC")
+			entry := StreamEntryAt("sim://mA:7400")
+			gp := client.NewGlobalPtr(&ObjectRef{Object: "old/obj-1", Protocols: []ProtoEntry{entry}})
+			_, err = gp.Invoke("echo", []byte("x"))
+			if !errors.Is(err, tc.want) || errs.CodeOf(err) != errs.Codec {
+				t.Fatalf("invoke: %v (code %v), want %v coded codec", err, errs.CodeOf(err), tc.want)
+			}
+			if got := requests.Load(); got != 1 {
+				t.Fatalf("peer saw %d requests, want exactly one attempt", got)
+			}
+			snap := rt.MetricsSnapshot()
+			if got := snap.Counters[`rpc.errors{code="codec"}`]; got != 1 {
+				t.Fatalf(`rpc.errors{code="codec"} = %d, want 1`, got)
+			}
+			if got := snap.Counters[`rpc.errors{code="transport"}`] + snap.Counters["rpc.retry.attempts"]; got != 0 {
+				t.Fatalf("the codec failure was accounted as %d transport errors or retries", got)
+			}
+			if st := rt.Health().State(entryHealthKey(entry)); st != health.Closed {
+				t.Fatalf("endpoint breaker %v after a codec failure, want Closed", st)
+			}
+		})
 	}
 }

@@ -6,36 +6,22 @@ import (
 	"openhpcxx/internal/stats"
 )
 
-// Recorder accumulates request latencies into an HDR-style log-bucketed
-// histogram (stats.Histogram: power-of-two buckets, percentiles within
-// a 2x bound) with the two guards that make the numbers immune to
-// coordinated omission:
+// Recorder accumulates request latencies into a log-bucketed histogram
+// (stats.Histogram: power-of-two buckets, percentiles within a 2x
+// bound), one sample per request.
 //
-//  1. Latency is recorded from the request's *intended* start time
-//     (RecordFrom), not from whenever a stalled generator got around to
-//     issuing it. Time spent queued behind a stall is the latency a
-//     real client would have seen, so it is charged to the result.
-//
-//  2. Expected-interval backfill (the HdrHistogram correction): when a
-//     recorded latency exceeds the expected inter-arrival interval i,
-//     the requests that *should* have been issued during that window
-//     were omitted by the stall, so the recorder synthesizes them as
-//     lat-i, lat-2i, ... while the remainder stays >= i. Closed-loop
-//     recordings pass interval 0 and get no backfill.
+// What makes the open-loop numbers immune to coordinated omission is
+// where the stopwatch starts: RecordFrom measures from the request's
+// *intended* start time, not from whenever a stalled generator got
+// around to issuing it. The open-loop generator never skips a slot of
+// its schedule, so every request a stall delayed is in the sample with
+// its queueing time charged — there is nothing left to synthesize.
 //
 // One Recorder per worker, merged at the end of the run (Merge is
-// exact): the hot path is a single atomic histogram observe.
+// exact): the hot path is a single atomic histogram observe. The zero
+// value is ready to use.
 type Recorder struct {
 	hist stats.Histogram
-	// interval is the expected inter-arrival gap for backfill; 0
-	// disables the correction.
-	interval time.Duration
-}
-
-// NewRecorder returns a recorder with the given expected inter-arrival
-// interval (0 = closed loop, no backfill).
-func NewRecorder(expectedInterval time.Duration) *Recorder {
-	return &Recorder{interval: expectedInterval}
 }
 
 // RecordFrom records one request that was *intended* to start at
@@ -46,19 +32,12 @@ func (r *Recorder) RecordFrom(intended, end time.Time) {
 	r.Record(end.Sub(intended))
 }
 
-// Record records one latency, backfilling expected-interval samples
-// when the value spans multiple arrival slots (see type comment).
+// Record records one latency; a negative one (clock skew) counts as 0.
 func (r *Recorder) Record(lat time.Duration) {
 	if lat < 0 {
 		lat = 0
 	}
 	r.hist.Observe(int64(lat))
-	if r.interval <= 0 {
-		return
-	}
-	for lat -= r.interval; lat >= r.interval; lat -= r.interval {
-		r.hist.Observe(int64(lat))
-	}
 }
 
 // Merge folds another recorder's samples into this one (exact: bucket
@@ -71,7 +50,7 @@ func (r *Recorder) Merge(o *Recorder) {
 	r.hist.Merge(&o.hist)
 }
 
-// Count returns the number of recorded samples, backfill included.
+// Count returns the number of recorded samples.
 func (r *Recorder) Count() uint64 { return r.hist.Snapshot().Count }
 
 // Percentile returns the p-th latency percentile (upper bucket bound,

@@ -8,24 +8,18 @@ import (
 	"openhpcxx/internal/clock"
 )
 
-func TestRecorderBackfill(t *testing.T) {
-	// A 10ms observation against a 1ms expected interval must synthesize
-	// the nine omitted arrival slots: 10, 9, 8, ... 1 ms.
-	r := NewRecorder(time.Millisecond)
-	r.Record(10 * time.Millisecond)
-	if got := r.Count(); got != 10 {
-		t.Fatalf("backfill recorded %d samples, want 10", got)
+// TestRecorderOneSamplePerRecord: every Record is exactly one sample,
+// however long the latency, and a negative latency (clock skew) clamps
+// to zero instead of being dropped.
+func TestRecorderOneSamplePerRecord(t *testing.T) {
+	r := new(Recorder)
+	r.Record(10 * time.Second)
+	r.Record(-time.Second)
+	if got := r.Count(); got != 2 {
+		t.Fatalf("2 records left %d samples", got)
 	}
-	// Closed-loop recorders (interval 0) never backfill.
-	c := NewRecorder(0)
-	c.Record(10 * time.Millisecond)
-	if got := c.Count(); got != 1 {
-		t.Fatalf("interval-0 recorder backfilled: %d samples", got)
-	}
-	// Negative latency (clock skew) clamps to zero instead of panicking.
-	c.Record(-time.Second)
-	if got := c.Count(); got != 2 {
-		t.Fatalf("negative latency dropped: %d samples", got)
+	if p := r.Percentile(0); p != 0 {
+		t.Fatalf("negative latency recorded as %v, want 0", p)
 	}
 }
 
@@ -38,8 +32,7 @@ func TestRecorderBackfill(t *testing.T) {
 func stallRun(ops int, interval, service, stallDur time.Duration, stallAt int) (open, closed *Recorder) {
 	fake := clock.NewFake(time.Unix(5000, 0))
 	start := fake.Now()
-	open = NewRecorder(interval)
-	closed = NewRecorder(0)
+	open, closed = new(Recorder), new(Recorder)
 	free := start // when the server is next free
 	for k := 0; k < ops; k++ {
 		intended := start.Add(time.Duration(k) * interval)
@@ -103,24 +96,20 @@ func TestQuickCoordinatedOmission(t *testing.T) {
 	}
 }
 
-// TestCoordinatedOmissionBackfillCounts pins the other half of the
-// correction: the open recorder synthesizes the samples the stall
-// prevented from being recorded individually, so its sample count
-// exceeds the op count while the closed recorder's equals it.
-func TestCoordinatedOmissionBackfillCounts(t *testing.T) {
+// TestCoordinatedOmissionCounts pins the other half: measuring from the
+// intended start needs no synthesized samples — both recorders hold
+// exactly one sample per op.
+func TestCoordinatedOmissionCounts(t *testing.T) {
 	const ops = 500
 	open, closed := stallRun(ops, time.Millisecond, 50*time.Microsecond, 200*time.Millisecond, 100)
-	if got := closed.Count(); got != ops {
-		t.Fatalf("closed recorder holds %d samples, want %d", got, ops)
-	}
-	if got := open.Count(); got <= ops {
-		t.Fatalf("open recorder holds %d samples, want > %d (expected-interval backfill)", got, ops)
+	if open.Count() != ops || closed.Count() != ops {
+		t.Fatalf("recorders hold %d (open) and %d (closed) samples, want %d each", open.Count(), closed.Count(), ops)
 	}
 }
 
 // TestRecorderMerge keeps per-worker merging exact.
 func TestRecorderMerge(t *testing.T) {
-	a, b := NewRecorder(0), NewRecorder(0)
+	a, b := new(Recorder), new(Recorder)
 	for i := 1; i <= 100; i++ {
 		a.Record(time.Duration(i) * time.Millisecond)
 	}

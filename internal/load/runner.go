@@ -14,40 +14,20 @@ import (
 	"openhpcxx/internal/migrate"
 	"openhpcxx/internal/netsim"
 	"openhpcxx/internal/stats"
+	"openhpcxx/internal/testbed"
 	"openhpcxx/internal/transport"
 	"openhpcxx/internal/xdr"
 )
 
-// ExchangeIface is the harness servant's interface name: one method,
-// "exchange", echoing an integer array — the paper's §5 workload.
-const ExchangeIface = "openhpcxx.load.Exchange"
-
-// loadBasePort anchors the per-server stream ports so restart hooks can
-// re-bind the address a crashed server advertised.
+// loadBasePort anchors the per-server stream ports.
 const loadBasePort = 7600
 
-// ExchangeActivator builds the echo servant. Stateless, so migration
-// churn can move it freely.
-func ExchangeActivator() (any, map[string]core.Method) {
-	impl := &exchangeImpl{}
-	return impl, map[string]core.Method{
-		"exchange": core.Handler(func(in *core.Int32Slice) (*core.Int32Slice, error) {
-			return in, nil
-		}),
-	}
-}
-
-type exchangeImpl struct{}
-
-func (*exchangeImpl) Snapshot() ([]byte, error) { return nil, nil }
-func (*exchangeImpl) Restore([]byte) error      { return nil }
-
-// server is one exported servant: its context, machine, fixed port, and
-// the plain + capability-glue references clients use.
+// server is one exported servant: its testbed node (context, fixed
+// port), machine, and the plain + capability-glue references clients
+// use.
 type server struct {
-	ctx      *core.Context
+	*testbed.Node
 	machine  netsim.MachineID
-	port     int
 	plainRef *core.ObjectRef
 	glueRef  *core.ObjectRef
 }
@@ -64,17 +44,15 @@ type target struct {
 
 // Runner is a built, ready-to-run scenario world.
 type Runner struct {
-	sc       *Scenario
-	clk      clock.Clock
-	net      *netsim.Network
-	rt       *core.Runtime
-	client   *core.Context
-	servers  []*server
-	targets  []*target
-	pattern  []int // op index -> workload slice, weight-expanded
-	args     [][]byte
-	plan     *netsim.FaultPlan
-	schedule []string
+	sc      *Scenario
+	clk     clock.Clock
+	tb      *testbed.Builder
+	client  *core.Context
+	servers []*server
+	targets []*target
+	pattern []int // op index -> workload slice, weight-expanded
+	args    [][]byte
+	plan    *netsim.FaultPlan
 	// churn state: current home and ref of each server's object.
 	churnMu   sync.Mutex
 	churnHome []int
@@ -102,9 +80,9 @@ type Result struct {
 	GoodputPerSec float64       `json:"goodput_per_sec"`
 	Elapsed       time.Duration `json:"elapsed_ns"`
 
-	// Latency is the coordinated-omission-safe distribution: open mode
-	// measures from intended start with expected-interval backfill;
-	// closed mode from actual start (and says so in Mode).
+	// Latency holds one sample per completed or failed op: open mode
+	// measures from the op's intended start (coordinated-omission-safe),
+	// closed mode from its actual start (and says so in Mode).
 	Latency stats.Snapshot `json:"latency_ns"`
 
 	Schedule []string `json:"fault_schedule,omitempty"`
@@ -113,7 +91,8 @@ type Result struct {
 // NewRunner builds the scenario's world: topology, runtime, servers,
 // references, shared GlobalPtrs, and the fault plan. clk may be nil for
 // the real clock; a *clock.Fake makes short scenarios deterministic.
-func NewRunner(sc *Scenario, clk clock.Clock) (*Runner, error) {
+// hook (may be nil) observes the world's runtime until Close.
+func NewRunner(sc *Scenario, clk clock.Clock, hook testbed.Hook) (*Runner, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
@@ -124,55 +103,48 @@ func NewRunner(sc *Scenario, clk clock.Clock) (*Runner, error) {
 	if sc.Topology.Scale > 0 && sc.Topology.Scale != 1 {
 		profile = profile.Scaled(sc.Topology.Scale)
 	}
-	n := netsim.New()
-	if _, err := n.AddGrid(netsim.GridSpec{
-		LANs:           sc.Topology.LANs,
-		MachinesPerLAN: sc.Topology.MachinesPerLAN,
-		Profile:        profile,
-		CampusesEvery:  sc.Topology.CampusesEvery,
-		SharedBps:      sc.Topology.LANCapacityBps,
-	}); err != nil {
-		return nil, err
-	}
-	rt := core.NewRuntime(n, "load-"+sc.Name)
-	capability.Install(rt.DefaultPool())
-	rt.RegisterIface(ExchangeIface, ExchangeActivator)
-	rt.SetFailover(sc.Failover)
-	rt.SetClock(clk)
-	fail := func(err error) (*Runner, error) {
-		rt.Close()
-		return nil, err
-	}
-	client, err := rt.NewContext("client", netsim.GridMachine(0, 0))
-	if err != nil {
-		return fail(err)
-	}
-	r := &Runner{sc: sc, clk: clk, net: n, rt: rt, client: client}
+	tb := testbed.New("load-"+sc.Name, hook)
+	tb.RT.SetFailover(sc.Failover)
+	tb.RT.SetClock(clk)
+	tb.Do(func() error {
+		_, err := tb.Net.AddGrid(netsim.GridSpec{
+			LANs:           sc.Topology.LANs,
+			MachinesPerLAN: sc.Topology.MachinesPerLAN,
+			Profile:        profile,
+			CampusesEvery:  sc.Topology.CampusesEvery,
+			SharedBps:      sc.Topology.LANCapacityBps,
+		})
+		return err
+	})
+	r := &Runner{sc: sc, clk: clk, tb: tb}
+	client := tb.Context("client", netsim.GridMachine(0, 0))
 	for i, m := range serverMachines(sc) {
-		s, err := r.startServer(i, m)
-		if err != nil {
-			return fail(err)
-		}
+		// A fixed port per server, so a restart hook can re-bind the
+		// address a crashed server advertised.
+		node := tb.Context(fmt.Sprintf("server%d", i), m).Bind(loadBasePort + i).
+			Echo(core.ObjectID(fmt.Sprintf("load/x%d", i)))
+		stream := node.Stream()
+		glue := node.Glue(fmt.Sprintf("load-sec%d", i), stream,
+			capability.NewRandomEncrypt(capability.ScopeAlways),
+			capability.MustNewAuth("load", []byte("load-key"), capability.ScopeAlways))
+		s := &server{Node: node, machine: m, plainRef: node.Ref(stream), glueRef: node.Ref(glue)}
 		r.servers = append(r.servers, s)
 		r.churnHome = append(r.churnHome, i)
 		r.churnRef = append(r.churnRef, s.plainRef)
 	}
+	tb.Do(r.buildArgs)
+	tb.Do(r.buildFaultPlan)
+	if err := tb.Build(); err != nil {
+		return nil, err
+	}
+	r.client = client.Ctx
 	r.buildTargets()
 	r.buildPattern()
-	if err := r.buildArgs(); err != nil {
-		return fail(err)
-	}
-	if err := r.buildFaultPlan(); err != nil {
-		return fail(err)
-	}
 	return r, nil
 }
 
 // Close tears the world down.
-func (r *Runner) Close() { r.rt.Close() }
-
-// Runtime exposes the run's runtime (introspection hooks attach here).
-func (r *Runner) Runtime() *core.Runtime { return r.rt }
+func (r *Runner) Close() { r.tb.Close() }
 
 // serverMachines places servers round-robin across LANs — machine j of
 // each LAN in turn — skipping lan0-m0, the client's machine, so every
@@ -188,42 +160,6 @@ func serverMachines(sc *Scenario) []netsim.MachineID {
 		}
 	}
 	return out
-}
-
-// startServer builds one server context on m: stream binding at a fixed
-// port, the echo servant, and plain + glue references.
-func (r *Runner) startServer(i int, m netsim.MachineID) (*server, error) {
-	ctx, err := r.rt.NewContext(fmt.Sprintf("server%d", i), m)
-	if err != nil {
-		return nil, err
-	}
-	port := loadBasePort + i
-	if err := ctx.BindSim(port); err != nil {
-		return nil, err
-	}
-	impl, methods := ExchangeActivator()
-	sv, err := ctx.ExportAs(core.ObjectID(fmt.Sprintf("load/x%d", i)), ExchangeIface, impl, methods, 0)
-	if err != nil {
-		return nil, err
-	}
-	streamE, err := ctx.EntryStream()
-	if err != nil {
-		return nil, err
-	}
-	glueE, err := capability.GlueEntry(ctx, fmt.Sprintf("load-sec%d", i), streamE,
-		capability.NewRandomEncrypt(capability.ScopeAlways),
-		capability.MustNewAuth("load", []byte("load-key"), capability.ScopeAlways),
-	)
-	if err != nil {
-		return nil, err
-	}
-	return &server{
-		ctx:      ctx,
-		machine:  m,
-		port:     port,
-		plainRef: ctx.NewRef(sv, streamE),
-		glueRef:  ctx.NewRef(sv, glueE),
-	}, nil
 }
 
 // buildTargets creates the shared per-server GlobalPtrs. The async GP's
@@ -267,11 +203,7 @@ func (r *Runner) buildPattern() {
 // buildArgs pre-marshals each workload slice's payload once.
 func (r *Runner) buildArgs() error {
 	for _, w := range r.sc.Workload {
-		arr := &core.Int32Slice{V: make([]int32, w.Ints)}
-		for i := range arr.V {
-			arr.V[i] = int32(i)
-		}
-		b, err := xdr.Marshal(arr)
+		b, err := xdr.Marshal(testbed.Ints(w.Ints))
 		if err != nil {
 			return err
 		}
@@ -285,31 +217,25 @@ func (r *Runner) buildFaultPlan() error {
 	if len(r.sc.Faults) == 0 {
 		return nil
 	}
-	plan := new(netsim.FaultPlan)
-	plan.SetClock(r.clk)
+	r.plan = new(netsim.FaultPlan).SetClock(r.clk)
 	for _, f := range r.sc.Faults {
 		at := time.Duration(f.AtMS) * time.Millisecond
 		m := netsim.MachineID(f.Machine)
 		switch f.Kind {
 		case FaultCrash:
-			plan.CrashAt(at, m)
-			r.schedule = append(r.schedule, fmt.Sprintf("%6v  crash %s", at, m))
+			r.plan.CrashAt(at, m)
 		case FaultRestart:
 			s := r.serverOn(m)
 			if s == nil {
 				return errs.Newf(errs.Config, "load: %s: restart of %s, which hosts no server", r.sc.Name, m)
 			}
-			plan.RestartAt(at, m, func() { _ = s.ctx.BindSim(s.port) })
-			r.schedule = append(r.schedule, fmt.Sprintf("%6v  restart %s (re-bind sim port %d)", at, m, s.port))
+			r.plan.RestartAt(at, m, s.Rebind)
 		case FaultPartition:
-			plan.PartitionAt(at, m, netsim.MachineID(f.Peer))
-			r.schedule = append(r.schedule, fmt.Sprintf("%6v  partition %s | %s", at, m, f.Peer))
+			r.plan.PartitionAt(at, m, netsim.MachineID(f.Peer))
 		case FaultHeal:
-			plan.HealAt(at, m, netsim.MachineID(f.Peer))
-			r.schedule = append(r.schedule, fmt.Sprintf("%6v  heal %s | %s", at, m, f.Peer))
+			r.plan.HealAt(at, m, netsim.MachineID(f.Peer))
 		}
 	}
-	r.plan = plan
 	return nil
 }
 
@@ -335,11 +261,11 @@ func (r *Runner) churnLoop(ctx context.Context, period time.Duration) {
 		r.churnMu.Lock()
 		from := r.servers[r.churnHome[i]]
 		to := r.servers[(r.churnHome[i]+1)%len(r.servers)]
-		if r.net.Down(from.machine) || r.net.Down(to.machine) {
+		if r.tb.Net.Down(from.machine) || r.tb.Net.Down(to.machine) {
 			r.churnMu.Unlock()
 			continue
 		}
-		newRef, err := migrate.MoveLocal(from.ctx, r.churnRef[i], to.ctx)
+		newRef, err := migrate.MoveLocal(from.Ctx, r.churnRef[i], to.Ctx)
 		if err == nil {
 			r.churnHome[i] = (r.churnHome[i] + 1) % len(r.servers)
 			r.churnRef[i] = newRef
@@ -372,8 +298,8 @@ func (r *Runner) Run(ctx context.Context) (*Result, error) {
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	if r.plan != nil {
-		run := r.plan.Run(r.net)
-		defer func() { run.Stop(); run.Wait() }()
+		run := r.plan.Run(r.tb.Net)
+		defer run.Stop()
 	}
 	if p := sc.Churn.MigrateEveryMS; p > 0 {
 		go r.churnLoop(runCtx, time.Duration(p)*time.Millisecond)
@@ -396,7 +322,9 @@ func (r *Runner) Run(ctx context.Context) (*Result, error) {
 	res.Workers = sc.Workers
 	res.Batching = sc.Batching
 	res.Migrations = r.migrated.Load()
-	res.Schedule = r.schedule
+	if r.plan != nil {
+		res.Schedule = r.plan.Schedule()
+	}
 	if res.Elapsed <= 0 {
 		res.Elapsed = time.Nanosecond
 	}
@@ -444,7 +372,7 @@ func (r *Runner) runClosed(ctx context.Context) (*Result, error) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			rec := NewRecorder(0)
+			rec := new(Recorder)
 			recs[w] = rec
 			for ctx.Err() == nil {
 				k := issued.Add(1) - 1
@@ -499,10 +427,7 @@ func (r *Runner) runOpen(ctx context.Context) (*Result, error) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			// Expected-interval backfill at the aggregate rate spread
-			// across the pool: each worker drains roughly every
-			// Workers-th slot of the schedule.
-			rec := NewRecorder(interval * time.Duration(sc.Workers))
+			rec := new(Recorder)
 			recs[w] = rec
 			for o := range queue {
 				if ctx.Err() != nil {
@@ -537,7 +462,7 @@ func (r *Runner) runOpen(ctx context.Context) (*Result, error) {
 
 // collect merges the per-worker recorders into one result.
 func (r *Runner) collect(recs []*Recorder, fails, dones []int, issued int, elapsed time.Duration) *Result {
-	merged := NewRecorder(0)
+	merged := new(Recorder)
 	res := &Result{Issued: issued, Elapsed: elapsed}
 	for w := range recs {
 		if recs[w] == nil {
@@ -553,8 +478,8 @@ func (r *Runner) collect(recs []*Recorder, fails, dones []int, issued int, elaps
 
 // RunScenario is the one-call entry: build the world, run it, tear it
 // down.
-func RunScenario(ctx context.Context, sc *Scenario, clk clock.Clock) (*Result, error) {
-	r, err := NewRunner(sc, clk)
+func RunScenario(ctx context.Context, sc *Scenario, clk clock.Clock, hook testbed.Hook) (*Result, error) {
+	r, err := NewRunner(sc, clk, hook)
 	if err != nil {
 		return nil, err
 	}

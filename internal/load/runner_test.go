@@ -19,7 +19,7 @@ func TestSmokeOpenLoopFakeClock(t *testing.T) {
 		t.Fatal(err)
 	}
 	fake := clock.NewFake(time.Unix(9000, 0))
-	res, err := RunScenario(context.Background(), sc, fake)
+	res, err := RunScenario(context.Background(), sc, fake, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,8 +33,8 @@ func TestSmokeOpenLoopFakeClock(t *testing.T) {
 	if res.Failed != 0 {
 		t.Fatalf("%d ops failed on a fault-free unshaped grid", res.Failed)
 	}
-	if res.Latency.Count < uint64(res.Issued) {
-		t.Fatalf("recorder holds %d samples for %d ops", res.Latency.Count, res.Issued)
+	if res.Latency.Count != uint64(res.Issued) {
+		t.Fatalf("recorder holds %d samples for %d ops, want exactly one per op", res.Latency.Count, res.Issued)
 	}
 	if res.Mode != ArrivalOpen || res.OfferedPerSec != sc.Arrival.RatePerSec {
 		t.Fatalf("result mislabeled: %+v", res)
@@ -50,7 +50,7 @@ func TestSmokeClosedLoopMaxOps(t *testing.T) {
 		t.Fatal(err)
 	}
 	fake := clock.NewFake(time.Unix(9000, 0))
-	res, err := RunScenario(context.Background(), sc, fake)
+	res, err := RunScenario(context.Background(), sc, fake, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestRunnerFaultsAndChurn(t *testing.T) {
 		},
 		Churn: Churn{MigrateEveryMS: 40},
 	}
-	res, err := RunScenario(context.Background(), sc, nil)
+	res, err := RunScenario(context.Background(), sc, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestRunnerRejectsBadRestart(t *testing.T) {
 		MaxOps:     10,
 		Faults:     []FaultSpec{{AtMS: 10, Kind: FaultRestart, Machine: "lan1-m1"}},
 	}
-	_, err := NewRunner(sc, clock.NewFake(time.Unix(1, 0)))
+	_, err := NewRunner(sc, clock.NewFake(time.Unix(1, 0)), nil)
 	if err == nil {
 		t.Fatal("restart of a serverless machine accepted")
 	}
@@ -132,7 +132,7 @@ func TestRunnerRejectsBadRestart(t *testing.T) {
 
 // TestRunnerValidatesScenario keeps NewRunner honest about validation.
 func TestRunnerValidatesScenario(t *testing.T) {
-	if _, err := NewRunner(&Scenario{}, nil); errs.CodeOf(err) != errs.Config {
+	if _, err := NewRunner(&Scenario{}, nil, nil); errs.CodeOf(err) != errs.Config {
 		t.Fatalf("empty scenario: %v", err)
 	}
 }

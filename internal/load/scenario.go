@@ -14,8 +14,7 @@
 // requests are issued on a fixed arrival schedule regardless of
 // completions, and latency is measured from the request's *intended*
 // start time, so time spent queued behind a stall is charged to the
-// result. See Recorder for the expected-interval backfill that guards
-// the residual closed-loop paths.
+// result. Every issued request contributes exactly one sample.
 package load
 
 import (

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"errors"
+	"fmt"
 	"sort"
 	"sync"
 	"time"
@@ -202,6 +203,25 @@ func (p *FaultPlan) FlapAt(at time.Duration, a, b MachineID, down time.Duration)
 	return p.HealAt(at+down, a, b)
 }
 
+// ordered returns the events in firing order: by At, ties in the order
+// they were added.
+func (p *FaultPlan) ordered() []FaultEvent {
+	evs := make([]FaultEvent, len(p.events))
+	copy(evs, p.events)
+	sort.SliceStable(evs, func(i, j int) bool { return evs[i].At < evs[j].At })
+	return evs
+}
+
+// Schedule renders the plan for a report: one "offset  name" line per
+// event, in the order Run fires them.
+func (p *FaultPlan) Schedule() []string {
+	var lines []string
+	for _, ev := range p.ordered() {
+		lines = append(lines, fmt.Sprintf("%6v  %s", ev.At.Round(time.Millisecond), ev.Name))
+	}
+	return lines
+}
+
 // FaultRun is an executing FaultPlan.
 type FaultRun struct {
 	done chan struct{}
@@ -213,9 +233,7 @@ type FaultRun struct {
 // firing events in At order relative to now. The netsim shapes traffic
 // in real time, so the schedule runs on the wall clock too.
 func (p *FaultPlan) Run(n *Network) *FaultRun {
-	evs := make([]FaultEvent, len(p.events))
-	copy(evs, p.events)
-	sort.SliceStable(evs, func(i, j int) bool { return evs[i].At < evs[j].At })
+	evs := p.ordered()
 	r := &FaultRun{done: make(chan struct{}), stop: make(chan struct{})}
 	clk := p.clk
 	if clk == nil {

@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
+
+	"openhpcxx/internal/clock"
 )
 
 // echoListener accepts connections and echoes bytes until the listener
@@ -211,6 +215,48 @@ func TestFaultPlanRunsInOrder(t *testing.T) {
 	run.Wait()
 	if len(order) != 3 || order[0] != "first" || order[1] != "second" || order[2] != "third" {
 		t.Fatalf("events fired as %v", order)
+	}
+}
+
+// TestFaultPlanScheduleMatchesRun: the rendered schedule is one line per
+// event, At-ordered (ties in insertion order) — the order Run fires them
+// in, here on a fake clock advanced past the whole plan at once.
+func TestFaultPlanScheduleMatchesRun(t *testing.T) {
+	n := buildTopology(t)
+	var fired []string
+	plan := new(FaultPlan)
+	for _, ev := range []struct {
+		at   time.Duration
+		name string
+	}{{300 * time.Millisecond, "restart m1"}, {100 * time.Millisecond, "crash m1"}, {300 * time.Millisecond, "heal m1/m2"}, {1500 * time.Microsecond, "partition m1/m2"}} {
+		name := ev.name
+		plan.Add(ev.at, name, func(*Network) { fired = append(fired, name) })
+	}
+	want := []string{
+		"   2ms  partition m1/m2",
+		" 100ms  crash m1",
+		" 300ms  restart m1",
+		" 300ms  heal m1/m2",
+	}
+	got := plan.Schedule()
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("schedule rendered as\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+
+	fake := clock.NewFake(time.Unix(1000, 0))
+	run := plan.SetClock(fake).Run(n)
+	for fake.Waiters() == 0 {
+		runtime.Gosched()
+	}
+	fake.Advance(time.Hour)
+	run.Wait()
+	if len(fired) != len(got) {
+		t.Fatalf("%d events fired for %d schedule lines", len(fired), len(got))
+	}
+	for i, name := range fired {
+		if !strings.HasSuffix(got[i], "  "+name) {
+			t.Fatalf("event %d fired %q, schedule line %q", i, name, got[i])
+		}
 	}
 }
 

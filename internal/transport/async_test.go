@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"openhpcxx/internal/clock"
+	"openhpcxx/internal/errs"
 	"openhpcxx/internal/wire"
 )
 
@@ -338,5 +340,26 @@ func TestCoalescerConcurrent(t *testing.T) {
 		if err != nil {
 			t.Fatalf("caller %d: %v", i, err)
 		}
+	}
+}
+
+// TestMuxWriteKeepsCodecCode: a request the codec refuses to frame is a
+// permanent codec error, not a transport blip — the write wrap keeps the
+// code its cause already carries.
+func TestMuxWriteKeepsCodecCode(t *testing.T) {
+	shm := NewSHM()
+	l, _ := shm.Listen("big")
+	srv := Serve(l, echoHandler)
+	defer srv.Close()
+	c, err := shm.Dial("big")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewMux(c)
+	defer m.Close()
+
+	_, err = m.Call(&wire.Message{Type: wire.TRequest, Method: "big", Body: make([]byte, wire.MaxFrame+1)})
+	if !errors.Is(err, wire.ErrTooLarge) || errs.CodeOf(err) != errs.Codec {
+		t.Fatalf("oversize request: %v (code %v), want wire.ErrTooLarge coded codec", err, errs.CodeOf(err))
 	}
 }

@@ -212,7 +212,13 @@ func (m *Mux) Begin(msg *wire.Message) (*PendingCall, error) {
 	if err != nil {
 		m.recordErr(err)
 		m.forget(id)
-		werr := errs.Wrap(errs.Transport, err, "transport: write")
+		// A frame the codec refused (wire.ErrTooLarge) will be refused
+		// again: keep its code so the engine does not retry it as a blip.
+		code := errs.CodeOf(err)
+		if code == errs.Unknown {
+			code = errs.Transport
+		}
+		werr := errs.Wrap(code, err, "transport: write")
 		p.resolve(nil, werr)
 		return nil, werr
 	}

@@ -36,7 +36,6 @@ package wire
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -225,7 +224,7 @@ var (
 	// fails with one are not re-sent as if the transport had blipped.
 	ErrBadMagic   = errs.New(errs.Codec, "wire: bad magic")
 	ErrBadVersion = errs.New(errs.Codec, "wire: unsupported version")
-	ErrTooLarge   = errors.New("wire: frame exceeds MaxFrame")
+	ErrTooLarge   = errs.New(errs.Codec, "wire: frame exceeds MaxFrame")
 )
 
 // UnmarshalXDR decodes everything after the frame length prefix. Body

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"openhpcxx/internal/bench"
 	"openhpcxx/internal/capability"
 	"openhpcxx/internal/clock"
 	"openhpcxx/internal/core"
@@ -14,6 +13,7 @@ import (
 	"openhpcxx/internal/netsim"
 	"openhpcxx/internal/proto/udprel"
 	"openhpcxx/internal/registry"
+	"openhpcxx/internal/testbed"
 	"openhpcxx/internal/wire"
 )
 
@@ -33,7 +33,7 @@ func TestFullStackScenario(t *testing.T) {
 
 	rt := core.NewRuntime(n, "itest")
 	capability.Install(rt.DefaultPool())
-	rt.RegisterIface(bench.ExchangeIface, bench.ExchangeActivator)
+	rt.RegisterIface(testbed.ExchangeIface, testbed.ExchangeActivator)
 	defer rt.Close()
 
 	// Name service.
@@ -66,8 +66,8 @@ func TestFullStackScenario(t *testing.T) {
 	host2 := mkHost("host2", "lab-2")
 
 	// Service: auth for off-LAN clients, quota 100, nexus fallback.
-	impl, methods := bench.ExchangeActivator()
-	servant, err := host1.Export(bench.ExchangeIface, impl, methods)
+	impl, methods := testbed.ExchangeActivator()
+	servant, err := host1.Export(testbed.ExchangeIface, impl, methods)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestCustomProtocolMigration(t *testing.T) {
 
 	rt := core.NewRuntime(n, "p")
 	rt.DefaultPool().Register(udprel.NewFactory(udprel.Config{}))
-	rt.RegisterIface(bench.ExchangeIface, bench.ExchangeActivator)
+	rt.RegisterIface(testbed.ExchangeIface, testbed.ExchangeActivator)
 	defer rt.Close()
 
 	migrate.RegisterReanchor(udprel.ID, func(dst *core.Context, old core.ProtoEntry) (core.ProtoEntry, bool, error) {
@@ -187,8 +187,8 @@ func TestCustomProtocolMigration(t *testing.T) {
 	}
 	// Migration also needs a control/stream path for FaultMoved? No —
 	// the tombstone replies travel over udprel itself.
-	impl, methods := bench.ExchangeActivator()
-	s, err := src.Export(bench.ExchangeIface, impl, methods)
+	impl, methods := testbed.ExchangeActivator()
+	s, err := src.Export(testbed.ExchangeIface, impl, methods)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,8 +238,8 @@ func TestQuotaDeadlineEndToEnd(t *testing.T) {
 	if err := server.BindSim(0); err != nil {
 		t.Fatal(err)
 	}
-	impl, methods := bench.ExchangeActivator()
-	s, _ := server.Export(bench.ExchangeIface, impl, methods)
+	impl, methods := testbed.ExchangeActivator()
+	s, _ := server.Export(testbed.ExchangeIface, impl, methods)
 	base, _ := server.EntryStream()
 	paidUntil := fc.Now().Add(time.Hour)
 	glueE, err := capability.GlueEntry(server, "paid", base, capability.NewQuota(0, paidUntil))
@@ -310,8 +310,8 @@ func TestRealTCPFullStack(t *testing.T) {
 	if err := svcCtx.BindTCP("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	impl, methods := bench.ExchangeActivator()
-	s, err := svcCtx.Export(bench.ExchangeIface, impl, methods)
+	impl, methods := testbed.ExchangeActivator()
+	s, err := svcCtx.Export(testbed.ExchangeIface, impl, methods)
 	if err != nil {
 		t.Fatal(err)
 	}
