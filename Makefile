@@ -60,12 +60,16 @@ faults:
 		./internal/netsim/ ./internal/transport/ ./internal/health/ \
 		./internal/core/ ./internal/capability/ ./internal/bench/
 
-# Frame-decoder fuzzing: the header decoder and the TBatch body decoder
-# must never panic and must round-trip every input they accept. Go runs one fuzz target per invocation.
+# Decoder fuzzing: the header decoder and the TBatch body decoder must
+# never panic and must round-trip every input they accept; no capability's
+# Unprocess may panic on hostile (envelope, body) bytes, and auth, checksum
+# and encrypt must reject any one-bit flip of what Process wrote. Go runs
+# one fuzz target per invocation.
 fuzz:
 	$(GO) test ./internal/wire/ -run='^$$' -fuzz=FuzzDecodeHeader -fuzztime=10s
 	$(GO) test ./internal/wire/ -run='^$$' -fuzz=FuzzDecodeBatch -fuzztime=10s
 	$(GO) test ./internal/wire/ -run='^$$' -fuzz=FuzzRead -fuzztime=10s
+	$(GO) test ./internal/capability/ -run='^$$' -fuzz=FuzzUnprocess -fuzztime=10s
 
 # Capacity-harness smoke: run the open-loop smoke scenario end to end on
 # a fake clock — the whole stack (grid topology, servers, mixed workload,

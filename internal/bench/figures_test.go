@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -210,6 +211,13 @@ func TestPacedDriver(t *testing.T) {
 		func(ctx context.Context, w, i int) (string, bool) {
 			if _, ok := ctx.Deadline(); !ok {
 				t.Error("op context carries no deadline")
+			}
+			// The plan's goroutine arms its 5ms timer relative to the fake
+			// clock's reading when it gets to run: let it, before this
+			// loop moves the clock (past 100ms, and the timer would never
+			// fire).
+			for i == 0 && fake.Waiters() == 0 {
+				runtime.Gosched()
 			}
 			fake.Advance(time.Millisecond) // the call itself takes 1ms
 			if i%2 == 1 {

@@ -1,6 +1,7 @@
 package capability
 
 import (
+	"cmp"
 	"crypto/hmac"
 	"crypto/rand"
 	"crypto/sha256"
@@ -22,7 +23,8 @@ const KindAuth = "auth"
 // sides share the secret through the capability config.
 type Auth struct {
 	principal string
-	secret    []byte
+	ident     string  // principal ‖ 0, as the MAC covers it
+	macs      macPool // holds the secret
 	scope     Scope
 }
 
@@ -34,7 +36,7 @@ func NewAuth(principal string, secret []byte, scope Scope) (*Auth, error) {
 	if len(secret) == 0 {
 		return nil, errs.New(errs.Config, "capability: auth requires a secret")
 	}
-	return &Auth{principal: principal, secret: append([]byte(nil), secret...), scope: scope}, nil
+	return &Auth{principal: principal, ident: principal + "\x00", macs: macPool{key: append([]byte(nil), secret...)}, scope: scope}, nil
 }
 
 // MustNewAuth is NewAuth, panicking on error (fixture use).
@@ -85,83 +87,52 @@ func (c *authConfig) UnmarshalXDR(d *xdr.Decoder) error {
 
 // Config implements Capability.
 func (a *Auth) Config() ([]byte, error) {
-	return xdr.Marshal(&authConfig{Principal: a.principal, Secret: a.secret, Scope: a.scope})
+	return xdr.Marshal(&authConfig{Principal: a.principal, Secret: a.macs.key, Scope: a.scope})
 }
 
 const authNonceLen = 16
 
-// authEnvelope is {principal, nonce, mac}.
-type authEnvelope struct {
-	Principal string
-	Nonce     []byte
-	MAC       []byte
-}
-
-func (v *authEnvelope) MarshalXDR(e *xdr.Encoder) error {
-	e.PutString(v.Principal)
-	e.PutOpaque(v.Nonce)
-	e.PutOpaque(v.MAC)
-	return nil
-}
-
-func (v *authEnvelope) UnmarshalXDR(d *xdr.Decoder) error {
-	var err error
-	if v.Principal, err = d.String(); err != nil {
-		return err
-	}
-	if v.Nonce, err = d.Opaque(); err != nil {
-		return err
-	}
-	v.MAC, err = d.Opaque()
-	return err
-}
-
-// Process signs the body; the body itself is unchanged.
+// Process signs the body; the body itself is unchanged. The envelope —
+// XDR {string principal, opaque nonce, opaque mac} — is laid out once at
+// its exact size, the nonce drawn straight into its slot.
 func (a *Auth) Process(f *Frame, body []byte) ([]byte, []byte, error) {
-	nonce := make([]byte, authNonceLen)
+	at := 4 + (len(a.principal)+3)&^3 + 4 // XDR pads the principal; the other two are whole words
+	var e xdr.Encoder
+	e.SetBuf(f.envelope(at + authNonceLen + 4 + sha256.Size)[:0])
+	e.PutString(a.principal)
+	e.PutOpaque(make([]byte, authNonceLen)) // on the stack: only reserves the slot
+	nonce := e.Bytes()[at:]
 	if _, err := rand.Read(nonce); err != nil {
 		return nil, nil, err
 	}
-	env, err := xdr.Marshal(&authEnvelope{
-		Principal: a.principal,
-		Nonce:     nonce,
-		MAC:       a.mac(f, nonce, body),
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return body, env, nil
+	mac := a.macs.sum(f, nonce, a.ident, body)
+	e.PutOpaque(mac[:])
+	return body, e.Bytes(), nil
 }
 
-// Unprocess verifies the signature.
+// Unprocess verifies the signature; the envelope's fields are views.
 func (a *Auth) Unprocess(f *Frame, envelope, body []byte) ([]byte, error) {
-	v := new(authEnvelope)
-	if err := xdr.Unmarshal(envelope, v); err != nil {
+	var d xdr.Decoder
+	d.Reset(envelope)
+	principal, e1 := d.OpaqueView()
+	nonce, e2 := d.OpaqueView()
+	mac, e3 := d.OpaqueView()
+	if err := cmp.Or(e1, e2, e3); err != nil {
 		return nil, wire.Faultf(wire.FaultAuth, "auth envelope: %v", err)
 	}
-	if v.Principal != a.principal {
-		return nil, wire.Faultf(wire.FaultAuth, "unknown principal %q", v.Principal)
+	if d.Remaining() != 0 {
+		return nil, wire.Faultf(wire.FaultAuth, "auth envelope: %d trailing bytes", d.Remaining())
 	}
-	if len(v.Nonce) != authNonceLen {
-		return nil, wire.Faultf(wire.FaultAuth, "auth nonce has %d bytes", len(v.Nonce))
+	if string(principal) != a.principal {
+		return nil, wire.Faultf(wire.FaultAuth, "unknown principal %q", principal)
 	}
-	if !hmac.Equal(v.MAC, a.mac(f, v.Nonce, body)) {
-		return nil, wire.Faultf(wire.FaultAuth, "signature verification failed for %q", v.Principal)
+	if len(nonce) != authNonceLen {
+		return nil, wire.Faultf(wire.FaultAuth, "auth nonce has %d bytes", len(nonce))
+	}
+	if want := a.macs.sum(f, nonce, a.ident, body); !hmac.Equal(mac, want[:]) {
+		return nil, wire.Faultf(wire.FaultAuth, "signature verification failed for %q", a.principal)
 	}
 	return body, nil
-}
-
-func (a *Auth) mac(f *Frame, nonce, body []byte) []byte {
-	h := hmac.New(sha256.New, a.secret)
-	h.Write(nonce)
-	h.Write([]byte(a.principal))
-	h.Write([]byte{0})
-	h.Write([]byte(f.Object))
-	h.Write([]byte{0})
-	h.Write([]byte(f.Method))
-	h.Write([]byte{byte(f.Dir)})
-	h.Write(body)
-	return h.Sum(nil)
 }
 
 func init() {

@@ -49,16 +49,44 @@ type Frame struct {
 	Method string
 	Dir    Direction
 	Clock  clock.Clock
+	arena  []byte // what is left of the glue's scratch; nil in a hand-built Frame
+}
+
+// envelope returns n zeroed bytes to lay an envelope out in: a piece of
+// the glue's scratch while that lasts (no allocation, and it lives as long
+// as the frame it is sent from), else a fresh slice (a hand-built Frame).
+func (f *Frame) envelope(n int) []byte {
+	if n > len(f.arena) {
+		return make([]byte, n)
+	}
+	b := f.arena[:n:n]
+	f.arena = f.arena[n:]
+	return b
 }
 
 // Capability is one remote access capability (the paper's capab-object).
 // Implementations must be safe for concurrent use: one instance serves
 // every request flowing through its glue object.
 //
-// Process must not mutate body in place (it may alias caller-owned
-// memory); it returns the transformed body and an envelope blob that the
-// peer needs to reverse the transformation. Unprocess reverses Process
-// given that envelope.
+// Process, on the sending side, returns the transformed body and an
+// envelope blob the peer needs to reverse the transformation; Unprocess,
+// on the receiving side, reverses it. Who owns body differs by direction:
+//
+//   - Process must never write to body: it is the caller's argument
+//     slice, and the invocation engine hands the same slice to the chain
+//     again on every retry, failover and FaultMoved chase. A transform
+//     writes its output elsewhere; a capability that only observes or
+//     signs returns body itself as newBody. envelope must stay valid and
+//     unmodified until the frame is written to the wire — possibly long
+//     after Process returns (a coalescer holds a request until its flush)
+//     — so it is never pooled memory; Frame.envelope hands out memory
+//     that lasts as long as the frame.
+//   - Unprocess receives a body that aliases a frame only the receiver
+//     references (wire.Read gives each message its own buffer; a batch's
+//     sub-messages are disjoint views), or the output of the capability
+//     un-processed before it, and may transform it in place — after
+//     verifying whatever it verifies, so a rejected frame is left as it
+//     arrived. envelope is read-only.
 type Capability interface {
 	// Kind names the capability type; it keys the constructor registry
 	// and appears in wire envelopes.

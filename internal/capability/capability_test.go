@@ -39,15 +39,7 @@ func roundTrip(t *testing.T, c Capability, f *Frame, body []byte) []byte {
 	if err != nil {
 		t.Fatalf("%s Process: %v", c.Kind(), err)
 	}
-	cfg, err := c.Config()
-	if err != nil {
-		t.Fatalf("%s Config: %v", c.Kind(), err)
-	}
-	twin, err := New(c.Kind(), cfg)
-	if err != nil {
-		t.Fatalf("rebuild %s: %v", c.Kind(), err)
-	}
-	out, err := twin.Unprocess(f, env, nb)
+	out, err := twin(t, c).Unprocess(f, env, nb)
 	if err != nil {
 		t.Fatalf("%s Unprocess: %v", c.Kind(), err)
 	}

@@ -1,6 +1,7 @@
 package capability
 
 import (
+	"encoding/binary"
 	"hash/crc32"
 
 	"openhpcxx/internal/netsim"
@@ -31,8 +32,8 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // Process attaches the CRC.
 func (*Checksum) Process(f *Frame, body []byte) ([]byte, []byte, error) {
-	sum := crc32.Checksum(body, crcTable)
-	env := []byte{byte(sum >> 24), byte(sum >> 16), byte(sum >> 8), byte(sum)}
+	env := f.envelope(4)
+	binary.BigEndian.PutUint32(env, crc32.Checksum(body, crcTable))
 	return body, env, nil
 }
 
@@ -41,7 +42,7 @@ func (*Checksum) Unprocess(f *Frame, envelope, body []byte) ([]byte, error) {
 	if len(envelope) != 4 {
 		return nil, wire.Faultf(wire.FaultCapability, "checksum envelope has %d bytes", len(envelope))
 	}
-	want := uint32(envelope[0])<<24 | uint32(envelope[1])<<16 | uint32(envelope[2])<<8 | uint32(envelope[3])
+	want := binary.BigEndian.Uint32(envelope)
 	if got := crc32.Checksum(body, crcTable); got != want {
 		return nil, wire.Faultf(wire.FaultCapability, "checksum mismatch: %08x != %08x", got, want)
 	}

@@ -3,7 +3,10 @@ package capability
 import (
 	"bytes"
 	"compress/flate"
+	"encoding/binary"
 	"io"
+	"slices"
+	"sync"
 
 	"openhpcxx/internal/errs"
 	"openhpcxx/internal/netsim"
@@ -24,6 +27,8 @@ type Compress struct {
 	level   int
 	minSize uint32
 	scope   Scope
+
+	deflaters, inflaters sync.Pool // of *deflater, of *inflater
 }
 
 // NewCompress builds a compression capability. level is a flate level
@@ -93,31 +98,48 @@ const (
 	compressDeflate  byte = 1
 )
 
-// Process deflates the body when worthwhile.
+// deflater and inflater are the codec's reusable halves: a flate.Writer
+// is hundreds of kilobytes of tables and a reader tens, so an instance
+// pools them and Resets one per message instead of building one.
+type deflater struct {
+	w   *flate.Writer
+	out bytes.Buffer
+}
+
+type inflater struct {
+	r     io.ReadCloser // also a flate.Resetter
+	src   bytes.Reader
+	extra [1]byte // read target of the end-of-stream probe
+}
+
+// Process deflates the body when worthwhile, into one exact-size
+// allocation shared with the envelope.
 func (c *Compress) Process(f *Frame, body []byte) ([]byte, []byte, error) {
 	if uint32(len(body)) < c.minSize {
-		return body, []byte{compressIdentity}, nil
+		return body, f.envelope(1), nil // zeroed: compressIdentity
 	}
-	var buf bytes.Buffer
-	buf.Grow(len(body) / 2)
-	w, err := flate.NewWriter(&buf, c.level)
-	if err != nil {
+	d, _ := c.deflaters.Get().(*deflater)
+	if d == nil {
+		d = new(deflater)
+		d.w, _ = flate.NewWriter(&d.out, c.level) // NewCompress checked the level
+	}
+	defer c.deflaters.Put(d)
+	d.out.Reset()
+	d.w.Reset(&d.out)
+	if _, err := d.w.Write(body); err != nil {
 		return nil, nil, err
 	}
-	if _, err := w.Write(body); err != nil {
+	if err := d.w.Close(); err != nil {
 		return nil, nil, err
 	}
-	if err := w.Close(); err != nil {
-		return nil, nil, err
+	n := d.out.Len()
+	if n >= len(body) {
+		return body, f.envelope(1), nil
 	}
-	if buf.Len() >= len(body) {
-		return body, []byte{compressIdentity}, nil
-	}
-	env := make([]byte, 5)
-	env[0] = compressDeflate
-	n := uint32(len(body))
-	env[1], env[2], env[3], env[4] = byte(n>>24), byte(n>>16), byte(n>>8), byte(n)
-	return buf.Bytes(), env, nil
+	buf := append(make([]byte, 0, n+5), d.out.Bytes()...)
+	buf = append(buf, compressDeflate)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(body)))
+	return buf[:n:n], buf[n:], nil
 }
 
 // Unprocess inflates when the envelope says the body was deflated.
@@ -132,20 +154,35 @@ func (c *Compress) Unprocess(f *Frame, envelope, body []byte) ([]byte, error) {
 		if len(envelope) != 5 {
 			return nil, wire.Faultf(wire.FaultCapability, "compress envelope has %d bytes", len(envelope))
 		}
-		origLen := uint32(envelope[1])<<24 | uint32(envelope[2])<<16 | uint32(envelope[3])<<8 | uint32(envelope[4])
-		r := flate.NewReader(bytes.NewReader(body))
-		defer r.Close()
-		out := make([]byte, 0, origLen)
-		buf := bytes.NewBuffer(out)
-		if _, err := io.CopyN(buf, r, int64(origLen)); err != nil {
-			return nil, wire.Faultf(wire.FaultCapability, "inflate: %v", err)
+		origLen := int(binary.BigEndian.Uint32(envelope[1:]))
+		if origLen > wire.MaxFrame {
+			return nil, wire.Faultf(wire.FaultCapability, "compress envelope claims %d bytes", origLen)
+		}
+		in, _ := c.inflaters.Get().(*inflater)
+		if in == nil {
+			in = new(inflater)
+			in.r = flate.NewReader(&in.src)
+		}
+		defer c.inflaters.Put(in)
+		defer in.src.Reset(nil) // runs first: a pooled reader must not pin the frame
+		in.src.Reset(body)
+		_ = in.r.(flate.Resetter).Reset(&in.src, nil) // flate's Reset cannot fail
+		// A length the peer merely claims pins at most 1 MiB: the buffer
+		// grows with the bytes that actually inflate.
+		out := make([]byte, 0, min(origLen, 1<<20))
+		for len(out) < origLen {
+			out = slices.Grow(out, 1) // a no-op while there is room
+			n, err := io.ReadFull(in.r, out[len(out):min(cap(out), origLen)])
+			out = out[:len(out)+n]
+			if err != nil {
+				return nil, wire.Faultf(wire.FaultCapability, "inflate: %v", err)
+			}
 		}
 		// The stream must end exactly at origLen.
-		var extra [1]byte
-		if n, _ := r.Read(extra[:]); n != 0 {
+		if n, _ := in.r.Read(in.extra[:]); n != 0 {
 			return nil, wire.Faultf(wire.FaultCapability, "inflate: trailing data")
 		}
-		return buf.Bytes(), nil
+		return out, nil
 	}
 	return nil, wire.Faultf(wire.FaultCapability, "compress envelope flag %d", envelope[0])
 }

@@ -24,7 +24,8 @@ const KindEncrypt = "encrypt"
 // object reference holds the key — capabilities are bearer tokens in
 // this model (see DESIGN.md for the trust-model substitution).
 type Encrypt struct {
-	key   []byte // 32 bytes
+	block cipher.Block // AES keyed once; safe for concurrent use
+	macs  macPool      // holds the 32-byte key
 	scope Scope
 }
 
@@ -33,7 +34,9 @@ func NewEncrypt(key []byte, scope Scope) (*Encrypt, error) {
 	if len(key) != 32 {
 		return nil, errs.Newf(errs.Config, "capability: encrypt key must be 32 bytes, got %d", len(key))
 	}
-	return &Encrypt{key: append([]byte(nil), key...), scope: scope}, nil
+	key = append([]byte(nil), key...)
+	block, _ := aes.NewCipher(key) // its one error is a key size other than 16, 24 or 32
+	return &Encrypt{block: block, macs: macPool{key: key}, scope: scope}, nil
 }
 
 // MustNewEncrypt is NewEncrypt, panicking on a bad key (fixture use).
@@ -51,7 +54,7 @@ func NewRandomEncrypt(scope Scope) *Encrypt {
 	if _, err := rand.Read(key); err != nil {
 		panic("capability: no entropy: " + err.Error())
 	}
-	return &Encrypt{key: key, scope: scope}
+	return MustNewEncrypt(key, scope)
 }
 
 // Kind implements Capability.
@@ -85,61 +88,39 @@ func (c *encryptConfig) UnmarshalXDR(d *xdr.Decoder) error {
 
 // Config implements Capability.
 func (e *Encrypt) Config() ([]byte, error) {
-	return xdr.Marshal(&encryptConfig{Key: e.key, Scope: e.scope})
+	return xdr.Marshal(&encryptConfig{Key: e.macs.key, Scope: e.scope})
 }
 
 const encIVLen = aes.BlockSize
 
-// Process encrypts body and emits {iv, mac} as the envelope.
+// Process encrypts body and emits {iv, mac} as the envelope. body is the
+// caller's (see Capability), so the ciphertext gets a buffer of its own;
+// the envelope rides behind it in the same allocation.
 func (e *Encrypt) Process(f *Frame, body []byte) ([]byte, []byte, error) {
-	block, err := aes.NewCipher(e.key)
-	if err != nil {
-		return nil, nil, err
-	}
-	iv := make([]byte, encIVLen)
+	buf := make([]byte, len(body)+encIVLen+sha256.Size)
+	ct, env := buf[:len(body):len(body)], buf[len(body):]
+	iv := env[:encIVLen]
 	if _, err := rand.Read(iv); err != nil {
 		return nil, nil, err
 	}
-	ct := make([]byte, len(body))
-	cipher.NewCTR(block, iv).XORKeyStream(ct, body)
-
-	mac := e.mac(f, iv, ct)
-	env := make([]byte, 0, encIVLen+len(mac))
-	env = append(env, iv...)
-	env = append(env, mac...)
+	cipher.NewCTR(e.block, iv).XORKeyStream(ct, body)
+	mac := e.macs.sum(f, iv, "", ct)
+	copy(env[encIVLen:], mac[:])
 	return ct, env, nil
 }
 
-// Unprocess verifies the MAC and decrypts.
+// Unprocess verifies the MAC, then decrypts body in place: the receiver
+// owns it (see Capability), and a frame whose MAC fails is left untouched.
 func (e *Encrypt) Unprocess(f *Frame, envelope, body []byte) ([]byte, error) {
 	if len(envelope) != encIVLen+sha256.Size {
 		return nil, wire.Faultf(wire.FaultCapability, "encrypt envelope has %d bytes", len(envelope))
 	}
 	iv, tag := envelope[:encIVLen], envelope[encIVLen:]
-	if !hmac.Equal(tag, e.mac(f, iv, body)) {
+	if want := e.macs.sum(f, iv, "", body); !hmac.Equal(tag, want[:]) {
 		return nil, wire.Faultf(wire.FaultCapability, "encrypt: MAC verification failed")
 	}
-	block, err := aes.NewCipher(e.key)
-	if err != nil {
-		return nil, err
-	}
-	pt := make([]byte, len(body))
-	cipher.NewCTR(block, iv).XORKeyStream(pt, body)
-	return pt, nil
-}
-
-// mac binds the tag to the ciphertext, the IV, the target, and the
-// direction, so frames cannot be replayed across methods or flipped
-// between request and reply.
-func (e *Encrypt) mac(f *Frame, iv, ct []byte) []byte {
-	h := hmac.New(sha256.New, e.key)
-	h.Write(iv)
-	h.Write([]byte(f.Object))
-	h.Write([]byte{0})
-	h.Write([]byte(f.Method))
-	h.Write([]byte{byte(f.Dir)})
-	h.Write(ct)
-	return h.Sum(nil)
+	cipher.NewCTR(e.block, iv).XORKeyStream(body, body)
+	return body, nil
 }
 
 func init() {

@@ -204,6 +204,28 @@ func NewGlue(tag string, base core.Protocol, clk clock.Clock, caps ...Capability
 // ID implements core.Protocol.
 func (g *Glue) ID() core.ProtoID { return core.ProtoGlue }
 
+// scratch is what one direction of one call needs besides the bodies —
+// the capability frame, the outgoing message, its envelope slots, and an
+// arena for the tag and the small envelopes (auth, checksum) — in one
+// allocation, left to the collector (DESIGN.md decision 4: a base protocol
+// may hold the message past the call, so there is no release point yet).
+// A longer chain appends past envs and allocates past the arena.
+type scratch struct {
+	frame Frame
+	msg   wire.Message
+	envs  [9]wire.Envelope
+	arena [192]byte
+}
+
+// newScratch starts one direction: frame f drawing on the arena, and an
+// envelope chain opened by the glue tag.
+func newScratch(tag string, f Frame) (*scratch, []wire.Envelope) {
+	sc := &scratch{frame: f}
+	sc.frame.arena = sc.arena[:]
+	t := append(sc.frame.envelope(len(tag))[:0], tag...)
+	return sc, append(sc.envs[:0], wire.Envelope{ID: core.GlueEnvelopeID, Data: t})
+}
+
 // Capabilities returns the capability chain (shared, do not mutate).
 func (g *Glue) Capabilities() []Capability { return g.caps }
 
@@ -217,12 +239,10 @@ func (g *Glue) wrapRequest(m *wire.Message) (*wire.Message, error) {
 	// and records which kinds processed the body.
 	sp := g.tracer.StartChild(obs.TraceID(m.TraceID), obs.SpanID(m.SpanID), obs.KindClient, "glue.process")
 	sp.SetHint(m.KeepHint())
-	frame := &Frame{Object: m.Object, Method: m.Method, Dir: Request, Clock: g.clock}
+	sc, envs := newScratch(g.tag, Frame{Object: m.Object, Method: m.Method, Dir: Request, Clock: g.clock})
 	body := m.Body
-	envs := make([]wire.Envelope, 0, len(g.caps)+1)
-	envs = append(envs, wire.Envelope{ID: core.GlueEnvelopeID, Data: []byte(g.tag)})
 	for i, c := range g.caps {
-		nb, env, err := c.Process(frame, body)
+		nb, env, err := c.Process(&sc.frame, body)
 		if err != nil {
 			// Capability i rejected the request: the frame never leaves
 			// the client, so hand back the charges capabilities 0..i-1
@@ -237,15 +257,15 @@ func (g *Glue) wrapRequest(m *wire.Message) (*wire.Message, error) {
 		body = nb
 		envs = append(envs, wire.Envelope{ID: c.Kind(), Data: env})
 	}
-	out := *m
-	out.Body = body
-	out.Envelopes = envs
+	sc.msg = *m
+	sc.msg.Body = body
+	sc.msg.Envelopes = envs
 	if sp != nil {
 		sp.SetCaps(core.EnvCaps(envs))
 		sp.SetBytes(len(body))
 		sp.End()
 	}
-	return &out, nil
+	return &sc.msg, nil
 }
 
 // baseSpan opens a client-side span named after the base protocol,
@@ -459,11 +479,9 @@ func (s *GlueServer) UnwrapRequest(m *wire.Message) ([]byte, error) {
 
 // WrapReply implements core.GlueServer.
 func (s *GlueServer) WrapReply(req *wire.Message, body []byte) (*wire.Message, error) {
-	frame := &Frame{Object: req.Object, Method: req.Method, Dir: Reply, Clock: s.clock}
-	envs := make([]wire.Envelope, 0, len(s.caps)+1)
-	envs = append(envs, wire.Envelope{ID: core.GlueEnvelopeID, Data: []byte(s.tag)})
+	sc, envs := newScratch(s.tag, Frame{Object: req.Object, Method: req.Method, Dir: Reply, Clock: s.clock})
 	for _, c := range s.caps {
-		nb, env, err := c.Process(frame, body)
+		nb, env, err := c.Process(&sc.frame, body)
 		if err != nil {
 			// Reply-direction processing never charges: quota/ratelimit
 			// meter the request direction only, and the server's
@@ -475,14 +493,15 @@ func (s *GlueServer) WrapReply(req *wire.Message, body []byte) (*wire.Message, e
 		body = nb
 		envs = append(envs, wire.Envelope{ID: c.Kind(), Data: env})
 	}
-	return &wire.Message{
+	sc.msg = wire.Message{
 		Type:      wire.TReply,
 		Object:    req.Object,
 		Method:    req.Method,
 		Epoch:     req.Epoch,
 		Envelopes: envs,
 		Body:      body,
-	}, nil
+	}
+	return &sc.msg, nil
 }
 
 // DescribeEntry renders a glue protocol table entry for humans:

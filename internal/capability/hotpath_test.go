@@ -1,0 +1,501 @@
+package capability
+
+import (
+	"bytes"
+	"compress/flate"
+	"crypto/aes"
+	"crypto/cipher"
+	"crypto/hmac"
+	"crypto/sha256"
+	"runtime"
+	"sync"
+	"testing"
+	"time"
+
+	"openhpcxx/internal/clock"
+	"openhpcxx/internal/core"
+	"openhpcxx/internal/wire"
+	"openhpcxx/internal/xdr"
+)
+
+// This file pins the capability hot path: what a round trip may
+// allocate, that the hand-laid envelopes are the bytes the struct codec
+// wrote, and the per-direction ownership of body (see Capability).
+
+var midBody = bytes.Repeat([]byte("0123456789abcdef"), 256) // 4 KiB, as the benchmark's mid cell
+
+func fixedKey() []byte { return bytes.Repeat([]byte{0x5a}, 32) }
+
+// hotChain is the benchmark's glue chain.
+func hotChain() []Capability {
+	return []Capability{
+		NewQuota(0, time.Time{}),
+		MustNewAuth("benchmark", []byte("benchmark-secret"), ScopeAlways),
+		NewChecksum(),
+		MustNewEncrypt(fixedKey(), ScopeAlways),
+	}
+}
+
+// twin rebuilds c from its configuration, as a server would.
+func twin(t testing.TB, c Capability) Capability {
+	t.Helper()
+	cfg, err := c.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer, err := New(c.Kind(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return peer
+}
+
+// skipUnderRace skips an allocation pin over pooled state.
+func skipUnderRace(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+}
+
+func TestRoundTripAllocs(t *testing.T) {
+	skipUnderRace(t)
+	// A hand-built frame, so every envelope is an allocation of its own:
+	// what is left is the envelope (auth, checksum) and, for encrypt, the
+	// ciphertext+envelope buffer and one CTR stream per direction.
+	want := map[string]float64{KindQuota: 0, KindAuth: 1, KindChecksum: 1, KindEncrypt: 3}
+	f := reqFrame()
+	for _, c := range hotChain() {
+		peer := twin(t, c)
+		got := testing.AllocsPerRun(200, func() {
+			body, env, err := c.Process(f, midBody)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := peer.Unprocess(f, env, body); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > want[c.Kind()] {
+			t.Errorf("%s round trip: %v allocs, want at most %v", c.Kind(), got, want[c.Kind()])
+		}
+	}
+}
+
+// faultCode is the code of the fault err carries, 0 for anything else.
+func faultCode(err error) wire.FaultCode {
+	if err == nil {
+		return 0
+	}
+	return wire.AsFault(err).Code
+}
+
+// allocBytesPerRun is testing.AllocsPerRun for bytes (wire's shape).
+func allocBytesPerRun(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
+func TestGlueChainAllocs(t *testing.T) {
+	skipUnderRace(t)
+	rt := world(t)
+	server, s := echoServer(t, rt, "server", "m1")
+	chain := hotChain()
+	if _, err := GlueEntry(server, "pin", core.ProtoEntry{ID: "local"}, chain...); err != nil {
+		t.Fatal(err)
+	}
+	g := NewGlue("pin", &localProto{handle: server.Dispatch}, clock.Real{}, chain...)
+	req := &wire.Message{Type: wire.TRequest, Object: string(s.ID()), Method: "echo", Body: midBody}
+	call := func() {
+		reply, err := g.Call(req)
+		if err != nil || reply.Type != wire.TReply || !bytes.Equal(reply.Body, midBody) {
+			t.Fatalf("glue call: %v, %v", reply, err)
+		}
+	}
+	// Per direction: one scratch (wrap) or frame (unwrap), and for
+	// encrypt one buffer (wrap) and one CTR stream; the client's copy of
+	// the reply header; the echo servant's own six.
+	if got := testing.AllocsPerRun(200, call); got > 22 {
+		t.Errorf("quota+auth+checksum+encrypt call: %v allocs, want at most 22", got)
+	}
+	// Two ciphertext buffers (each rounded up to a 4.75 KiB size class),
+	// two scratches and the headers; a third body-sized buffer passes 18 KiB.
+	if got := allocBytesPerRun(200, call); got > 4*uint64(len(midBody)) {
+		t.Errorf("quota+auth+checksum+encrypt call: %d bytes, want two body-sized buffers (under %d)", got, 4*len(midBody))
+	}
+}
+
+// legacyAuthEnvelope is the struct codec Auth used before it laid its
+// envelope out by hand; a peer built from that code still speaks it.
+type legacyAuthEnvelope struct {
+	Principal string
+	Nonce     []byte
+	MAC       []byte
+}
+
+func (v *legacyAuthEnvelope) MarshalXDR(e *xdr.Encoder) error {
+	e.PutString(v.Principal)
+	e.PutOpaque(v.Nonce)
+	e.PutOpaque(v.MAC)
+	return nil
+}
+
+func (v *legacyAuthEnvelope) UnmarshalXDR(d *xdr.Decoder) error {
+	var err error
+	if v.Principal, err = d.String(); err != nil {
+		return err
+	}
+	if v.Nonce, err = d.Opaque(); err != nil {
+		return err
+	}
+	v.MAC, err = d.Opaque()
+	return err
+}
+
+// legacyMAC is the MAC both capabilities computed before the pooled
+// state: a fresh HMAC fed field by field. ident is principal ‖ 0 for
+// auth and empty for encrypt.
+func legacyMAC(key []byte, f *Frame, head []byte, ident string, body []byte) []byte {
+	h := hmac.New(sha256.New, key)
+	h.Write(head)
+	h.Write([]byte(ident))
+	h.Write([]byte(f.Object))
+	h.Write([]byte{0})
+	h.Write([]byte(f.Method))
+	h.Write([]byte{byte(f.Dir)})
+	h.Write(body)
+	return h.Sum(nil)
+}
+
+func TestAuthEnvelopeGolden(t *testing.T) {
+	secret := []byte("benchmark-secret")
+	body := []byte("the body")
+	for _, principal := range []string{"p", "benchmark", "twelve-bytes"} { // 3, 3 and 0 bytes of padding
+		a := MustNewAuth(principal, secret, ScopeAlways)
+		for _, f := range []*Frame{reqFrame(), {Object: "o", Method: "", Dir: Reply}} {
+			// New encoder, old decoder: the struct codec reads what
+			// Process writes and re-encodes it byte for byte.
+			_, env, err := a.Process(f, body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var old legacyAuthEnvelope
+			if err := xdr.Unmarshal(env, &old); err != nil {
+				t.Fatalf("old decoder on new envelope: %v", err)
+			}
+			if old.Principal != principal || len(old.Nonce) != authNonceLen ||
+				!bytes.Equal(old.MAC, legacyMAC(secret, f, old.Nonce, principal+"\x00", body)) {
+				t.Fatalf("old decoder read %+v", old)
+			}
+			if re, err := xdr.Marshal(&old); err != nil || !bytes.Equal(re, env) {
+				t.Fatalf("old encoder wrote\n%x, new wrote\n%x (%v)", re, env, err)
+			}
+			// Old encoder, new decoder.
+			nonce := bytes.Repeat([]byte{7}, authNonceLen)
+			legacy, err := xdr.Marshal(&legacyAuthEnvelope{Principal: principal, Nonce: nonce,
+				MAC: legacyMAC(secret, f, nonce, principal+"\x00", body)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := a.Unprocess(f, legacy, body); err != nil {
+				t.Fatalf("new decoder on old envelope: %v", err)
+			}
+		}
+	}
+}
+
+func TestAuthEnvelopeRejections(t *testing.T) {
+	a := MustNewAuth("alice", []byte("s"), ScopeAlways)
+	f := reqFrame()
+	body := []byte("b")
+	_, env, err := a.Process(f, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var good legacyAuthEnvelope
+	if err := xdr.Unmarshal(env, &good); err != nil {
+		t.Fatal(err)
+	}
+	encode := func(v legacyAuthEnvelope) []byte {
+		b, err := xdr.Marshal(&v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	cases := map[string][]byte{
+		"empty":           nil,
+		"truncated":       env[:len(env)-1],
+		"trailing bytes":  append(append([]byte(nil), env...), 0, 0, 0, 0),
+		"wrong principal": encode(legacyAuthEnvelope{Principal: "mallory", Nonce: good.Nonce, MAC: good.MAC}),
+		"short nonce":     encode(legacyAuthEnvelope{Principal: "alice", Nonce: good.Nonce[:8], MAC: good.MAC}),
+		"short mac":       encode(legacyAuthEnvelope{Principal: "alice", Nonce: good.Nonce, MAC: good.MAC[:31]}),
+		"no mac":          encode(legacyAuthEnvelope{Principal: "alice", Nonce: good.Nonce}),
+	}
+	for name, bad := range cases {
+		if _, err := a.Unprocess(f, bad, body); faultCode(err) != wire.FaultAuth {
+			t.Errorf("%s: %v, want an auth fault", name, err)
+		}
+	}
+	if _, err := a.Unprocess(f, env, body); err != nil {
+		t.Fatalf("the untouched envelope: %v", err)
+	}
+}
+
+func TestEncryptWireGolden(t *testing.T) {
+	// What Process writes is what the per-call cipher and MAC wrote: an
+	// envelope of iv ‖ HMAC(key, iv ‖ object ‖ 0 ‖ method ‖ dir ‖ ct), and a
+	// body that AES-256-CTR under that iv turns back into the plaintext.
+	key := fixedKey()
+	e := MustNewEncrypt(key, ScopeAlways)
+	f := reqFrame()
+	ct, env, err := e.Process(f, midBody)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(env) != encIVLen+sha256.Size {
+		t.Fatalf("envelope has %d bytes", len(env))
+	}
+	iv, tag := env[:encIVLen], env[encIVLen:]
+	if !bytes.Equal(tag, legacyMAC(key, f, iv, "", ct)) {
+		t.Fatal("tag is not the legacy MAC of the ciphertext")
+	}
+	block, err := aes.NewCipher(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pt := make([]byte, len(ct))
+	cipher.NewCTR(block, iv).XORKeyStream(pt, ct)
+	if !bytes.Equal(pt, midBody) {
+		t.Fatal("legacy decrypt of the new ciphertext differs")
+	}
+}
+
+// everyKind is one instance of every registered kind (the fuzz target
+// and the retry-safety test walk it).
+func everyKind(t testing.TB) []Capability {
+	t.Helper()
+	rl, err := NewRateLimit(1e9, 1e9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := append(hotChain(),
+		MustNewCompress(flate.BestSpeed, 16, ScopeAlways), rl, NewTrace(), NewAudit("a", nil))
+	have := map[string]bool{}
+	for _, c := range all {
+		have[c.Kind()] = true
+	}
+	for _, k := range Kinds() {
+		if !have[k] && k != "x-watermark" { // registered by TestCustomCapabilityKind
+			t.Fatalf("kind %q is registered but not in everyKind", k)
+		}
+	}
+	return all
+}
+
+func TestProcessLeavesBodyToTheCaller(t *testing.T) {
+	// The engine re-issues the caller's args slice on every retry: Process
+	// twice over one body must leave it as it was and produce two frames
+	// that both un-process to it. Fails if anyone makes Process in-place.
+	for _, c := range everyKind(t) {
+		for _, f := range []*Frame{reqFrame(), {Object: "o", Method: "m", Dir: Reply, Clock: clock.Real{}}} {
+			body := append([]byte(nil), midBody...)
+			b1, e1, err1 := c.Process(f, body)
+			b2, e2, err2 := c.Process(f, body)
+			if err1 != nil || err2 != nil {
+				t.Fatalf("%s Process: %v, %v", c.Kind(), err1, err2)
+			}
+			if !bytes.Equal(body, midBody) {
+				t.Fatalf("%s Process wrote to the caller's body", c.Kind())
+			}
+			peer := twin(t, c)
+			// Un-process the second first: in-place work on one output
+			// must not reach the other (or the caller's slice).
+			for _, out := range [][2][]byte{{b2, e2}, {b1, e1}} {
+				got, err := peer.Unprocess(f, out[1], out[0])
+				if err != nil || !bytes.Equal(got, midBody) {
+					t.Fatalf("%s Unprocess after a repeated Process: %v", c.Kind(), err)
+				}
+			}
+		}
+	}
+}
+
+func TestEncryptVerifiesBeforeItDecrypts(t *testing.T) {
+	e := MustNewEncrypt(fixedKey(), ScopeAlways)
+	f := reqFrame()
+	ct, env, err := e.Process(f, midBody)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arrived := append([]byte(nil), ct...)
+	env[len(env)-1] ^= 1
+	if _, err := e.Unprocess(f, env, ct); faultCode(err) != wire.FaultCapability {
+		t.Fatalf("flipped MAC bit: %v", err)
+	}
+	if !bytes.Equal(ct, arrived) {
+		t.Fatal("a frame that failed its MAC was decrypted anyway")
+	}
+	env[len(env)-1] ^= 1
+	got, err := e.Unprocess(f, env, ct)
+	if err != nil || !bytes.Equal(got, midBody) {
+		t.Fatalf("restored MAC: %v", err)
+	}
+	if &got[0] != &ct[0] {
+		t.Error("Unprocess decrypted into a second buffer; the receiver owns body")
+	}
+}
+
+func TestKeyedStateIsSharedSafely(t *testing.T) {
+	// One Auth and one Encrypt serve every goroutine of a glue: the
+	// pooled MAC states and the shared AES block under -race.
+	caps := []Capability{
+		MustNewAuth("alice", []byte("secret"), ScopeAlways),
+		MustNewEncrypt(fixedKey(), ScopeAlways),
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			f := &Frame{Object: "o", Method: string(rune('a' + g)), Dir: Direction(g % 2)}
+			want := bytes.Repeat([]byte{byte(g)}, 100+g*97)
+			for i := 0; i < 200; i++ {
+				for _, c := range caps {
+					body, env, err := c.Process(f, want)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					got, err := c.Unprocess(f, env, body)
+					if err != nil || !bytes.Equal(got, want) {
+						t.Errorf("%s, goroutine %d, round %d: %v", c.Kind(), g, i, err)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+func TestCompressForgedLengthPinsNothing(t *testing.T) {
+	c := MustNewCompress(flate.BestSpeed, 0, ScopeAlways)
+	f := reqFrame()
+	body := make([]byte, 20)
+	for name, env := range map[string][]byte{
+		"4 GiB":            {compressDeflate, 0xff, 0xff, 0xff, 0xff},
+		"one past a frame": {compressDeflate, 0x04, 0x00, 0x00, 0x01},
+		"a whole frame":    {compressDeflate, 0x04, 0x00, 0x00, 0x00},
+	} {
+		var err error
+		got := allocBytesPerRun(5, func() { _, err = c.Unprocess(f, env, body) })
+		if faultCode(err) != wire.FaultCapability {
+			t.Errorf("%s: %v, want a capability fault", name, err)
+		}
+		if got > 2<<20 {
+			t.Errorf("%s: a 5-byte envelope made Unprocess allocate %d bytes", name, got)
+		}
+	}
+}
+
+func TestCompressGrowsWithWhatInflates(t *testing.T) {
+	// Past the 1 MiB start the output buffer doubles its way to the
+	// claimed length; exact-length and trailing-data checks still hold.
+	c := MustNewCompress(flate.BestSpeed, 0, ScopeAlways)
+	f := reqFrame()
+	big := bytes.Repeat([]byte("abcdefgh"), 3<<17) // 3 MiB
+	body, env, err := c.Process(f, big)
+	if err != nil || env[0] != compressDeflate {
+		t.Fatalf("Process: %v, envelope %x", err, env)
+	}
+	got, err := c.Unprocess(f, env, body)
+	if err != nil || !bytes.Equal(got, big) {
+		t.Fatalf("3 MiB round trip: %v", err)
+	}
+	short := append([]byte(nil), env...)
+	short[4]-- // claims one byte fewer than the stream holds
+	if _, err := c.Unprocess(f, short, body); faultCode(err) != wire.FaultCapability {
+		t.Fatalf("trailing data: %v", err)
+	}
+	long := append([]byte(nil), env...)
+	long[4]++
+	if _, err := c.Unprocess(f, long, body); faultCode(err) != wire.FaultCapability {
+		t.Fatalf("short stream: %v", err)
+	}
+}
+
+func TestCompressReusesItsCodec(t *testing.T) {
+	skipUnderRace(t)
+	c := MustNewCompress(flate.BestSpeed, 0, ScopeAlways)
+	f := reqFrame()
+	round := func() {
+		body, env, err := c.Process(f, midBody)
+		if err != nil || env[0] != compressDeflate {
+			t.Fatalf("Process: %v, envelope %x", err, env)
+		}
+		if got, err := c.Unprocess(f, env, body); err != nil || !bytes.Equal(got, midBody) {
+			t.Fatalf("Unprocess: %v", err)
+		}
+	}
+	// The deflated body with its envelope, and the inflated body. A
+	// flate.Writer per call would be 600 KB and a reader 40 KB.
+	if got := testing.AllocsPerRun(100, round); got > 2 {
+		t.Errorf("compress round trip: %v allocs, want at most 2", got)
+	}
+	if got := allocBytesPerRun(100, round); got > 2*uint64(len(midBody)) {
+		t.Errorf("compress round trip: %d bytes, want under two bodies", got)
+	}
+}
+
+// FuzzUnprocess feeds hostile bytes to every capability decoder. Any
+// (envelope, body) into any kind's Unprocess must not panic; and for the
+// kinds that protect integrity, flipping any one bit of what Process
+// produced must be rejected.
+func FuzzUnprocess(f *testing.F) {
+	all := everyKind(f)
+	frame := &Frame{Object: "ctx/obj-1", Method: "echo", Dir: Request}
+	for i, c := range all {
+		body, env, err := c.Process(frame, []byte("a seed body, long enough to deflate: aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa"))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(uint8(i), env, body, uint32(i*37))
+	}
+	f.Add(uint8(4), []byte{compressDeflate, 0xff, 0xff, 0xff, 0xff}, make([]byte, 20), uint32(0))
+	f.Add(uint8(1), []byte{}, []byte{}, uint32(0))
+
+	f.Fuzz(func(t *testing.T, kind uint8, envelope, body []byte, flip uint32) {
+		c := all[int(kind)%len(all)]
+		// Hostile bytes: any outcome but a panic is acceptable.
+		_, _ = c.Unprocess(frame, envelope, append([]byte(nil), body...))
+
+		switch c.Kind() {
+		case KindAuth, KindChecksum, KindEncrypt:
+		default:
+			return
+		}
+		nb, env, err := c.Process(frame, body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Process may return the caller's body (auth, checksum): flip in a
+		// copy, the fuzz engine owns body.
+		nb, env = append([]byte(nil), nb...), append([]byte(nil), env...)
+		bit := int(flip) % (8 * (len(env) + len(nb)))
+		if at := bit / 8; at < len(env) {
+			env[at] ^= 1 << (bit % 8)
+		} else {
+			nb[at-len(env)] ^= 1 << (bit % 8)
+		}
+		if _, err := c.Unprocess(frame, env, nb); err == nil {
+			t.Fatalf("%s accepted its frame with bit %d flipped", c.Kind(), bit)
+		}
+	})
+}

@@ -644,11 +644,11 @@ func (c *Context) UnregisterGlue(tag string) {
 	c.mu.Unlock()
 }
 
-// glue looks up a registered glue server.
-func (c *Context) glue(tag string) (GlueServer, bool) {
+// glue looks up a glue server by a frame's tag bytes, allocating nothing.
+func (c *Context) glue(tag []byte) (GlueServer, bool) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	g, ok := c.glues[tag]
+	g, ok := c.glues[string(tag)]
 	return g, ok
 }
 

@@ -906,15 +906,15 @@ func (*trivialMigratable) Restore([]byte) error      { return nil }
 func TestGlueRegistration(t *testing.T) {
 	_, rt := testWorld(t)
 	ctx, _ := rt.NewContext("g", "mA")
-	if _, ok := ctx.glue("x"); ok {
+	if _, ok := ctx.glue([]byte("x")); ok {
 		t.Fatal("phantom glue")
 	}
 	ctx.RegisterGlue("x", nil)
-	if _, ok := ctx.glue("x"); !ok {
+	if _, ok := ctx.glue([]byte("x")); !ok {
 		t.Fatal("glue not registered")
 	}
 	ctx.UnregisterGlue("x")
-	if _, ok := ctx.glue("x"); ok {
+	if _, ok := ctx.glue([]byte("x")); ok {
 		t.Fatal("glue not removed")
 	}
 }

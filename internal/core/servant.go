@@ -241,7 +241,7 @@ func (c *Context) handleRequest(m *wire.Message, ds *obs.Active) (*wire.Message,
 		if m.Envelopes[0].ID != GlueEnvelopeID {
 			return nil, wire.Faultf(wire.FaultCapability, "envelope chain must start with %q, got %q", GlueEnvelopeID, m.Envelopes[0].ID)
 		}
-		tag := string(m.Envelopes[0].Data)
+		tag := m.Envelopes[0].Data
 		var found bool
 		gs, found = c.glue(tag)
 		if !found {

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/maphash"
 	"io"
 	"math/rand"
 	"runtime"
@@ -406,4 +408,110 @@ func TestConcurrentWritersShareThePool(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+func TestInternedDecodeEqualsFreshDecode(t *testing.T) {
+	long := string(bytes.Repeat([]byte("m"), internMax+1)) // never interned
+	for _, m := range []*Message{
+		sample(),
+		{Type: TRequest, Object: "intern-test/obj-1", Method: long, Envelopes: []Envelope{{ID: "glue"}, {ID: long}, {ID: ""}}},
+		{Type: TReply},
+	} {
+		buf, err := Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The first decode of a new name misses the table, the second
+		// hits it; both must be the message a copying decode returns.
+		for pass := 0; pass < 2; pass++ {
+			var got Message
+			if err := decodeMessage(buf, &got); err != nil {
+				t.Fatal(err)
+			}
+			if got.Object != m.Object || got.Method != m.Method || len(got.Envelopes) != len(m.Envelopes) {
+				t.Fatalf("pass %d: decoded %+v, want %+v", pass, got, m)
+			}
+			for i := range m.Envelopes {
+				if got.Envelopes[i].ID != m.Envelopes[i].ID {
+					t.Fatalf("pass %d: envelope %d id %q, want %q", pass, i, got.Envelopes[i].ID, m.Envelopes[i].ID)
+				}
+			}
+		}
+	}
+	// An interned string is its own memory, not a view of the frame it
+	// was first seen in: scribbling over that frame must not change it.
+	first := []byte("scribble-target")
+	s := intern(first)
+	copy(first, "XXXXXXXXXXXXXXX")
+	if s != "scribble-target" || intern([]byte("scribble-target")) != s {
+		t.Fatalf("interned string aliases its source: %q", s)
+	}
+}
+
+func TestInternSteadyStateAllocatesNothing(t *testing.T) {
+	frame, err := Marshal(&Message{Type: TRequest, Object: "ctx-a/obj-7", Method: "exchange",
+		Envelopes: []Envelope{{ID: "glue"}, {ID: "auth"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m Message
+	if n := testing.AllocsPerRun(100, func() {
+		if err := decodeMessage(frame, &m); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 1 {
+		t.Fatalf("decode of a repeated header: %v allocs, want 1 (the envelope slots)", n)
+	}
+}
+
+func TestInternTableIsBounded(t *testing.T) {
+	// A peer inventing a name per frame replaces entries, it does not add
+	// any: the table is an array, and what it pins is capped per entry.
+	for i := 0; i < 10000; i++ {
+		id := []byte(fmt.Sprintf("hostile-%d", i))
+		if i%2 == 1 {
+			id = append(id, bytes.Repeat([]byte("x"), internMax)...) // too long to keep
+		}
+		if got := intern(id); got != string(id) {
+			t.Fatalf("intern(%q) = %q", id, got)
+		}
+	}
+	held, bytesHeld := 0, 0
+	for i := range internTab {
+		if p := internTab[i].Load(); p != nil {
+			held++
+			bytesHeld += len(*p)
+			if len(*p) > internMax {
+				t.Fatalf("slot %d holds a %d-byte string", i, len(*p))
+			}
+		}
+	}
+	if held == 0 || held > internSlots || bytesHeld > internSlots*internMax {
+		t.Fatalf("table of %d slots holds %d strings, %d bytes", internSlots, held, bytesHeld)
+	}
+}
+
+func TestInternCollidingHotNamesSettle(t *testing.T) {
+	// Two names with the same first slot, in a table with no free slot
+	// left (the state a hostile peer leaves): after a few misses each
+	// sits in a slot of its own and neither allocates again.
+	for i := 0; i < 4*internSlots; i++ {
+		intern([]byte(fmt.Sprintf("filler-%d", i)))
+	}
+	a := []byte("collide-a")
+	var b []byte
+	for i := 0; ; i++ {
+		b = []byte(fmt.Sprintf("collide-%d", i))
+		ha, hb := maphash.Bytes(internSeed, a), maphash.Bytes(internSeed, b)
+		if ha%internSlots == hb%internSlots && ha>>32%internSlots != hb>>32%internSlots {
+			break
+		}
+	}
+	for i := 0; i < 8; i++ {
+		intern(a)
+		intern(b)
+	}
+	if n := testing.AllocsPerRun(100, func() { intern(a); intern(b) }); n != 0 {
+		t.Fatalf("two hot names sharing a slot evict each other: %v allocs per pair", n)
+	}
 }

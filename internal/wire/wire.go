@@ -37,8 +37,10 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/maphash"
 	"io"
 	"sync"
+	"sync/atomic"
 
 	"openhpcxx/internal/errs"
 	"openhpcxx/internal/xdr"
@@ -254,10 +256,10 @@ func (m *Message) UnmarshalXDR(d *xdr.Decoder) error {
 	if m.RequestID, err = d.Uint64(); err != nil {
 		return err
 	}
-	if m.Object, err = d.String(); err != nil {
+	if m.Object, err = internString(d); err != nil {
 		return err
 	}
-	if m.Method, err = d.String(); err != nil {
+	if m.Method, err = internString(d); err != nil {
 		return err
 	}
 	if m.Epoch, err = d.Uint64(); err != nil {
@@ -284,7 +286,7 @@ func (m *Message) UnmarshalXDR(d *xdr.Decoder) error {
 	}
 	m.Envelopes = make([]Envelope, n)
 	for i := range m.Envelopes {
-		if m.Envelopes[i].ID, err = d.String(); err != nil {
+		if m.Envelopes[i].ID, err = internString(d); err != nil {
 			return err
 		}
 		if m.Envelopes[i].Data, err = d.OpaqueView(); err != nil {
@@ -293,6 +295,44 @@ func (m *Message) UnmarshalXDR(d *xdr.Decoder) error {
 	}
 	m.Body, err = d.OpaqueView()
 	return err
+}
+
+// A frame's header strings — object, method, envelope ids — are the same
+// few values on every frame, so decode interns them in a fixed table
+// instead of allocating each per frame. The table cannot grow and holds
+// only short strings: a peer inventing names pins at most internSlots ×
+// internMax bytes and costs what every string cost before. A string has two
+// candidate slots, evicted in turn, so hot names that collide settle apart.
+const internSlots, internMax = 1024, 64
+
+var (
+	internTab    [internSlots]atomic.Pointer[string]
+	internMisses atomic.Uint32
+	internSeed   = maphash.MakeSeed() // per process: a peer cannot aim at a slot
+)
+
+// intern returns b as a string, shared while the table holds it.
+func intern(b []byte) string {
+	if len(b) == 0 || len(b) > internMax {
+		return string(b)
+	}
+	h := maphash.Bytes(internSeed, b)
+	slots := [2]*atomic.Pointer[string]{&internTab[h%internSlots], &internTab[h>>32%internSlots]}
+	for _, slot := range slots {
+		if p := slot.Load(); p != nil && *p == string(b) {
+			return *p
+		}
+	}
+	s := string(b)
+	slots[internMisses.Add(1)&1].Store(&s)
+	return s
+}
+
+// internString decodes an XDR string through intern. On an error the
+// caller drops the frame, whatever the string.
+func internString(d *xdr.Decoder) (string, error) {
+	b, err := d.OpaqueView()
+	return intern(b), err
 }
 
 // maxPooledFrame is the largest write buffer kept for reuse. A larger
