@@ -277,12 +277,30 @@ func loadDir(fset *token.FileSet, imp types.Importer, dir, importPath string) ([
 	}
 	if len(extFiles) > 0 {
 		u, err := check(fset, imp, dir, importPath+"_test", extFiles, true)
+		if err != nil && len(units) > 0 {
+			// export_test.go idiom: import the package as checked above.
+			u, err = check(fset, selfImporter{imp, importPath, units[0].Pkg}, dir, importPath+"_test", extFiles, true)
+		}
 		if err != nil {
 			return nil, err
 		}
 		units = append(units, u)
 	}
 	return units, nil
+}
+
+// selfImporter resolves path to pkg and everything else through imp.
+type selfImporter struct {
+	imp  types.Importer
+	path string
+	pkg  *types.Package
+}
+
+func (s selfImporter) Import(path string) (*types.Package, error) {
+	if path == s.path {
+		return s.pkg, nil
+	}
+	return s.imp.Import(path)
 }
 
 // check type-checks one unit's files.

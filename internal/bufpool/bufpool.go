@@ -1,0 +1,64 @@
+// Package bufpool lends the ORB's payload-sized byte buffers — write
+// frames, server read frames, shm packets, typed-stub reply buffers — so
+// the buffer one hop releases is the buffer the next hop takes. Put is
+// optional: a buffer never handed back is ordinary garbage.
+package bufpool
+
+import (
+	"math/bits"
+	"sync"
+	"unsafe"
+)
+
+// Size classes run from 64 B to 4 MiB, eight to a power of two: a frame
+// just past 256 KiB (the paper's bandwidth experiment) pins 288 KiB, not
+// 512. Anything larger is rare enough that keeping it would cost more live
+// heap than the allocation it saves.
+const minShift, minSize, maxSize, steps = 6, 1 << 6, 4 << 20, 8
+
+// classes[i] holds base pointers of class i's buffers: a pointer goes
+// into sync.Pool's interface word without the allocation a slice costs.
+var classes [steps*(22-minShift) + 1]sync.Pool
+
+// class returns the smallest class size that holds n bytes, and its index.
+func class(n int) (size, index int) {
+	if n <= minSize {
+		return minSize, 0
+	}
+	e := bits.Len(uint(n-1)) - 1 // 1<<e < n <= 2<<e
+	step := 1 << e / steps
+	q := (n - 1<<e + step - 1) / step // 1..steps
+	return 1<<e + q*step, steps*(e-minShift) + q
+}
+
+// poison (tests only) makes a read of released memory show: 0xDB, not stale bytes.
+var poison bool
+
+// Get returns a buffer of length n. Its contents are unspecified.
+func Get(n int) []byte {
+	if n > maxSize {
+		return make([]byte, n)
+	}
+	size, i := class(n)
+	if p, _ := classes[i].Get().(*byte); p != nil {
+		return unsafe.Slice(p, size)[:n]
+	}
+	return make([]byte, n, size)
+}
+
+// Put takes back a buffer Get returned (or a prefix of it); the caller
+// keeps no reference, since the next Get may return the same memory. A
+// capacity that is not a pooled class is left to the collector.
+func Put(b []byte) {
+	size, i := class(cap(b))
+	if size != cap(b) || size > maxSize {
+		return
+	}
+	b = b[:size]
+	if poison {
+		for j := range b {
+			b[j] = 0xDB
+		}
+	}
+	classes[i].Put(unsafe.SliceData(b))
+}

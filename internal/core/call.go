@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"sync/atomic"
 
+	"openhpcxx/internal/bufpool"
 	"openhpcxx/internal/xdr"
 )
 
@@ -39,11 +41,15 @@ func CallCtx[Req xdr.Marshaler, Resp any, PResp interface {
 }
 
 // Handler adapts a typed implementation function into a Method. It is
-// the server-side counterpart of Call.
+// the server-side counterpart of Call. The reply it returns is lent (see
+// lentReplies): a method that wraps the stub returns that slice, or a
+// prefix of it, and does not keep it.
 func Handler[Req any, PReq interface {
 	*Req
 	xdr.Unmarshaler
 }, Resp xdr.Marshaler](fn func(*Req) (Resp, error)) Method {
+	// The last reply's size is the next buffer's, so the encoder rarely grows.
+	size := new(atomic.Int64)
 	return func(args []byte) ([]byte, error) {
 		req := PReq(new(Req))
 		if err := xdr.Unmarshal(args, req); err != nil {
@@ -53,8 +59,47 @@ func Handler[Req any, PReq interface {
 		if err != nil {
 			return nil, err
 		}
-		return xdr.Marshal(resp)
+		buf := bufpool.Get(int(size.Load()))
+		var e xdr.Encoder
+		e.SetBuf(buf[:0])
+		if err := resp.MarshalXDR(&e); err != nil {
+			return nil, err
+		}
+		out := e.Bytes()
+		size.Store(int64(len(out)))
+		if cap(out) != cap(buf) { // the encoder outgrew buf and copied out of it
+			bufpool.Put(buf)
+			return out, nil
+		}
+		lentReplies[lentNext.Add(1)%uint32(len(lentReplies))].Store(&out[:1][0])
+		return out, nil
 	}
+}
+
+// A Method returns a bare slice, so whether dispatch may give a reply
+// back to bufpool has to be read off the slice: a stub records the base of
+// each buffer it lends here, and dispatch claims it by compare-and-swap
+// the moment the Method returns. The table is small and fixed (like wire's
+// intern table): a stub called outside dispatch, or a lend overwritten
+// before its claim, leaves garbage — one allocation — and a slice the ORB
+// did not lend is never in the table, so never recycled.
+var (
+	lentReplies [8]atomic.Pointer[byte]
+	lentNext    atomic.Uint32
+)
+
+// claimReply reports whether a stub lent out; if so the caller now owns it.
+func claimReply(out []byte) bool {
+	if cap(out) == 0 {
+		return false
+	}
+	base := &out[:1][0]
+	for i := range lentReplies {
+		if lentReplies[i].Load() == base && lentReplies[i].CompareAndSwap(base, nil) {
+			return true
+		}
+	}
+	return false
 }
 
 // Int32Slice is a ready-made XDR wrapper for []int32 — the payload type

@@ -22,6 +22,12 @@ import (
 
 // Method is one remotely invocable operation of a servant. Arguments and
 // results are XDR-encoded bodies; typed stubs live in call.go.
+//
+// args aliases the request's frame, which is lent: args, and a reply that
+// aliases it (returning args or a slice of it is fine), are valid until
+// the reply has been written, and a servant that keeps either copies it.
+// A reply in the servant's own memory stays the servant's: the ORB
+// recycles only buffers it lent itself (Handler's).
 type Method func(args []byte) ([]byte, error)
 
 // Migratable is implemented by servant implementations whose state can
@@ -483,7 +489,9 @@ func (c *Context) OnClose(cl io.Closer) {
 // Dispatch runs the context's server-side request path on one frame and
 // returns the reply frame (nil for non-request frames). It is the hook
 // custom protocol classes deliver inbound requests through — the same
-// dispatcher behind every built-in protocol class.
+// dispatcher behind every built-in protocol class. The reply may alias m
+// and hold a lent buffer: a caller done encoding it may call its Release,
+// and one that does not loses only the reuse.
 func (c *Context) Dispatch(m *wire.Message) *wire.Message {
 	return c.dispatch(m)
 }

@@ -46,7 +46,9 @@ func (c *Context) handleOneWay(m *wire.Message, ds *obs.Active) {
 	c.srv.oneway.Inc()
 	req := *m
 	req.Type = wire.TRequest
-	if _, err := c.handleRequest(&req, ds); err != nil {
+	reply, err := c.handleRequest(&req, ds)
+	if err != nil {
 		c.srv.onewayFaults.Inc()
 	}
+	reply.Release()
 }

@@ -273,22 +273,25 @@ func (c *Context) handleRequest(m *wire.Message, ds *obs.Active) (*wire.Message,
 
 	sv := ds.Child("servant")
 	out, err := s.invoke(m.Method, body)
+	lent := claimReply(out)
 	sv.SetErr(err)
 	sv.End()
 	if err != nil {
 		return nil, err
 	}
 
-	if gs != nil {
-		return gs.WrapReply(m, out)
+	var reply *wire.Message
+	if gs == nil {
+		reply = &wire.Message{Type: wire.TReply, Object: m.Object, Method: m.Method, Epoch: s.Epoch(), Body: out}
+	} else if reply, err = gs.WrapReply(m, out); err != nil {
+		return nil, err
 	}
-	return &wire.Message{
-		Type:   wire.TReply,
-		Object: m.Object,
-		Method: m.Method,
-		Epoch:  s.Epoch(),
-		Body:   out,
-	}, nil
+	if lent {
+		// Even if a capability replaced the body: out is dead once the
+		// reply is written, and whoever writes it releases it.
+		reply.Lend(out)
+	}
+	return reply, nil
 }
 
 // handleBatch dispatches every sub-request of a wire.TBatch frame and
@@ -323,6 +326,9 @@ func (c *Context) handleBatch(m *wire.Message) *wire.Message {
 		replies[i] = r
 	}
 	out, err := wire.EncodeBatch(replies)
+	for _, r := range replies {
+		r.Release()
+	}
 	if err != nil {
 		return whole(wire.Faultf(wire.FaultBadRequest, "batch reply: %v", err))
 	}
@@ -341,5 +347,6 @@ func (c *Context) nexusInvoke(buf []byte) ([]byte, error) {
 	if reply == nil {
 		reply = &wire.Message{Type: wire.TReply, Object: req.Object, Method: req.Method}
 	}
+	defer reply.Release()
 	return wire.Marshal(reply)
 }

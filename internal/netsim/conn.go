@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"openhpcxx/internal/bufpool"
 	"openhpcxx/internal/clock"
 )
 
@@ -69,7 +70,8 @@ type packet struct {
 type halfPipe struct {
 	mu       sync.Mutex
 	cond     *sync.Cond
-	queue    []packet
+	queue    []packet // packets in flight are queue[head:]
+	head     int
 	queued   int // bytes in queue, for the flow-control window
 	window   int // max queued bytes before writers block
 	nextFree time.Time
@@ -77,7 +79,8 @@ type halfPipe struct {
 	closed   bool
 	failErr  error // non-nil: the pipe died abnormally (crash injection)
 	rdDead   time.Time
-	pending  []byte // remainder of a delivered packet
+	pending  []byte // remainder of the delivered packet
+	lent     []byte // the delivered packet's bufpool buffer, returned once pending is drained
 	// dir, when non-nil, is the live fault state of this direction of
 	// the link (injected delay, blackhole); shared with the Network so
 	// faults apply to established connections, not just new dials.
@@ -136,7 +139,7 @@ func (h *halfPipe) write(p []byte) (int, error) {
 			clear = shared
 		}
 	}
-	data := make([]byte, len(p))
+	data := bufpool.Get(len(p))
 	copy(data, p)
 	h.queue = append(h.queue, packet{data: data, deliverAt: clear.Add(h.profile.Latency)})
 	h.queued += len(p)
@@ -150,7 +153,10 @@ func (h *halfPipe) read(p []byte) (int, error) {
 	for {
 		if len(h.pending) > 0 {
 			n := copy(p, h.pending)
-			h.pending = h.pending[n:]
+			if h.pending = h.pending[n:]; len(h.pending) == 0 {
+				bufpool.Put(h.lent)
+				h.pending, h.lent = nil, nil
+			}
 			h.mu.Unlock()
 			return n, nil
 		}
@@ -166,7 +172,7 @@ func (h *halfPipe) read(p []byte) (int, error) {
 			h.mu.Unlock()
 			return 0, err
 		}
-		if len(h.queue) > 0 {
+		if h.head < len(h.queue) {
 			if h.dir != nil && h.dir.blackholed() {
 				// Data is in flight but the path is eating it for now;
 				// poll until the hole heals or the deadline fires.
@@ -177,7 +183,7 @@ func (h *halfPipe) read(p []byte) (int, error) {
 				h.mu.Lock()
 				continue
 			}
-			pkt := h.queue[0]
+			pkt := h.queue[h.head]
 			deliverAt := pkt.deliverAt
 			if h.dir != nil {
 				deliverAt = deliverAt.Add(h.dir.extra())
@@ -193,9 +199,13 @@ func (h *halfPipe) read(p []byte) (int, error) {
 				h.mu.Lock()
 				continue
 			}
-			h.queue = h.queue[1:]
+			// Clear the slot: the array must neither pin the packet nor creep.
+			h.queue[h.head] = packet{}
+			if h.head++; h.head == len(h.queue) {
+				h.queue, h.head = h.queue[:0], 0
+			}
 			h.queued -= len(pkt.data)
-			h.pending = pkt.data
+			h.pending, h.lent = pkt.data, pkt.data
 			h.cond.Broadcast()
 			continue
 		}

@@ -37,6 +37,7 @@ func Bind(ctx *core.Context, port int, cfg Config) error {
 		if reply == nil {
 			reply = &wire.Message{Type: wire.TReply, Object: msg.Object, Method: msg.Method}
 		}
+		defer reply.Release()
 		return mustEncode(reply)
 	})
 	addr := pc.LocalAddr()

@@ -14,6 +14,11 @@ import (
 // reply means "no reply" (one-way control traffic). Handlers must be safe
 // for concurrent use; the server invokes them from per-request
 // goroutines so a slow method cannot head-of-line block a connection.
+//
+// The request (its Body, its envelope data) is lent: valid until the
+// reply has been written or the handler returned nil, when the server
+// releases both messages and the frame is reused. A reply may alias the
+// request; a handler that keeps any of it past its return copies it.
 type Handler func(*wire.Message) *wire.Message
 
 // Server accepts connections from a listener and runs the frame loop on
@@ -45,7 +50,8 @@ type Server struct {
 	inflightGauge atomic.Pointer[stats.Gauge]
 }
 
-// Serve starts accepting on l, dispatching frames to h.
+// Serve starts accepting on l, dispatching frames to h. Requests are read
+// into pooled frames and released once answered: see Handler.
 func Serve(l net.Listener, h Handler) *Server {
 	s := &Server{l: l, h: h, conns: make(map[net.Conn]struct{}), maxPerC: 256}
 	s.wg.Add(1)
@@ -110,7 +116,7 @@ func (s *Server) connLoop(c net.Conn) {
 	var wmu sync.Mutex
 	sem := make(chan struct{}, s.maxPerC)
 	for {
-		msg, err := wire.Read(c)
+		msg, err := wire.ReadLent(c)
 		if err != nil {
 			return
 		}
@@ -125,6 +131,7 @@ func (s *Server) connLoop(c net.Conn) {
 		go func(msg *wire.Message) {
 			defer s.wg.Done()
 			defer func() { <-sem }()
+			defer msg.Release() // after the write: the reply may alias the request
 			reply := s.handle(msg)
 			if reply == nil {
 				return
@@ -133,6 +140,7 @@ func (s *Server) connLoop(c net.Conn) {
 			wmu.Lock()
 			werr := wire.Write(c, reply)
 			wmu.Unlock()
+			reply.Release()
 			if werr != nil {
 				// A failed reply write poisons the stream; kill the
 				// connection so the read loop unblocks. Its close error

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"testing"
 
+	"openhpcxx/internal/bufpool"
 	"openhpcxx/internal/errs"
 	"openhpcxx/internal/xdr"
 )
@@ -312,28 +313,34 @@ func (s *stallingReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
+// readers are the two ways a frame comes off a connection: collected, and
+// lent by bufpool until released. Every bound on one holds for the other.
+var readers = map[string]func(io.Reader) (*Message, error){"Read": Read, "ReadLent": ReadLent}
+
 // TestReadDoesNotTrustTheLengthPrefix: a peer that claims a MaxFrame
 // frame, sends 16 bytes and stalls must pin about readAhead, not 64 MiB.
 func TestReadDoesNotTrustTheLengthPrefix(t *testing.T) {
-	data := binary.BigEndian.AppendUint32(nil, MaxFrame)
-	data = append(data, make([]byte, 16)...)
-	r := &stallingReader{data: data, stalled: make(chan struct{}), release: make(chan struct{})}
+	for name, read := range readers {
+		data := binary.BigEndian.AppendUint32(nil, MaxFrame)
+		data = append(data, make([]byte, 16)...)
+		r := &stallingReader{data: data, stalled: make(chan struct{}), release: make(chan struct{})}
 
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	done := make(chan error, 1)
-	go func() {
-		_, err := Read(r)
-		done <- err
-	}()
-	<-r.stalled
-	runtime.ReadMemStats(&after)
-	if got := after.TotalAlloc - before.TotalAlloc; got >= 2<<20 {
-		t.Errorf("a %d-byte length prefix and 16 bytes made Read allocate %d bytes, want well under 2 MiB", MaxFrame, got)
-	}
-	close(r.release)
-	if err := <-done; !errors.Is(err, io.ErrUnexpectedEOF) {
-		t.Fatalf("Read of the abandoned frame: %v, want io.ErrUnexpectedEOF", err)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		done := make(chan error, 1)
+		go func() {
+			_, err := read(r)
+			done <- err
+		}()
+		<-r.stalled
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 2<<20 {
+			t.Errorf("a %d-byte length prefix and 16 bytes made %s allocate %d bytes, want well under 2 MiB", MaxFrame, name, got)
+		}
+		close(r.release)
+		if err := <-done; !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("%s of the abandoned frame: %v, want io.ErrUnexpectedEOF", name, err)
+		}
 	}
 }
 
@@ -356,16 +363,45 @@ func TestLargeFrameRoundTrips(t *testing.T) {
 		t.Fatal(err)
 	}
 	frame := append([]byte(nil), buf.Bytes()...)
-	out, err := Read(dribbleReader{bytes.NewReader(frame), 300<<10 + 7})
-	if err != nil {
+	for name, read := range readers {
+		out, err := read(dribbleReader{bytes.NewReader(frame), 300<<10 + 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Object != in.Object || out.Method != in.Method || out.RequestID != in.RequestID || !bytes.Equal(out.Body, in.Body) {
+			t.Fatalf("%s: 8 MiB frame did not round-trip byte for byte", name)
+		}
+		// Gathered above readAhead, so nothing was lent: Release is a no-op.
+		if out.Release(); out.lent != nil || !bytes.Equal(out.Body, in.Body) {
+			t.Fatalf("%s: an 8 MiB frame was lent from the pool", name)
+		}
+		// Cut off exactly at a piece boundary, the stream is still short.
+		if _, err := read(bytes.NewReader(frame[:4+2*readAhead])); !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("%s: frame cut at a piece boundary: %v, want io.ErrUnexpectedEOF", name, err)
+		}
+	}
+}
+
+// TestReleaseIsIdempotentAndNilSafe: a message holds at most one lent
+// buffer, gives it back once, and a message that holds none — or no
+// message at all — releases nothing.
+func TestReleaseIsIdempotentAndNilSafe(t *testing.T) {
+	var none *Message
+	none.Release()
+	new(Message).Release()
+	var frame bytes.Buffer
+	if err := Write(&frame, sample()); err != nil {
 		t.Fatal(err)
 	}
-	if out.Object != in.Object || out.Method != in.Method || out.RequestID != in.RequestID || !bytes.Equal(out.Body, in.Body) {
-		t.Fatal("8 MiB frame did not round-trip byte for byte")
+	m, err := ReadLent(&frame)
+	if err != nil || m.lent == nil || !bytes.Equal(m.Body, sample().Body) {
+		t.Fatalf("ReadLent: %+v, %v", m, err)
 	}
-	// Cut off exactly at a piece boundary, the stream is still short.
-	if _, err := Read(bytes.NewReader(frame[:4+2*readAhead])); !errors.Is(err, io.ErrUnexpectedEOF) {
-		t.Fatalf("frame cut at a piece boundary: %v, want io.ErrUnexpectedEOF", err)
+	m.Release()
+	m.Release()
+	m.Lend(bufpool.Get(100))
+	if m.Release(); m.lent != nil {
+		t.Fatal("Release left the buffer attached")
 	}
 }
 

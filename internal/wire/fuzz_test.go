@@ -45,8 +45,18 @@ func FuzzRead(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Read(bytes.NewReader(data))
+		// The releasing read accepts and rejects exactly what Read does,
+		// and decodes the same message.
+		lm, lerr := ReadLent(bytes.NewReader(data))
+		if (err == nil) != (lerr == nil) {
+			t.Fatalf("Read: %v, ReadLent: %v", err, lerr)
+		}
 		if err != nil {
 			return
+		}
+		lm.lent = nil // compared by content; the frame stays with lm, unreleased
+		if !reflect.DeepEqual(m, lm) {
+			t.Fatalf("Read decoded %+v, ReadLent %+v", m, lm)
 		}
 		if m.Type == TBatch {
 			// Any accepted batch must decode without panicking, and an

@@ -39,9 +39,9 @@ import (
 	"fmt"
 	"hash/maphash"
 	"io"
-	"sync"
 	"sync/atomic"
 
+	"openhpcxx/internal/bufpool"
 	"openhpcxx/internal/errs"
 	"openhpcxx/internal/xdr"
 )
@@ -115,6 +115,8 @@ type Message struct {
 	Flags     uint32
 	Envelopes []Envelope
 	Body      []byte
+
+	lent []byte // what Release returns to bufpool: ReadLent's frame, or Lend's buffer
 }
 
 // Flag bits for Message.Flags.
@@ -335,32 +337,16 @@ func internString(d *xdr.Decoder) (string, error) {
 	return intern(b), err
 }
 
-// maxPooledFrame is the largest write buffer kept for reuse. A larger
-// frame is rare enough that holding its buffer would cost more live heap
-// than the allocation it saves; the collector takes it.
-const maxPooledFrame = 4 << 20
-
-// writeBufs lends Write its frame buffer. io.Writer may not retain the
-// slice it is handed, so a buffer is back in the pool before Write
-// returns and no caller ever sees one.
-var writeBufs = sync.Pool{New: func() any { return new([]byte) }}
-
 // Write frames and writes m to w. It is not safe for concurrent use on
-// one writer; callers serialize per connection.
+// one writer; callers serialize per connection. io.Writer may not retain
+// what it is handed, so the frame buffer is back in bufpool on return.
 func Write(w io.Writer, m *Message) error {
 	n := m.encodedLen()
 	if n > MaxFrame {
 		return ErrTooLarge
 	}
-	bp := writeBufs.Get().(*[]byte)
-	defer writeBufs.Put(bp)
-	buf := *bp
-	if cap(buf) < 4+n {
-		buf = make([]byte, 0, 4+n)
-		if cap(buf) <= maxPooledFrame {
-			*bp = buf
-		}
-	}
+	buf := bufpool.Get(4 + n)
+	defer bufpool.Put(buf)
 	buf, err := appendMessage(binary.BigEndian.AppendUint32(buf[:0], uint32(n)), m)
 	if err != nil {
 		return err
@@ -375,10 +361,16 @@ func Write(w io.Writer, m *Message) error {
 // most this much memory however large it claims the frame to be.
 const readAhead = 1 << 20
 
-// readFrame reads the n bytes of a frame body into one buffer.
-func readFrame(r io.Reader, n int) ([]byte, error) {
+// readFrame reads the n bytes of a frame body into one buffer: bufpool's
+// if lend is set, which only a frame of at most readAhead bytes may ask.
+func readFrame(r io.Reader, n int, lend bool) ([]byte, error) {
 	if n <= readAhead {
-		buf := make([]byte, n)
+		var buf []byte
+		if lend {
+			buf = bufpool.Get(n)
+		} else {
+			buf = make([]byte, n)
+		}
 		_, err := io.ReadFull(r, buf)
 		return buf, err
 	}
@@ -404,7 +396,14 @@ func readFrame(r io.Reader, n int) ([]byte, error) {
 // Read reads one frame from r. The returned message's Body and envelope
 // data alias the frame's buffer, which nothing else references: it lives
 // exactly as long as the message (or any slice of it) does.
-func Read(r io.Reader) (*Message, error) {
+func Read(r io.Reader) (*Message, error) { return read(r, false) }
+
+// ReadLent is Read for a caller that knows when it is done with the
+// message and says so by calling Release: the frame's buffer is lent by
+// bufpool, unless gathering it (above readAhead) allocated it anyway.
+func ReadLent(r io.Reader) (*Message, error) { return read(r, true) }
+
+func read(r io.Reader, lend bool) (*Message, error) {
 	// The length word is read into the message's own allocation: a
 	// local array would escape through the io.Reader call and cost an
 	// allocation of its own.
@@ -419,12 +418,31 @@ func Read(r io.Reader) (*Message, error) {
 	if n > MaxFrame {
 		return nil, ErrTooLarge
 	}
-	buf, err := readFrame(r, n)
+	lend = lend && n <= readAhead
+	buf, err := readFrame(r, n, lend)
 	if err != nil {
 		return nil, err
 	}
 	if err := decodeMessage(buf, &f.Message); err != nil {
 		return nil, err
 	}
+	if lend {
+		f.lent = buf
+	}
 	return &f.Message, nil
+}
+
+// Lend hands m a bufpool buffer, one its Body aliases, for Release to
+// return. A message holds at most one.
+func (m *Message) Lend(buf []byte) { m.lent = buf }
+
+// Release returns the buffer m holds on loan, if any, to bufpool: m's
+// Body and envelope data, and what aliased them (a servant's args, a reply
+// that echoed them), must not be read afterwards. Idempotent, nil-safe and
+// optional: an unreleased buffer is collected with its message.
+func (m *Message) Release() {
+	if m != nil && m.lent != nil {
+		bufpool.Put(m.lent)
+		m.lent = nil
+	}
 }
