@@ -5,6 +5,7 @@ import (
 	"crypto/hmac"
 	"crypto/rand"
 	"crypto/sha256"
+	"strings"
 
 	"openhpcxx/internal/errs"
 	"openhpcxx/internal/netsim"
@@ -92,10 +93,19 @@ func (a *Auth) Config() ([]byte, error) {
 
 const authNonceLen = 16
 
+// hasNUL reports a frame identity the MAC input, object ‖ 0 ‖ method, would
+// read two ways; no legitimate id or method name holds a NUL.
+func hasNUL(f *Frame) bool {
+	return strings.IndexByte(f.Object, 0) >= 0 || strings.IndexByte(f.Method, 0) >= 0
+}
+
 // Process signs the body; the body itself is unchanged. The envelope —
 // XDR {string principal, opaque nonce, opaque mac} — is laid out once at
 // its exact size, the nonce drawn straight into its slot.
 func (a *Auth) Process(f *Frame, body []byte) ([]byte, []byte, error) {
+	if hasNUL(f) {
+		return nil, nil, wire.Faultf(wire.FaultAuth, "auth: NUL in object %q or method %q", f.Object, f.Method)
+	}
 	at := 4 + (len(a.principal)+3)&^3 + 4 // XDR pads the principal; the other two are whole words
 	var e xdr.Encoder
 	e.SetBuf(f.envelope(at + authNonceLen + 4 + sha256.Size)[:0])
@@ -129,7 +139,7 @@ func (a *Auth) Unprocess(f *Frame, envelope, body []byte) ([]byte, error) {
 	if len(nonce) != authNonceLen {
 		return nil, wire.Faultf(wire.FaultAuth, "auth nonce has %d bytes", len(nonce))
 	}
-	if want := a.macs.sum(f, nonce, a.ident, body); !hmac.Equal(mac, want[:]) {
+	if want := a.macs.sum(f, nonce, a.ident, body); hasNUL(f) || !hmac.Equal(mac, want[:]) {
 		return nil, wire.Faultf(wire.FaultAuth, "signature verification failed for %q", a.principal)
 	}
 	return body, nil

@@ -84,9 +84,9 @@ func (f *Frame) envelope(n int) []byte {
 //   - Unprocess receives a body that aliases a frame only the receiver
 //     references (wire.Read gives each message its own buffer; a batch's
 //     sub-messages are disjoint views), or the output of the capability
-//     un-processed before it, and may transform it in place — after
-//     verifying whatever it verifies, so a rejected frame is left as it
-//     arrived. envelope is read-only.
+//     un-processed before it, and may transform it in place. A rejected
+//     frame yields no plaintext and its body must not be read again (a
+//     failed AEAD open wipes it). envelope is read-only.
 type Capability interface {
 	// Kind names the capability type; it keys the constructor registry
 	// and appears in wire envelopes.

@@ -3,9 +3,10 @@ package capability
 import (
 	"crypto/aes"
 	"crypto/cipher"
-	"crypto/hmac"
 	"crypto/rand"
-	"crypto/sha256"
+	"encoding/binary"
+	"sync"
+	"sync/atomic"
 
 	"openhpcxx/internal/errs"
 	"openhpcxx/internal/netsim"
@@ -18,15 +19,20 @@ import (
 // the client and the server").
 const KindEncrypt = "encrypt"
 
-// Encrypt is an authenticated-encryption capability: AES-256-CTR over
-// the body with an HMAC-SHA256 tag (encrypt-then-MAC). The key is a
-// pre-shared secret carried in the capability config; whoever holds the
-// object reference holds the key — capabilities are bearer tokens in
-// this model (see DESIGN.md for the trust-model substitution).
+// Encrypt is an authenticated-encryption capability: AES-256-GCM, one pass
+// over the body. The envelope is the 12-byte nonce and the body becomes
+// ciphertext ‖ 16-byte tag (Open wants those two contiguous, and a received
+// envelope and body are separate slices). The key is a pre-shared secret
+// carried in the capability config; whoever holds the object reference
+// holds the key — capabilities are bearer tokens in this model (see
+// DESIGN.md for the trust-model substitution).
 type Encrypt struct {
-	block cipher.Block // AES keyed once; safe for concurrent use
-	macs  macPool      // holds the 32-byte key
+	aead  cipher.AEAD // keyed once; safe for concurrent use
+	key   []byte
 	scope Scope
+	start [12]byte      // a GCM nonce, random per instance: message i is sealed under start + i,
+	sent  atomic.Uint64 // i added into the low eight bytes, so no message reads entropy
+	aads  sync.Pool     // of *[]byte: the receiver's AAD scratch
 }
 
 // NewEncrypt builds an encryption capability with a 32-byte key.
@@ -34,9 +40,13 @@ func NewEncrypt(key []byte, scope Scope) (*Encrypt, error) {
 	if len(key) != 32 {
 		return nil, errs.Newf(errs.Config, "capability: encrypt key must be 32 bytes, got %d", len(key))
 	}
-	key = append([]byte(nil), key...)
-	block, _ := aes.NewCipher(key) // its one error is a key size other than 16, 24 or 32
-	return &Encrypt{block: block, macs: macPool{key: key}, scope: scope}, nil
+	e := &Encrypt{key: append([]byte(nil), key...), scope: scope, aads: sync.Pool{New: func() any { return new([]byte) }}}
+	if _, err := rand.Read(e.start[:]); err != nil {
+		return nil, errs.Wrap(errs.Internal, err, "capability: no entropy for the encrypt nonce")
+	}
+	block, _ := aes.NewCipher(e.key) // its one error is a key size other than 16, 24 or 32,
+	e.aead, _ = cipher.NewGCM(block) // and this one's a block size other than 16
+	return e, nil
 }
 
 // MustNewEncrypt is NewEncrypt, panicking on a bad key (fixture use).
@@ -88,39 +98,44 @@ func (c *encryptConfig) UnmarshalXDR(d *xdr.Decoder) error {
 
 // Config implements Capability.
 func (e *Encrypt) Config() ([]byte, error) {
-	return xdr.Marshal(&encryptConfig{Key: e.macs.key, Scope: e.scope})
+	return xdr.Marshal(&encryptConfig{Key: e.key, Scope: e.scope})
 }
 
-const encIVLen = aes.BlockSize
+// appendAAD appends what the tag covers besides nonce and body, so a frame
+// cannot be replayed across objects or methods or flipped between request
+// and reply: len32(object) ‖ object ‖ len32(method) ‖ method ‖ dir, injective.
+func appendAAD(b []byte, f *Frame) []byte {
+	b = append(binary.BigEndian.AppendUint32(b, uint32(len(f.Object))), f.Object...)
+	b = append(binary.BigEndian.AppendUint32(b, uint32(len(f.Method))), f.Method...)
+	return append(b, byte(f.Dir))
+}
 
-// Process encrypts body and emits {iv, mac} as the envelope. body is the
-// caller's (see Capability), so the ciphertext gets a buffer of its own;
-// the envelope rides behind it in the same allocation.
+// Process seals body under the next nonce, which is the envelope. body is
+// the caller's (see Capability), so the sealed body gets a buffer of its own,
+// the AAD behind it (on the stack it would escape through cipher.AEAD).
 func (e *Encrypt) Process(f *Frame, body []byte) ([]byte, []byte, error) {
-	buf := make([]byte, len(body)+encIVLen+sha256.Size)
-	ct, env := buf[:len(body):len(body)], buf[len(body):]
-	iv := env[:encIVLen]
-	if _, err := rand.Read(iv); err != nil {
-		return nil, nil, err
-	}
-	cipher.NewCTR(e.block, iv).XORKeyStream(ct, body)
-	mac := e.macs.sum(f, iv, "", ct)
-	copy(env[encIVLen:], mac[:])
-	return ct, env, nil
+	nonce := append(f.envelope(len(e.start))[:0], e.start[:]...)
+	binary.BigEndian.PutUint64(nonce[4:], binary.BigEndian.Uint64(nonce[4:])+e.sent.Add(1))
+	n := len(body) + e.aead.Overhead()
+	buf := make([]byte, n, n+9+len(f.Object)+len(f.Method)) // 9: the AAD's two lengths and dir
+	return e.aead.Seal(buf[:0:n], nonce, body, appendAAD(buf[n:], f)), nonce, nil
 }
 
-// Unprocess verifies the MAC, then decrypts body in place: the receiver
-// owns it (see Capability), and a frame whose MAC fails is left untouched.
+// Unprocess opens body in place: the receiver owns it (see Capability).
+// A frame whose tag fails yields no plaintext — Open wipes what it wrote —
+// so a rejected body must not be read again.
 func (e *Encrypt) Unprocess(f *Frame, envelope, body []byte) ([]byte, error) {
-	if len(envelope) != encIVLen+sha256.Size {
+	if len(envelope) != len(e.start) {
 		return nil, wire.Faultf(wire.FaultCapability, "encrypt envelope has %d bytes", len(envelope))
 	}
-	iv, tag := envelope[:encIVLen], envelope[encIVLen:]
-	if want := e.macs.sum(f, iv, "", body); !hmac.Equal(tag, want[:]) {
-		return nil, wire.Faultf(wire.FaultCapability, "encrypt: MAC verification failed")
+	aad := e.aads.Get().(*[]byte)
+	*aad = appendAAD((*aad)[:0], f)
+	plain, err := e.aead.Open(body[:0], envelope, body, *aad)
+	e.aads.Put(aad)
+	if err != nil { // the tag failed, or body is shorter than one
+		return nil, wire.Faultf(wire.FaultCapability, "encrypt: authentication failed")
 	}
-	cipher.NewCTR(e.block, iv).XORKeyStream(body, body)
-	return body, nil
+	return plain, nil
 }
 
 func init() {

@@ -6,6 +6,7 @@ import (
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/hmac"
+	"crypto/rand"
 	"crypto/sha256"
 	"runtime"
 	"sync"
@@ -60,9 +61,9 @@ func skipUnderRace(t *testing.T) {
 func TestRoundTripAllocs(t *testing.T) {
 	skipUnderRace(t)
 	// A hand-built frame, so every envelope is an allocation of its own:
-	// what is left is the envelope (auth, checksum) and, for encrypt, the
-	// ciphertext+envelope buffer and one CTR stream per direction.
-	want := map[string]float64{KindQuota: 0, KindAuth: 1, KindChecksum: 1, KindEncrypt: 3}
+	// what is left is the envelope (auth, checksum, encrypt's nonce) and,
+	// for encrypt, the sealed body; opening it allocates nothing.
+	want := map[string]float64{KindQuota: 0, KindAuth: 1, KindChecksum: 1, KindEncrypt: 2}
 	f := reqFrame()
 	for _, c := range hotChain() {
 		peer := twin(t, c)
@@ -119,13 +120,14 @@ func TestGlueChainAllocs(t *testing.T) {
 		}
 	}
 	// Per direction: one scratch (wrap) or frame (unwrap), and for
-	// encrypt one buffer (wrap) and one CTR stream; the client's copy of
-	// the reply header; the echo servant's own six.
-	if got := testing.AllocsPerRun(200, call); got > 22 {
-		t.Errorf("quota+auth+checksum+encrypt call: %v allocs, want at most 22", got)
+	// encrypt the sealed body (wrap; its nonce is a piece of the scratch
+	// and opening allocates nothing); the client's copy of the reply
+	// header; the echo servant's own six.
+	if got := testing.AllocsPerRun(200, call); got > 18 {
+		t.Errorf("quota+auth+checksum+encrypt call: %v allocs, want at most 18", got)
 	}
-	// Two ciphertext buffers (each rounded up to a 4.75 KiB size class),
-	// two scratches and the headers; a third body-sized buffer passes 18 KiB.
+	// Two sealed bodies (each rounded up to a 4.75 KiB size class), two
+	// scratches and the headers; a third body-sized buffer passes 18 KiB.
 	if got := allocBytesPerRun(200, call); got > 4*uint64(len(midBody)) {
 		t.Errorf("quota+auth+checksum+encrypt call: %d bytes, want two body-sized buffers (under %d)", got, 4*len(midBody))
 	}
@@ -248,32 +250,99 @@ func TestAuthEnvelopeRejections(t *testing.T) {
 	}
 }
 
+// legacyEncrypt is the encrypt capability as it was before AES-GCM, for the
+// tests that face the new one with an old peer: AES-256-CTR under a 16-byte
+// iv, and an envelope of iv ‖ HMAC-SHA256 (legacyMAC) over the ciphertext,
+// verified before anything is decrypted.
+type legacyEncrypt struct {
+	Capability // Applicable and Config: an Encrypt with the same key
+	key        []byte
+}
+
+func newLegacyEncrypt(key []byte) *legacyEncrypt {
+	return &legacyEncrypt{Capability: MustNewEncrypt(key, ScopeAlways), key: key}
+}
+
+func (l *legacyEncrypt) stream(iv []byte) cipher.Stream {
+	block, err := aes.NewCipher(l.key)
+	if err != nil {
+		panic(err)
+	}
+	return cipher.NewCTR(block, iv)
+}
+
+func (l *legacyEncrypt) Process(f *Frame, body []byte) ([]byte, []byte, error) {
+	iv := make([]byte, aes.BlockSize)
+	if _, err := rand.Read(iv); err != nil {
+		return nil, nil, err
+	}
+	ct := make([]byte, len(body))
+	l.stream(iv).XORKeyStream(ct, body)
+	return ct, append(iv, legacyMAC(l.key, f, iv, "", ct)...), nil
+}
+
+func (l *legacyEncrypt) Unprocess(f *Frame, envelope, body []byte) ([]byte, error) {
+	if len(envelope) != aes.BlockSize+sha256.Size {
+		return nil, wire.Faultf(wire.FaultCapability, "encrypt envelope has %d bytes", len(envelope))
+	}
+	iv, tag := envelope[:aes.BlockSize], envelope[aes.BlockSize:]
+	if !hmac.Equal(tag, legacyMAC(l.key, f, iv, "", body)) {
+		return nil, wire.Faultf(wire.FaultCapability, "encrypt: MAC verification failed")
+	}
+	l.stream(iv).XORKeyStream(body, body)
+	return body, nil
+}
+
+// goldenAAD is the documented AAD layout, written out byte by byte and
+// sharing nothing with appendAAD.
+func goldenAAD(object, method string, dir Direction) []byte {
+	var aad []byte
+	for _, s := range []string{object, method} {
+		n := len(s)
+		aad = append(aad, byte(n>>24), byte(n>>16), byte(n>>8), byte(n))
+		aad = append(aad, s...)
+	}
+	return append(aad, byte(dir))
+}
+
 func TestEncryptWireGolden(t *testing.T) {
-	// What Process writes is what the per-call cipher and MAC wrote: an
-	// envelope of iv ‖ HMAC(key, iv ‖ object ‖ 0 ‖ method ‖ dir ‖ ct), and a
-	// body that AES-256-CTR under that iv turns back into the plaintext.
+	// An independent AES-256-GCM, given only the key and the documented
+	// layout — envelope nonce[12], body ciphertext ‖ tag[16], AAD
+	// len32(object) ‖ object ‖ len32(method) ‖ method ‖ dir — opens what
+	// Process wrote.
 	key := fixedKey()
 	e := MustNewEncrypt(key, ScopeAlways)
-	f := reqFrame()
-	ct, env, err := e.Process(f, midBody)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(env) != encIVLen+sha256.Size {
-		t.Fatalf("envelope has %d bytes", len(env))
-	}
-	iv, tag := env[:encIVLen], env[encIVLen:]
-	if !bytes.Equal(tag, legacyMAC(key, f, iv, "", ct)) {
-		t.Fatal("tag is not the legacy MAC of the ciphertext")
-	}
 	block, err := aes.NewCipher(key)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pt := make([]byte, len(ct))
-	cipher.NewCTR(block, iv).XORKeyStream(pt, ct)
-	if !bytes.Equal(pt, midBody) {
-		t.Fatal("legacy decrypt of the new ciphertext differs")
+	gcm, err := cipher.NewGCM(block)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	for _, f := range []*Frame{reqFrame(), {Object: "o", Method: "", Dir: Reply}} {
+		sealed, env, err := e.Process(f, midBody)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(env) != 12 || len(sealed) != len(midBody)+16 {
+			t.Fatalf("envelope has %d bytes and the body %d, want 12 and %d", len(env), len(sealed), len(midBody)+16)
+		}
+		if seen[string(env)] {
+			t.Fatalf("nonce %x used twice", env)
+		}
+		seen[string(env)] = true
+		pt, err := gcm.Open(nil, env, sealed, goldenAAD(f.Object, f.Method, f.Dir))
+		if err != nil || !bytes.Equal(pt, midBody) {
+			t.Fatalf("an independent GCM on %+v: %v", f, err)
+		}
+		// And the other way: Unprocess opens what that GCM sealed.
+		nonce := bytes.Repeat([]byte{7}, 12)
+		theirs := gcm.Seal(nil, nonce, midBody, goldenAAD(f.Object, f.Method, f.Dir))
+		if got, err := e.Unprocess(f, nonce, theirs); err != nil || !bytes.Equal(got, midBody) {
+			t.Fatalf("Unprocess of an independent GCM's frame on %+v: %v", f, err)
+		}
 	}
 }
 
@@ -328,27 +397,43 @@ func TestProcessLeavesBodyToTheCaller(t *testing.T) {
 }
 
 func TestEncryptVerifiesBeforeItDecrypts(t *testing.T) {
+	// A frame that fails authentication is a capability fault and releases
+	// no byte of the plaintext; the frame as it was sent then opens, into
+	// the backing array it arrived in.
 	e := MustNewEncrypt(fixedKey(), ScopeAlways)
 	f := reqFrame()
-	ct, env, err := e.Process(f, midBody)
+	plain := bytes.Repeat([]byte("PLAINTEXT-MARKER"), 256)
+	sealed, nonce, err := e.Process(f, plain)
 	if err != nil {
 		t.Fatal(err)
 	}
-	arrived := append([]byte(nil), ct...)
-	env[len(env)-1] ^= 1
-	if _, err := e.Unprocess(f, env, ct); faultCode(err) != wire.FaultCapability {
-		t.Fatalf("flipped MAC bit: %v", err)
+	reject := func(name string, env, body []byte) {
+		t.Helper()
+		got, err := e.Unprocess(f, env, body)
+		if faultCode(err) != wire.FaultCapability || got != nil {
+			t.Fatalf("%s: %d bytes and %v, want a capability fault", name, len(got), err)
+		}
+		if bytes.Contains(body, []byte("PLAIN")) {
+			t.Fatalf("%s: a rejected frame holds plaintext", name)
+		}
 	}
-	if !bytes.Equal(ct, arrived) {
-		t.Fatal("a frame that failed its MAC was decrypted anyway")
+	flipped := func(b []byte, at int) []byte {
+		b = append([]byte(nil), b...)
+		b[at] ^= 1
+		return b
 	}
-	env[len(env)-1] ^= 1
-	got, err := e.Unprocess(f, env, ct)
-	if err != nil || !bytes.Equal(got, midBody) {
-		t.Fatalf("restored MAC: %v", err)
+	reject("flipped tag bit", nonce, flipped(sealed, len(sealed)-1))
+	reject("flipped ciphertext bit", nonce, flipped(sealed, 0))
+	reject("flipped nonce bit", flipped(nonce, 11), append([]byte(nil), sealed...))
+	reject("body shorter than a tag", nonce, append([]byte(nil), sealed[:15]...))
+	reject("empty body", nonce, nil)
+	reject("envelope of 11 bytes", nonce[:11], append([]byte(nil), sealed...))
+	got, err := e.Unprocess(f, nonce, sealed)
+	if err != nil || !bytes.Equal(got, plain) {
+		t.Fatalf("the frame as sent: %v", err)
 	}
-	if &got[0] != &ct[0] {
-		t.Error("Unprocess decrypted into a second buffer; the receiver owns body")
+	if &got[0] != &sealed[0] {
+		t.Error("Unprocess opened into a second buffer; the receiver owns body")
 	}
 }
 
@@ -470,6 +555,15 @@ func FuzzUnprocess(f *testing.F) {
 	}
 	f.Add(uint8(4), []byte{compressDeflate, 0xff, 0xff, 0xff, 0xff}, make([]byte, 20), uint32(0))
 	f.Add(uint8(1), []byte{}, []byte{}, uint32(0))
+	// Into encrypt: an old peer's frame, a body shorter than a tag, a
+	// nonce one byte short.
+	oldBody, oldEnv, err := newLegacyEncrypt(fixedKey()).Process(frame, []byte("a seed body"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(uint8(3), oldEnv, oldBody, uint32(0))
+	f.Add(uint8(3), make([]byte, 12), make([]byte, 15), uint32(0))
+	f.Add(uint8(3), make([]byte, 11), make([]byte, 64), uint32(0))
 
 	f.Fuzz(func(t *testing.T, kind uint8, envelope, body []byte, flip uint32) {
 		c := all[int(kind)%len(all)]

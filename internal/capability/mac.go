@@ -7,7 +7,7 @@ import (
 	"sync"
 )
 
-// macPool is the keyed HMAC-SHA256 state of one Auth or Encrypt instance.
+// macPool is the keyed HMAC-SHA256 state of one Auth instance.
 // Building an HMAC from its key costs five allocations and two SHA-256
 // blocks; a pooled state pays that once and is Reset per message. The pool
 // is free to build (the first message builds the first state): the glue
