@@ -36,7 +36,7 @@ race:
 # luck, no wall-clock luck.
 determinism:
 	$(GO) test -count=3 -shuffle=on -race \
-		-run 'Fault|Failover|Drain|Crash|Blackhole|Expired|Deadline|Probe|Breaker|Health|Trace' \
+		-run 'Fault|Failover|Drain|Crash|Blackhole|Expired|Deadline|Probe|Breaker|Health|Trace|Async|Cancel|Continuation|Batched' \
 		./internal/netsim/ ./internal/transport/ ./internal/health/ \
 		./internal/core/ ./internal/capability/
 

@@ -305,7 +305,10 @@ func (g *Glue) Call(m *wire.Message) (*wire.Message, error) {
 
 // gluePending is the completion handle of a pipelined glue invocation:
 // the base protocol's pending, with the reply un-processed through the
-// capability chain (once) on resolution.
+// capability chain (once) on resolution. It deliberately takes no
+// continuation (transport.WhenDone): Reply runs Unprocess — user code,
+// possibly blocking, proportional to the body — so the ORB waits for
+// Done on a goroutine of the call's own, never on a mux read loop.
 type gluePending struct {
 	g      *Glue
 	p      core.Pending

@@ -3,14 +3,17 @@ package capability
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
 	"openhpcxx/internal/clock"
 	"openhpcxx/internal/core"
 	"openhpcxx/internal/future"
+	"openhpcxx/internal/netsim"
 	"openhpcxx/internal/obs"
 	"openhpcxx/internal/obs/obstest"
+	"openhpcxx/internal/stats"
 	"openhpcxx/internal/transport"
 	"openhpcxx/internal/wire"
 )
@@ -186,5 +189,81 @@ func TestGlueBeginNonPipelinedBase(t *testing.T) {
 	again, err := p.Reply()
 	if err != nil || string(again.Body) != "re:hi" {
 		t.Fatalf("second Reply: %q %v", again.Body, err)
+	}
+}
+
+// stallCap is a capability whose reply-side Unprocess waits for the test
+// — user code on the completion path, as slow as it likes.
+type stallCap struct{}
+
+var (
+	stallGate     chan struct{} // made by the test before any traffic
+	stallEntered  = make(chan struct{}, 1)
+	stallRegister sync.Once
+)
+
+func (stallCap) Kind() string                         { return "x-stall" }
+func (stallCap) Applicable(_, _ netsim.Locality) bool { return true }
+func (stallCap) Config() ([]byte, error)              { return nil, nil }
+func (stallCap) Process(f *Frame, body []byte) ([]byte, []byte, error) {
+	return body, nil, nil
+}
+func (stallCap) Unprocess(f *Frame, env, body []byte) ([]byte, error) {
+	if f.Dir == Reply {
+		stallEntered <- struct{}{}
+		<-stallGate
+	}
+	return body, nil
+}
+
+// TestGlueAsyncUnprocessStaysOffTheReadLoop: a capability chain's reply
+// is un-processed on a goroutine of the call's own, never on the read
+// loop of the connection it shares — so a chain stuck in Unprocess does
+// not delay plain calls pipelined beside it.
+func TestGlueAsyncUnprocessStaysOffTheReadLoop(t *testing.T) {
+	stallRegister.Do(func() {
+		RegisterKind("x-stall", func([]byte) (Capability, error) { return stallCap{}, nil })
+	})
+	stallGate = make(chan struct{})
+	rt := world(t)
+	server, s := echoServer(t, rt, "server", "m1")
+	client, _ := rt.NewContext("client", "m2")
+	base, _ := server.EntryStream()
+	glueE, err := GlueEntry(server, "stalled", base, stallCap{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	glued := client.NewGlobalPtr(server.NewRef(s, glueE))
+	plain := client.NewGlobalPtr(server.NewRef(s, base))
+
+	stuck := glued.InvokeAsync("upper", []byte("glued"))
+	select {
+	case <-stallEntered:
+	case <-clock.After(clock.Real{}, 5*time.Second):
+		t.Fatal("the chain's reply never reached Unprocess")
+	}
+	if got := rt.Metrics().GaugeWith("transport.muxes", stats.Labels{"context": "client"}).Value(); got != 1 {
+		t.Fatalf("%d pooled connections, want the one both GPs share", got)
+	}
+	fs := make([]*future.Future, 32)
+	for i := range fs {
+		fs[i] = plain.InvokeAsync("upper", []byte(fmt.Sprintf("plain-%d", i)))
+	}
+	for i, f := range fs {
+		select {
+		case <-f.Done():
+		case <-clock.After(clock.Real{}, 5*time.Second):
+			t.Fatalf("plain call %d is stuck behind a capability's Unprocess", i)
+		}
+		if body, err := f.Wait(); err != nil || string(body) != fmt.Sprintf("PLAIN-%d", i) {
+			t.Fatalf("plain call %d: %q, %v", i, body, err)
+		}
+	}
+	if _, _, resolved := stuck.TryResult(); resolved {
+		t.Fatal("the glued call resolved while its Unprocess was still waiting")
+	}
+	close(stallGate)
+	if body, err := stuck.Wait(); err != nil || string(body) != "GLUED" {
+		t.Fatalf("glued call: %q, %v", body, err)
 	}
 }

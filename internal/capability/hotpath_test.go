@@ -9,6 +9,7 @@ import (
 	"crypto/rand"
 	"crypto/sha256"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -361,7 +362,7 @@ func everyKind(t testing.TB) []Capability {
 		have[c.Kind()] = true
 	}
 	for _, k := range Kinds() {
-		if !have[k] && k != "x-watermark" { // registered by TestCustomCapabilityKind
+		if !have[k] && !strings.HasPrefix(k, "x-") { // x-: kinds the tests themselves register
 			t.Fatalf("kind %q is registered but not in everyKind", k)
 		}
 	}

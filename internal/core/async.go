@@ -1,18 +1,19 @@
 // Asynchronous invocation: GlobalPtr.InvokeAsync returns a future while
 // the request is pipelined on the wire. Admission and the first issue
-// run in the caller's goroutine, so a loop of InvokeAsync calls
-// genuinely keeps many requests in flight per connection and their
-// issue order is the call order; the rest of the engine (engine.go) —
-// finishing the attempt, the migration chase, protocol re-selection,
-// retry backoff — runs on one completion goroutine per invocation.
+// run in the caller's goroutine, so a loop of InvokeAsync calls keeps
+// many requests in flight per connection and their issue order is the
+// call order. An invocation in flight is a continuation registered on
+// its pending exchange, not a goroutine: whatever resolves the exchange
+// finishes the attempt and resolves the future (complete).
 package core
 
 import (
 	"context"
-	"sync"
+	"sync/atomic"
 
 	"openhpcxx/internal/future"
 	"openhpcxx/internal/obs"
+	"openhpcxx/internal/transport"
 	"openhpcxx/internal/wire"
 )
 
@@ -26,8 +27,8 @@ import (
 // DefaultMaxInFlight, steerable with SetMaxInFlight): when the limit is
 // reached, InvokeAsync blocks the caller until a slot frees — natural
 // backpressure rather than unbounded queueing. Canceling the returned
-// future releases its slot immediately; the request already on the wire
-// runs to completion on the server and its reply is discarded.
+// future releases its slot and abandons the exchange at once; a request
+// already on the wire still runs on the server, its reply is dropped.
 func (g *GlobalPtr) InvokeAsync(method string, args []byte) *future.Future {
 	return g.InvokeAsyncCtx(context.Background(), method, args)
 }
@@ -49,44 +50,89 @@ func (g *GlobalPtr) InvokeAsyncCtx(ctx context.Context, method string, args []by
 		select {
 		case sem <- struct{}{}:
 		case <-ctx.Done():
-			return resolve(fut, root, nil, ctx.Err())
+			return g.endAsync(fut, root, nil, nil, ctx.Err())
 		}
 	} else {
 		sem <- struct{}{}
 	}
-	ifg := g.host.rt.inflightGauge
-	ifg.Inc()
-	var relOnce sync.Once
-	release := func() {
-		relOnce.Do(func() {
-			<-sem
-			ifg.Dec()
-		})
-	}
-	fut.OnCancel(release)
-
+	g.host.rt.inflightGauge.Inc()
 	a, err := g.issue(ctx, root, wire.TRequest, method, args, true)
 	if err != nil {
-		release()
-		return resolve(fut, root, nil, err)
+		return g.endAsync(fut, root, sem, nil, err)
 	}
-	go func() {
-		defer release()
-		body, err := g.run(ctx, root, fut, method, args, a)
-		resolve(fut, root, body, err)
-	}()
+	// Whoever resolves the future frees its slot: endAsync, or Cancel
+	// through this hook, which also abandons the unwanted exchange.
+	pending := a.pending
+	fut.OnCancel(func() {
+		<-sem
+		g.host.rt.inflightGauge.Dec()
+		if ab, ok := pending.(interface{ Abandon() }); ok {
+			ab.Abandon()
+		}
+	})
+	switch {
+	case pending == nil || a.err != nil: // the send failed: nothing to wait for
+		g.complete(ctx, root, fut, sem, method, args, a)
+	case ctx.Done() == nil:
+		transport.WhenDone(pending, func() { g.complete(ctx, root, fut, sem, method, args, a) })
+	default:
+		// Reply or context end, whichever is first, finishes the attempt.
+		first := new(atomic.Bool)
+		stop := context.AfterFunc(ctx, func() {
+			if first.CompareAndSwap(false, true) {
+				g.runAsync(ctx, root, fut, sem, method, args, a)
+			}
+		})
+		transport.WhenDone(pending, func() {
+			if first.CompareAndSwap(false, true) {
+				stop()
+				g.complete(ctx, root, fut, sem, method, args, a)
+			}
+		})
+	}
 	return fut
 }
 
-// resolve ends an asynchronous invocation: the future gets its result
-// and the root span its outcome.
-func resolve(fut *future.Future, root *obs.Active, body []byte, err error) *future.Future {
-	if err != nil {
-		fut.Fail(err)
-	} else {
-		fut.Complete(body)
+// complete is an asynchronous invocation's continuation, bound by
+// transport.WhenDone's contract: it finishes the first attempt where the
+// exchange resolved and resolves the future. A retry, and a fault —
+// settling one may call the GP's refresh hook — get a goroutine.
+func (g *GlobalPtr) complete(ctx context.Context, root *obs.Active, fut *future.Future, sem chan struct{}, method string, args []byte, a attempt) {
+	if a.pending != nil && a.err == nil {
+		a.reply, a.err = a.pending.Reply() // resolved: does not block
+		a.pending = nil
+		if a.reply != nil && a.reply.Type == wire.TFault {
+			go g.runAsync(ctx, root, fut, sem, method, args, a)
+			return
+		}
 	}
+	body, done, backoff, err := g.finish(ctx, root, &a, nil)
+	if done {
+		g.endAsync(fut, root, sem, body, err)
+		return
+	}
+	go func() {
+		body, err := g.chase(ctx, root, fut, method, args, backoff, err)
+		g.endAsync(fut, root, sem, body, err)
+	}()
+}
+
+// runAsync is the whole of run on a goroutine of the invocation's own.
+func (g *GlobalPtr) runAsync(ctx context.Context, root *obs.Active, fut *future.Future, sem chan struct{}, method string, args []byte, a attempt) {
+	body, err := g.run(ctx, root, fut, method, args, a)
+	g.endAsync(fut, root, sem, body, err)
+}
+
+// endAsync ends an asynchronous invocation: the future gets its result,
+// the root span its outcome, and the in-flight slot (sem, nil if none)
+// is freed — unless a Cancel resolved the future first and freed it.
+func (g *GlobalPtr) endAsync(fut *future.Future, root *obs.Active, sem chan struct{}, body []byte, err error) *future.Future {
+	won := err == nil && fut.Complete(body) || err != nil && fut.Fail(err)
 	root.SetErr(err)
 	root.End()
+	if won && sem != nil {
+		<-sem
+		g.host.rt.inflightGauge.Dec()
+	}
 	return fut
 }

@@ -1,11 +1,11 @@
 // The invocation engine: every surface of a GlobalPtr is built from two
 // steps. issue selects a protocol, counts the attempt and puts its frame
 // on the wire; finish collects the reply, accounts for the attempt and
-// classifies the outcome; run loops the two until an attempt is
-// terminal. Invoke runs all of it on the caller's goroutine; InvokeAsync
-// issues its first attempt on the caller's goroutine — so a GP's issue
-// order is the order of its InvokeAsync calls — and runs the rest on one
-// completion goroutine; Post is one issue and one finish.
+// classifies the outcome; chase loops the two from a retryable failure.
+// Invoke runs all of it on the caller's goroutine; InvokeAsync issues
+// its first attempt there — so a GP's issue order is the order of its
+// InvokeAsync calls — has it finished by whatever resolves the reply,
+// and chases on a goroutine; Post is one issue and one finish.
 package core
 
 import (
@@ -18,6 +18,7 @@ import (
 	"openhpcxx/internal/errs"
 	"openhpcxx/internal/future"
 	"openhpcxx/internal/obs"
+	"openhpcxx/internal/transport"
 	"openhpcxx/internal/wire"
 )
 
@@ -59,34 +60,19 @@ type attempt struct {
 	err     error
 }
 
-// callPending resolves when a blocking Call returns.
-type callPending struct {
-	done  chan struct{}
-	reply *wire.Message
-	err   error
-}
-
-func (cp *callPending) Done() <-chan struct{} { return cp.done }
-
-func (cp *callPending) Reply() (*wire.Message, error) {
-	<-cp.done
-	return cp.reply, cp.err
-}
-
 // Begin starts one exchange on any protocol object and returns without
 // waiting for the reply: natively when the protocol pipelines, otherwise
 // by running its blocking Call in a goroutine of its own — the futures
 // surface is preserved, per-connection pipelining is not. The glue
-// protocol starts its base protocol through it too.
+// protocol starts its base protocol through it too. (transport.WhenDone
+// adapts the other way: a pending that cannot run a continuation where
+// it resolves is waited for on a goroutine.)
 func Begin(p Protocol, m *wire.Message) (Pending, error) {
 	if pp, ok := p.(PipelinedProtocol); ok {
 		return pp.Begin(m)
 	}
-	cp := &callPending{done: make(chan struct{})}
-	go func() {
-		cp.reply, cp.err = p.Call(m)
-		close(cp.done)
-	}()
+	cp := new(transport.Cell)
+	go func() { cp.Resolve(p.Call(m)) }()
 	return cp, nil
 }
 
@@ -204,9 +190,9 @@ func (g *GlobalPtr) finish(ctx context.Context, root *obs.Active, a *attempt, la
 	}
 	a.send.SetErr(a.err)
 	a.send.End()
-	if a.err != nil && ctx.Err() != nil && errors.Is(a.err, ctx.Err()) {
-		// The context ended the attempt, not the endpoint: nothing for
-		// settle to classify (a deadline mid-flight was reported above).
+	if a.err != nil && (errors.Is(a.err, transport.ErrAbandoned) || ctx.Err() != nil && errors.Is(a.err, ctx.Err())) {
+		// The caller ended the attempt (its context, or Cancel), not the
+		// endpoint: nothing to classify (a deadline was reported above).
 		return nil, true, false, ctxAttemptErr(a.err, lastErr)
 	}
 	body, done, backoff, err = g.settle(a.b, a.reply, a.err)
@@ -223,24 +209,26 @@ func (g *GlobalPtr) finish(ctx context.Context, root *obs.Active, a *attempt, la
 }
 
 // run finishes the already issued first attempt of a two-way invocation
-// and, while finish asks for another, backs off and issues the next, up
-// to maxInvokeAttempts. fut is an asynchronous invocation's future (nil
-// for a synchronous one): once it is resolved — canceled — nobody is
-// waiting and the chase stops.
+// and, when finish asks for another, chases.
 func (g *GlobalPtr) run(ctx context.Context, root *obs.Active, fut *future.Future, method string, args []byte, a attempt) ([]byte, error) {
-	var lastErr error
+	body, done, backoff, err := g.finish(ctx, root, &a, nil)
+	if done {
+		return body, err
+	}
+	return g.chase(ctx, root, fut, method, args, backoff, err)
+}
+
+// chase continues from a retryable failure: back off, issue, finish, up
+// to maxInvokeAttempts in all. fut is an asynchronous invocation's
+// future (else nil): once it is resolved — canceled — the chase stops.
+func (g *GlobalPtr) chase(ctx context.Context, root *obs.Active, fut *future.Future, method string, args []byte, backoff bool, lastErr error) ([]byte, error) {
 	for n := 1; ; n++ {
-		body, done, backoff, err := g.finish(ctx, root, &a, lastErr)
-		if done {
-			return body, err
-		}
 		if n == maxInvokeAttempts {
 			// The give-up keeps the last failure's taxonomy code, so callers
 			// classify it the same way they would the failure itself.
-			return nil, errs.Wrapf(errs.CodeOf(err), err, "core: invoke %s.%s gave up after %d attempts",
+			return nil, errs.Wrapf(errs.CodeOf(lastErr), lastErr, "core: invoke %s.%s gave up after %d attempts",
 				g.Object(), method, maxInvokeAttempts)
 		}
-		lastErr = err
 		if fut != nil {
 			if _, _, resolved := fut.TryResult(); resolved {
 				return nil, future.ErrCanceled
@@ -260,9 +248,15 @@ func (g *GlobalPtr) run(ctx context.Context, root *obs.Active, fut *future.Futur
 			}
 		}
 		rs.End()
-		if a, err = g.issue(ctx, root, wire.TRequest, method, args, false); err != nil {
+		a, err := g.issue(ctx, root, wire.TRequest, method, args, false)
+		if err != nil {
 			return nil, err
 		}
+		body, done, again, err := g.finish(ctx, root, &a, lastErr)
+		if done {
+			return body, err
+		}
+		backoff, lastErr = again, err
 	}
 }
 

@@ -183,24 +183,33 @@ func TestEngineSurfaceParity(t *testing.T) {
 			return err
 		}
 	}
+	// detached: the surface returns before the reply, so on a pipelined
+	// protocol the first attempt is finished by the reply's resolver — the
+	// mux read loop — not by a goroutine of the call's.
 	surfaces := []struct {
-		name   string
-		oneway bool
-		do     func(gp *GlobalPtr) error
+		name     string
+		oneway   bool
+		detached bool
+		do       func(gp *GlobalPtr) error
 	}{
-		{"Invoke", false, twoWay(func(gp *GlobalPtr) ([]byte, error) { return gp.Invoke("echo", args) })},
-		{"InvokeCtx-deadline", false, twoWay(func(gp *GlobalPtr) ([]byte, error) {
+		{"Invoke", false, false, twoWay(func(gp *GlobalPtr) ([]byte, error) { return gp.Invoke("echo", args) })},
+		{"InvokeCtx-deadline", false, false, twoWay(func(gp *GlobalPtr) ([]byte, error) {
 			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 			defer cancel()
 			return gp.InvokeCtx(ctx, "echo", args)
 		})},
-		{"InvokeAsync", false, twoWay(func(gp *GlobalPtr) ([]byte, error) { return gp.InvokeAsync("echo", args).Wait() })},
-		{"InvokeAsync-batched", false, twoWay(func(gp *GlobalPtr) ([]byte, error) {
+		{"InvokeAsync", false, true, twoWay(func(gp *GlobalPtr) ([]byte, error) { return gp.InvokeAsync("echo", args).Wait() })},
+		{"InvokeAsync-batched", false, true, twoWay(func(gp *GlobalPtr) ([]byte, error) {
 			policy := transport.DefaultBatchPolicy()
 			gp.SetBatchPolicy(&policy)
 			return gp.InvokeAsync("echo", args).Wait()
 		})},
-		{"Post", true, func(gp *GlobalPtr) error { return gp.Post("echo", args) }},
+		{"InvokeAsyncCtx-deadline", false, true, twoWay(func(gp *GlobalPtr) ([]byte, error) {
+			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+			defer cancel()
+			return gp.InvokeAsyncCtx(ctx, "echo", args).Wait()
+		})},
+		{"Post", true, false, func(gp *GlobalPtr) error { return gp.Post("echo", args) }},
 	}
 	for _, p := range protos {
 		for _, s := range surfaces {
@@ -216,6 +225,8 @@ func TestEngineSurfaceParity(t *testing.T) {
 						t.Fatal(err)
 					}
 					col := obstest.Attach(t, rt.Tracer())
+					where := &finishedOnReadLoop{Recorder: col, proto: string(p.pid)}
+					rt.Tracer().SetRecorder(where)
 					if failFirst {
 						fail.Store(1)
 					}
@@ -262,6 +273,16 @@ func TestEngineSurfaceParity(t *testing.T) {
 					obstest.AssertPath(t, tr, path)
 					if n := len(obstest.Named(tr, string(p.pid))); n != int(want.calls+want.oneway) {
 						t.Fatalf("%d send spans for %d attempts", n, want.calls+want.oneway)
+					}
+					// A failed first send has no reply to resolve (it is finished
+					// inline) and its retry blocks on a goroutine of its own.
+					onResolver := s.detached && !p.callOnly && !failFirst
+					where.mu.Lock()
+					defer where.mu.Unlock()
+					for i, got := range where.where {
+						if got != (onResolver && i == 0) {
+							t.Fatalf("attempt %d finished on a read loop: %v, want %v", i, got, onResolver && i == 0)
+						}
 					}
 				})
 			}

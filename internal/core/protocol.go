@@ -21,16 +21,10 @@ type Protocol interface {
 }
 
 // Pending is one in-flight pipelined exchange — the completion handle a
-// PipelinedProtocol returns from Begin. It matches transport.Pending
-// structurally, so mux pendings flow straight through protocol objects
-// without adapters.
-type Pending interface {
-	// Done is closed when the exchange resolves.
-	Done() <-chan struct{}
-	// Reply blocks until resolution and returns the reply frame
-	// (possibly TFault) or the transport error.
-	Reply() (*wire.Message, error)
-}
+// PipelinedProtocol returns from Begin: transport.Pending, so mux
+// pendings flow straight up through protocol objects. How the engine
+// learns that one has resolved is transport.WhenDone's business.
+type Pending = transport.Pending
 
 // PipelinedProtocol is the optional interface of protocol objects that
 // can keep many requests in flight per connection: Begin sends the

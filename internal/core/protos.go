@@ -278,36 +278,21 @@ func (p *nexusProto) Call(m *wire.Message) (*wire.Message, error) {
 	return pending.Reply()
 }
 
-// nexusPending adapts a nexus.PendingRSR to core.Pending by decoding the
-// embedded reply frame once, on first Reply.
-type nexusPending struct {
-	p     *nexus.PendingRSR
-	once  sync.Once
-	reply *wire.Message
-	err   error
-}
-
-func (n *nexusPending) Done() <-chan struct{} { return n.p.Done() }
-
-func (n *nexusPending) Reply() (*wire.Message, error) {
-	n.once.Do(func() {
-		out, err := n.p.Result()
-		if err != nil {
-			n.err = err
-			return
-		}
-		reply := new(wire.Message)
-		if err := xdr.Unmarshal(out, reply); err != nil {
-			n.err = errs.Wrap(errs.Codec, err, "core: embedded reply")
-			return
-		}
-		n.reply = reply
-	})
-	return n.reply, n.err
+// embeddedReply decodes the reply frame an RSR carried back.
+func embeddedReply(out []byte, err error) (*wire.Message, error) {
+	if err != nil {
+		return nil, err
+	}
+	reply := new(wire.Message)
+	if err := xdr.Unmarshal(out, reply); err != nil {
+		return nil, errs.Wrap(errs.Codec, err, "core: embedded reply")
+	}
+	return reply, nil
 }
 
 // Begin implements PipelinedProtocol: the RSR is issued without waiting,
-// so many embedded invocations may be in flight on the Nexus connection.
+// so many embedded invocations may be in flight on the Nexus connection;
+// the embedded reply is decoded where the RSR resolves.
 func (p *nexusProto) Begin(m *wire.Message) (Pending, error) {
 	buf, err := wire.Marshal(m)
 	if err != nil {
@@ -317,7 +302,9 @@ func (p *nexusProto) Begin(m *wire.Message) (Pending, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &nexusPending{p: pr}, nil
+	cell := new(transport.Cell)
+	pr.WhenDone(func() { cell.Resolve(embeddedReply(pr.Result())) })
+	return cell, nil
 }
 
 // Post implements OneWayProtocol via a one-way Nexus RSR.

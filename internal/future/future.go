@@ -133,7 +133,10 @@ func (f *Future) Cancel() bool {
 func (f *Future) Done() <-chan struct{} { return f.done }
 
 // Wait blocks until the future resolves and returns its reply body or
-// error.
+// error. The ORB resolves an invocation's future from whatever resolved
+// its exchange — normally the connection's read loop, so the futures of
+// one connection resolve in reply-arrival order and a waiter is woken by
+// the reader itself, with no completion goroutine in between.
 func (f *Future) Wait() ([]byte, error) {
 	<-f.done
 	f.mu.Lock()

@@ -68,35 +68,11 @@ func (p BatchPolicy) withDefaults() BatchPolicy {
 // ErrCoalescerClosed is returned by Begin on a closed coalescer.
 var ErrCoalescerClosed = errors.New("transport: coalescer closed")
 
-// batchItem is one queued request and its completion handle.
+// batchItem is one queued request and its completion handle, resolved
+// when its sub-reply is demultiplexed from the batch reply.
 type batchItem struct {
 	msg *wire.Message
-	p   *pendingItem
-}
-
-// pendingItem resolves when its sub-reply is demultiplexed from the
-// batch reply. Same single-assignment discipline as PendingCall.
-type pendingItem struct {
-	once  sync.Once
-	done  chan struct{}
-	reply *wire.Message
-	err   error
-}
-
-func newPendingItem() *pendingItem { return &pendingItem{done: make(chan struct{})} }
-
-func (p *pendingItem) Done() <-chan struct{} { return p.done }
-
-func (p *pendingItem) Reply() (*wire.Message, error) {
-	<-p.done
-	return p.reply, p.err
-}
-
-func (p *pendingItem) resolve(reply *wire.Message, err error) {
-	p.once.Do(func() {
-		p.reply, p.err = reply, err
-		close(p.done)
-	})
+	p   *Cell
 }
 
 // Coalescer batches requests headed for one peer. send issues one
@@ -144,7 +120,7 @@ func (c *Coalescer) Begin(msg *wire.Message) (Pending, error) {
 	if msg.Type != wire.TRequest {
 		return nil, errs.Newf(errs.BadRequest, "transport: cannot batch %v frame", msg.Type)
 	}
-	item := batchItem{msg: msg, p: newPendingItem()}
+	item := batchItem{msg: msg, p: new(Cell)}
 
 	c.mu.Lock()
 	if c.closed {
@@ -212,20 +188,20 @@ func (c *Coalescer) flushTimer() {
 	}
 }
 
-// dispatch ships one batch and demultiplexes the batch reply to the
-// items by position. A batch of one skips TBatch framing entirely —
-// adaptivity means a lone caller never pays the batch envelope.
+// dispatch ships one batch and has the batch reply demultiplexed to the
+// items by position where it resolves (WhenDone). A batch of one skips
+// TBatch framing entirely — adaptivity means a lone caller never pays
+// the batch envelope — and forwards its resolution. What fails before
+// anything is in flight is reported from a goroutine of its own: this
+// one may be inside Begin or a policy change, holding its caller's locks.
 func (c *Coalescer) dispatch(items []batchItem) {
 	if len(items) == 1 {
 		p, err := c.send(items[0].msg)
 		if err != nil {
-			items[0].p.resolve(nil, err)
+			go failAll(items, err)
 			return
 		}
-		go func() {
-			reply, err := p.Reply()
-			items[0].p.resolve(reply, err)
-		}()
+		WhenDone(p, func() { items[0].p.Resolve(p.Reply()) })
 		return
 	}
 
@@ -245,46 +221,46 @@ func (c *Coalescer) dispatch(items []batchItem) {
 		}
 	}
 	frame, err := wire.EncodeBatch(msgs)
-	if err != nil {
-		c.failAll(items, err)
-		return
+	if err == nil {
+		var p Pending
+		if p, err = c.send(frame); err == nil {
+			WhenDone(p, func() { demux(items, p) })
+			return
+		}
 	}
-	p, err := c.send(frame)
-	if err != nil {
-		c.failAll(items, err)
-		return
-	}
-	go func() {
-		reply, err := p.Reply()
-		if err != nil {
-			c.failAll(items, err)
-			return
-		}
-		if reply.Type != wire.TBatch {
-			// A whole-batch fault (e.g. the peer predates TBatch)
-			// fans out to every item; per-call faults arrive inside
-			// the batch instead.
-			c.failAll(items, errs.Newf(errs.Codec, "transport: batch reply is %v frame", reply.Type))
-			return
-		}
-		subs, derr := wire.DecodeBatch(reply)
-		if derr != nil {
-			c.failAll(items, derr)
-			return
-		}
-		if len(subs) != len(items) {
-			c.failAll(items, errs.Newf(errs.Codec, "transport: batch reply has %d entries, want %d", len(subs), len(items)))
-			return
-		}
-		for i, it := range items {
-			it.p.resolve(subs[i], nil)
-		}
-	}()
+	go failAll(items, err)
 }
 
-func (c *Coalescer) failAll(items []batchItem, err error) {
+// demux fans a resolved batch exchange out to its items.
+func demux(items []batchItem, p Pending) {
+	reply, err := p.Reply()
+	if err != nil {
+		failAll(items, err)
+		return
+	}
+	if reply.Type != wire.TBatch {
+		// A whole-batch fault (e.g. the peer predates TBatch) fans out
+		// to every item; per-call faults arrive inside the batch instead.
+		failAll(items, errs.Newf(errs.Codec, "transport: batch reply is %v frame", reply.Type))
+		return
+	}
+	subs, derr := wire.DecodeBatch(reply)
+	if derr != nil {
+		failAll(items, derr)
+		return
+	}
+	if len(subs) != len(items) {
+		failAll(items, errs.Newf(errs.Codec, "transport: batch reply has %d entries, want %d", len(subs), len(items)))
+		return
+	}
+	for i, it := range items {
+		it.p.Resolve(subs[i], nil)
+	}
+}
+
+func failAll(items []batchItem, err error) {
 	for _, it := range items {
-		it.p.resolve(nil, err)
+		it.p.Resolve(nil, err)
 	}
 }
 

@@ -20,12 +20,12 @@ var ErrMuxClosed = errors.New("transport: mux closed")
 const DefaultCallTimeout = 30 * time.Second
 
 // Pending is one in-flight request/reply exchange: a completion handle
-// the caller waits on. The same shape is re-exported by the ORB as
-// core.Pending, so protocol objects can hand mux pendings straight up
-// the stack.
+// the caller waits on, or hands a continuation through WhenDone. The ORB
+// re-exports it as core.Pending, so protocol objects hand mux pendings
+// straight up the stack.
 type Pending interface {
 	// Done is closed when the exchange resolves (reply, transport
-	// failure, or timeout).
+	// failure, timeout or abandonment).
 	Done() <-chan struct{}
 	// Reply returns the resolution. Calling it before Done is closed
 	// blocks until resolution.
@@ -70,55 +70,33 @@ func (m *Mux) SetTimeout(d time.Duration) {
 	m.mu.Unlock()
 }
 
-// PendingCall is one in-flight exchange on a Mux. Resolution is
-// single-assignment: the first of {matched reply, connection failure,
-// timeout} wins and closes Done. There is no channel send anywhere on
-// the resolution path — the read loop can never stall on a caller that
-// abandoned its request (the failure mode a send on an unbuffered, or
-// even buffered-but-reused, channel would invite; see
-// TestMuxAbandonedCallDoesNotStallReader).
+// PendingCall is one in-flight exchange on a Mux: a Cell resolved by the
+// first of {matched reply, connection failure, timeout, Abandon}.
 type PendingCall struct {
+	Cell
 	m  *Mux
 	id uint64
 	// timer is the timeout watchdog; atomic because it is armed after
-	// the pending is already visible to the read loop, which may be
-	// resolving it concurrently. A timer that escapes the Stop fires
+	// the read loop can see the pending. One that escapes the Stop fires
 	// harmlessly: forget and resolve are both idempotent.
 	timer atomic.Pointer[time.Timer]
-
-	once  sync.Once
-	done  chan struct{}
-	reply *wire.Message
-	err   error
 }
 
-// Done implements Pending.
-func (p *PendingCall) Done() <-chan struct{} { return p.done }
-
-// Reply implements Pending.
-func (p *PendingCall) Reply() (*wire.Message, error) {
-	<-p.done
-	return p.reply, p.err
-}
-
-// resolve records the outcome exactly once. reply/err are published
-// before done closes, so readers that wait on Done observe them safely.
 func (p *PendingCall) resolve(reply *wire.Message, err error) {
-	p.once.Do(func() {
-		if t := p.timer.Load(); t != nil {
-			t.Stop()
-		}
-		p.reply, p.err = reply, err
-		close(p.done)
-	})
+	if t := p.timer.Load(); t != nil {
+		t.Stop()
+	}
+	p.Resolve(reply, err)
 }
 
-// Abandon gives up on the exchange: the pending entry is removed so a
-// late reply is dropped by the read loop, and Reply returns
-// ErrMuxClosed-independent cancellation. Safe to call at any time.
+// ErrAbandoned resolves an exchange its owner gave up on.
+var ErrAbandoned error = errs.New(errs.Canceled, "transport: call abandoned")
+
+// Abandon gives up on the exchange: a late reply is dropped by the read
+// loop, and the exchange resolves, here, with ErrAbandoned.
 func (p *PendingCall) Abandon() {
 	p.m.forget(p.id)
-	p.resolve(nil, errs.New(errs.Canceled, "transport: call abandoned"))
+	p.resolve(nil, ErrAbandoned)
 }
 
 func (m *Mux) forget(id uint64) {
@@ -141,9 +119,9 @@ func (m *Mux) readLoop() {
 		}
 		m.mu.Unlock()
 		if ok {
-			// resolve never blocks (single-assignment + close, no
-			// channel send), so a caller that raced an abandon with
-			// this delivery cannot stall the reader.
+			// resolve never blocks (no channel send), so a caller that
+			// raced an abandon with this delivery cannot stall the reader;
+			// the continuation it runs is bound by WhenDone's contract.
 			p.resolve(msg, nil)
 		}
 		// Replies for abandoned requests are dropped.
@@ -163,11 +141,12 @@ func (m *Mux) recordErr(err error) {
 	m.mu.Unlock()
 }
 
+// fail is the read loop's last act: what is still pending fails.
 func (m *Mux) fail(err error) {
-	if err == io.EOF {
+	m.mu.Lock()
+	if err == io.EOF || m.closed {
 		err = ErrMuxClosed
 	}
-	m.mu.Lock()
 	if m.err == nil {
 		m.err = err
 	}
@@ -201,7 +180,7 @@ func (m *Mux) Begin(msg *wire.Message) (*PendingCall, error) {
 	id := m.nextID
 	m.nextID++
 	msg.RequestID = id
-	p := &PendingCall{m: m, id: id, done: make(chan struct{})}
+	p := &PendingCall{m: m, id: id}
 	m.pending[id] = p
 	timeout := m.timeout
 	m.mu.Unlock()
@@ -230,14 +209,11 @@ func (m *Mux) Begin(msg *wire.Message) (*PendingCall, error) {
 			p.resolve(nil, errs.Newf(errs.Expired, "transport: call %q timed out after %v", method, timeout))
 		})
 		p.timer.Store(t)
-		// The pending may already have resolved (fast reply, abandon,
-		// connection failure) between the map insert and the Store above;
-		// resolve couldn't see the timer then, so stop it here. Both
-		// checks together guarantee no timer outlives its exchange.
-		select {
-		case <-p.done:
+		// The pending may have resolved between the map insert and the
+		// Store above, when resolve could not see the timer: stop it
+		// here, so that no timer outlives its exchange.
+		if p.Resolved() {
 			t.Stop()
-		default:
 		}
 	}
 	return p, nil
@@ -284,7 +260,8 @@ func (m *Mux) InFlight() int {
 	return len(m.pending)
 }
 
-// Close tears down the connection; outstanding calls fail.
+// Close tears down the connection; outstanding calls fail as the read
+// loop sees it go, not on the closer's goroutine (see WhenDone).
 func (m *Mux) Close() error {
 	m.mu.Lock()
 	if m.closed {
@@ -293,9 +270,7 @@ func (m *Mux) Close() error {
 	}
 	m.closed = true
 	m.mu.Unlock()
-	err := m.conn.Close()
-	m.fail(ErrMuxClosed)
-	return err
+	return m.conn.Close()
 }
 
 // Healthy reports whether the mux can still issue calls.

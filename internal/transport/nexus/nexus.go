@@ -198,10 +198,11 @@ type PendingRSR struct {
 	p transport.Pending
 }
 
-// Done is closed when the RSR resolves.
-func (p *PendingRSR) Done() <-chan struct{} { return p.p.Done() }
+// WhenDone runs fn where the RSR resolves (transport.WhenDone).
+func (p *PendingRSR) WhenDone(fn func()) { transport.WhenDone(p.p, fn) }
 
-// Result returns the reply buffer or error; it blocks until Done.
+// Result returns the reply buffer or error; it blocks until the RSR
+// resolves.
 func (p *PendingRSR) Result() ([]byte, error) {
 	reply, err := p.p.Reply()
 	if err != nil {
