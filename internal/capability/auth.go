@@ -3,9 +3,8 @@ package capability
 import (
 	"cmp"
 	"crypto/hmac"
-	"crypto/rand"
 	"crypto/sha256"
-	"strings"
+	"crypto/subtle"
 
 	"openhpcxx/internal/errs"
 	"openhpcxx/internal/netsim"
@@ -19,14 +18,23 @@ import (
 // expressed here as a cross-LAN applicability scope.
 const KindAuth = "auth"
 
-// Auth authenticates every request (and reply) with an HMAC-SHA256
-// signature over the frame identity, a fresh nonce, and the body. Both
-// sides share the secret through the capability config.
+// authKeyLabel separates auth's AES key from any other use of the same
+// secret bytes (an encrypt key, say): the key is HMAC-SHA256(secret, label).
+const authKeyLabel = "openhpcxx/auth/v2"
+
+// Auth authenticates every request (and reply) with one AES-256-GCM tag:
+// the frame identity — len32(principal) ‖ principal ‖ object, method and
+// direction as appendIdentity lays them out — is sealed under a fresh nonce
+// with the body as additional data, and only the nonce and the 16-byte tag
+// are sent. The receiver knows the identity, seals it again and compares
+// tags, so the body is read once (by GHASH) and never copied. Both sides
+// share the secret through the capability config.
 type Auth struct {
+	gcm       // keyed with HMAC-SHA256(secret, authKeyLabel)
 	principal string
-	ident     string  // principal ‖ 0, as the MAC covers it
-	macs      macPool // holds the secret
+	secret    []byte // what the config carries
 	scope     Scope
+	head      []byte // the envelope as far as the nonce: XDR principal, then the nonce's length
 }
 
 // NewAuth builds an authentication capability for a principal.
@@ -37,7 +45,17 @@ func NewAuth(principal string, secret []byte, scope Scope) (*Auth, error) {
 	if len(secret) == 0 {
 		return nil, errs.New(errs.Config, "capability: auth requires a secret")
 	}
-	return &Auth{principal: principal, ident: principal + "\x00", macs: macPool{key: append([]byte(nil), secret...)}, scope: scope}, nil
+	a := &Auth{principal: principal, secret: append([]byte(nil), secret...), scope: scope}
+	kdf := hmac.New(sha256.New, a.secret)
+	kdf.Write([]byte(authKeyLabel))
+	if err := a.setKey(kdf.Sum(nil)); err != nil {
+		return nil, err
+	}
+	var e xdr.Encoder
+	e.PutString(principal)
+	e.PutUint32(gcmNonceLen)
+	a.head = e.Bytes()
+	return a, nil
 }
 
 // MustNewAuth is NewAuth, panicking on error (fixture use).
@@ -88,45 +106,41 @@ func (c *authConfig) UnmarshalXDR(d *xdr.Decoder) error {
 
 // Config implements Capability.
 func (a *Auth) Config() ([]byte, error) {
-	return xdr.Marshal(&authConfig{Principal: a.principal, Secret: a.macs.key, Scope: a.scope})
+	return xdr.Marshal(&authConfig{Principal: a.principal, Secret: a.secret, Scope: a.scope})
 }
 
-const authNonceLen = 16
-
-// hasNUL reports a frame identity the MAC input, object ‖ 0 ‖ method, would
-// read two ways; no legitimate id or method name holds a NUL.
-func hasNUL(f *Frame) bool {
-	return strings.IndexByte(f.Object, 0) >= 0 || strings.IndexByte(f.Method, 0) >= 0
+// tag seals the identity of f under nonce with body as additional data and
+// keeps the tag alone; the ciphertext is never sent. The identity opens
+// with the first 4 + len(principal) bytes of head: an XDR string starts
+// with the same big-endian length appendIdentity writes.
+func (a *Auth) tag(f *Frame, nonce, body []byte) (tag [gcmTagLen]byte) {
+	id := a.ids.Get().(*[]byte)
+	plain := appendIdentity(append((*id)[:0], a.head[:4+len(a.principal)]...), f)
+	*id = a.aead.Seal(plain[:0], nonce, plain, body) // in place
+	copy(tag[:], (*id)[len(plain):])
+	a.ids.Put(id)
+	return tag
 }
 
-// Process signs the body; the body itself is unchanged. The envelope —
-// XDR {string principal, opaque nonce, opaque mac} — is laid out once at
-// its exact size, the nonce drawn straight into its slot.
+// Process tags the body; the body itself is unchanged. The envelope —
+// XDR {string principal, opaque nonce[12], opaque tag[16]} — is laid out
+// once at its exact size.
 func (a *Auth) Process(f *Frame, body []byte) ([]byte, []byte, error) {
-	if hasNUL(f) {
-		return nil, nil, wire.Faultf(wire.FaultAuth, "auth: NUL in object %q or method %q", f.Object, f.Method)
-	}
-	at := 4 + (len(a.principal)+3)&^3 + 4 // XDR pads the principal; the other two are whole words
-	var e xdr.Encoder
-	e.SetBuf(f.envelope(at + authNonceLen + 4 + sha256.Size)[:0])
-	e.PutString(a.principal)
-	e.PutOpaque(make([]byte, authNonceLen)) // on the stack: only reserves the slot
-	nonce := e.Bytes()[at:]
-	if _, err := rand.Read(nonce); err != nil {
-		return nil, nil, err
-	}
-	mac := a.macs.sum(f, nonce, a.ident, body)
-	e.PutOpaque(mac[:])
-	return body, e.Bytes(), nil
+	env := append(f.envelope(len(a.head) + gcmNonceLen + 4 + gcmTagLen)[:0], a.head...)
+	env = a.nextNonce(env)
+	tag := a.tag(f, env[len(a.head):], body)
+	return body, append(append(env, 0, 0, 0, gcmTagLen), tag[:]...), nil
 }
 
-// Unprocess verifies the signature; the envelope's fields are views.
+// Unprocess verifies the tag; the envelope's fields are views. A peer that
+// still signs with HMAC-SHA256 sends a 16-byte nonce and is refused there,
+// before the key is used.
 func (a *Auth) Unprocess(f *Frame, envelope, body []byte) ([]byte, error) {
 	var d xdr.Decoder
 	d.Reset(envelope)
 	principal, e1 := d.OpaqueView()
 	nonce, e2 := d.OpaqueView()
-	mac, e3 := d.OpaqueView()
+	tag, e3 := d.OpaqueView()
 	if err := cmp.Or(e1, e2, e3); err != nil {
 		return nil, wire.Faultf(wire.FaultAuth, "auth envelope: %v", err)
 	}
@@ -136,10 +150,10 @@ func (a *Auth) Unprocess(f *Frame, envelope, body []byte) ([]byte, error) {
 	if string(principal) != a.principal {
 		return nil, wire.Faultf(wire.FaultAuth, "unknown principal %q", principal)
 	}
-	if len(nonce) != authNonceLen {
+	if len(nonce) != gcmNonceLen {
 		return nil, wire.Faultf(wire.FaultAuth, "auth nonce has %d bytes", len(nonce))
 	}
-	if want := a.macs.sum(f, nonce, a.ident, body); hasNUL(f) || !hmac.Equal(mac, want[:]) {
+	if want := a.tag(f, nonce, body); subtle.ConstantTimeCompare(tag, want[:]) != 1 { // 0 for a tag of another length
 		return nil, wire.Faultf(wire.FaultAuth, "signature verification failed for %q", a.principal)
 	}
 	return body, nil

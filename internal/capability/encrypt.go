@@ -1,12 +1,7 @@
 package capability
 
 import (
-	"crypto/aes"
-	"crypto/cipher"
 	"crypto/rand"
-	"encoding/binary"
-	"sync"
-	"sync/atomic"
 
 	"openhpcxx/internal/errs"
 	"openhpcxx/internal/netsim"
@@ -27,12 +22,9 @@ const KindEncrypt = "encrypt"
 // holds the key — capabilities are bearer tokens in this model (see
 // DESIGN.md for the trust-model substitution).
 type Encrypt struct {
-	aead  cipher.AEAD // keyed once; safe for concurrent use
+	gcm
 	key   []byte
 	scope Scope
-	start [12]byte      // a GCM nonce, random per instance: message i is sealed under start + i,
-	sent  atomic.Uint64 // i added into the low eight bytes, so no message reads entropy
-	aads  sync.Pool     // of *[]byte: the receiver's AAD scratch
 }
 
 // NewEncrypt builds an encryption capability with a 32-byte key.
@@ -40,12 +32,10 @@ func NewEncrypt(key []byte, scope Scope) (*Encrypt, error) {
 	if len(key) != 32 {
 		return nil, errs.Newf(errs.Config, "capability: encrypt key must be 32 bytes, got %d", len(key))
 	}
-	e := &Encrypt{key: append([]byte(nil), key...), scope: scope, aads: sync.Pool{New: func() any { return new([]byte) }}}
-	if _, err := rand.Read(e.start[:]); err != nil {
-		return nil, errs.Wrap(errs.Internal, err, "capability: no entropy for the encrypt nonce")
+	e := &Encrypt{key: append([]byte(nil), key...), scope: scope}
+	if err := e.setKey(e.key); err != nil {
+		return nil, err
 	}
-	block, _ := aes.NewCipher(e.key) // its one error is a key size other than 16, 24 or 32,
-	e.aead, _ = cipher.NewGCM(block) // and this one's a block size other than 16
 	return e, nil
 }
 
@@ -101,37 +91,28 @@ func (e *Encrypt) Config() ([]byte, error) {
 	return xdr.Marshal(&encryptConfig{Key: e.key, Scope: e.scope})
 }
 
-// appendAAD appends what the tag covers besides nonce and body, so a frame
-// cannot be replayed across objects or methods or flipped between request
-// and reply: len32(object) ‖ object ‖ len32(method) ‖ method ‖ dir, injective.
-func appendAAD(b []byte, f *Frame) []byte {
-	b = append(binary.BigEndian.AppendUint32(b, uint32(len(f.Object))), f.Object...)
-	b = append(binary.BigEndian.AppendUint32(b, uint32(len(f.Method))), f.Method...)
-	return append(b, byte(f.Dir))
-}
-
-// Process seals body under the next nonce, which is the envelope. body is
-// the caller's (see Capability), so the sealed body gets a buffer of its own,
-// the AAD behind it (on the stack it would escape through cipher.AEAD).
+// Process seals body under the next nonce, which is the envelope, with the
+// frame identity as additional data. body is the caller's (see Capability),
+// so the sealed body gets a buffer of its own, the AAD behind it (on the
+// stack it would escape through cipher.AEAD).
 func (e *Encrypt) Process(f *Frame, body []byte) ([]byte, []byte, error) {
-	nonce := append(f.envelope(len(e.start))[:0], e.start[:]...)
-	binary.BigEndian.PutUint64(nonce[4:], binary.BigEndian.Uint64(nonce[4:])+e.sent.Add(1))
-	n := len(body) + e.aead.Overhead()
+	nonce := e.nextNonce(f.envelope(gcmNonceLen)[:0])
+	n := len(body) + gcmTagLen
 	buf := make([]byte, n, n+9+len(f.Object)+len(f.Method)) // 9: the AAD's two lengths and dir
-	return e.aead.Seal(buf[:0:n], nonce, body, appendAAD(buf[n:], f)), nonce, nil
+	return e.aead.Seal(buf[:0:n], nonce, body, appendIdentity(buf[n:], f)), nonce, nil
 }
 
 // Unprocess opens body in place: the receiver owns it (see Capability).
 // A frame whose tag fails yields no plaintext — Open wipes what it wrote —
 // so a rejected body must not be read again.
 func (e *Encrypt) Unprocess(f *Frame, envelope, body []byte) ([]byte, error) {
-	if len(envelope) != len(e.start) {
+	if len(envelope) != gcmNonceLen {
 		return nil, wire.Faultf(wire.FaultCapability, "encrypt envelope has %d bytes", len(envelope))
 	}
-	aad := e.aads.Get().(*[]byte)
-	*aad = appendAAD((*aad)[:0], f)
+	aad := e.ids.Get().(*[]byte)
+	*aad = appendIdentity((*aad)[:0], f)
 	plain, err := e.aead.Open(body[:0], envelope, body, *aad)
-	e.aads.Put(aad)
+	e.ids.Put(aad)
 	if err != nil { // the tag failed, or body is shorter than one
 		return nil, wire.Faultf(wire.FaultCapability, "encrypt: authentication failed")
 	}

@@ -2,6 +2,7 @@ package capability
 
 import (
 	"bytes"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -10,47 +11,21 @@ import (
 	"openhpcxx/internal/errs"
 	"openhpcxx/internal/netsim"
 	"openhpcxx/internal/wire"
-	"openhpcxx/internal/xdr"
 )
 
 // This file holds what the AES-GCM encrypt promises besides its layout
 // (hotpath_test.go): which frame a tag admits, that no nonce repeats, and
-// that a peer still speaking CTR + HMAC is refused once and for good.
+// that a peer still speaking CTR + HMAC is refused once and for good. The
+// helpers take the capability, so auth_test.go holds auth to the same.
 
 func TestFrameIdentityIsBoundUnambiguously(t *testing.T) {
 	// wire accepts a NUL inside a name, and the old MAC input joined object
 	// and method with one: a frame for ("a\x00b", "c") passed as ("a", "b\x00c").
+	// Both kinds now bind each name behind its length.
 	sealed := &Frame{Object: "a\x00b", Method: "c", Dir: Request}
 	swapped := &Frame{Object: "a", Method: "b\x00c", Dir: Request}
 	e := MustNewEncrypt(fixedKey(), ScopeAlways)
-	body, env, err := e.Process(sealed, midBody)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Unprocess(swapped, env, body); faultCode(err) != wire.FaultCapability {
-		t.Errorf("encrypt opened a frame for %q.%q as %q.%q: %v", sealed.Object, sealed.Method, swapped.Object, swapped.Method, err)
-	}
-	// Auth keeps its MAC input for old peers, so it refuses such names.
 	a := MustNewAuth("alice", []byte("secret"), ScopeAlways)
-	for _, f := range []*Frame{sealed, swapped, {Object: "o", Method: "m\x00"}} {
-		if _, _, err := a.Process(f, midBody); faultCode(err) != wire.FaultAuth {
-			t.Errorf("auth signed %q.%q: %v", f.Object, f.Method, err)
-		}
-	}
-	// Even a correct MAC over such a name, as an old peer would send it.
-	nonce := bytes.Repeat([]byte{7}, authNonceLen)
-	forged, err := xdr.Marshal(&legacyAuthEnvelope{Principal: "alice", Nonce: nonce,
-		MAC: legacyMAC([]byte("secret"), sealed, nonce, "alice\x00", midBody)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range []*Frame{sealed, swapped} {
-		if _, err := a.Unprocess(f, forged, midBody); faultCode(err) != wire.FaultAuth {
-			t.Errorf("auth verified %q.%q: %v", f.Object, f.Method, err)
-		}
-	}
-
-	// Object, method and direction each changed alone, for both kinds.
 	at := reqFrame()
 	others := map[string]*Frame{
 		"object":                             {Object: at.Object + "x", Method: at.Method, Dir: at.Dir},
@@ -59,6 +34,17 @@ func TestFrameIdentityIsBoundUnambiguously(t *testing.T) {
 		"a byte moved from method to object": {Object: at.Object + at.Method[:1], Method: at.Method[1:], Dir: at.Dir},
 	}
 	for _, c := range []Capability{e, a} {
+		body, env, err := c.Process(sealed, midBody)
+		if err != nil {
+			t.Fatalf("%s refused %q.%q: %v", c.Kind(), sealed.Object, sealed.Method, err)
+		}
+		if _, err := c.Unprocess(swapped, env, body); err == nil {
+			t.Errorf("%s passed a frame for %q.%q as %q.%q", c.Kind(), sealed.Object, sealed.Method, swapped.Object, swapped.Method)
+		}
+		if got := roundTrip(t, c, sealed, midBody); !bytes.Equal(got, midBody) { // a rejected body is spent
+			t.Errorf("%s: %q.%q under its own identity came back changed", c.Kind(), sealed.Object, sealed.Method)
+		}
+		// Object, method and direction each changed alone.
 		for name, other := range others {
 			body, env, err := c.Process(at, midBody)
 			if err != nil {
@@ -68,7 +54,7 @@ func TestFrameIdentityIsBoundUnambiguously(t *testing.T) {
 				t.Errorf("%s: a frame passed with its %s changed", c.Kind(), name)
 			}
 		}
-		body, env, err := c.Process(at, midBody)
+		body, env, err = c.Process(at, midBody)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,16 +62,39 @@ func TestFrameIdentityIsBoundUnambiguously(t *testing.T) {
 			t.Errorf("%s: the frame under its own identity: %v", c.Kind(), err)
 		}
 	}
+
+	// Auth's tag covers the principal too: with the name in the envelope
+	// rewritten to the receiver's, so that the tag alone decides, a holder of
+	// the same secret under another name refuses the frame — changed alone,
+	// or grown by a byte taken from the object.
+	_, env, err := a.Process(at, midBody)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sent := decodeAuthEnvelope(t, env)
+	for name, c := range map[string]struct {
+		principal string
+		f         *Frame
+	}{
+		"principal":                             {"bob", at},
+		"a byte moved from object to principal": {"alice" + at.Object[:1], &Frame{Object: at.Object[1:], Method: at.Method, Dir: at.Dir}},
+	} {
+		renamed := encodeAuthEnvelope(t, authEnvelope{c.principal, sent.Nonce, sent.Tag})
+		_, err := MustNewAuth(c.principal, []byte("secret"), ScopeAlways).Unprocess(c.f, renamed, midBody)
+		if faultCode(err) != wire.FaultAuth || !strings.Contains(err.Error(), "verification") {
+			t.Errorf("auth: a frame passed with its %s changed: %v", name, err)
+		}
+	}
 }
 
-func TestEncryptNoncesNeverRepeat(t *testing.T) {
-	// One instance under eight goroutines, and its twin (same key, as a
-	// server holds it) under eight more: 160 000 nonces, all distinct.
-	e := MustNewEncrypt(fixedKey(), ScopeAlways)
+// noncesNeverRepeat drives one instance under eight goroutines, and its twin
+// (same key, as a server holds it) under eight more: 160 000 nonces, each
+// the 12 bytes at nonceAt of an envelope of envLen, all distinct.
+func noncesNeverRepeat(t *testing.T, c Capability, envLen, nonceAt int) {
 	const goroutines, calls = 8, 10000
-	nonces := make([][]byte, 2*goroutines)
+	envs := make([][]byte, 2*goroutines)
 	var wg sync.WaitGroup
-	for i, c := range []Capability{e, twin(t, e)} {
+	for i, c := range []Capability{c, twin(t, c)} {
 		for g := 0; g < goroutines; g++ {
 			wg.Add(1)
 			go func(c Capability, out *[]byte) {
@@ -93,20 +102,20 @@ func TestEncryptNoncesNeverRepeat(t *testing.T) {
 				f := reqFrame()
 				for n := 0; n < calls; n++ {
 					_, env, err := c.Process(f, nil)
-					if err != nil {
-						t.Error(err)
+					if err != nil || len(env) != envLen {
+						t.Errorf("an envelope of %d bytes, want %d: %v", len(env), envLen, err)
 						return
 					}
 					*out = append(*out, env...)
 				}
-			}(c, &nonces[i*goroutines+g])
+			}(c, &envs[i*goroutines+g])
 		}
 	}
 	wg.Wait()
 	seen := make(map[[12]byte]bool, 2*goroutines*calls)
-	for _, run := range nonces {
-		for ; len(run) > 0; run = run[12:] {
-			n := [12]byte(run)
+	for _, run := range envs {
+		for ; len(run) > 0; run = run[envLen:] {
+			n := [12]byte(run[nonceAt:])
 			if seen[n] {
 				t.Fatalf("nonce %x used twice", n)
 			}
@@ -118,26 +127,36 @@ func TestEncryptNoncesNeverRepeat(t *testing.T) {
 	}
 }
 
-func TestEncryptNonceCounterWraps(t *testing.T) {
-	// The counter is added into the low eight bytes and wraps there: the
-	// top four never change, nothing panics, and the nonces stay distinct.
-	e := MustNewEncrypt(fixedKey(), ScopeAlways)
-	e.sent.Store(^uint64(0) - 2)
+func TestEncryptNoncesNeverRepeat(t *testing.T) {
+	noncesNeverRepeat(t, MustNewEncrypt(fixedKey(), ScopeAlways), 12, 0)
+}
+
+// nonceCounterWraps holds c, whose supply is n, to this: the counter is
+// added into the low eight bytes and wraps there — the top four never
+// change, nothing panics, and the nonces stay distinct.
+func nonceCounterWraps(t *testing.T, c Capability, n *gcm, nonceAt int) {
+	n.sent.Store(^uint64(0) - 2)
 	f := reqFrame()
 	seen := map[string]bool{}
 	for i := 0; i < 5; i++ {
-		body, env, err := e.Process(f, midBody)
+		body, env, err := c.Process(f, midBody)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if seen[string(env)] || !bytes.Equal(env[:4], e.start[:4]) {
-			t.Fatalf("nonce %d across the wrap: %x (start %x)", i, env, e.start)
+		nonce := env[nonceAt : nonceAt+12]
+		if seen[string(nonce)] || !bytes.Equal(nonce[:4], n.start[:4]) {
+			t.Fatalf("nonce %d across the wrap: %x (start %x)", i, nonce, n.start)
 		}
-		seen[string(env)] = true
-		if got, err := e.Unprocess(f, env, body); err != nil || !bytes.Equal(got, midBody) {
+		seen[string(nonce)] = true
+		if got, err := c.Unprocess(f, env, body); err != nil || !bytes.Equal(got, midBody) {
 			t.Fatalf("round trip %d across the wrap: %v", i, err)
 		}
 	}
+}
+
+func TestEncryptNonceCounterWraps(t *testing.T) {
+	e := MustNewEncrypt(fixedKey(), ScopeAlways)
+	nonceCounterWraps(t, e, &e.gcm, 0)
 }
 
 func TestEncryptInstancesStartApart(t *testing.T) {
@@ -182,23 +201,23 @@ func (p *countingProto) Call(m *wire.Message) (*wire.Message, error) {
 	return p.localProto.Call(m)
 }
 
-func TestOldEncryptPeerIsRefusedOnce(t *testing.T) {
-	key := fixedKey()
-	e, old := MustNewEncrypt(key, ScopeAlways), newLegacyEncrypt(key)
+// oldPeerIsRefusedOnce faces cur with a peer still speaking the format it
+// replaced; fault is what either side refuses the other with, code its class.
+func oldPeerIsRefusedOnce(t *testing.T, cur, old Capability, fault wire.FaultCode, code errs.Code) {
 	f := reqFrame()
-	// Frame against frame: each side refuses the other's by the length of
-	// its envelope, before any MAC or cipher runs — the body is untouched.
+	// Frame against frame: each side refuses the other's by a length in its
+	// envelope, before any MAC or cipher runs — the body is untouched.
 	for _, c := range []struct {
 		name     string
 		from, to Capability
-	}{{"an old frame into the new Unprocess", old, e}, {"a new frame into the old verifier", e, old}} {
+	}{{"an old frame into the new Unprocess", old, cur}, {"a new frame into the old verifier", cur, old}} {
 		body, env, err := c.from.Process(f, midBody)
 		if err != nil {
 			t.Fatal(err)
 		}
 		arrived := append([]byte(nil), body...)
-		if _, err := c.to.Unprocess(f, env, body); faultCode(err) != wire.FaultCapability {
-			t.Errorf("%s: %v, want a capability fault", c.name, err)
+		if _, err := c.to.Unprocess(f, env, body); faultCode(err) != fault {
+			t.Errorf("%s: %v, want a %v fault", c.name, err, fault)
 		}
 		if !bytes.Equal(body, arrived) {
 			t.Errorf("%s: the body was worked on before the frame was refused", c.name)
@@ -210,13 +229,13 @@ func TestOldEncryptPeerIsRefusedOnce(t *testing.T) {
 	}
 
 	// Invocation against server, each way round: the call ends after one
-	// attempt with the capability code — permanent, not a transport blip to
+	// attempt with the fault's code — permanent, not a transport blip to
 	// retry — the servant never runs, and the request having reached the
 	// server, the client's quota charge stands (TestNoRefundOnServerFault).
 	for _, c := range []struct {
 		name           string
 		client, server Capability
-	}{{"old client, new server", old, e}, {"new client, old server", e, old}} {
+	}{{"old client, new server", old, cur}, {"new client, old server", cur, old}} {
 		rt := world(t)
 		server, s := echoServer(t, rt, "server", "m1")
 		server.RegisterGlue("t", NewGlueServer("t", []Capability{NewQuota(0, time.Time{}), c.server}, rt.Clock()))
@@ -229,11 +248,15 @@ func TestOldEncryptPeerIsRefusedOnce(t *testing.T) {
 		client.Pool().Register(handBuilt{NewGlue("t", base, rt.Clock(), q, c.client)})
 		gp := client.NewGlobalPtr(server.NewRef(s, core.ProtoEntry{ID: "hand-built"}))
 		_, err = gp.Invoke("echo", midBody)
-		if faultCode(err) != wire.FaultCapability || errs.CodeOf(err) != errs.Capability || errs.ClassOf(err) != errs.ClassPermanent {
-			t.Errorf("%s: %v (code %v), want a permanent capability fault", c.name, err, errs.CodeOf(err))
+		if faultCode(err) != fault || errs.CodeOf(err) != code || errs.ClassOf(err) != errs.ClassPermanent {
+			t.Errorf("%s: %v (code %v), want a permanent %v fault", c.name, err, errs.CodeOf(err), fault)
 		}
 		if base.calls != 1 || s.Calls() != 0 || q.Used() != 1 {
 			t.Errorf("%s: %d attempts, %d servant calls, %d charged; want 1, 0, 1", c.name, base.calls, s.Calls(), q.Used())
 		}
 	}
+}
+
+func TestOldEncryptPeerIsRefusedOnce(t *testing.T) {
+	oldPeerIsRefusedOnce(t, MustNewEncrypt(fixedKey(), ScopeAlways), newLegacyEncrypt(fixedKey()), wire.FaultCapability, errs.Capability)
 }

@@ -190,7 +190,7 @@ func TestGlueFaultsPassThrough(t *testing.T) {
 
 // world builds a simulated deployment for end-to-end glue tests:
 // two LANs on one campus, a third LAN on another campus.
-func world(t *testing.T) *core.Runtime {
+func world(t testing.TB) *core.Runtime {
 	t.Helper()
 	n := netsim.New()
 	n.AddLAN("lan1", "campus1", netsim.ProfileUnshaped)
@@ -208,7 +208,7 @@ func world(t *testing.T) *core.Runtime {
 	return rt
 }
 
-func echoServer(t *testing.T, rt *core.Runtime, name, machine string) (*core.Context, *core.Servant) {
+func echoServer(t testing.TB, rt *core.Runtime, name, machine string) (*core.Context, *core.Servant) {
 	t.Helper()
 	ctx, err := rt.NewContext(name, netsim.MachineID(machine))
 	if err != nil {
