@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: ci fmt-check vet lint build test race determinism cover faults fuzz load-smoke bench-smoke bench-json bench-pairs bench-async bench-faults bench-directory bench-errors bench-retention bench-saturation loc top registry
+.PHONY: ci fmt-check vet cross lint build test race determinism cover faults fuzz load-smoke bench-smoke bench-json bench-pairs bench-async bench-faults bench-directory bench-errors bench-retention bench-saturation loc top registry
 
-ci: fmt-check vet lint build test race determinism cover load-smoke bench-smoke bench-json
+ci: fmt-check vet cross lint build test race determinism cover load-smoke bench-smoke bench-json
 
 # Every tracked .go file outside testdata/ (analyzer corpora keep their
 # own layout) must be gofmt-clean.
@@ -63,13 +63,27 @@ faults:
 # Decoder fuzzing: the header decoder and the TBatch body decoder must
 # never panic and must round-trip every input they accept; no capability's
 # Unprocess may panic on hostile (envelope, body) bytes, and auth, checksum
-# and encrypt must reject any one-bit flip of what Process wrote. Go runs
-# one fuzz target per invocation.
+# and encrypt must reject any one-bit flip of what Process wrote; no XDR
+# primitive or reflective decode may panic, and the array kernels must
+# agree with the byte-wise reference at every offset. Go runs one fuzz
+# target per invocation.
 fuzz:
 	$(GO) test ./internal/wire/ -run='^$$' -fuzz=FuzzDecodeHeader -fuzztime=10s
 	$(GO) test ./internal/wire/ -run='^$$' -fuzz=FuzzDecodeBatch -fuzztime=10s
 	$(GO) test ./internal/wire/ -run='^$$' -fuzz=FuzzRead -fuzztime=10s
 	$(GO) test ./internal/capability/ -run='^$$' -fuzz=FuzzUnprocess -fuzztime=10s
+	$(GO) test ./internal/xdr/ -run='^$$' -fuzz=FuzzDecoder -fuzztime=10s
+	$(GO) test ./internal/xdr/ -run='^$$' -fuzz=FuzzReflectDecode -fuzztime=10s
+	$(GO) test ./internal/xdr/ -run='^$$' -fuzz=FuzzArrayKernels -fuzztime=10s
+
+# The xdr array kernel is built only for amd64 || arm64; every other
+# GOARCH compiles the portable loops. Vet both sides of the split, and a
+# big-endian host, so a break in the half this host never builds fails CI.
+cross:
+	@set -e; for arch in s390x 386 arm64 riscv64; do \
+		echo "GOARCH=$$arch go vet ./internal/xdr/..."; \
+		GOARCH=$$arch $(GO) vet ./internal/xdr/...; \
+	done
 
 # Capacity-harness smoke: run the open-loop smoke scenario end to end on
 # a fake clock — the whole stack (grid topology, servers, mixed workload,

@@ -31,6 +31,21 @@ func class(n int) (size, index int) {
 	return 1<<e + q*step, steps*(e-minShift) + q
 }
 
+// kept holds buffers of keepMin bytes and up outside sync.Pool, which the
+// collector empties at every cycle. A bulk exchange allocates a payload or
+// two per call, so a cycle comes every few calls, and a pool that forgets
+// that often refills by allocating — more or less of it as the collector's
+// timing falls, run to run. Kept are at most keepDepth buffers a class (a
+// bulk call has up to four in flight) and keepBytes in all, in the classes
+// where a Get or Put is rare enough for one lock.
+const keepMin, keepDepth, keepBytes = 32 << 10, 8, 4 << 20
+
+var kept struct {
+	sync.Mutex
+	bytes int
+	bufs  [len(classes)][]*byte
+}
+
 // poison (tests only) makes a read of released memory show: 0xDB, not stale bytes.
 var poison bool
 
@@ -40,6 +55,16 @@ func Get(n int) []byte {
 		return make([]byte, n)
 	}
 	size, i := class(n)
+	if size >= keepMin {
+		kept.Lock()
+		if k := len(kept.bufs[i]) - 1; k >= 0 {
+			p := kept.bufs[i][k]
+			kept.bufs[i][k], kept.bufs[i], kept.bytes = nil, kept.bufs[i][:k], kept.bytes-size
+			kept.Unlock()
+			return unsafe.Slice(p, size)[:n]
+		}
+		kept.Unlock()
+	}
 	if p, _ := classes[i].Get().(*byte); p != nil {
 		return unsafe.Slice(p, size)[:n]
 	}
@@ -59,6 +84,15 @@ func Put(b []byte) {
 		for j := range b {
 			b[j] = 0xDB
 		}
+	}
+	if size >= keepMin {
+		kept.Lock()
+		if len(kept.bufs[i]) < keepDepth && kept.bytes+size <= keepBytes {
+			kept.bufs[i], kept.bytes = append(kept.bufs[i], unsafe.SliceData(b)), kept.bytes+size
+			kept.Unlock()
+			return
+		}
+		kept.Unlock()
 	}
 	classes[i].Put(unsafe.SliceData(b))
 }

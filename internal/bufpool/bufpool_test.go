@@ -1,6 +1,7 @@
 package bufpool_test
 
 import (
+	"runtime"
 	"testing"
 	"unsafe"
 
@@ -54,6 +55,36 @@ func TestOnlyPooledCapacitiesAreKept(t *testing.T) {
 	bufpool.Put(big)
 	if again := bufpool.Get(5 << 20); base(again) == base(big) {
 		t.Error("a 5 MiB buffer was retained")
+	}
+}
+
+// TestLargeBuffersOutliveCollections: payload-sized buffers handed back are
+// handed out again after collections, which empty sync.Pool — eight of a
+// class at most, and 4 MiB in all.
+func TestLargeBuffersOutliveCollections(t *testing.T) {
+	for _, c := range []struct{ n, want int }{{32 << 10, 8}, {256<<10 + 100, 8}, {1 << 20, 4}} {
+		bufpool.Forget()
+		bufs := make([][]byte, 20)
+		for i := range bufs {
+			bufs[i] = bufpool.Get(c.n)
+		}
+		for _, b := range bufs {
+			bufpool.Put(b)
+		}
+		runtime.GC()
+		runtime.GC()
+		back := 0
+		for range bufs {
+			again := bufpool.Get(c.n)
+			for _, b := range bufs {
+				if base(again) == base(b) {
+					back++
+				}
+			}
+		}
+		if back != c.want {
+			t.Errorf("Get(%d): %d of twenty buffers outlived two collections, want %d", c.n, back, c.want)
+		}
 	}
 }
 

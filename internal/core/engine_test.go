@@ -127,6 +127,12 @@ func readEngineCounts(rt *Runtime, pid ProtoID) engineCounts {
 // the runtime on the real clock.
 func engineWorld(t *testing.T, pid ProtoID, f wrapFactory, clk clock.Clock) (*Runtime, *GlobalPtr) {
 	t.Helper()
+	return engineWorldServing(t, pid, f, clk, echoMethods())
+}
+
+// engineWorldServing is engineWorld with the servant's methods given.
+func engineWorldServing(t *testing.T, pid ProtoID, f wrapFactory, clk clock.Clock, methods map[string]Method) (*Runtime, *GlobalPtr) {
+	t.Helper()
 	_, rt := testWorld(t)
 	if clk != nil {
 		rt.SetClock(clk)
@@ -147,7 +153,7 @@ func engineWorld(t *testing.T, pid ProtoID, f wrapFactory, clk clock.Clock) (*Ru
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := srv.Export("Echo", nil, echoMethods())
+	s, err := srv.Export("Echo", nil, methods)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,9 +180,9 @@ func TestEngineSurfaceParity(t *testing.T) {
 		{"nexus", ProtoNexus, false},
 		{"call-only", ProtoStream, true},
 	}
-	twoWay := func(call func(gp *GlobalPtr) ([]byte, error)) func(*GlobalPtr) error {
-		return func(gp *GlobalPtr) error {
-			body, err := call(gp)
+	twoWay := func(call func(gp *GlobalPtr, open func()) ([]byte, error)) func(*GlobalPtr, func()) error {
+		return func(gp *GlobalPtr, open func()) error {
+			body, err := call(gp, open)
 			if err == nil && string(body) != string(args) {
 				err = errors.New("wrong echo: " + string(body))
 			}
@@ -185,31 +191,54 @@ func TestEngineSurfaceParity(t *testing.T) {
 	}
 	// detached: the surface returns before the reply, so on a pipelined
 	// protocol the first attempt is finished by the reply's resolver — the
-	// mux read loop — not by a goroutine of the call's.
+	// mux read loop — not by a goroutine of the call's. The echo servant
+	// answers only once open is called, and a detached surface calls it
+	// after InvokeAsync* has returned: otherwise a slow caller (the race
+	// detector is enough) registers its continuation on a Cell the reply
+	// already resolved, and WhenDone rightly finishes it on the caller.
 	surfaces := []struct {
 		name     string
 		oneway   bool
 		detached bool
-		do       func(gp *GlobalPtr) error
+		do       func(gp *GlobalPtr, open func()) error
 	}{
-		{"Invoke", false, false, twoWay(func(gp *GlobalPtr) ([]byte, error) { return gp.Invoke("echo", args) })},
-		{"InvokeCtx-deadline", false, false, twoWay(func(gp *GlobalPtr) ([]byte, error) {
+		{"Invoke", false, false, twoWay(func(gp *GlobalPtr, open func()) ([]byte, error) {
+			open()
+			return gp.Invoke("echo", args)
+		})},
+		{"InvokeCtx-deadline", false, false, twoWay(func(gp *GlobalPtr, open func()) ([]byte, error) {
+			open()
 			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 			defer cancel()
 			return gp.InvokeCtx(ctx, "echo", args)
 		})},
-		{"InvokeAsync", false, true, twoWay(func(gp *GlobalPtr) ([]byte, error) { return gp.InvokeAsync("echo", args).Wait() })},
-		{"InvokeAsync-batched", false, true, twoWay(func(gp *GlobalPtr) ([]byte, error) {
-			policy := transport.DefaultBatchPolicy()
-			gp.SetBatchPolicy(&policy)
-			return gp.InvokeAsync("echo", args).Wait()
+		{"InvokeAsync", false, true, twoWay(func(gp *GlobalPtr, open func()) ([]byte, error) {
+			f := gp.InvokeAsync("echo", args)
+			open()
+			return f.Wait()
 		})},
-		{"InvokeAsyncCtx-deadline", false, true, twoWay(func(gp *GlobalPtr) ([]byte, error) {
+		{"InvokeAsync-batched", false, true, twoWay(func(gp *GlobalPtr, open func()) ([]byte, error) {
+			// A one-message watermark flushes inside InvokeAsync, so the
+			// coalescer has sent and registered on the batch before the gate
+			// opens; the delay watermark would send from a timer goroutine.
+			policy := transport.DefaultBatchPolicy()
+			policy.MaxMessages = 1
+			gp.SetBatchPolicy(&policy)
+			f := gp.InvokeAsync("echo", args)
+			open()
+			return f.Wait()
+		})},
+		{"InvokeAsyncCtx-deadline", false, true, twoWay(func(gp *GlobalPtr, open func()) ([]byte, error) {
 			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 			defer cancel()
-			return gp.InvokeAsyncCtx(ctx, "echo", args).Wait()
+			f := gp.InvokeAsyncCtx(ctx, "echo", args)
+			open()
+			return f.Wait()
 		})},
-		{"Post", true, false, func(gp *GlobalPtr) error { return gp.Post("echo", args) }},
+		{"Post", true, false, func(gp *GlobalPtr, open func()) error {
+			open()
+			return gp.Post("echo", args)
+		}},
 	}
 	for _, p := range protos {
 		for _, s := range surfaces {
@@ -220,7 +249,10 @@ func TestEngineSurfaceParity(t *testing.T) {
 				}
 				t.Run(name, func(t *testing.T) {
 					fail := new(atomic.Int32)
-					rt, gp := engineWorld(t, p.pid, wrapFactory{callOnly: p.callOnly, fail: fail}, nil)
+					gate := make(chan struct{})
+					methods := echoMethods()
+					methods["echo"] = func(args []byte) ([]byte, error) { <-gate; return args, nil }
+					rt, gp := engineWorldServing(t, p.pid, wrapFactory{callOnly: p.callOnly, fail: fail}, nil, methods)
 					if _, err := gp.SelectedProtocol(); err != nil {
 						t.Fatal(err)
 					}
@@ -230,7 +262,7 @@ func TestEngineSurfaceParity(t *testing.T) {
 					if failFirst {
 						fail.Store(1)
 					}
-					err := s.do(gp)
+					err := s.do(gp, func() { close(gate) })
 
 					var want engineCounts
 					path := "invoke→select→" + string(p.pid)

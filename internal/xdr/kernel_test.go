@@ -36,6 +36,123 @@ func refFloat64s(v []float64) []byte {
 	return out
 }
 
+// refBE reads b most significant byte first.
+func refBE(b []byte) (u uint64) {
+	for _, x := range b {
+		u = u<<8 | uint64(x)
+	}
+	return u
+}
+
+// arrayCodec is one fixed-width array type under test: its Encoder and
+// Decoder methods (the kernel this GOARCH builds), its portable loops,
+// and the byte-wise reference both must match.
+type arrayCodec[T any] struct {
+	size           int
+	put            func(*Encoder, []T)
+	get            func(*Decoder) ([]T, error)
+	encodePortable func([]byte, []T)
+	decodePortable func([]T, []byte)
+	ref            func([]T) []byte
+	bits           func(T) uint64
+	fromBits       func(uint64) T
+}
+
+var (
+	int32Codec = arrayCodec[int32]{4, (*Encoder).PutInt32s, (*Decoder).Int32s,
+		encodeInt32sPortable, decodeInt32sPortable, refInt32s,
+		func(x int32) uint64 { return uint64(uint32(x)) }, func(u uint64) int32 { return int32(u) }}
+	float64Codec = arrayCodec[float64]{8, (*Encoder).PutFloat64s, (*Decoder).Float64s,
+		encodeFloat64sPortable, decodeFloat64sPortable, refFloat64s,
+		math.Float64bits, math.Float64frombits}
+)
+
+// refDecode is the byte-wise reference decoder: the length prefix, the
+// decoder's sanity limit, then one element at a time.
+func (c arrayCodec[T]) refDecode(in []byte) ([]T, error) {
+	if len(in) < 4 {
+		return nil, ErrShortBuffer
+	}
+	n := refBE(in[:4])
+	if n > maxDecodeLen {
+		return nil, ErrLength
+	}
+	if uint64(len(in)-4) < n*uint64(c.size) {
+		return nil, ErrShortBuffer
+	}
+	out := make([]T, n)
+	for i := range out {
+		out[i] = c.fromBits(refBE(in[4+i*c.size : 4+(i+1)*c.size]))
+	}
+	return out, nil
+}
+
+// mismatch is the first index where got and want differ bit-wise (so NaN
+// payloads and -0 count), or -1.
+func (c arrayCodec[T]) mismatch(got, want []T) int {
+	if len(got) != len(want) {
+		return min(len(got), len(want))
+	}
+	for i := range got {
+		if c.bits(got[i]) != c.bits(want[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
+// aligned8 returns n zero bytes that start on an 8-byte boundary.
+func aligned8(n int) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(make([]uint64, n/8+1)))), n)
+}
+
+// checkKernel holds both the kernel and the portable loops to the
+// byte-wise reference for v, with the bytes at every alignment: the
+// encoder appends after 0..7 bytes of prior content and the decoder reads
+// from 0..7 bytes into an 8-aligned buffer.
+func checkKernel[T any](t *testing.T, c arrayCodec[T], v []T) {
+	t.Helper()
+	n := len(v)
+	want := c.ref(v)
+	for k := 0; k < 8; k++ {
+		prior := bytes.Repeat([]byte{0xa5}, k)
+		var e Encoder
+		e.SetBuf(append(aligned8(k + len(want))[:0], prior...))
+		c.put(&e, v)
+		if out := e.Bytes(); !bytes.Equal(out[:k], prior) || !bytes.Equal(out[k:], want) {
+			t.Fatalf("n=%d after %d bytes: encoding differs from the byte-wise reference", n, k)
+		}
+		dst := aligned8(k + len(want) - 4)[k:]
+		c.encodePortable(dst, v)
+		if !bytes.Equal(dst, want[4:]) {
+			t.Fatalf("n=%d at offset %d: portable encoding differs from the byte-wise reference", n, k)
+		}
+
+		in := aligned8(k + len(want))[k:]
+		copy(in, want)
+		var d Decoder
+		d.Reset(in)
+		got, err := c.get(&d)
+		if err != nil || d.Remaining() != 0 {
+			t.Fatalf("n=%d at offset %d: decode: %v, %d bytes left", n, k, err, d.Remaining())
+		}
+		if i := c.mismatch(got, v); i >= 0 {
+			t.Fatalf("n=%d at offset %d: element %d decoded wrong", n, k, i)
+		}
+		out := make([]T, n)
+		c.decodePortable(out, in[4:])
+		if i := c.mismatch(out, v); i >= 0 {
+			t.Fatalf("n=%d at offset %d: portable decode got element %d wrong", n, k, i)
+		}
+		for i := range in {
+			in[i] = ^in[i]
+		}
+		if i := c.mismatch(got, v); i >= 0 {
+			t.Fatalf("n=%d at offset %d: element %d changed with the input: the decoded slice aliases it", n, k, i)
+		}
+	}
+}
+
 // kernelLengths covers every remainder of any unrolling up to 64 wide,
 // and the benchmark's bulk shape.
 func kernelLengths() []int {
@@ -50,33 +167,17 @@ func TestInt32KernelMatchesByteReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260927))
 	edges := []int32{math.MinInt32, -1, 0, 1, math.MaxInt32, 0x01020304, -0x01020304}
 	for _, n := range kernelLengths() {
-		v := make([]int32, n)
+		// One element of headroom: the array is also encoded from 4 bytes
+		// past an 8-byte boundary.
+		v := make([]int32, n+1)
 		for i := range v {
 			v[i] = int32(rng.Uint32())
 		}
 		for i, x := range edges {
-			if n > 0 {
-				v[(i*7)%n] = x
-			}
+			v[(i*7)%len(v)] = x
 		}
-		e := NewEncoder(0)
-		e.PutInt32s(v)
-		if !bytes.Equal(e.Bytes(), refInt32s(v)) {
-			t.Fatalf("n=%d: PutInt32s differs from the byte-wise reference", n)
-		}
-		d := NewDecoder(e.Bytes())
-		got, err := d.Int32s()
-		if err != nil || d.Remaining() != 0 {
-			t.Fatalf("n=%d: decode: %v, %d bytes left", n, err, d.Remaining())
-		}
-		if len(got) != n {
-			t.Fatalf("n=%d: decoded %d elements", n, len(got))
-		}
-		for i := range v {
-			if got[i] != v[i] {
-				t.Fatalf("n=%d: element %d decoded as %d, want %d", n, i, got[i], v[i])
-			}
-		}
+		checkKernel(t, int32Codec, v[:n])
+		checkKernel(t, int32Codec, v[1:])
 	}
 }
 
@@ -102,24 +203,74 @@ func TestFloat64KernelMatchesByteReference(t *testing.T) {
 				v[(i*5)%n] = math.Float64frombits(x)
 			}
 		}
-		e := NewEncoder(0)
-		e.PutFloat64s(v)
-		if !bytes.Equal(e.Bytes(), refFloat64s(v)) {
-			t.Fatalf("n=%d: PutFloat64s differs from the byte-wise reference", n)
-		}
-		d := NewDecoder(e.Bytes())
-		got, err := d.Float64s()
-		if err != nil || d.Remaining() != 0 {
-			t.Fatalf("n=%d: decode: %v, %d bytes left", n, err, d.Remaining())
-		}
-		if len(got) != n {
-			t.Fatalf("n=%d: decoded %d elements", n, len(got))
-		}
-		for i := range v {
-			if math.Float64bits(got[i]) != math.Float64bits(v[i]) {
-				t.Fatalf("n=%d: element %d decoded as %#x, want %#x", n, i, math.Float64bits(got[i]), math.Float64bits(v[i]))
-			}
-		}
+		checkKernel(t, float64Codec, v)
+	}
+}
+
+// TestArrayCodecAllocs: encoding an array into a buffer with room
+// allocates nothing, and decoding allocates exactly the slice it returns
+// (DESIGN decision 21: the caller owns it).
+func TestArrayCodecAllocs(t *testing.T) {
+	ints, floats := make([]int32, 1024), make([]float64, 1024)
+	ie, fe := NewEncoder(4+4*len(ints)), NewEncoder(4+8*len(floats))
+	if n := testing.AllocsPerRun(100, func() { ie.Reset(); ie.PutInt32s(ints) }); n != 0 {
+		t.Errorf("PutInt32s: %v allocations, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { fe.Reset(); fe.PutFloat64s(floats) }); n != 0 {
+		t.Errorf("PutFloat64s: %v allocations, want 0", n)
+	}
+	var d Decoder
+	if n := testing.AllocsPerRun(100, func() { d.Reset(ie.Bytes()); d.Int32s() }); n != 1 {
+		t.Errorf("Int32s: %v allocations, want 1", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { d.Reset(fe.Bytes()); d.Float64s() }); n != 1 {
+		t.Errorf("Float64s: %v allocations, want 1", n)
+	}
+}
+
+// FuzzArrayKernels is differential: arbitrary bytes, starting at an
+// arbitrary offset into an 8-aligned buffer, decode alike by the kernel,
+// by the portable loop and by the byte-wise reference — the same elements
+// or the same error — and what decoded re-encodes to exactly the bytes it
+// was decoded from.
+func FuzzArrayKernels(f *testing.F) {
+	f.Add(refInt32s([]int32{1, -2, 3, math.MinInt32, 5, 6, 7, 8, 9}), uint8(3))
+	f.Add(refFloat64s([]float64{math.Inf(-1), math.NaN(), math.Copysign(0, -1), 1, 2}), uint8(5))
+	f.Add([]byte{0, 0, 0, 9, 1, 2}, uint8(0))
+	f.Add([]byte{0x10, 0, 0, 1}, uint8(7))
+	f.Fuzz(func(t *testing.T, data []byte, off uint8) {
+		k := int(off % 8)
+		in := aligned8(k + len(data))[k:]
+		copy(in, data)
+		fuzzArray(t, int32Codec, in)
+		fuzzArray(t, float64Codec, in)
+	})
+}
+
+func fuzzArray[T any](t *testing.T, c arrayCodec[T], in []byte) {
+	var d Decoder
+	d.Reset(in)
+	got, err := c.get(&d)
+	want, wantErr := c.refDecode(in)
+	if err != wantErr {
+		t.Fatalf("%d-byte elements: kernel says %v, reference says %v", c.size, err, wantErr)
+	}
+	if err != nil {
+		return
+	}
+	if i := c.mismatch(got, want); i >= 0 {
+		t.Fatalf("%d-byte elements: element %d differs from the reference", c.size, i)
+	}
+	used := in[:len(in)-d.Remaining()]
+	out := make([]T, len(got))
+	c.decodePortable(out, used[4:])
+	if i := c.mismatch(out, want); i >= 0 {
+		t.Fatalf("%d-byte elements: portable loop got element %d wrong", c.size, i)
+	}
+	var e Encoder
+	c.put(&e, got)
+	if !bytes.Equal(e.Bytes(), used) {
+		t.Fatalf("%d-byte elements: re-encoding does not reproduce the input", c.size)
 	}
 }
 

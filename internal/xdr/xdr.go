@@ -23,6 +23,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"unsafe"
 
 	"openhpcxx/internal/errs"
 )
@@ -166,20 +167,16 @@ func (e *Encoder) PutString(s string) {
 func (e *Encoder) PutInt32s(v []int32) {
 	e.PutUint32(uint32(len(v)))
 	b := e.grow(4 * len(v))
-	for _, x := range v {
-		binary.BigEndian.PutUint32(b, uint32(x))
-		b = b[4:]
-	}
+	k := swap[int32](ptr(b), ptr(v), len(b)) / 4
+	encodeInt32sPortable(b[4*k:], v[k:])
 }
 
 // PutFloat64s encodes a variable-length array of doubles.
 func (e *Encoder) PutFloat64s(v []float64) {
 	e.PutUint32(uint32(len(v)))
 	b := e.grow(8 * len(v))
-	for _, x := range v {
-		binary.BigEndian.PutUint64(b, math.Float64bits(x))
-		b = b[8:]
-	}
+	k := swap[float64](ptr(b), ptr(v), len(b)) / 8
+	encodeFloat64sPortable(b[8*k:], v[k:])
 }
 
 // PutStrings encodes a variable-length array of strings.
@@ -384,10 +381,8 @@ func (d *Decoder) Int32s() ([]int32, error) {
 		return nil, err
 	}
 	out := make([]int32, n)
-	for i := range out {
-		out[i] = int32(binary.BigEndian.Uint32(b))
-		b = b[4:]
-	}
+	k := swap[int32](ptr(out), ptr(b), len(b)) / 4
+	decodeInt32sPortable(out[k:], b[4*k:])
 	return out, nil
 }
 
@@ -402,11 +397,42 @@ func (d *Decoder) Float64s() ([]float64, error) {
 		return nil, err
 	}
 	out := make([]float64, n)
+	k := swap[float64](ptr(out), ptr(b), len(b)) / 8
+	decodeFloat64sPortable(out[k:], b[8*k:])
+	return out, nil
+}
+
+// ptr addresses s for swap, the kernel that moves the fixed-width arrays'
+// whole 32-byte blocks on amd64 and arm64. The per-word loops below move
+// the rest, do it all on other GOARCHes, and are the kernel's reference.
+func ptr[T any](s []T) unsafe.Pointer { return unsafe.Pointer(unsafe.SliceData(s)) }
+
+func encodeInt32sPortable(b []byte, v []int32) {
+	for _, x := range v {
+		binary.BigEndian.PutUint32(b, uint32(x))
+		b = b[4:]
+	}
+}
+
+func decodeInt32sPortable(out []int32, b []byte) {
+	for i := range out {
+		out[i] = int32(binary.BigEndian.Uint32(b))
+		b = b[4:]
+	}
+}
+
+func encodeFloat64sPortable(b []byte, v []float64) {
+	for _, x := range v {
+		binary.BigEndian.PutUint64(b, math.Float64bits(x))
+		b = b[8:]
+	}
+}
+
+func decodeFloat64sPortable(out []float64, b []byte) {
 	for i := range out {
 		out[i] = math.Float64frombits(binary.BigEndian.Uint64(b))
 		b = b[8:]
 	}
-	return out, nil
 }
 
 // Strings decodes a variable-length array of strings.
