@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: ci fmt-check vet cross lint build test race determinism cover faults fuzz load-smoke bench-smoke bench-json bench-pairs bench-async bench-faults bench-directory bench-errors bench-retention bench-saturation loc top registry
+.PHONY: ci fmt-check vet cross lint build test race poison determinism cover faults fuzz load-smoke bench-smoke bench-json bench-pairs bench-async bench-faults bench-directory bench-errors bench-retention bench-saturation loc top registry
 
-ci: fmt-check vet cross lint build test race determinism cover load-smoke bench-smoke bench-json
+ci: fmt-check vet cross lint build test race poison determinism cover load-smoke bench-smoke bench-json
 
 # Every tracked .go file outside testdata/ (analyzer corpora keep their
 # own layout) must be gofmt-clean.
@@ -30,6 +30,14 @@ test:
 
 race:
 	$(GO) test -shuffle=on -race ./internal/...
+
+# Use-after-release sweep: a typed servant's arrays, the typed stub's
+# reply and the typed client's arguments are pooled memory, lent and given
+# back. Run the tests that poison released buffers (0xDB) and the lending
+# tests repeatedly under the race detector, so a buffer returned too early
+# fails here rather than in a benchmark.
+poison:
+	$(GO) test -race -count=10 -run 'Poison|Lent|Typed' ./internal/bufpool ./internal/core ./internal/xdr
 
 # Determinism sweep: the fault-injection and failover suites must pass
 # repeatedly, in shuffled order, under the race detector — no run-order
@@ -64,9 +72,10 @@ faults:
 # never panic and must round-trip every input they accept; no capability's
 # Unprocess may panic on hostile (envelope, body) bytes, and auth, checksum
 # and encrypt must reject any one-bit flip of what Process wrote; no XDR
-# primitive or reflective decode may panic, and the array kernels must
-# agree with the byte-wise reference at every offset. Go runs one fuzz
-# target per invocation.
+# primitive or reflective decode may panic, the array kernels must agree
+# with the byte-wise reference at every offset, and a lending decode must
+# agree with an owning one and give back every buffer it took. Go runs one
+# fuzz target per invocation.
 fuzz:
 	$(GO) test ./internal/wire/ -run='^$$' -fuzz=FuzzDecodeHeader -fuzztime=10s
 	$(GO) test ./internal/wire/ -run='^$$' -fuzz=FuzzDecodeBatch -fuzztime=10s
@@ -75,6 +84,7 @@ fuzz:
 	$(GO) test ./internal/xdr/ -run='^$$' -fuzz=FuzzDecoder -fuzztime=10s
 	$(GO) test ./internal/xdr/ -run='^$$' -fuzz=FuzzReflectDecode -fuzztime=10s
 	$(GO) test ./internal/xdr/ -run='^$$' -fuzz=FuzzArrayKernels -fuzztime=10s
+	$(GO) test ./internal/xdr/ -run='^$$' -fuzz=FuzzLentDecode -fuzztime=10s
 
 # The xdr array kernel is built only for amd64 || arm64; every other
 # GOARCH compiles the portable loops. Vet both sides of the split, and a

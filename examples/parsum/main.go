@@ -11,6 +11,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"slices"
 	"sync"
 
 	"openhpcxx/internal/core"
@@ -57,7 +58,7 @@ func workerMethods(w *worker) map[string]core.Method {
 	return map[string]core.Method{
 		"load": core.Handler(func(a *loadArgs) (*core.Empty, error) {
 			w.mu.Lock()
-			w.x, w.y = a.X, a.Y
+			w.x, w.y = slices.Clone(a.X), slices.Clone(a.Y) // a.X, a.Y are lent until return
 			w.mu.Unlock()
 			return &core.Empty{}, nil
 		}),

@@ -7,6 +7,7 @@ package bufpool
 import (
 	"math/bits"
 	"sync"
+	"sync/atomic"
 	"unsafe"
 )
 
@@ -46,8 +47,7 @@ var kept struct {
 	bufs  [len(classes)][]*byte
 }
 
-// poison (tests only) makes a read of released memory show: 0xDB, not stale bytes.
-var poison bool
+var poison atomic.Bool // tests only: released memory reads 0xDB, not stale bytes
 
 // Get returns a buffer of length n. Its contents are unspecified.
 func Get(n int) []byte {
@@ -80,7 +80,7 @@ func Put(b []byte) {
 		return
 	}
 	b = b[:size]
-	if poison {
+	if poison.Load() {
 		for j := range b {
 			b[j] = 0xDB
 		}

@@ -1,8 +1,8 @@
 package bufpool
 
-// SetPoison turns on overwriting of every buffer Put takes back. Call it
-// only while nothing else is using the pool.
-func SetPoison(on bool) { poison = on }
+// SetPoison turns on overwriting of every buffer Put takes back. A Put
+// already under way when it is called may or may not overwrite.
+func SetPoison(on bool) { poison.Store(on) }
 
 // Forget drops every buffer kept across collections.
 func Forget() {

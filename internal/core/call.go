@@ -25,25 +25,34 @@ func CallCtx[Req xdr.Marshaler, Resp any, PResp interface {
 	*Resp
 	xdr.Unmarshaler
 }](ctx context.Context, g *GlobalPtr, method string, req Req) (*Resp, error) {
-	args, err := xdr.Marshal(req)
-	if err != nil {
+	// Arguments go into a pooled buffer sized by this GP's last call, back
+	// only on success: a failed attempt may still sit in a coalescer.
+	var e xdr.Encoder
+	e.SetBuf(bufpool.Get(int(g.argSize.Load()))[:0])
+	if err := req.MarshalXDR(&e); err != nil {
 		return nil, err
 	}
+	args := e.Bytes()
+	g.argSize.Store(int64(len(args)))
 	out, err := g.InvokeCtx(ctx, method, args)
 	if err != nil {
 		return nil, err
 	}
 	resp := PResp(new(Resp))
-	if err := xdr.Unmarshal(out, resp); err != nil {
+	err = xdr.Unmarshal(out, resp)
+	bufpool.Put(args) // after the decode: a reply may alias the request
+	if err != nil {
 		return nil, err
 	}
 	return (*Resp)(resp), nil
 }
 
 // Handler adapts a typed implementation function into a Method. It is
-// the server-side counterpart of Call. The reply it returns is lent (see
-// lentReplies): a method that wraps the stub returns that slice, or a
-// prefix of it, and does not keep it.
+// the server-side counterpart of Call. A Req's Int32s/Float64s slices are
+// lent (xdr.Decoder.Lend) and valid until fn returns: fn copies what it
+// keeps. The reply it returns is lent too (see lentReplies): a method
+// that wraps the stub returns that slice, or a prefix of it, and does not
+// keep it.
 func Handler[Req any, PReq interface {
 	*Req
 	xdr.Unmarshaler
@@ -51,8 +60,11 @@ func Handler[Req any, PReq interface {
 	// The last reply's size is the next buffer's, so the encoder rarely grows.
 	size := new(atomic.Int64)
 	return func(args []byte) ([]byte, error) {
+		d := xdr.NewDecoder(args)
+		d.Lend()
+		defer d.Release() // after the reply, which may echo them, is encoded
 		req := PReq(new(Req))
-		if err := xdr.Unmarshal(args, req); err != nil {
+		if err := d.DecodeFull(req); err != nil {
 			return nil, err
 		}
 		resp, err := fn((*Req)(req))

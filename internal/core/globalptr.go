@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"openhpcxx/internal/errs"
@@ -45,6 +46,7 @@ type GlobalPtr struct {
 	budget *retryBudget
 
 	inflight chan struct{} // per-GP async in-flight limiter
+	argSize  atomic.Int64  // CallCtx's last encoding: the next one's buffer size
 }
 
 // binding is everything one protocol selection fixes until the next

@@ -256,7 +256,7 @@ func (d *Decoder) unmarshalReflect(v reflect.Value) error {
 		if err != nil {
 			return err
 		}
-		out := reflect.MakeMapWithSize(v.Type(), n)
+		out := reflect.MakeMapWithSize(v.Type(), min(n, d.Remaining()/4)) // an entry takes ≥ 4 bytes
 		for i := 0; i < n; i++ {
 			k, err := d.String()
 			if err != nil {

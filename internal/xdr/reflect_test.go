@@ -3,6 +3,7 @@ package xdr
 import (
 	"bytes"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -225,5 +226,24 @@ func BenchmarkReflectMarshal(b *testing.B) {
 		if _, err := MarshalAny(v); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestReflectMapLengthIsNotASizeHint: a map's wire length is hostile
+// until its entries arrive, so a 2^27-entry claim over 8 bytes of input
+// must fail without reserving room for 2^27 entries.
+func TestReflectMapLengthIsNotASizeHint(t *testing.T) {
+	var e Encoder
+	e.PutUint32(1 << 27)
+	e.PutString("k")
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	var m map[string]int32
+	if err := UnmarshalAny(e.Bytes(), &m); err == nil {
+		t.Fatal("a map claiming 2^27 entries over 8 bytes decoded")
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+		t.Fatalf("a failed 8-byte map decode allocated %d bytes", n)
 	}
 }

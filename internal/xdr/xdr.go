@@ -15,8 +15,9 @@
 //
 // Decoding copies where the result has its own type — String, Int32s,
 // Float64s, Opaque and FixedOpaque return fresh memory the caller owns
-// outright — and aliases only where the name says so: OpaqueView returns
-// a slice of the decoder's input, valid for as long as that input is.
+// outright, except that a lending decoder's Int32s and Float64s (Lend) are
+// valid only until Release — and aliases only where the name says so:
+// OpaqueView returns a slice of the decoder's input, valid while it is.
 package xdr
 
 import (
@@ -25,6 +26,7 @@ import (
 	"math"
 	"unsafe"
 
+	"openhpcxx/internal/bufpool"
 	"openhpcxx/internal/errs"
 )
 
@@ -42,8 +44,8 @@ var (
 	ErrPadding = errors.New("xdr: nonzero padding")
 	// ErrBool is returned when a boolean is neither 0 nor 1.
 	ErrBool = errors.New("xdr: invalid bool")
-	// ErrTrailing is returned by DecodeFull when input remains after the
-	// value has been decoded.
+	// ErrTrailing is returned by Unmarshal and DecodeFull when input
+	// remains after the value has been decoded.
 	ErrTrailing = errors.New("xdr: trailing bytes")
 )
 
@@ -207,8 +209,10 @@ func Marshal(m Marshaler) ([]byte, error) {
 
 // Decoder reads XDR-encoded values from a byte slice.
 type Decoder struct {
-	buf []byte
-	off int
+	buf  []byte
+	off  int
+	lend bool
+	lent [4][]byte // what Int32s and Float64s borrowed, for Release
 }
 
 // NewDecoder returns a Decoder reading from p.
@@ -216,6 +220,35 @@ func NewDecoder(p []byte) *Decoder { return &Decoder{buf: p} }
 
 // Reset makes the decoder read p from its start.
 func (d *Decoder) Reset(p []byte) { d.buf, d.off = p, 0 }
+
+// Lend makes the first four Int32s/Float64s arrays decode into unzeroed
+// bufpool memory, valid until Release; any further one is allocated.
+func (d *Decoder) Lend() { d.lend = true }
+
+// Release hands back every array the decoder lent; none may be read after.
+func (d *Decoder) Release() {
+	for _, b := range d.lent {
+		putBuf(b) // Put(nil) is a no-op
+	}
+	d.lent = [4][]byte{}
+}
+
+var getBuf, putBuf = bufpool.Get, bufpool.Put // variables, so tests count them
+
+// array returns n elements for Int32s or Float64s to overwrite: lent while
+// the decoder lends and has a slot free, else fresh. A pooled buffer is a
+// pointer-free allocation of at least 64 bytes, hence 8-byte aligned.
+func array[T int32 | float64](d *Decoder, n int) []T {
+	if d.lend && n > 0 {
+		for i, b := range d.lent {
+			if b == nil {
+				d.lent[i] = getBuf(n * int(unsafe.Sizeof(T(0))))
+				return unsafe.Slice((*T)(ptr(d.lent[i])), n)
+			}
+		}
+	}
+	return make([]T, n)
+}
 
 // Remaining returns the number of unread bytes.
 func (d *Decoder) Remaining() int { return len(d.buf) - d.off }
@@ -380,7 +413,7 @@ func (d *Decoder) Int32s() ([]int32, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]int32, n)
+	out := array[int32](d, n)
 	k := swap[int32](ptr(out), ptr(b), len(b)) / 4
 	decodeInt32sPortable(out[k:], b[4*k:])
 	return out, nil
@@ -396,7 +429,7 @@ func (d *Decoder) Float64s() ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]float64, n)
+	out := array[float64](d, n)
 	k := swap[float64](ptr(out), ptr(b), len(b)) / 8
 	decodeFloat64sPortable(out[k:], b[8*k:])
 	return out, nil
@@ -462,8 +495,11 @@ func (d *Decoder) Optional(fn func(*Decoder) error) (present bool, err error) {
 }
 
 // Unmarshal decodes p into u, requiring that all input is consumed.
-func Unmarshal(p []byte, u Unmarshaler) error {
-	d := NewDecoder(p)
+func Unmarshal(p []byte, u Unmarshaler) error { return NewDecoder(p).DecodeFull(u) }
+
+// DecodeFull decodes u from the rest of the input, requiring that all of
+// it is consumed.
+func (d *Decoder) DecodeFull(u Unmarshaler) error {
 	if err := u.UnmarshalXDR(d); err != nil {
 		return err
 	}
