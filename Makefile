@@ -39,14 +39,14 @@ race:
 poison:
 	$(GO) test -race -count=10 -run 'Poison|Lent|Typed' ./internal/bufpool ./internal/core ./internal/xdr
 
-# Determinism sweep: the fault-injection and failover suites must pass
-# repeatedly, in shuffled order, under the race detector — no run-order
-# luck, no wall-clock luck.
+# Determinism sweep: the fault-injection and failover suites, the span
+# store and the /tracez plane must pass repeatedly, in shuffled order,
+# under the race detector — no run-order luck, no wall-clock luck.
 determinism:
 	$(GO) test -count=3 -shuffle=on -race \
-		-run 'Fault|Failover|Drain|Crash|Blackhole|Expired|Deadline|Probe|Breaker|Health|Trace|Async|Cancel|Continuation|Batched' \
+		-run 'Fault|Failover|Drain|Crash|Blackhole|Expired|Deadline|Probe|Breaker|Health|Trace|Async|Cancel|Continuation|Batched|Ring|Tail|Store|Hint|Attach|Scrape' \
 		./internal/netsim/ ./internal/transport/ ./internal/health/ \
-		./internal/core/ ./internal/capability/
+		./internal/core/ ./internal/capability/ ./internal/obs/ ./internal/introspect/
 
 # Coverage floor: the wire format, the metrics registry, the tracing
 # subsystem, the analyzer suite, the introspection plane, the directory

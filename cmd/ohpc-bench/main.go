@@ -173,11 +173,11 @@ func exportExtras(rep bench.Report, csvPath, tracePath string) error {
 		if tracePath == "" {
 			break
 		}
-		if err := writeTo(tracePath, r.Ring.WriteJSON); err != nil {
+		if err := writeTo(tracePath, r.Store.WriteJSON); err != nil {
 			return err
 		}
 		if tracePath != "-" {
-			fmt.Printf("wrote %d spans (of %d recorded) to %s\n", len(r.Ring.Spans()), r.Ring.Total(), tracePath)
+			fmt.Printf("wrote %d spans (of %d recorded) to %s\n", len(r.Store.Spans()), r.Store.Total(), tracePath)
 		}
 	}
 	return nil

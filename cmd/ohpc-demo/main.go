@@ -35,25 +35,19 @@ func main() {
 	linger := flag.Duration("linger", 0, "after the demo completes, keep serving background traffic for this long (for ohpc-top / curl against -introspect)")
 	flag.Parse()
 
-	n := netsim.New()
-	n.AddLAN("lab-lan", "campus", netsim.ProfileATM155.Scaled(16))
-	n.AddLAN("office-lan", "campus", netsim.ProfileEthernet.Scaled(16))
-	n.CampusLink = netsim.ProfileCampus.Scaled(16)
-	n.MustAddMachine("lab-1", "lab-lan")
-	n.MustAddMachine("lab-2", "lab-lan")
-	n.MustAddMachine("desk", "office-lan")
-
-	rt := core.NewRuntime(n, "demo")
-	capability.Install(rt.DefaultPool())
-	rt.RegisterIface(testbed.ExchangeIface, testbed.ExchangeActivator)
-	defer rt.Close()
+	tb := testbed.New("demo", nil)
+	defer tb.Close()
+	tb.LAN("lab-lan", "campus", netsim.ProfileATM155.Scaled(16), "lab-1", "lab-2")
+	tb.LAN("office-lan", "campus", netsim.ProfileEthernet.Scaled(16), "desk")
+	tb.Net.CampusLink = netsim.ProfileCampus.Scaled(16)
+	rt := tb.RT
 
 	// With -trace, every invocation in the demo records its span tree —
 	// client and server halves joined by the wire-propagated trace id.
-	var ring *obs.Ring
+	var store *obs.Store
 	if *tracePath != "" {
-		ring = obs.NewRing(0)
-		rt.Tracer().SetRecorder(ring)
+		store = obs.NewStore(obs.StoreOptions{})
+		rt.Tracer().SetRecorder(store)
 	}
 
 	must := func(err error) {
@@ -63,7 +57,7 @@ func main() {
 	}
 
 	// -introspect attaches the live telemetry plane; it reuses the
-	// -trace ring when one is installed, else installs its own.
+	// -trace store when one is installed, else installs its own.
 	var insp *introspect.Server
 	if *introspectAddr != "" {
 		var err error
@@ -73,49 +67,28 @@ func main() {
 		fmt.Printf("introspection plane on http://%s (try /metrics, /statusz, /tracez, /varz)\n", insp.Addr())
 	}
 
-	// Registry on lab-1.
-	regCtx, err := rt.NewContext("registry", "lab-1")
-	must(err)
-	must(regCtx.BindSim(7000))
-	_, _, err = registry.Serve(regCtx)
-	must(err)
-
-	// Two candidate hosts for the service.
-	mkHost := func(name, machine string) *core.Context {
-		ctx, err := rt.NewContext(name, netsim.MachineID(machine))
-		must(err)
-		must(ctx.BindSHM())
-		must(ctx.BindSim(0))
-		must(ctx.BindNexusSim(0))
-		return ctx
-	}
-	host1 := mkHost("host1", "lab-1")
-	host2 := mkHost("host2", "lab-2")
+	// Registry on lab-1, and two candidate hosts for the service.
+	regNode := tb.Context("registry", "lab-1").Bind(7000)
+	tb.Do(func() error { _, _, err := registry.Serve(regNode.Ctx); return err })
+	host1 := tb.Context("host1", "lab-1").BindAll()
+	host2 := tb.Context("host2", "lab-2").BindAll()
 
 	// The service: exchange servant behind an authenticated glue for
 	// off-LAN clients, plain nexus for local ones.
-	impl, methods := testbed.ExchangeActivator()
-	servant, err := host1.Export(testbed.ExchangeIface, impl, methods)
-	must(err)
-	streamE, err := host1.EntryStream()
-	must(err)
-	nexusE, err := host1.EntryNexus()
-	must(err)
-	glueE, err := capability.GlueEntry(host1, "demo-auth", streamE,
+	host1.Echo("")
+	glueE := host1.Glue("demo-auth", host1.Stream(),
 		capability.MustNewAuth("office", []byte("demo-secret"), capability.ScopeCrossLAN),
 		capability.NewQuota(0, time.Time{}))
-	must(err)
-	ref := host1.NewRef(servant, glueE, nexusE)
-
-	reg := registry.NewClient(host1, registry.RefAt("sim://lab-1:7000"))
-	must(reg.Bind("demo/exchange", ref))
-	fmt.Println("published demo/exchange with table [glue(auth,quota), nexus-tcp]")
+	ref := host1.Ref(glueE, host1.Nexus())
 
 	// Clients: one in the lab, one at a desk on the office LAN.
-	labClient, err := rt.NewContext("lab-client", "lab-2")
-	must(err)
-	deskClient, err := rt.NewContext("desk-client", "desk")
-	must(err)
+	labClient := tb.Context("lab-client", "lab-2")
+	deskClient := tb.Context("desk-client", "desk")
+	must(tb.Build())
+
+	reg := registry.NewClient(host1.Ctx, registry.RefAt("sim://lab-1:7000"))
+	must(reg.Bind("demo/exchange", ref))
+	fmt.Println("published demo/exchange with table [glue(auth,quota), nexus-tcp]")
 
 	resolve := func(ctx *core.Context) *core.GlobalPtr {
 		c := registry.NewClient(ctx, registry.RefAt("sim://lab-1:7000"))
@@ -123,8 +96,8 @@ func main() {
 		must(err)
 		return ctx.NewGlobalPtr(r)
 	}
-	gpLab := resolve(labClient)
-	gpDesk := resolve(deskClient)
+	gpLab := resolve(labClient.Ctx)
+	gpDesk := resolve(deskClient.Ctx)
 
 	show := func(phase string) {
 		for _, c := range []struct {
@@ -147,9 +120,9 @@ func main() {
 	load1.Set(95) // beyond the high-water mark
 	load2.Set(10)
 	bal := loadbal.New(loadbal.Policy{HighWater: 80, Margin: 20}, reg)
-	bal.AddHost(host1, load1.Source())
-	bal.AddHost(host2, load2.Source())
-	bal.Manage("demo/exchange", ref, host1)
+	bal.AddHost(host1.Ctx, load1.Source())
+	bal.AddHost(host2.Ctx, load2.Source())
+	bal.Manage("demo/exchange", ref, host1.Ctx)
 
 	for i := 0; i < *passes; i++ {
 		moves, err := bal.Rebalance()
@@ -208,10 +181,10 @@ func main() {
 			fmt.Printf("\nwrote metrics snapshot to %s\n", *metricsPath)
 		}
 	}
-	if ring != nil {
-		toFile(*tracePath, ring.WriteJSON)
+	if store != nil {
+		toFile(*tracePath, store.WriteJSON)
 		if *tracePath != "-" {
-			fmt.Printf("wrote %d spans (of %d recorded) to %s\n", len(ring.Spans()), ring.Total(), *tracePath)
+			fmt.Printf("wrote %d spans (of %d recorded) to %s\n", len(store.Spans()), store.Total(), *tracePath)
 		}
 	}
 }

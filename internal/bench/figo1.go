@@ -42,8 +42,8 @@ type O1Config struct {
 	// 2000 reps, 250ms).
 	MinReps     int
 	MinDuration time.Duration
-	// RingSize is the span ring capacity for the traced mode (default
-	// obs.DefaultRingSize).
+	// RingSize is the keep-everything store's span capacity for the
+	// traced mode (default obs.DefaultMaxSpans).
 	RingSize int
 }
 
@@ -52,7 +52,7 @@ func (c *O1Config) fill(o Options) {
 	setDefault(&c.MinReps, o.Reps)
 	setDefault(&c.MinReps, pick(o, 2000, 200))
 	setDefault(&c.MinDuration, pick(o, 250*time.Millisecond, 30*time.Millisecond))
-	setDefault(&c.RingSize, obs.DefaultRingSize)
+	setDefault(&c.RingSize, obs.DefaultMaxSpans)
 }
 
 // O1Point is one mode's measurement.
@@ -69,12 +69,12 @@ type O1Point struct {
 	SpansRetained int    `json:"spans_retained,omitempty"`
 }
 
-// O1Result is the whole figure. Ring holds the traced run's span buffer
-// so callers can export it (ohpc-bench -trace=FILE).
+// O1Result is the whole figure. Store holds the traced run's spans so
+// callers can export it (ohpc-bench -trace=FILE).
 type O1Result struct {
-	Ints   int       `json:"ints"`
-	Points []O1Point `json:"points"`
-	Ring   *obs.Ring `json:"-"`
+	Ints   int        `json:"ints"`
+	Points []O1Point  `json:"points"`
+	Store  *obs.Store `json:"-"`
 }
 
 // tracingOverhead measures the exchange workload untraced — the default
@@ -114,15 +114,15 @@ func overheadPct(base, traced Measurement) float64 {
 // span tree.
 func RunFigureO1(cfg O1Config, o Options) (*O1Result, error) {
 	cfg.fill(o)
-	res := &O1Result{Ints: cfg.Ints, Ring: obs.NewRing(cfg.RingSize)}
-	base, traced, err := tracingOverhead("bench-o1", cfg.Ints, cfg.MinReps, cfg.MinDuration, res.Ring, o)
+	res := &O1Result{Ints: cfg.Ints, Store: obs.NewStore(obs.StoreOptions{MaxSpans: cfg.RingSize})}
+	base, traced, err := tracingOverhead("bench-o1", cfg.Ints, cfg.MinReps, cfg.MinDuration, res.Store, o)
 	if err != nil {
 		return nil, err
 	}
 	res.Points = []O1Point{
 		{Mode: ModeUntraced, Reps: base.Reps, AvgRTT: base.AvgRTT},
 		{Mode: ModeRing, Reps: traced.Reps, AvgRTT: traced.AvgRTT, OverheadPct: overheadPct(base, traced),
-			SpansTotal: res.Ring.Total(), SpansRetained: len(res.Ring.Spans())},
+			SpansTotal: res.Store.Total(), SpansRetained: len(res.Store.Spans())},
 	}
 	return res, nil
 }

@@ -36,7 +36,7 @@ func TestFigureO1RecordsSpansOnlyWhenTraced(t *testing.T) {
 	// The captured spans form connected traces: take the NEWEST exchange
 	// invocation (the oldest's siblings may have been evicted by ring
 	// wrap-around) and check its client and server halves share a trace.
-	spans := res.Ring.Spans()
+	spans := res.Store.Spans()
 	var root obs.Span
 	for _, s := range spans {
 		if s.Parent == 0 && s.Kind == obs.KindClient && s.Method == "exchange" {

@@ -4,13 +4,13 @@
 // overload window, then a long calm tail — is teed into two span stores
 // with the SAME span budget:
 //
-//   - "fifo": a plain obs.Ring. By the time anyone looks, the calm tail
-//     has flushed the ring; the slow traces the overload produced are
-//     exactly the ones evicted.
-//   - "tail": an obs.TailKeeper. Decisions are made when each trace's
-//     root ends, so the slow traces are exactly the ones retained (plus
-//     a small baseline reservoir), and the calm bulk is dropped with
-//     per-policy accounting.
+//   - "fifo": an obs.Store in keep-everything mode. By the time anyone
+//     looks, the calm tail has flushed the FIFO; the slow traces the
+//     overload produced are exactly the ones evicted.
+//   - "tail": an obs.Store in tail mode. Decisions are made when each
+//     trace's root ends, so the slow traces are exactly the ones
+//     retained (plus a small baseline reservoir), and the calm bulk is
+//     dropped with per-policy accounting.
 //
 // The figure reports each store's retention of the >p99 traces (ground
 // truth: the schedule's generated stragglers, all far above the calm
@@ -122,8 +122,8 @@ func RunFigureO2(cfg O2Config, o Options) (*O2Result, error) {
 		SpanBudget:    cfg.StoreSpans,
 	}
 
-	ring := obs.NewRing(cfg.StoreSpans)
-	tail := obs.NewTailKeeper(obs.TailKeeperOptions{MaxSpans: cfg.StoreSpans, Seed: cfg.Seed})
+	ring := obs.NewStore(obs.StoreOptions{MaxSpans: cfg.StoreSpans})
+	tail := obs.NewStore(obs.StoreOptions{MaxSpans: cfg.StoreSpans, Tail: true, Seed: cfg.Seed})
 
 	// Deterministic schedule generation: every span goes to both stores.
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -190,7 +190,7 @@ func RunFigureO2(cfg O2Config, o Options) (*O2Result, error) {
 
 	// The live overhead of running with a tail keeper installed, on the
 	// exchange workload (the O1 shape).
-	tk := obs.NewTailKeeper(obs.TailKeeperOptions{})
+	tk := obs.NewStore(obs.StoreOptions{Tail: true})
 	tk.Start()
 	defer tk.Close()
 	base, traced, err := tracingOverhead("bench-o2", cfg.Ints, cfg.MinReps, cfg.MinDuration, tk, o)

@@ -512,10 +512,15 @@ func (w *watermarkCap) Unprocess(f *Frame, env, body []byte) ([]byte, error) {
 	return body, nil
 }
 
-func TestCustomCapabilityKind(t *testing.T) {
+// The watermark kind is registered once per test binary: RegisterKind
+// refuses a second registration, and -count=N reruns the test.
+func init() {
 	RegisterKind("x-watermark", func(config []byte) (Capability, error) {
 		return &watermarkCap{mark: string(config)}, nil
 	})
+}
+
+func TestCustomCapabilityKind(t *testing.T) {
 	rt := world(t)
 	server, s := echoServer(t, rt, "server", "m1")
 	client, _ := rt.NewContext("client", "m2")

@@ -148,13 +148,13 @@ func (rt *Runtime) SetClock(c clock.Clock) {
 
 // Tracer returns the runtime's invocation tracer. With no recorder
 // installed (the default) tracing costs one atomic load per invocation;
-// install an obs.Ring (or an obstest.Collector in tests) to capture
+// install an obs.Store (or an obstest.Collector in tests) to capture
 // end-to-end spans:
 //
-//	ring := obs.NewRing(0)
-//	rt.Tracer().SetRecorder(ring)
+//	store := obs.NewStore(obs.StoreOptions{}) // keep everything
+//	rt.Tracer().SetRecorder(store)
 //	... traffic ...
-//	ring.WriteJSON(os.Stdout)
+//	store.WriteJSON(os.Stdout)
 func (rt *Runtime) Tracer() *obs.Tracer { return rt.tracer }
 
 // Health returns the runtime's endpoint-health tracker. Global pointers

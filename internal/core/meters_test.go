@@ -155,7 +155,7 @@ func TestMeterLabelTruncatesOnRuneBoundary(t *testing.T) {
 }
 
 // TestTailKeeperEndToEndRetention drives real invocations through a
-// runtime whose recorder is a TailKeeper: the errored invocation's
+// runtime whose recorder is a tail store: the errored invocation's
 // whole trace (client and server halves) is retained, the healthy
 // invocation against a high slow bar is dropped — the tail-based
 // policy applied to live wire traffic, not synthetic spans.
@@ -166,7 +166,8 @@ func TestTailKeeperEndToEndRetention(t *testing.T) {
 	_, ref := exportEcho(t, srv)
 	gp := client.NewGlobalPtr(ref)
 
-	tk := obs.NewTailKeeper(obs.TailKeeperOptions{
+	tk := obs.NewStore(obs.StoreOptions{
+		Tail:     true,
 		MaxSpans: 512,
 		MinSlow:  time.Hour, // nothing is slow; only errors survive
 		Baseline: -1,        // no baseline reservoir
@@ -215,7 +216,7 @@ func TestTailKeeperEndToEndRetention(t *testing.T) {
 
 // findKeptRoot returns the trace ID of a kept root span with the given
 // name and a recorded error, or 0.
-func findKeptRoot(tk *obs.TailKeeper, name string) obs.TraceID {
+func findKeptRoot(tk *obs.Store, name string) obs.TraceID {
 	for _, s := range tk.Spans() {
 		if s.Parent == 0 && s.Name == name && s.Err != "" {
 			return s.Trace

@@ -8,7 +8,7 @@
 //	/metrics  Prometheus text exposition of the runtime registry
 //	/statusz  JSON: contexts, GPs with health-annotated protocol
 //	          tables, endpoint breakers, async depth, recent events
-//	/tracez   recent spans from the trace ring, grouped into trace
+//	/tracez   recent spans from the span store, grouped into trace
 //	          trees, filterable by kind / error / min-latency
 //	/varz     flight-recorder rate windows (1s/10s/60s)
 //	/healthz  liveness probe
@@ -35,8 +35,9 @@ import (
 )
 
 // Options configures Attach. The zero value works: loopback listener on
-// an ephemeral port, default flight-recorder cadence, and a trace ring
-// installed if the runtime has no recorder yet.
+// an ephemeral port, default flight-recorder cadence, and a
+// keep-everything span store installed if the runtime has no recorder
+// yet.
 type Options struct {
 	// Addr is the listen address (default "127.0.0.1:0"). The plane is
 	// a debug surface: bind loopback unless you mean to expose it.
@@ -47,20 +48,6 @@ type Options struct {
 	// FlightDepth is how many snapshots the recorder retains (default
 	// DefaultFlightDepth).
 	FlightDepth int
-	// RingSize sizes the trace store Attach installs when the runtime's
-	// tracer has no recorder yet (default obs.DefaultRingSize). When a
-	// span store is already installed — e.g. by a -trace flag — /tracez
-	// reads that store and no new one is created.
-	RingSize int
-	// Tail selects tail-based trace retention for the installed store:
-	// instead of a FIFO ring, Attach installs an obs.TailKeeper (same
-	// span budget: RingSize) that keeps errored, slow, and baseline
-	// traces and drops the healthy bulk. Ignored when a recorder is
-	// already installed.
-	Tail bool
-	// TailOptions refines the installed keeper (MaxSpans defaults to
-	// RingSize, Clock to the plane's clock). Only read when Tail is set.
-	TailOptions obs.TailKeeperOptions
 	// Clock drives the flight recorder (default: the runtime's clock).
 	Clock clock.Clock
 }
@@ -71,21 +58,16 @@ type Options struct {
 type Server struct {
 	rt     *core.Runtime
 	flight *Flight
-	store  obs.Store       // /tracez source (ring or tail keeper)
-	ring   *obs.Ring       // store, when it is a FIFO ring
-	keeper *obs.TailKeeper // store, when it is a tail keeper
-	// ownKeeper records that Attach created (and Started) the keeper,
-	// so Close must stop its flush loop; an externally installed keeper
-	// belongs to whoever installed it.
-	ownKeeper bool
-	mux       *http.ServeMux
-	l         net.Listener
-	hs        *http.Server
+	store  *obs.Store // /tracez source; nil under a foreign recorder
+	mux    *http.ServeMux
+	l      net.Listener
+	hs     *http.Server
 }
 
 // Attach builds the introspection plane for rt and starts serving it.
-// It installs a trace ring on the runtime's tracer when none is
-// present, starts the flight recorder, and listens on opts.Addr.
+// It installs a keep-everything span store on the runtime's tracer when
+// none is present, mirrors the store's accounting into the runtime's
+// registry, starts the flight recorder, and listens on opts.Addr.
 func Attach(rt *core.Runtime, opts Options) (*Server, error) {
 	if opts.Addr == "" {
 		opts.Addr = "127.0.0.1:0"
@@ -95,39 +77,19 @@ func Attach(rt *core.Runtime, opts Options) (*Server, error) {
 	}
 	s := &Server{rt: rt}
 
-	// /tracez source: reuse an installed store, else install one — a
-	// FIFO ring by default, a tail keeper when opts.Tail asks for one.
+	// /tracez source: reuse an installed store — one a -trace flag
+	// installed, or a tail store a caller configured — else install a
+	// keep-everything one. A foreign recorder (e.g. a test collector)
+	// stays installed, and /tracez reports itself unavailable.
 	switch rec := rt.Tracer().Recorder().(type) {
-	case *obs.Ring:
-		s.ring, s.store = rec, rec
-	case *obs.TailKeeper:
-		s.keeper, s.store = rec, rec
+	case *obs.Store:
+		s.store = rec
 	case nil:
-		if opts.Tail {
-			to := opts.TailOptions
-			if to.MaxSpans <= 0 {
-				to.MaxSpans = opts.RingSize
-			}
-			if to.Clock == nil {
-				to.Clock = opts.Clock
-			}
-			tk := obs.NewTailKeeper(to)
-			tk.SetMetrics(rt.Metrics())
-			tk.Start()
-			s.keeper, s.store, s.ownKeeper = tk, tk, true
-			rt.Tracer().SetRecorder(tk)
-		} else {
-			ring := obs.NewRing(opts.RingSize)
-			ring.SetMetrics(rt.Metrics())
-			s.ring, s.store = ring, ring
-			rt.Tracer().SetRecorder(ring)
-		}
-	default:
-		// A foreign recorder (e.g. a test collector) stays installed;
-		// /tracez serves it if it is a Store, else reports unavailable.
-		if st, ok := rec.(obs.Store); ok {
-			s.store = st
-		}
+		s.store = obs.NewStore(obs.StoreOptions{})
+		rt.Tracer().SetRecorder(s.store)
+	}
+	if s.store != nil {
+		s.store.SetMetrics(rt.Metrics())
 	}
 
 	s.flight = NewFlight(rt.MetricsSnapshot, opts.Clock, opts.FlightInterval, opts.FlightDepth)
@@ -168,27 +130,9 @@ func (s *Server) Flight() *Flight {
 	return s.flight
 }
 
-// Ring returns the trace ring /tracez reads (nil when the store is a
-// tail keeper or a foreign recorder, or on a nil server).
-func (s *Server) Ring() *obs.Ring {
-	if s == nil {
-		return nil
-	}
-	return s.ring
-}
-
-// Keeper returns the tail keeper /tracez reads (nil when the store is
-// a FIFO ring or a foreign recorder, or on a nil server).
-func (s *Server) Keeper() *obs.TailKeeper {
-	if s == nil {
-		return nil
-	}
-	return s.keeper
-}
-
 // Store returns the span store /tracez reads (nil when a foreign
-// non-Store recorder was already installed, or on a nil server).
-func (s *Server) Store() obs.Store {
+// recorder was already installed, or on a nil server).
+func (s *Server) Store() *obs.Store {
 	if s == nil {
 		return nil
 	}
@@ -211,9 +155,6 @@ func (s *Server) Close() error {
 		return nil
 	}
 	s.flight.Close()
-	if s.ownKeeper {
-		s.keeper.Close()
-	}
 	if s.hs == nil {
 		return nil
 	}

@@ -301,7 +301,7 @@ func TestTracezBuildsTreesAndFilters(t *testing.T) {
 	_, rt, gp := world(t)
 	s := attach(t, rt, Options{})
 	base := "http://" + s.Addr()
-	if s.Ring() == nil {
+	if s.Store() == nil {
 		t.Fatal("Attach did not install a trace ring on a recorder-less runtime")
 	}
 	if _, err := gp.Invoke("echo", []byte("one")); err != nil {
@@ -399,10 +399,10 @@ func TestTracezBuildsTreesAndFilters(t *testing.T) {
 
 func TestAttachReusesInstalledRing(t *testing.T) {
 	_, rt, _ := world(t)
-	ring := obs.NewRing(64)
+	ring := obs.NewStore(obs.StoreOptions{MaxSpans: 64})
 	rt.Tracer().SetRecorder(ring)
 	s := attach(t, rt, Options{})
-	if s.Ring() != ring {
+	if s.Store() != ring {
 		t.Fatal("Attach replaced an already-installed trace ring")
 	}
 }
@@ -416,7 +416,7 @@ func TestTracezUnavailableWithForeignRecorder(t *testing.T) {
 	_, rt, _ := world(t)
 	rt.Tracer().SetRecorder(&sink{})
 	s := attach(t, rt, Options{})
-	if s.Ring() != nil {
+	if s.Store() != nil {
 		t.Fatal("Attach hijacked a foreign recorder")
 	}
 	// Handler() lets tests mount the routes without the listener.
@@ -430,7 +430,7 @@ func TestTracezUnavailableWithForeignRecorder(t *testing.T) {
 
 func TestNilServerIsSafe(t *testing.T) {
 	var s *Server
-	if s.Addr() != "" || s.Flight() != nil || s.Ring() != nil {
+	if s.Addr() != "" || s.Flight() != nil || s.Store() != nil {
 		t.Fatal("nil server leaked state")
 	}
 	if err := s.Close(); err != nil {
@@ -489,25 +489,22 @@ func TestScrapeWhileInvoking(t *testing.T) {
 	wg.Wait()
 }
 
-// TestAttachInstallsTailKeeper covers the tail-retention plane: with
-// Options.Tail the installed store is a TailKeeper, /tracez annotates
+// TestAttachInstallsTailKeeper covers the tail-retention plane: with a
+// tail store installed before Attach, the plane serves it, /tracez annotates
 // trees with retention policy and the dominant self-time span, ?slow=1
 // and ?trace= work, and the obs.* accounting reaches /metrics.
 func TestAttachInstallsTailKeeper(t *testing.T) {
 	_, rt, gp := world(t)
-	s := attach(t, rt, Options{
-		Tail: true,
-		TailOptions: obs.TailKeeperOptions{
-			MinSlow:  time.Hour, // nothing is slow
-			Baseline: -1,        // no reservoir: only errors survive
-		},
+	tk := obs.NewStore(obs.StoreOptions{
+		Tail:     true,
+		MinSlow:  time.Hour, // nothing is slow
+		Baseline: -1,        // no reservoir: only errors survive
 	})
+	rt.Tracer().SetRecorder(tk)
+	s := attach(t, rt, Options{})
 	base := "http://" + s.Addr()
-	if s.Keeper() == nil || s.Ring() != nil {
-		t.Fatal("Tail option did not install a tail keeper")
-	}
-	if s.Store() != obs.Store(s.Keeper()) {
-		t.Fatal("Store() does not expose the keeper")
+	if s.Store() != tk {
+		t.Fatal("Store() does not expose the tail store")
 	}
 
 	if _, err := gp.Invoke("echo", []byte("healthy")); err != nil {
@@ -525,7 +522,7 @@ func TestAttachInstallsTailKeeper(t *testing.T) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("errored trace never surfaced; stats %+v", s.Keeper().Stats())
+			t.Fatalf("errored trace never surfaced; stats %+v", s.Store().Stats())
 		}
 		clock.Sleep(clock.Real{}, time.Millisecond)
 	}
@@ -575,10 +572,11 @@ func TestAttachInstallsTailKeeper(t *testing.T) {
 // NOT stop its flush loop.
 func TestAttachReusesInstalledKeeper(t *testing.T) {
 	_, rt, _ := world(t)
-	tk := obs.NewTailKeeper(obs.TailKeeperOptions{})
+	tk := obs.NewStore(obs.StoreOptions{Tail: true})
+	tk.Start()
 	rt.Tracer().SetRecorder(tk)
 	s := attach(t, rt, Options{})
-	if s.Keeper() != tk {
+	if s.Store() != tk {
 		t.Fatal("Attach did not adopt the installed keeper")
 	}
 	if err := s.Close(); err != nil {
@@ -631,11 +629,11 @@ func TestVarzCarriesMeters(t *testing.T) {
 // keeper's decisions, the flush loop, and every tracez view.
 func TestScrapeWhileSamplingTailKeeper(t *testing.T) {
 	_, rt, gp := world(t)
-	s := attach(t, rt, Options{
-		FlightInterval: time.Millisecond,
-		Tail:           true,
-		TailOptions:    obs.TailKeeperOptions{IdleFlush: time.Millisecond},
-	})
+	tk := obs.NewStore(obs.StoreOptions{Tail: true, IdleFlush: time.Millisecond})
+	tk.Start()
+	t.Cleanup(tk.Close)
+	rt.Tracer().SetRecorder(tk)
+	s := attach(t, rt, Options{FlightInterval: time.Millisecond})
 	base := "http://" + s.Addr()
 
 	stop := make(chan struct{})
@@ -679,7 +677,7 @@ func TestScrapeWhileSamplingTailKeeper(t *testing.T) {
 	wg.Wait()
 
 	// Sanity: the keeper actually decided traces during the storm.
-	st := s.Keeper().Stats()
+	st := s.Store().Stats()
 	if st.TotalSpans == 0 {
 		t.Fatal("no spans flowed through the keeper")
 	}

@@ -4,7 +4,7 @@
 // parents by span ID, and emits the newest traces first — the live
 // counterpart of the obstest assertions PR 3 introduced.
 //
-// When the store is a tail keeper, each tree also carries its retention
+// When the store is in tail mode, each tree also carries its retention
 // policy ("error"/"slow"/"baseline") and ?slow=1 narrows the list to
 // the slow-kept traces, each annotated with its dominant self-time span
 // — the attribution answer to "where did that p99 trace spend its
@@ -37,8 +37,8 @@ type TraceTree struct {
 	Spans int    `json:"spans"`
 	DurNS int64  `json:"dur_ns"`
 	Err   string `json:"err,omitempty"`
-	// Policy is why a tail keeper retained the trace ("error", "slow",
-	// "baseline"); empty under a FIFO ring.
+	// Policy is why a tail store retained the trace ("error", "slow",
+	// "baseline"); empty under keep-everything.
 	Policy string `json:"policy,omitempty"`
 	// Hot is the trace's dominant self-time span — the attribution
 	// answer for a slow trace.
@@ -59,9 +59,9 @@ type HotSpan struct {
 
 // TracezPayload is the /tracez response body.
 type TracezPayload struct {
-	// Total and Dropped mirror the ring's lifetime accounting; Cursor
+	// Total and Dropped mirror the store's lifetime accounting; Cursor
 	// is what the next poll passes as ?cursor= to see only new spans
-	// (and how many the ring evicted in between).
+	// (and how many the store evicted in between).
 	Total   uint64      `json:"total"`
 	Dropped uint64      `json:"dropped"`
 	Cursor  uint64      `json:"cursor"`
@@ -80,7 +80,7 @@ func (s *Server) handleTracez(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 
 	// Direct lookup: ?trace=<hex id> — the target of the exemplar
-	// trace_id links on /metrics. Under a tail keeper this also shows
+	// trace_id links on /metrics. Under a tail store this also shows
 	// still-pending (undecided) traces.
 	if h := q.Get("trace"); h != "" {
 		id, err := strconv.ParseUint(h, 16, 64)
@@ -111,9 +111,9 @@ func (s *Server) handleTracez(w http.ResponseWriter, r *http.Request) {
 		trees = filterTrees(trees, func(t TraceTree) bool { return t.DurNS >= minUS*1000 })
 	}
 	if q.Get("slow") == "1" {
-		// Slow-kept traces only — meaningful under a tail keeper (a FIFO
-		// ring has no retention policies, so the filter yields nothing;
-		// use ?min_us= there).
+		// Slow-kept traces only — meaningful in tail mode (keep-everything
+		// has no retention policies, so the filter yields nothing; use
+		// ?min_us= there).
 		trees = filterTrees(trees, func(t TraceTree) bool { return t.Policy == obs.PolicySlow })
 	}
 
@@ -127,13 +127,11 @@ func (s *Server) handleTracez(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, TracezPayload{Total: s.store.Total(), Dropped: dropped, Cursor: next, Traces: trees})
 }
 
-// annotate decorates trees with the keeper's retention policy (when the
-// store is a tail keeper) and each trace's dominant self-time span.
+// annotate decorates trees with the store's retention policy (empty
+// under keep-everything) and each trace's dominant self-time span.
 func (s *Server) annotate(trees []TraceTree) []TraceTree {
 	for i := range trees {
-		if s.keeper != nil {
-			trees[i].Policy = s.keeper.Policy(trees[i].Trace)
-		}
+		trees[i].Policy = s.store.Policy(trees[i].Trace)
 		trees[i].Hot = hotSpan(trees[i].Roots)
 	}
 	return trees
@@ -194,7 +192,7 @@ func filterTrees(trees []TraceTree, keep func(TraceTree) bool) []TraceTree {
 
 // buildTraceTrees groups spans by trace, nests children under parents,
 // and returns the traces newest first (by the highest Seq each trace
-// retains). A span whose parent was evicted from the ring is promoted
+// retains). A span whose parent was evicted from the store is promoted
 // to a root — a truncated trace still renders.
 func buildTraceTrees(spans []obs.Span) []TraceTree {
 	byTrace := make(map[obs.TraceID][]obs.Span)

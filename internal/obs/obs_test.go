@@ -184,7 +184,7 @@ func BenchmarkUntracedStartRoot(b *testing.B) {
 // recorder installed.
 func BenchmarkTracedSpan(b *testing.B) {
 	tr := NewTracer(nil)
-	tr.SetRecorder(NewRing(1024))
+	tr.SetRecorder(NewStore(StoreOptions{MaxSpans: 1024}))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		a := tr.StartRoot(KindClient, "invoke")

@@ -295,14 +295,14 @@ func AssertNotBatched(t testing.TB, trace []obs.Span) {
 	}
 }
 
-// AssertRetained asserts a tail keeper kept the trace — and, when
+// AssertRetained asserts a tail store kept the trace — and, when
 // policy is non-empty, that it was kept under that policy
 // (obs.PolicyError/PolicySlow/PolicyBaseline).
-func AssertRetained(t testing.TB, tk *obs.TailKeeper, id obs.TraceID, policy string) {
+func AssertRetained(t testing.TB, tk *obs.Store, id obs.TraceID, policy string) {
 	t.Helper()
 	got := tk.Policy(id)
 	if got == "" {
-		t.Fatalf("obstest: trace %x not retained; keeper stats %+v", uint64(id), tk.Stats())
+		t.Fatalf("obstest: trace %x not retained; store stats %+v", uint64(id), tk.Stats())
 	}
 	if policy != "" && got != policy {
 		t.Fatalf("obstest: trace %x retained under %q, want %q", uint64(id), got, policy)
@@ -312,10 +312,10 @@ func AssertRetained(t testing.TB, tk *obs.TailKeeper, id obs.TraceID, policy str
 	}
 }
 
-// AssertDroppedByPolicy asserts the keeper dropped at least min traces
+// AssertDroppedByPolicy asserts a tail store dropped at least min traces
 // under the given drop policy (obs.DropNormal/DropOverflow/DropUnhinted;
 // min <= 0 means "at least one").
-func AssertDroppedByPolicy(t testing.TB, tk *obs.TailKeeper, policy string, min uint64) {
+func AssertDroppedByPolicy(t testing.TB, tk *obs.Store, policy string, min uint64) {
 	t.Helper()
 	if min == 0 {
 		min = 1

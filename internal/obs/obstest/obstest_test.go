@@ -94,7 +94,7 @@ func TestResetAndNamed(t *testing.T) {
 
 func TestAttachRestoresPreviousRecorder(t *testing.T) {
 	tr := obs.NewTracer(nil)
-	ring := obs.NewRing(8)
+	ring := obs.NewStore(obs.StoreOptions{MaxSpans: 8})
 	tr.SetRecorder(ring)
 	t.Run("inner", func(t *testing.T) {
 		obstest.Attach(t, tr)
@@ -119,7 +119,8 @@ func TestFormatMentionsKeyFields(t *testing.T) {
 }
 
 func TestAssertRetainedAndDroppedByPolicy(t *testing.T) {
-	tk := obs.NewTailKeeper(obs.TailKeeperOptions{
+	tk := obs.NewStore(obs.StoreOptions{
+		Tail:     true,
 		MaxSpans: 64,
 		MinSlow:  time.Hour,
 		Baseline: -1,
@@ -146,7 +147,7 @@ func (errFake) Error() string { return "fake" }
 // TestScrapeWhileSampling is the -race regression for the keeper as a
 // store: concurrent recording, hint queries, and every read surface.
 func TestScrapeWhileSampling(t *testing.T) {
-	tk := obs.NewTailKeeper(obs.TailKeeperOptions{MaxSpans: 128, Baseline: 2})
+	tk := obs.NewStore(obs.StoreOptions{Tail: true, MaxSpans: 128, Baseline: 2})
 	tr := obs.NewTracer(nil)
 	tr.SetRecorder(tk)
 
