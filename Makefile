@@ -17,10 +17,14 @@ vet:
 # The suite first proves itself against its golden corpora (-short skips
 # the whole-module self-check, which the repo run below repeats anyway),
 # then sweeps ./internal/... and ./cmd/... and fails on any finding.
-# `make lint V=1` adds per-analyzer wall time on stderr.
+# `make lint V=1` adds per-analyzer wall time on stderr. Last, no
+# non-test code may infer a contract from a method it probes for with an
+# anonymous-interface assertion — state it in a type (core.Pending) — save
+# the coalescer's fallback for a send result that is not a transport.Cell.
 lint:
 	$(GO) test -short ./internal/analysis/
 	$(GO) run ./cmd/ohpc-lint $(if $(V),-v) ./internal/... ./cmd/...
+	@! git grep -n '\.(interface{' -- '*.go' ':!*_test.go' ':!benchmark/' | grep -v '^internal/transport/cell\.go:[0-9]*:.*p\.(interface{ WhenDone(func()) })'
 
 build:
 	$(GO) build ./...
@@ -61,7 +65,7 @@ cover:
 	done
 
 # The fault-injection and failover suites: netsim crash/restart/blackhole,
-# transport drain, endpoint health breakers, core failover/deadlines, and
+# endpoint health breakers, context drain, core failover/deadlines, and
 # the glue capability chain under injected faults.
 faults:
 	$(GO) test -race -run 'Fault|Failover|Drain|Crash|Expired|Deadline|Refund|Probe|Breaker|Health' \

@@ -305,10 +305,7 @@ func (g *Glue) Call(m *wire.Message) (*wire.Message, error) {
 
 // gluePending is the completion handle of a pipelined glue invocation:
 // the base protocol's pending, with the reply un-processed through the
-// capability chain (once) on resolution. It deliberately takes no
-// continuation (transport.WhenDone): Reply runs Unprocess — user code,
-// possibly blocking, proportional to the body — so the ORB waits for
-// Done on a goroutine of the call's own, never on a mux read loop.
+// capability chain (once) on resolution.
 type gluePending struct {
 	g      *Glue
 	p      core.Pending
@@ -322,12 +319,18 @@ type gluePending struct {
 
 func (gp *gluePending) Done() <-chan struct{} { return gp.p.Done() }
 
-// Abandon forwards to the base pending when it supports abandonment, so
-// a deadline firing mid-flight releases the underlying exchange.
-func (gp *gluePending) Abandon() {
-	if a, ok := gp.p.(interface{ Abandon() }); ok {
-		a.Abandon()
-	}
+// Abandon forwards to the base pending, so a deadline firing mid-flight
+// releases the underlying exchange.
+func (gp *gluePending) Abandon() { gp.p.Abandon() }
+
+// WhenDone waits for the base exchange on a goroutine and runs fn there:
+// fn calls Reply, which runs Unprocess — user code, possibly blocking,
+// proportional to the body — and so must never run on a mux read loop.
+func (gp *gluePending) WhenDone(fn func()) {
+	go func() {
+		<-gp.p.Done()
+		fn()
+	}()
 }
 
 func (gp *gluePending) Reply() (*wire.Message, error) {

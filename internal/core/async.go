@@ -13,7 +13,6 @@ import (
 
 	"openhpcxx/internal/future"
 	"openhpcxx/internal/obs"
-	"openhpcxx/internal/transport"
 	"openhpcxx/internal/wire"
 )
 
@@ -66,15 +65,15 @@ func (g *GlobalPtr) InvokeAsyncCtx(ctx context.Context, method string, args []by
 	fut.OnCancel(func() {
 		<-sem
 		g.host.rt.inflightGauge.Dec()
-		if ab, ok := pending.(interface{ Abandon() }); ok {
-			ab.Abandon()
+		if pending != nil {
+			pending.Abandon()
 		}
 	})
 	switch {
 	case pending == nil || a.err != nil: // the send failed: nothing to wait for
 		g.complete(ctx, root, fut, sem, method, args, a)
 	case ctx.Done() == nil:
-		transport.WhenDone(pending, func() { g.complete(ctx, root, fut, sem, method, args, a) })
+		pending.WhenDone(func() { g.complete(ctx, root, fut, sem, method, args, a) })
 	default:
 		// Reply or context end, whichever is first, finishes the attempt.
 		first := new(atomic.Bool)
@@ -83,7 +82,7 @@ func (g *GlobalPtr) InvokeAsyncCtx(ctx context.Context, method string, args []by
 				g.runAsync(ctx, root, fut, sem, method, args, a)
 			}
 		})
-		transport.WhenDone(pending, func() {
+		pending.WhenDone(func() {
 			if first.CompareAndSwap(false, true) {
 				stop()
 				g.complete(ctx, root, fut, sem, method, args, a)
@@ -94,7 +93,7 @@ func (g *GlobalPtr) InvokeAsyncCtx(ctx context.Context, method string, args []by
 }
 
 // complete is an asynchronous invocation's continuation, bound by
-// transport.WhenDone's contract: it finishes the first attempt where the
+// Pending.WhenDone's contract: it finishes the first attempt where the
 // exchange resolved and resolves the future. A retry, and a fault —
 // settling one may call the GP's refresh hook — get a goroutine.
 func (g *GlobalPtr) complete(ctx context.Context, root *obs.Active, fut *future.Future, sem chan struct{}, method string, args []byte, a attempt) {

@@ -374,6 +374,7 @@ type Context struct {
 	nextObj    uint64
 	closed     bool
 	draining   bool
+	inflight   sync.WaitGroup // requests dispatch admitted (under mu.RLock)
 
 	// srvConns / srvInflight are shared by every transport server this
 	// context binds (additive: each server Inc/Decs deltas only).
@@ -582,13 +583,10 @@ func (c *Context) nexus() *nexus.Node {
 	return c.nexusNode
 }
 
-// Drain puts the context into lame-duck mode ahead of a planned
-// shutdown or migration wave: every transport server stops accepting
-// connections and finishes its in-flight handlers, and new requests —
-// on surviving connections or through any other protocol class — are
-// rejected with a retryable FaultUnavailable so callers fail over to
-// another endpoint instead of losing work. Drain returns when in-flight
-// requests have completed; Close remains the hard stop.
+// Drain puts the context into lame-duck mode ahead of a planned shutdown
+// or migration wave and returns once the requests it had admitted have
+// finished. Listeners stay open, and dispatch gives every later request
+// a verdict of its own (refuse). Close remains the hard stop.
 func (c *Context) Drain() {
 	c.mu.Lock()
 	if c.draining || c.closed {
@@ -596,14 +594,9 @@ func (c *Context) Drain() {
 		return
 	}
 	c.draining = true
-	servers := append([]io.Closer(nil), c.servers...)
 	c.mu.Unlock()
 	c.rt.recordEvent("drain", "", "context %s draining", c.name)
-	for _, s := range servers {
-		if d, ok := s.(interface{ Drain() }); ok {
-			d.Drain()
-		}
-	}
+	c.inflight.Wait()
 }
 
 // Draining reports whether the context is in lame-duck mode.

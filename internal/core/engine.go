@@ -64,9 +64,7 @@ type attempt struct {
 // waiting for the reply: natively when the protocol pipelines, otherwise
 // by running its blocking Call in a goroutine of its own — the futures
 // surface is preserved, per-connection pipelining is not. The glue
-// protocol starts its base protocol through it too. (transport.WhenDone
-// adapts the other way: a pending that cannot run a continuation where
-// it resolves is waited for on a goroutine.)
+// protocol starts its base protocol through it too.
 func Begin(p Protocol, m *wire.Message) (Pending, error) {
 	if pp, ok := p.(PipelinedProtocol); ok {
 		return pp.Begin(m)
@@ -163,9 +161,7 @@ func (g *GlobalPtr) finish(ctx context.Context, root *obs.Active, a *attempt, la
 			case <-a.pending.Done():
 				a.reply, a.err = a.pending.Reply()
 			case <-ctx.Done():
-				if ab, ok := a.pending.(interface{ Abandon() }); ok {
-					ab.Abandon()
-				}
+				a.pending.Abandon()
 				if errors.Is(ctx.Err(), context.DeadlineExceeded) && rt.FailoverEnabled() {
 					if ht := rt.Health(); ht != nil {
 						ht.ReportFailure(a.b.key)

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"openhpcxx/internal/clock"
+	"openhpcxx/internal/errs"
 	"openhpcxx/internal/health"
 	"openhpcxx/internal/netsim"
 	"openhpcxx/internal/obs/obstest"
@@ -249,10 +250,13 @@ func TestDrainTripsBreakerAndFailsOver(t *testing.T) {
 	obstest.AssertRetried(t, tr, "unavailable")
 	obstest.AssertConnected(t, tr)
 	// The primary's refusal and the backup's service are the same trace.
-	// The refusal shows as a transport-level decode with no dispatch (the
-	// draining transport rejects before the handler), then retry,
-	// re-select, and a served dispatch on the backup.
-	obstest.AssertPath(t, tr, "invoke→select→decode→retry→select→decode→dispatch→servant")
+	// The refusal is the primary's dispatch span, with cause "draining"
+	// and no servant under it (the context is the one lame duck), then
+	// retry, re-select, and a served dispatch on the backup.
+	obstest.AssertPath(t, tr, "invoke→select→decode→dispatch→retry→select→decode→dispatch→servant")
+	if d := obstest.Named(tr, "dispatch"); len(d) != 2 || d[0].Cause != "draining" || d[0].Err == "" || d[1].Cause != "" {
+		t.Fatalf("dispatch spans, want a refusal with cause draining, then service:\n%s", obstest.Format(d))
+	}
 	if got := mustServant(t, backup, "shared/echo").Calls(); got == 0 {
 		t.Fatal("backup never served the failed-over call")
 	}
@@ -365,5 +369,63 @@ func TestInvokeAsyncCtxCancellation(t *testing.T) {
 	// The GP still works for later calls.
 	if _, err := gp.Invoke("echo", []byte("x")); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSyncTimeoutKeepsSharedConnection: a synchronous call that hits the
+// mux's per-call timeout fails alone. The connection it shared stays up,
+// so an asynchronous call already in flight on it completes, its method
+// run once, with no transport error of its own.
+func TestSyncTimeoutKeepsSharedConnection(t *testing.T) {
+	_, rt := testWorld(t)
+	srv, _ := rt.NewContext("srv", "mA")
+	client, _ := rt.NewContext("client", "mC")
+	if err := srv.BindSim(0); err != nil {
+		t.Fatal(err)
+	}
+	stall, gate, entered := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	openGate := sync.OnceFunc(func() { close(gate) })
+	t.Cleanup(func() { close(stall); openGate() })
+	var gated atomic.Int32
+	s, err := srv.Export("Staller", nil, map[string]Method{
+		"stall": func(args []byte) ([]byte, error) { <-stall; return args, nil },
+		"gate": func(args []byte) ([]byte, error) {
+			if gated.Add(1) == 1 {
+				close(entered)
+			}
+			<-gate
+			return args, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, _ := srv.EntryStream()
+	ref := srv.NewRef(s, e)
+	fut := client.NewGlobalPtr(ref).InvokeAsync("gate", []byte("a"))
+	<-entered
+
+	addr, _ := srv.Binding(ProtoStream)
+	mux, err := client.muxes.Get(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mux.SetTimeout(20 * time.Millisecond) // the async call keeps the timeout it began with
+	caller := client.NewGlobalPtr(ref)
+	caller.SetRetryBudget(RetryBudgetConfig{MaxTokens: 0.5}) // one attempt: no token for a retry
+	before := readEngineCounts(rt, ProtoStream).transportErrors
+	var be *errs.BudgetExhausted
+	if _, err := caller.Invoke("stall", nil); !errors.As(err, &be) || be.Code != errs.Expired {
+		t.Fatalf("sync call to a stalled method: %v, want a timeout", err)
+	}
+	openGate()
+	if body, err := fut.Wait(); err != nil || string(body) != "a" {
+		t.Fatalf("async call on the shared connection: %q, %v", body, err)
+	}
+	if got := gated.Load(); got != 1 {
+		t.Fatalf("async method ran %d times, want 1", got)
+	}
+	if got := readEngineCounts(rt, ProtoStream).transportErrors - before; got != 1 {
+		t.Fatalf("%d transport errors, want 1 (the sync timeout alone)", got)
 	}
 }

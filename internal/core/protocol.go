@@ -20,11 +20,17 @@ type Protocol interface {
 	Close() error
 }
 
-// Pending is one in-flight pipelined exchange — the completion handle a
-// PipelinedProtocol returns from Begin: transport.Pending, so mux
-// pendings flow straight up through protocol objects. How the engine
-// learns that one has resolved is transport.WhenDone's business.
-type Pending = transport.Pending
+// Pending is one in-flight pipelined exchange — what a PipelinedProtocol's
+// Begin returns — and all the engine does with one: Abandon resolves it
+// with transport.ErrAbandoned (a late reply is dropped), and WhenDone
+// runs fn once, where it resolves — on a mux read loop, say, so fn is
+// short and never blocks. transport.PendingCall and transport.Cell are
+// Pendings as they are. DESIGN.md §4.9.
+type Pending interface {
+	transport.Pending
+	Abandon()
+	WhenDone(fn func())
+}
 
 // PipelinedProtocol is the optional interface of protocol objects that
 // can keep many requests in flight per connection: Begin sends the

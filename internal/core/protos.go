@@ -154,7 +154,11 @@ func (p *streamProto) Begin(m *wire.Message) (Pending, error) {
 	coal := p.coal
 	p.mu.Unlock()
 	if coal != nil && m.Type == wire.TRequest {
-		return coal.Begin(m)
+		c, err := coal.Begin(m)
+		if err != nil {
+			return nil, err // not a nil *Cell in a non-nil Pending
+		}
+		return c, nil
 	}
 	return p.begin(m)
 }
@@ -191,19 +195,15 @@ func (p *streamProto) BatchStats() (queued, queuedBytes int, on bool) {
 	return q, b, true
 }
 
+// Call is Begin plus the wait, as for nexus. A failed exchange leaves the
+// pooled mux alone — other exchanges share it, begin drops it when a
+// write fails, and the pool replaces one whose read loop died.
 func (p *streamProto) Call(m *wire.Message) (*wire.Message, error) {
 	pending, err := p.Begin(m)
 	if err != nil {
-		// The pooled connection may have died; begin already dropped it
-		// so the next call redials instead of failing forever.
 		return nil, err
 	}
-	reply, err := pending.Reply()
-	if err != nil {
-		p.host.muxes.Drop(p.addr)
-		return nil, err
-	}
-	return reply, nil
+	return pending.Reply()
 }
 
 // Post implements OneWayProtocol: the frame is written with no reply

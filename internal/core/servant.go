@@ -163,48 +163,28 @@ func (c *Context) dispatch(m *wire.Message) *wire.Message {
 		ds.SetBytes(len(m.Body))
 		defer ds.End()
 	}
+	if m.Type == wire.TBatch {
+		return c.handleBatch(m) // every sub-request gets its own verdict
+	}
+	if m.Type != wire.TRequest && m.Type != wire.TControl {
+		return nil
+	}
+	c.mu.RLock()
+	draining := c.draining
+	if !draining {
+		c.inflight.Add(1)
+	}
+	c.mu.RUnlock()
+	if draining {
+		return c.refuse(m, ds)
+	}
+	defer c.inflight.Done()
 	if m.Type == wire.TControl {
 		// One-way invocation: execute, never reply.
 		if m.Object != "" && m.Method != "" {
 			c.handleOneWay(m, ds)
 		}
 		return nil
-	}
-	if m.Type == wire.TBatch {
-		return c.handleBatch(m)
-	}
-	if m.Type != wire.TRequest {
-		return nil
-	}
-	c.mu.RLock()
-	draining := c.draining
-	c.mu.RUnlock()
-	if draining {
-		// Lame-duck: reject with a retryable fault so the caller re-issues
-		// the request elsewhere. This covers every protocol class routed
-		// through the shared dispatcher (stream, nexus, custom), not just
-		// transport servers. Tombstones still answer — an evacuation
-		// drains first and moves second, and stale callers must be able to
-		// chase FaultMoved to the object's new home throughout.
-		c.mu.RLock()
-		_, live := c.servants[ObjectID(m.Object)]
-		tomb := c.tombstones[ObjectID(m.Object)]
-		c.mu.RUnlock()
-		var rej error
-		if !live && tomb != nil {
-			ds.SetCause("moved")
-			rej = movedFault(tomb)
-		} else {
-			ds.SetCause("draining")
-			c.srv.drained.Inc()
-			rej = wire.Faultf(wire.FaultUnavailable, "context %s draining", c.name)
-		}
-		ds.SetErr(rej)
-		f, ferr := wire.FaultMessage(m, rej)
-		if ferr != nil {
-			return nil
-		}
-		return f
 	}
 	c.srv.requests.Inc()
 	reply, err := c.handleRequest(m, ds)
@@ -218,6 +198,36 @@ func (c *Context) dispatch(m *wire.Message) *wire.Message {
 		return f
 	}
 	return reply
+}
+
+// refuse is a draining context's verdict on one request: FaultMoved when
+// the object left a tombstone — an evacuation drains first and moves
+// second, and stale callers chase the object to its new home throughout
+// — and a retryable FaultUnavailable otherwise, so the caller re-issues
+// the request elsewhere. A one-way request is dropped.
+func (c *Context) refuse(m *wire.Message, ds *obs.Active) *wire.Message {
+	if m.Type != wire.TRequest {
+		return nil
+	}
+	c.mu.RLock()
+	_, live := c.servants[ObjectID(m.Object)]
+	tomb := c.tombstones[ObjectID(m.Object)]
+	c.mu.RUnlock()
+	var rej error
+	if !live && tomb != nil {
+		ds.SetCause("moved")
+		rej = movedFault(tomb)
+	} else {
+		ds.SetCause("draining")
+		c.srv.drained.Inc()
+		rej = wire.Faultf(wire.FaultUnavailable, "context %s draining", c.name)
+	}
+	ds.SetErr(rej)
+	f, err := wire.FaultMessage(m, rej)
+	if err != nil {
+		return nil
+	}
+	return f
 }
 
 func (c *Context) handleRequest(m *wire.Message, ds *obs.Active) (*wire.Message, error) {

@@ -48,52 +48,6 @@ func ShardObjectID(i int) core.ObjectID {
 	return core.ObjectID(fmt.Sprintf("dir/shard-%d", i))
 }
 
-// bindArgs mirrors the registry's bind wire format (the shard servants
-// reuse registry.Methods, so the directory's writes speak it verbatim).
-type bindArgs struct {
-	Name      string
-	Ref       []byte
-	Overwrite bool
-	TTLNanos  int64
-}
-
-func (a *bindArgs) MarshalXDR(e *xdr.Encoder) error {
-	e.PutString(a.Name)
-	e.PutOpaque(a.Ref)
-	e.PutBool(a.Overwrite)
-	e.PutInt64(a.TTLNanos)
-	return nil
-}
-
-func (a *bindArgs) UnmarshalXDR(d *xdr.Decoder) error {
-	var err error
-	if a.Name, err = d.String(); err != nil {
-		return err
-	}
-	if a.Ref, err = d.Opaque(); err != nil {
-		return err
-	}
-	if a.Overwrite, err = d.Bool(); err != nil {
-		return err
-	}
-	a.TTLNanos, err = d.Int64()
-	return err
-}
-
-// refReply mirrors the registry's lookup reply.
-type refReply struct{ Ref []byte }
-
-func (r *refReply) MarshalXDR(e *xdr.Encoder) error {
-	e.PutOpaque(r.Ref)
-	return nil
-}
-
-func (r *refReply) UnmarshalXDR(d *xdr.Decoder) error {
-	var err error
-	r.Ref, err = d.Opaque()
-	return err
-}
-
 // watchArgs registers (or, for unwatch, removes) a watcher: the encoded
 // reference of the caller's event sink servant.
 type watchArgs struct{ Sink []byte }

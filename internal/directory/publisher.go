@@ -8,6 +8,7 @@ import (
 	"openhpcxx/internal/core"
 	"openhpcxx/internal/errs"
 	"openhpcxx/internal/obs"
+	"openhpcxx/internal/registry"
 )
 
 // DefaultLeaseTTL is the binding lease when PublisherOptions does not
@@ -126,11 +127,11 @@ func (p *Publisher) Unpublish(name string) error {
 // rest).
 func (p *Publisher) fanBind(name string, blob []byte) error {
 	shard := p.ring.Shard(name)
-	args := &bindArgs{Name: name, Ref: blob, Overwrite: true, TTLNanos: int64(p.ttl)}
+	args := &registry.BindArgs{Name: name, Ref: blob, Overwrite: true, TTLNanos: int64(p.ttl)}
 	var ok int
 	var lastErr error
 	for _, gp := range p.replicaGPs[shard] {
-		if _, err := core.Call[*bindArgs, core.Empty](gp, "bind", args); err != nil {
+		if _, err := core.Call[*registry.BindArgs, core.Empty](gp, "bind", args); err != nil {
 			lastErr = err
 		} else {
 			ok++

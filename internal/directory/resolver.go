@@ -7,6 +7,7 @@ import (
 	"openhpcxx/internal/core"
 	"openhpcxx/internal/errs"
 	"openhpcxx/internal/obs"
+	"openhpcxx/internal/registry"
 	"openhpcxx/internal/stats"
 	"openhpcxx/internal/xdr"
 )
@@ -177,7 +178,7 @@ func (r *Resolver) resolve(name string, useCache bool) (*core.ObjectRef, bool, e
 	if err := r.ensureWatch(shard); err != nil {
 		return nil, false, err
 	}
-	reply, err := core.Call[*core.StringValue, refReply](r.readGPs[shard], "lookup", &core.StringValue{V: name})
+	reply, err := core.Call[*core.StringValue, registry.RefReply](r.readGPs[shard], "lookup", &core.StringValue{V: name})
 	if err != nil {
 		return nil, false, err
 	}

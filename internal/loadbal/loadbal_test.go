@@ -401,3 +401,35 @@ func TestRebalanceMultipleMovesPerPass(t *testing.T) {
 		t.Fatal("refB not drained")
 	}
 }
+
+// TestEvacuateStaleCallerChasesInOneInvocation: a global pointer still
+// holding an evacuated host's reference reaches the object at its new
+// home in one invocation — the draining host answers with its
+// tombstone, not with a refusal.
+func TestEvacuateStaleCallerChasesInOneInvocation(t *testing.T) {
+	rt := world(t)
+	old := host(t, rt, "old", "m1")
+	next := host(t, rt, "next", "m2")
+	client := host(t, rt, "client", "m0")
+	ref := exportTicker(t, old)
+	b := New(Policy{HighWater: 5, Margin: 2}, nil)
+	var lo, ln SyntheticLoad
+	b.AddHost(old, lo.Source())
+	b.AddHost(next, ln.Source())
+	b.Manage("", ref, old)
+	gp := client.NewGlobalPtr(ref)
+	if _, err := gp.Invoke("tick", nil); err != nil {
+		t.Fatal(err)
+	}
+
+	moves, err := b.Evacuate(old)
+	if err != nil || len(moves) != 1 || moves[0].To != "next" {
+		t.Fatalf("evacuate: %+v, %v", moves, err)
+	}
+	if _, err := gp.Invoke("tick", nil); err != nil {
+		t.Fatalf("stale caller after evacuation: %v", err)
+	}
+	if gp.Ref().Server.Machine != "m2" {
+		t.Fatalf("gp holds %+v, want the evacuated reference", gp.Ref().Server)
+	}
+}

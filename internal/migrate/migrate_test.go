@@ -612,3 +612,60 @@ func TestChaoticMigrationUnderLoad(t *testing.T) {
 		t.Fatalf("epoch %d", cur.Epoch)
 	}
 }
+
+// TestEvacuateStaleCallerChasesInOneInvocation: after Evacuate, a global
+// pointer still holding the source's reference reaches the object at its
+// new home in one invocation — the draining source answers with its
+// tombstone, not with a refusal — whether the table is a stream or an
+// shm one.
+func TestEvacuateStaleCallerChasesInOneInvocation(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		bind     func(*core.Context) error
+		entry    func(*core.Context) (core.ProtoEntry, error)
+		src, dst string
+	}{
+		{"stream", func(c *core.Context) error { return c.BindSim(0) }, (*core.Context).EntryStream, "m1", "m2"},
+		{"shm", (*core.Context).BindSHM, (*core.Context).EntrySHM, "m0", "m0"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rt := world(t)
+			ctxOn := func(name, machine string) *core.Context {
+				ctx, err := rt.NewContext(name, netsim.MachineID(machine))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := tc.bind(ctx); err != nil {
+					t.Fatal(err)
+				}
+				return ctx
+			}
+			src, dst, client := ctxOn("src", tc.src), ctxOn("dst", tc.dst), ctxOn("client", "m0")
+			impl, methods := counterActivator()
+			s, err := src.Export(counterIface, impl, methods)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e, err := tc.entry(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gp := client.NewGlobalPtr(src.NewRef(s, e))
+			add(t, gp, 1)
+
+			if _, err := Evacuate(src, dst, gp.Ref()); err != nil {
+				t.Fatal(err)
+			}
+			before := dst.Runtime().Metrics().Counter("rpc.retry.attempts").Value()
+			if got := add(t, gp, 1); got != 2 {
+				t.Fatalf("after evacuation: %d, want 2", got)
+			}
+			if gp.Ref().Server.Machine != netsim.MachineID(tc.dst) || gp.Ref().Epoch != 1 {
+				t.Fatalf("gp holds %+v, want the evacuated reference", gp.Ref().Server)
+			}
+			if n := dst.Runtime().Metrics().Counter("rpc.retry.attempts").Value(); n != before {
+				t.Fatalf("%d budget-charged retries, want none (a chase is free)", n-before)
+			}
+		})
+	}
+}

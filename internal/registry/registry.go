@@ -296,16 +296,17 @@ func (s *Service) Restore(state []byte) error {
 	return nil
 }
 
-// bindArgs is the wire form of Bind/Rebind. TTLNanos of zero means the
-// binding never expires.
-type bindArgs struct {
+// BindArgs is the wire form of the "bind" method behind Bind and Rebind
+// (the directory's shard servants speak it too). TTLNanos of zero means
+// the binding never expires.
+type BindArgs struct {
 	Name      string
 	Ref       []byte
 	Overwrite bool
 	TTLNanos  int64
 }
 
-func (a *bindArgs) MarshalXDR(e *xdr.Encoder) error {
+func (a *BindArgs) MarshalXDR(e *xdr.Encoder) error {
 	e.PutString(a.Name)
 	e.PutOpaque(a.Ref)
 	e.PutBool(a.Overwrite)
@@ -313,7 +314,7 @@ func (a *bindArgs) MarshalXDR(e *xdr.Encoder) error {
 	return nil
 }
 
-func (a *bindArgs) UnmarshalXDR(d *xdr.Decoder) error {
+func (a *BindArgs) UnmarshalXDR(d *xdr.Decoder) error {
 	var err error
 	if a.Name, err = d.String(); err != nil {
 		return err
@@ -349,14 +350,15 @@ func (a *renewArgs) UnmarshalXDR(d *xdr.Decoder) error {
 	return err
 }
 
-type refReply struct{ Ref []byte }
+// RefReply is the wire form of a "lookup" reply: the encoded reference.
+type RefReply struct{ Ref []byte }
 
-func (r *refReply) MarshalXDR(e *xdr.Encoder) error {
+func (r *RefReply) MarshalXDR(e *xdr.Encoder) error {
 	e.PutOpaque(r.Ref)
 	return nil
 }
 
-func (r *refReply) UnmarshalXDR(d *xdr.Decoder) error {
+func (r *RefReply) UnmarshalXDR(d *xdr.Decoder) error {
 	var err error
 	r.Ref, err = d.Opaque()
 	return err
@@ -378,7 +380,7 @@ func (r *listReply) UnmarshalXDR(d *xdr.Decoder) error {
 // Methods returns the servant method table for a Service.
 func Methods(s *Service) map[string]core.Method {
 	return map[string]core.Method{
-		"bind": core.Handler(func(a *bindArgs) (*core.Empty, error) {
+		"bind": core.Handler(func(a *BindArgs) (*core.Empty, error) {
 			if a.Name == "" {
 				return nil, wire.Faultf(wire.FaultBadRequest, "registry: empty name")
 			}
@@ -417,7 +419,7 @@ func Methods(s *Service) map[string]core.Method {
 			s.emit(evs)
 			return &core.Empty{}, nil
 		}),
-		"lookup": core.Handler(func(a *core.StringValue) (*refReply, error) {
+		"lookup": core.Handler(func(a *core.StringValue) (*RefReply, error) {
 			var evs []Event
 			s.mu.Lock()
 			b, ok := s.entries[a.V]
@@ -431,7 +433,7 @@ func Methods(s *Service) map[string]core.Method {
 			if !ok {
 				return nil, wire.Faultf(wire.FaultNoObject, "registry: no binding %q", a.V)
 			}
-			return &refReply{Ref: b.ref}, nil
+			return &RefReply{Ref: b.ref}, nil
 		}),
 		"renew": core.Handler(func(a *renewArgs) (*core.Empty, error) {
 			if a.TTLNanos <= 0 {
@@ -604,13 +606,13 @@ func (c *Client) bind(name string, ref *core.ObjectRef, overwrite bool, ttl time
 	if err != nil {
 		return err
 	}
-	_, err = core.Call[*bindArgs, core.Empty](c.gp, "bind", &bindArgs{Name: name, Ref: blob, Overwrite: overwrite, TTLNanos: int64(ttl)})
+	_, err = core.Call[*BindArgs, core.Empty](c.gp, "bind", &BindArgs{Name: name, Ref: blob, Overwrite: overwrite, TTLNanos: int64(ttl)})
 	return err
 }
 
 // Lookup resolves a name to an object reference.
 func (c *Client) Lookup(name string) (*core.ObjectRef, error) {
-	r, err := core.Call[*core.StringValue, refReply](c.gp, "lookup", &core.StringValue{V: name})
+	r, err := core.Call[*core.StringValue, RefReply](c.gp, "lookup", &core.StringValue{V: name})
 	if err != nil {
 		return nil, err
 	}

@@ -119,21 +119,21 @@ func TestBindEventSemantics(t *testing.T) {
 	refA, refB := encodedRef(t, "a/1"), encodedRef(t, "a/2")
 
 	// A fresh bind is churn.
-	if err := invoke(t, svc, "bind", &bindArgs{Name: "n", Ref: refA, TTLNanos: int64(time.Minute)}); err != nil {
+	if err := invoke(t, svc, "bind", &BindArgs{Name: "n", Ref: refA, TTLNanos: int64(time.Minute)}); err != nil {
 		t.Fatal(err)
 	}
 	if got := log.count(EventBind, "n"); got != 1 {
 		t.Fatalf("fresh bind fired %d events", got)
 	}
 	// A heartbeat rebind (same ref) refreshes the lease silently.
-	if err := invoke(t, svc, "bind", &bindArgs{Name: "n", Ref: refA, Overwrite: true, TTLNanos: int64(time.Minute)}); err != nil {
+	if err := invoke(t, svc, "bind", &BindArgs{Name: "n", Ref: refA, Overwrite: true, TTLNanos: int64(time.Minute)}); err != nil {
 		t.Fatal(err)
 	}
 	if got := log.count(EventBind, "n"); got != 1 {
 		t.Fatalf("heartbeat rebind fired an event (%d total)", got)
 	}
 	// Rebinding to a different ref is churn again.
-	if err := invoke(t, svc, "bind", &bindArgs{Name: "n", Ref: refB, Overwrite: true, TTLNanos: int64(time.Minute)}); err != nil {
+	if err := invoke(t, svc, "bind", &BindArgs{Name: "n", Ref: refB, Overwrite: true, TTLNanos: int64(time.Minute)}); err != nil {
 		t.Fatal(err)
 	}
 	if got := log.count(EventBind, "n"); got != 2 {
@@ -153,7 +153,7 @@ func TestLazyExpiryOnLookupFiresExpireEvent(t *testing.T) {
 	svc := NewServiceWithClock(fc)
 	log := new(eventLog)
 	svc.SetNotify(log.add)
-	if err := invoke(t, svc, "bind", &bindArgs{Name: "n", Ref: encodedRef(t, "a/1"), TTLNanos: int64(time.Second)}); err != nil {
+	if err := invoke(t, svc, "bind", &BindArgs{Name: "n", Ref: encodedRef(t, "a/1"), TTLNanos: int64(time.Second)}); err != nil {
 		t.Fatal(err)
 	}
 	fc.Advance(2 * time.Second)
@@ -171,10 +171,10 @@ func TestLazyExpiryOnLookupFiresExpireEvent(t *testing.T) {
 func TestCountsTrackLeases(t *testing.T) {
 	fc := clock.NewFake(time.Unix(10_000, 0))
 	svc := NewServiceWithClock(fc)
-	if err := invoke(t, svc, "bind", &bindArgs{Name: "a", Ref: encodedRef(t, "a/1"), TTLNanos: int64(time.Minute)}); err != nil {
+	if err := invoke(t, svc, "bind", &BindArgs{Name: "a", Ref: encodedRef(t, "a/1"), TTLNanos: int64(time.Minute)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := invoke(t, svc, "bind", &bindArgs{Name: "b", Ref: encodedRef(t, "a/2")}); err != nil {
+	if err := invoke(t, svc, "bind", &BindArgs{Name: "b", Ref: encodedRef(t, "a/2")}); err != nil {
 		t.Fatal(err)
 	}
 	if total, leased := svc.Counts(); total != 2 || leased != 1 {

@@ -69,7 +69,13 @@ func (c *Cell) Resolve(reply *wire.Message, err error) bool {
 	return true
 }
 
-// WhenDone registers the continuation (the package's WhenDone finds it).
+// WhenDone runs fn exactly once when the cell has resolved; one
+// registration per cell. fn runs on the goroutine that resolves it — a
+// mux read loop, a timeout timer, the caller of Abandon — or here if it
+// already has: under no transport lock, and never on a goroutine inside
+// Begin, Post or Close, whose caller may hold locks. So fn is the ORB's
+// short, non-blocking completion code, never a capability or a servant.
+// DESIGN.md §4.9.
 func (c *Cell) WhenDone(fn func()) {
 	c.mu.Lock()
 	if !c.resolved {
@@ -81,15 +87,13 @@ func (c *Cell) WhenDone(fn func()) {
 	fn()
 }
 
-// WhenDone runs fn exactly once when p has resolved; one registration
-// per pending. A pending built on a Cell runs fn on the goroutine that
-// resolves it — a mux read loop, a timeout timer, the caller of Abandon
-// — or here if it already has: under no transport lock, and never on a
-// goroutine inside Begin, Post or Close, whose caller may hold locks. So
-// fn is the ORB's short, non-blocking completion code, never a
-// capability or a servant; any other pending (a capability chain's, a
-// foreign protocol's) is waited for on a goroutine. DESIGN.md §4.9.
-func WhenDone(p Pending, fn func()) {
+// Abandon gives up on the exchange: unless it is in, the outcome is
+// ErrAbandoned, resolved here.
+func (c *Cell) Abandon() { c.Resolve(nil, ErrAbandoned) }
+
+// whenDone runs fn once a coalescer's send result has resolved: where it
+// resolves for a cell, and on a goroutine for any other pending.
+func whenDone(p Pending, fn func()) {
 	if c, ok := p.(interface{ WhenDone(func()) }); ok {
 		c.WhenDone(fn)
 		return

@@ -116,7 +116,7 @@ func (c *Coalescer) SetTracer(tr *obs.Tracer) { c.tracer = tr }
 // Begin queues msg for the next batch and returns its completion
 // handle. Only two-way requests belong in batches; callers keep
 // one-way traffic on the direct path.
-func (c *Coalescer) Begin(msg *wire.Message) (Pending, error) {
+func (c *Coalescer) Begin(msg *wire.Message) (*Cell, error) {
 	if msg.Type != wire.TRequest {
 		return nil, errs.Newf(errs.BadRequest, "transport: cannot batch %v frame", msg.Type)
 	}
@@ -189,7 +189,7 @@ func (c *Coalescer) flushTimer() {
 }
 
 // dispatch ships one batch and has the batch reply demultiplexed to the
-// items by position where it resolves (WhenDone). A batch of one skips
+// items by position where it resolves (whenDone). A batch of one skips
 // TBatch framing entirely — adaptivity means a lone caller never pays
 // the batch envelope — and forwards its resolution. What fails before
 // anything is in flight is reported from a goroutine of its own: this
@@ -201,7 +201,7 @@ func (c *Coalescer) dispatch(items []batchItem) {
 			go failAll(items, err)
 			return
 		}
-		WhenDone(p, func() { items[0].p.Resolve(p.Reply()) })
+		whenDone(p, func() { items[0].p.Resolve(p.Reply()) })
 		return
 	}
 
@@ -224,7 +224,7 @@ func (c *Coalescer) dispatch(items []batchItem) {
 	if err == nil {
 		var p Pending
 		if p, err = c.send(frame); err == nil {
-			WhenDone(p, func() { demux(items, p) })
+			whenDone(p, func() { demux(items, p) })
 			return
 		}
 	}

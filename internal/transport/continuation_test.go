@@ -85,11 +85,19 @@ func batchReplyOf(t *testing.T, req *wire.Message, n int) *wire.Message {
 	return out
 }
 
+// exchange is what the ORB drives: a pending that takes a continuation
+// and can be abandoned (core.Pending).
+type exchange interface {
+	Pending
+	WhenDone(func())
+	Abandon()
+}
+
 // resolverCase sets one exchange up and returns it unresolved, with the
 // act that resolves it and the check on its outcome.
 type resolverCase struct {
 	name  string
-	setup func(t *testing.T) (p Pending, resolve func(), check func(reply *wire.Message, err error) bool)
+	setup func(t *testing.T) (p exchange, resolve func(), check func(reply *wire.Message, err error) bool)
 }
 
 func wantErr(target error) func(*wire.Message, error) bool {
@@ -106,7 +114,7 @@ func wantPong(reply *wire.Message, err error) bool {
 
 // batchOfTwo queues two requests on a coalescer over sp's mux, flushed by
 // hand; the case resolves the first item.
-func batchOfTwo(t *testing.T, sp *scriptedPeer) (*Coalescer, Pending) {
+func batchOfTwo(t *testing.T, sp *scriptedPeer) (*Coalescer, *Cell) {
 	t.Helper()
 	co := NewCoalescer(muxSender(sp.m), BatchPolicy{MaxMessages: 64, MaxDelay: time.Hour})
 	t.Cleanup(co.Close)
@@ -121,7 +129,7 @@ func batchOfTwo(t *testing.T, sp *scriptedPeer) (*Coalescer, Pending) {
 }
 
 var resolverCases = []resolverCase{
-	{"matched-reply", func(t *testing.T) (Pending, func(), func(*wire.Message, error) bool) {
+	{"matched-reply", func(t *testing.T) (exchange, func(), func(*wire.Message, error) bool) {
 		sp := newScriptedPeer(t)
 		p := sp.begin(t)
 		req := sp.request(t)
@@ -129,24 +137,28 @@ var resolverCases = []resolverCase{
 			_ = wire.Write(sp.far, &wire.Message{Type: wire.TReply, RequestID: req.RequestID, Body: []byte("pong")})
 		}, wantPong
 	}},
-	{"abandon", func(t *testing.T) (Pending, func(), func(*wire.Message, error) bool) {
+	{"abandon", func(t *testing.T) (exchange, func(), func(*wire.Message, error) bool) {
 		p := newScriptedPeer(t).begin(t)
 		return p, p.Abandon, wantErr(ErrAbandoned)
 	}},
-	{"call-timeout", func(t *testing.T) (Pending, func(), func(*wire.Message, error) bool) {
+	{"batch-item-abandon", func(t *testing.T) (exchange, func(), func(*wire.Message, error) bool) {
+		_, p := batchOfTwo(t, newScriptedPeer(t))
+		return p, p.Abandon, wantErr(ErrAbandoned)
+	}},
+	{"call-timeout", func(t *testing.T) (exchange, func(), func(*wire.Message, error) bool) {
 		sp := newScriptedPeer(t)
 		sp.m.SetTimeout(5 * time.Millisecond)
 		return sp.begin(t), func() {}, wantCode(errs.Expired)
 	}},
-	{"mux-close", func(t *testing.T) (Pending, func(), func(*wire.Message, error) bool) {
+	{"mux-close", func(t *testing.T) (exchange, func(), func(*wire.Message, error) bool) {
 		sp := newScriptedPeer(t)
 		return sp.begin(t), func() { sp.m.Close() }, wantErr(ErrMuxClosed)
 	}},
-	{"mux-fail", func(t *testing.T) (Pending, func(), func(*wire.Message, error) bool) {
+	{"mux-fail", func(t *testing.T) (exchange, func(), func(*wire.Message, error) bool) {
 		sp := newScriptedPeer(t)
 		return sp.begin(t), func() { sp.far.Close() }, func(_ *wire.Message, err error) bool { return err != nil }
 	}},
-	{"begin-write-failure", func(t *testing.T) (Pending, func(), func(*wire.Message, error) bool) {
+	{"begin-write-failure", func(t *testing.T) (exchange, func(), func(*wire.Message, error) bool) {
 		// The mux hands out no pending when its write fails; the
 		// coalescer's items are where that failure lands (failAll).
 		sp := newScriptedPeer(t)
@@ -154,7 +166,7 @@ var resolverCases = []resolverCase{
 		sp.failWrites.Store(true)
 		return p, co.Flush, wantErr(errWriteBoom)
 	}},
-	{"batch-of-one", func(t *testing.T) (Pending, func(), func(*wire.Message, error) bool) {
+	{"batch-of-one", func(t *testing.T) (exchange, func(), func(*wire.Message, error) bool) {
 		sp := newScriptedPeer(t)
 		co := NewCoalescer(muxSender(sp.m), BatchPolicy{MaxMessages: 64, MaxDelay: time.Hour})
 		t.Cleanup(co.Close)
@@ -168,28 +180,28 @@ var resolverCases = []resolverCase{
 			_ = wire.Write(sp.far, &wire.Message{Type: wire.TReply, RequestID: req.RequestID, Body: []byte("pong")})
 		}, wantPong
 	}},
-	{"batch-reply", func(t *testing.T) (Pending, func(), func(*wire.Message, error) bool) {
+	{"batch-reply", func(t *testing.T) (exchange, func(), func(*wire.Message, error) bool) {
 		sp := newScriptedPeer(t)
 		co, p := batchOfTwo(t, sp)
 		co.Flush()
 		req := sp.request(t)
 		return p, func() { _ = wire.Write(sp.far, batchReplyOf(t, req, 2)) }, wantPong
 	}},
-	{"batch-reply-short", func(t *testing.T) (Pending, func(), func(*wire.Message, error) bool) {
+	{"batch-reply-short", func(t *testing.T) (exchange, func(), func(*wire.Message, error) bool) {
 		sp := newScriptedPeer(t)
 		co, p := batchOfTwo(t, sp)
 		co.Flush()
 		req := sp.request(t)
 		return p, func() { _ = wire.Write(sp.far, batchReplyOf(t, req, 1)) }, wantCode(errs.Codec)
 	}},
-	{"batch-reply-oversized", func(t *testing.T) (Pending, func(), func(*wire.Message, error) bool) {
+	{"batch-reply-oversized", func(t *testing.T) (exchange, func(), func(*wire.Message, error) bool) {
 		sp := newScriptedPeer(t)
 		co, p := batchOfTwo(t, sp)
 		co.Flush()
 		req := sp.request(t)
 		return p, func() { _ = wire.Write(sp.far, batchReplyOf(t, req, 3)) }, wantCode(errs.Codec)
 	}},
-	{"batch-connection-dies", func(t *testing.T) (Pending, func(), func(*wire.Message, error) bool) {
+	{"batch-connection-dies", func(t *testing.T) (exchange, func(), func(*wire.Message, error) bool) {
 		sp := newScriptedPeer(t)
 		co, p := batchOfTwo(t, sp)
 		co.Flush()
@@ -223,13 +235,13 @@ func TestContinuationContract(t *testing.T) {
 				}
 				switch when {
 				case "before":
-					WhenDone(p, fn)
+					p.WhenDone(fn)
 					resolve()
 				case "after":
 					resolve()
 					<-p.Done()
-					WhenDone(p, fn)
-					if _, isCell := p.(interface{ WhenDone(func()) }); isCell && runs.Load() != 1 {
+					p.WhenDone(fn)
+					if runs.Load() != 1 {
 						t.Fatal("a resolved pending did not run its continuation on the registering goroutine")
 					}
 				case "concurrent":
@@ -239,7 +251,7 @@ func TestContinuationContract(t *testing.T) {
 						defer wg.Done()
 						resolve()
 					}()
-					WhenDone(p, fn)
+					p.WhenDone(fn)
 					wg.Wait()
 				}
 				select {
@@ -251,9 +263,7 @@ func TestContinuationContract(t *testing.T) {
 					t.Fatalf("inside the continuation: reply %v, err %v", inside.reply, inside.err)
 				}
 				// Every other resolver loses from here on.
-				if ab, ok := p.(interface{ Abandon() }); ok {
-					ab.Abandon()
-				}
+				p.Abandon()
 				if c, ok := p.(*Cell); ok {
 					c.Resolve(nil, errors.New("late"))
 				}
@@ -281,7 +291,7 @@ func TestContinuationMayCloseItsMux(t *testing.T) {
 	)
 	first := sp.begin(t)
 	req := sp.request(t)
-	WhenDone(first, func() {
+	first.WhenDone(func() {
 		runs[0].Add(1)
 		sp.m.Close()
 		_, err := first.Reply()
@@ -290,7 +300,7 @@ func TestContinuationMayCloseItsMux(t *testing.T) {
 	for i := 1; i < n; i++ {
 		p := sp.begin(t)
 		sp.request(t)
-		WhenDone(p, func() {
+		p.WhenDone(func() {
 			runs[i].Add(1)
 			sp.m.Close()
 			_, err := p.Reply()
@@ -344,12 +354,12 @@ func TestCloseDoesNotRunContinuations(t *testing.T) {
 	}
 
 	sp := newScriptedPeer(t)
-	WhenDone(sp.begin(t), locked)
+	sp.begin(t).WhenDone(locked)
 	go underLock(func() { sp.m.Close() })
 
 	sp2 := newScriptedPeer(t)
 	co, p := batchOfTwo(t, sp2)
-	WhenDone(p, locked)
+	p.WhenDone(locked)
 	sp2.failWrites.Store(true)
 	go underLock(co.Flush)
 

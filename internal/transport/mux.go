@@ -20,9 +20,9 @@ var ErrMuxClosed = errors.New("transport: mux closed")
 const DefaultCallTimeout = 30 * time.Second
 
 // Pending is one in-flight request/reply exchange: a completion handle
-// the caller waits on, or hands a continuation through WhenDone. The ORB
-// re-exports it as core.Pending, so protocol objects hand mux pendings
-// straight up the stack.
+// the caller waits on. The ORB's core.Pending adds Abandon and WhenDone,
+// which PendingCall and Cell have, so protocol objects hand mux and
+// coalescer pendings straight up the stack.
 type Pending interface {
 	// Done is closed when the exchange resolves (reply, transport
 	// failure, timeout or abandonment).
@@ -121,7 +121,7 @@ func (m *Mux) readLoop() {
 		if ok {
 			// resolve never blocks (no channel send), so a caller that
 			// raced an abandon with this delivery cannot stall the reader;
-			// the continuation it runs is bound by WhenDone's contract.
+			// the continuation it runs is bound by Cell.WhenDone's contract.
 			p.resolve(msg, nil)
 		}
 		// Replies for abandoned requests are dropped.
@@ -261,7 +261,7 @@ func (m *Mux) InFlight() int {
 }
 
 // Close tears down the connection; outstanding calls fail as the read
-// loop sees it go, not on the closer's goroutine (see WhenDone).
+// loop sees it go, not on the closer's goroutine (see Cell.WhenDone).
 func (m *Mux) Close() error {
 	m.mu.Lock()
 	if m.closed {

@@ -195,11 +195,11 @@ var ErrNodeClosed = errors.New("nexus: node closed")
 
 // PendingRSR is one in-flight request/reply RSR issued with BeginRSR.
 type PendingRSR struct {
-	p transport.Pending
+	p *transport.PendingCall
 }
 
-// WhenDone runs fn where the RSR resolves (transport.WhenDone).
-func (p *PendingRSR) WhenDone(fn func()) { transport.WhenDone(p.p, fn) }
+// WhenDone runs fn where the RSR resolves (transport.Cell.WhenDone).
+func (p *PendingRSR) WhenDone(fn func()) { p.p.WhenDone(fn) }
 
 // Result returns the reply buffer or error; it blocks until the RSR
 // resolves.

@@ -25,17 +25,12 @@ type Handler func(*wire.Message) *wire.Message
 // each. One Server typically backs one protocol class (the server-side
 // half of a protocol object in the paper's terminology).
 type Server struct {
-	l        net.Listener
-	h        Handler
-	mu       sync.Mutex
-	conns    map[net.Conn]struct{}
-	closed   bool
-	draining bool
-	wg       sync.WaitGroup
-	// hwg counts only in-flight handler invocations (not accept/conn
-	// loops), so Drain can wait for real work to finish while leaving
-	// connections open to carry "go elsewhere" faults.
-	hwg     sync.WaitGroup
+	l       net.Listener
+	h       Handler
+	mu      sync.Mutex
+	conns   map[net.Conn]struct{}
+	closed  bool
+	wg      sync.WaitGroup
 	maxPerC int
 
 	// tracer, when set, records a server-side "decode" span for every
@@ -132,7 +127,10 @@ func (s *Server) connLoop(c net.Conn) {
 			defer s.wg.Done()
 			defer func() { <-sem }()
 			defer msg.Release() // after the write: the reply may alias the request
-			reply := s.handle(msg)
+			g := s.inflightGauge.Load()
+			g.Inc()
+			reply := s.h(msg)
+			g.Dec()
 			if reply == nil {
 				return
 			}
@@ -151,62 +149,13 @@ func (s *Server) connLoop(c net.Conn) {
 	}
 }
 
-// handle runs one request through the handler, or — when the server is
-// draining — rejects it with a retryable FaultUnavailable so the client
-// re-issues it against another endpoint instead of losing it.
-func (s *Server) handle(msg *wire.Message) *wire.Message {
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		if msg.Type != wire.TRequest && msg.Type != wire.TBatch {
-			return nil // one-way control traffic gets no fault
-		}
-		f, err := wire.FaultMessage(msg, wire.Faultf(wire.FaultUnavailable, "server draining"))
-		if err != nil {
-			return nil
-		}
-		return f
-	}
-	s.hwg.Add(1)
-	s.mu.Unlock()
-	defer s.hwg.Done()
-	g := s.inflightGauge.Load()
-	g.Inc()
-	defer g.Dec()
-	return s.h(msg)
-}
-
-// Drain puts the server into lame-duck mode: the listener closes (no new
-// connections), requests already being handled run to completion, and
-// new requests on live connections are rejected with a retryable
-// FaultUnavailable instead of being executed or dropped. Drain returns
-// once every in-flight handler has finished; connections stay open so
-// clients hear the rejection and fail over cleanly. Close() remains the
-// hard stop.
-func (s *Server) Drain() {
-	s.mu.Lock()
-	if s.draining || s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.draining = true
-	s.mu.Unlock()
-	s.l.Close()
-	s.hwg.Wait()
-}
-
-// Draining reports whether the server is in lame-duck mode.
-func (s *Server) Draining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining
-}
-
 // Addr returns the listener's address.
 func (s *Server) Addr() net.Addr { return s.l.Addr() }
 
 // Close stops accepting, closes live connections, and waits for
-// in-flight handlers to drain.
+// in-flight handlers to finish. The server has no lame-duck mode of its
+// own: draining is the dispatcher's (core.Context.Drain), which answers
+// every request on connections that stay open.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
