@@ -75,8 +75,9 @@ faults:
 # Decoder fuzzing: the header decoder and the TBatch body decoder must
 # never panic and must round-trip every input they accept; no capability's
 # Unprocess may panic on hostile (envelope, body) bytes, and auth, checksum
-# and encrypt must reject any one-bit flip of what Process wrote; no XDR
-# primitive or reflective decode may panic, the array kernels must agree
+# and encrypt must reject any one-bit flip of what Process wrote; a glue
+# server must survive any envelope chain and refund what a rejected one
+# charged; no XDR primitive decode may panic, the array kernels must agree
 # with the byte-wise reference at every offset, and a lending decode must
 # agree with an owning one and give back every buffer it took. Go runs one
 # fuzz target per invocation.
@@ -85,8 +86,8 @@ fuzz:
 	$(GO) test ./internal/wire/ -run='^$$' -fuzz=FuzzDecodeBatch -fuzztime=10s
 	$(GO) test ./internal/wire/ -run='^$$' -fuzz=FuzzRead -fuzztime=10s
 	$(GO) test ./internal/capability/ -run='^$$' -fuzz=FuzzUnprocess -fuzztime=10s
+	$(GO) test ./internal/capability/ -run='^$$' -fuzz=FuzzUnwrapRequest -fuzztime=10s
 	$(GO) test ./internal/xdr/ -run='^$$' -fuzz=FuzzDecoder -fuzztime=10s
-	$(GO) test ./internal/xdr/ -run='^$$' -fuzz=FuzzReflectDecode -fuzztime=10s
 	$(GO) test ./internal/xdr/ -run='^$$' -fuzz=FuzzArrayKernels -fuzztime=10s
 	$(GO) test ./internal/xdr/ -run='^$$' -fuzz=FuzzLentDecode -fuzztime=10s
 

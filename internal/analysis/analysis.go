@@ -35,8 +35,8 @@
 //   - lockorder:   nested mutex acquisitions must follow the edges
 //     declared in lockorder.manifest; inversions of declared edges are
 //     deadlock-capable cycles.
-//   - caprefund:   a capability quota/ratelimit charge (Process or
-//     wrapRequest) is refunded on every error return.
+//   - caprefund:   a capability quota/ratelimit charge (Process,
+//     Unprocess or wrapRequest) is refunded on every error return.
 //
 // spanend, golife's sibling caprefund, and any future ownership check
 // share the lifecycle engine in lifecycle.go: acquire-site detection,

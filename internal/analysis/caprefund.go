@@ -7,25 +7,29 @@ import (
 	"strings"
 )
 
-// CapRefund enforces the paper's capability refund contract (PR 2):
-// a request-side capability charge — a `Process` call on the chain, or
-// a whole-chain `wrapRequest` — must be handed back through a Refunder
-// on every error return. The server's authoritative instances are only
-// charged by requests that actually execute; the client mirrors are
-// charged at issue time, so any path that errors out before the server
-// could have executed must refund, or every failover retry double-
-// charges the mirror and quota drifts toward denying early.
+// CapRefund enforces the paper's capability refund contract: a
+// capability charge — a `Process` call on the client's walk, an
+// `Unprocess` call on the server's, or a whole-chain `wrapRequest` —
+// must be handed back through a Refunder on every error return. A
+// request that a chain rejects must cost nothing on the side that walked
+// it: the client mirrors are charged at issue time, so any path that
+// errors out before the server could have executed must refund, or every
+// failover retry double-charges the mirror and quota drifts toward
+// denying early; the server's authorities are charged as the request is
+// un-processed, so a reject further down the reverse walk must refund
+// them, or a request that never executed spends the server's budget.
 //
 // The check runs on the shared lifecycle engine in error-return mode:
 // a matched acquire opens an obligation, any call whose name contains
-// "refund" (g.refundRequest, refundPrefix, Refunder.Refund) discharges
+// "refund" (the glue chain's refund, Refunder.Refund) discharges
 // it, and only returns that provably carry an error are checked — a
 // success return keeps the charge by design (the server executed), and
-// so does a tuple-forwarding `return g.unwrapReply(reply)`, whose
-// errors mean the server already charged its authoritative copy.
+// so does a tuple-forwarding `return g.settle(...)`, which owns the
+// refund of the attempt it settles.
 // Charges accumulated across loop iterations are carried: an error
-// return in iteration i must also refund iterations 0..i-1 (the
-// chain-prefix bug this analyzer exists to catch). A refund inside a
+// return in iteration i must also refund the iterations before it (the
+// chain-prefix bug this analyzer exists to catch, and its suffix twin on
+// the reverse walk). A refund inside a
 // function literal — a completion goroutine, a pending's resolution
 // callback — counts as a hand-off at the point the literal appears.
 //
@@ -61,9 +65,9 @@ func runCapRefund(pass *Pass) {
 }
 
 // capAcquire recognizes a capability charge: a call to the chain's
-// Process (the capability.Capability interface method or any Process
-// declared in internal/capability) or to a wrapRequest helper that runs
-// a whole chain. The charge has no handle object — the obligation is
+// Process or Unprocess (the capability.Capability interface methods or
+// any declared in internal/capability) or to a wrapRequest helper that
+// runs a whole chain. The charge has no handle object — the obligation is
 // positional — but the error binding, when present, feeds the error-
 // guard refinement.
 func capAcquire(pass *Pass, call *ast.CallExpr, parent ast.Node) *lifeAcquire {
@@ -72,7 +76,7 @@ func capAcquire(pass *Pass, call *ast.CallExpr, parent ast.Node) *lifeAcquire {
 		return nil
 	}
 	switch f.Name() {
-	case "Process", "wrapRequest":
+	case "Process", "Unprocess", "wrapRequest":
 	default:
 		return nil
 	}
@@ -108,8 +112,8 @@ func errBinding(info *types.Info, as *ast.AssignStmt) types.Object {
 }
 
 // capRelease matches any statically resolvable call whose name contains
-// "refund" (case-insensitive): Refunder.Refund, Glue.refundRequest,
-// refundPrefix, and test doubles alike.
+// "refund" (case-insensitive): Refunder.Refund, the glue chain's refund,
+// and test doubles alike.
 func capRelease(info *types.Info, call *ast.CallExpr, _ *lifeVar) bool {
 	f := calleeFunc(info, call)
 	return f != nil && strings.Contains(strings.ToLower(f.Name()), "refund")
@@ -118,8 +122,8 @@ func capRelease(info *types.Info, call *ast.CallExpr, _ *lifeVar) bool {
 func capReport(p *Pass, v *lifeVar, pos token.Pos, kind lifeKind) {
 	switch kind {
 	case lifeReturn:
-		p.Reportf(pos, "capability charge is not refunded on this error return: route it through a Refunder (refundRequest/refundPrefix) before returning")
+		p.Reportf(pos, "capability charge is not refunded on this error return: route it through a Refunder before returning")
 	case lifeCarried:
-		p.Reportf(pos, "capability charges from earlier loop iterations are not refunded on this error return: refund the already-processed prefix of the chain")
+		p.Reportf(pos, "capability charges from earlier loop iterations are not refunded on this error return: refund the part of the chain already walked")
 	}
 }

@@ -37,7 +37,7 @@ import (
 //   - error returns only (caprefund): the obligation fires only on
 //     returns whose error slot provably carries an error (an error-typed
 //     identifier or an explicit error-constructor call — a tuple-forward
-//     like `return g.unwrapReply(reply)` is treated as the success path,
+//     like `return g.settle(...)` is treated as the success path,
 //     whose consumer legitimately keeps the charge).
 //
 // Hand-off is the escape hatch in both disciplines: a deferred release,

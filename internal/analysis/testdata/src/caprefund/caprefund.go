@@ -1,6 +1,7 @@
-// Golden corpus for the caprefund analyzer: a capability Process
-// charge must be refunded on every error return, including charges
-// carried from earlier iterations of a chain loop; success returns and
+// Golden corpus for the caprefund analyzer: a capability Process or
+// Unprocess charge must be refunded on every error return, including
+// charges carried from earlier iterations of a chain loop, forward or
+// reverse; success returns and
 // tuple-forwards keep the charge, and a refund inside a completion
 // goroutine counts as a hand-off.
 package caprefund
@@ -54,7 +55,7 @@ func chainRefunded(caps []capability.Capability, f *capability.Frame, body []byt
 	for i, c := range caps {
 		nb, _, err := c.Process(f, body)
 		if err != nil {
-			refundPrefix(caps[:i], f)
+			refund(caps[:i], f)
 			return nil, err
 		}
 		body = nb
@@ -62,12 +63,38 @@ func chainRefunded(caps []capability.Capability, f *capability.Frame, body []byt
 	return body, nil
 }
 
-func refundPrefix(caps []capability.Capability, f *capability.Frame) {
+func refund(caps []capability.Capability, f *capability.Frame) {
 	for i := len(caps) - 1; i >= 0; i-- {
 		if r, ok := caps[i].(capability.Refunder); ok {
 			r.Refund(f)
 		}
 	}
+}
+
+// reverseLeak is the server's walk without its refund: capability i
+// rejects after capabilities i+1.. already charged the request.
+func reverseLeak(caps []capability.Capability, f *capability.Frame, envs [][]byte, body []byte) ([]byte, error) {
+	for i := len(caps) - 1; i >= 0; i-- {
+		nb, err := caps[i].Unprocess(f, envs[i], body)
+		if err != nil {
+			return nil, err // want "charges from earlier loop iterations"
+		}
+		body = nb
+	}
+	return body, nil
+}
+
+// reverseRefunded rolls the un-processed suffix back before returning.
+func reverseRefunded(caps []capability.Capability, f *capability.Frame, envs [][]byte, body []byte) ([]byte, error) {
+	for i := len(caps) - 1; i >= 0; i-- {
+		nb, err := caps[i].Unprocess(f, envs[i], body)
+		if err != nil {
+			refund(caps[i+1:], f)
+			return nil, err
+		}
+		body = nb
+	}
+	return body, nil
 }
 
 // handsOff routes the refund decision into a completion goroutine: the

@@ -78,18 +78,7 @@ func GlueEntry(ctx *core.Context, tag string, base core.ProtoEntry, caps ...Capa
 	if err != nil {
 		return core.ProtoEntry{}, err
 	}
-	data, err := xdr.Marshal(&glueData{Tag: tag, Base: base, Caps: specs})
-	if err != nil {
-		return core.ProtoEntry{}, err
-	}
-	// The server's own copies: rebuild from specs so server-side state
-	// (e.g. quota counters) is independent of the caller's instances.
-	serverCaps, err := Rebuild(specs)
-	if err != nil {
-		return core.ProtoEntry{}, err
-	}
-	ctx.RegisterGlue(tag, NewGlueServer(tag, serverCaps, ctx.Runtime().Clock()))
-	return core.ProtoEntry{ID: core.ProtoGlue, Data: data}, nil
+	return serveGlue(ctx, &glueData{Tag: tag, Base: base, Caps: specs})
 }
 
 // ReanchorGlueEntry rebuilds a glue entry at a destination context after
@@ -103,24 +92,41 @@ func ReanchorGlueEntry(dst *core.Context, entry core.ProtoEntry, rebase func(cor
 	if entry.ID != core.ProtoGlue {
 		return core.ProtoEntry{}, false, errs.Newf(errs.Config, "capability: %q is not a glue entry", entry.ID)
 	}
-	g := new(glueData)
-	if err := xdr.Unmarshal(entry.Data, g); err != nil {
-		return core.ProtoEntry{}, false, errs.Wrap(errs.Codec, err, "capability: bad glue proto-data")
+	g, err := decodeGlue(entry)
+	if err != nil {
+		return core.ProtoEntry{}, false, err
 	}
-	newBase, ok := rebase(g.Base)
-	if !ok {
+	var ok bool
+	if g.Base, ok = rebase(g.Base); !ok {
 		return core.ProtoEntry{}, false, nil
 	}
-	serverCaps, err := Rebuild(g.Caps)
+	out, err := serveGlue(dst, g)
+	return out, err == nil, err
+}
+
+// serveGlue registers the server side of g at ctx under its tag and
+// returns g's entry. The server's capabilities are rebuilt from the specs,
+// so server-side state (quota counters) is independent of any caller's.
+func serveGlue(ctx *core.Context, g *glueData) (core.ProtoEntry, error) {
+	caps, err := Rebuild(g.Caps)
 	if err != nil {
-		return core.ProtoEntry{}, false, err
+		return core.ProtoEntry{}, err
 	}
-	dst.RegisterGlue(g.Tag, NewGlueServer(g.Tag, serverCaps, dst.Runtime().Clock()))
-	data, err := xdr.Marshal(&glueData{Tag: g.Tag, Base: newBase, Caps: g.Caps})
+	data, err := xdr.Marshal(g)
 	if err != nil {
-		return core.ProtoEntry{}, false, err
+		return core.ProtoEntry{}, err
 	}
-	return core.ProtoEntry{ID: core.ProtoGlue, Data: data}, true, nil
+	ctx.RegisterGlue(g.Tag, NewGlueServer(g.Tag, caps, ctx.Runtime().Clock()))
+	return core.ProtoEntry{ID: core.ProtoGlue, Data: data}, nil
+}
+
+// decodeGlue decodes a glue entry's proto-data.
+func decodeGlue(entry core.ProtoEntry) (*glueData, error) {
+	g := new(glueData)
+	if err := xdr.Unmarshal(entry.Data, g); err != nil {
+		return nil, errs.Wrap(errs.Codec, err, "capability: bad glue proto-data")
+	}
+	return g, nil
 }
 
 // Install registers the glue protocol factory in a pool. Call it on the
@@ -143,8 +149,8 @@ func (f *glueFactory) ID() core.ProtoID { return core.ProtoGlue }
 // Applicable is the logical AND of the constituent capabilities'
 // applicability and the base protocol's own applicability.
 func (f *glueFactory) Applicable(entry core.ProtoEntry, client, server netsim.Locality) bool {
-	g := new(glueData)
-	if err := xdr.Unmarshal(entry.Data, g); err != nil {
+	g, err := decodeGlue(entry)
+	if err != nil {
 		return false
 	}
 	base, ok := f.pool.Lookup(g.Base.ID)
@@ -164,41 +170,124 @@ func (f *glueFactory) Applicable(entry core.ProtoEntry, client, server netsim.Lo
 }
 
 func (f *glueFactory) New(entry core.ProtoEntry, ref *core.ObjectRef, host *core.Context) (core.Protocol, error) {
-	g := new(glueData)
-	if err := xdr.Unmarshal(entry.Data, g); err != nil {
-		return nil, errs.Wrap(errs.Codec, err, "capability: bad glue proto-data")
+	g, err := decodeGlue(entry)
+	if err != nil {
+		return nil, err
 	}
 	baseFactory, ok := f.pool.Lookup(g.Base.ID)
 	if !ok {
 		return nil, errs.Newf(errs.Config, "capability: glue base protocol %q not in pool", g.Base.ID)
 	}
+	caps, err := Rebuild(g.Caps)
+	if err != nil {
+		return nil, err
+	}
 	base, err := baseFactory.New(g.Base, ref, host)
 	if err != nil {
 		return nil, err
 	}
-	caps, err := Rebuild(g.Caps)
-	if err != nil {
-		base.Close()
-		return nil, err
-	}
-	return &Glue{tag: g.Tag, base: base, caps: caps, clock: host.Runtime().Clock(), tracer: host.Runtime().Tracer()}, nil
+	return &Glue{chain: chain{g.Tag, caps, host.Runtime().Clock()}, base: base, tracer: host.Runtime().Tracer()}, nil
 }
+
+// chain is one side's capability chain (glue tag, capabilities, clock)
+// and the only two walks over it (paper Figure 2). A walk whose request a
+// capability rejects refunds what that walk already charged, so a
+// rejected request costs neither side anything.
+type chain struct {
+	tag   string
+	caps  []Capability
+	clock clock.Clock
+}
+
+// Capabilities returns the capability chain (shared, do not mutate).
+func (c *chain) Capabilities() []Capability { return c.caps }
+
+// process runs m's body through the chain in order and returns a copy of
+// m carrying the result and the envelope chain (the glue tag, then one
+// envelope per capability). If capability i rejects, caps[:i] refund.
+func (c *chain) process(m *wire.Message, dir Direction) (*wire.Message, error) {
+	sc := &scratch{frame: Frame{Object: m.Object, Method: m.Method, Dir: dir, Clock: c.clock}}
+	sc.frame.arena = sc.arena[:]
+	tag := append(sc.frame.envelope(len(c.tag))[:0], c.tag...)
+	envs := append(sc.envs[:0], wire.Envelope{ID: core.GlueEnvelopeID, Data: tag})
+	body := m.Body
+	for i, cp := range c.caps {
+		nb, env, err := cp.Process(&sc.frame, body)
+		if err != nil {
+			c.refund(c.caps[:i], dir, m.Object, m.Method)
+			return nil, errs.Wrapf(errs.Capability, err, "capability %s%s", cp.Kind(), replyNote[dir])
+		}
+		body = nb
+		envs = append(envs, wire.Envelope{ID: cp.Kind(), Data: env})
+	}
+	sc.msg = *m
+	sc.msg.Body = body
+	sc.msg.Envelopes = envs
+	return &sc.msg, nil
+}
+
+// unprocess checks m's envelope chain (length, glue tag, kinds), then runs
+// m's body back through the chain in reverse. If capability i rejects,
+// caps[i+1:] refund; a request's reject stays the capability's own fault.
+func (c *chain) unprocess(m *wire.Message, dir Direction) ([]byte, error) {
+	if len(m.Envelopes) != len(c.caps)+1 {
+		return nil, wire.Faultf(wire.FaultCapability,
+			"%s envelope chain has %d entries, want %d", dir, len(m.Envelopes), len(c.caps)+1)
+	}
+	if m.Envelopes[0].ID != core.GlueEnvelopeID || string(m.Envelopes[0].Data) != c.tag {
+		return nil, wire.Faultf(wire.FaultCapability, "%s glue tag mismatch", dir)
+	}
+	for i := len(c.caps) - 1; i >= 0; i-- {
+		if id := m.Envelopes[i+1].ID; id != c.caps[i].Kind() {
+			return nil, wire.Faultf(wire.FaultCapability, "%s envelope %d is %q, want %q", dir, i, id, c.caps[i].Kind())
+		}
+	}
+	frame := &Frame{Object: m.Object, Method: m.Method, Dir: dir, Clock: c.clock}
+	body := m.Body
+	for i := len(c.caps) - 1; i >= 0; i-- {
+		nb, err := c.caps[i].Unprocess(frame, m.Envelopes[i+1].Data, body)
+		if err != nil {
+			c.refund(c.caps[i+1:], dir, m.Object, m.Method)
+			if dir == Request {
+				return nil, err
+			}
+			return nil, errs.Wrapf(errs.Capability, err, "capability %s (reply)", c.caps[i].Kind())
+		}
+		body = nb
+	}
+	return body, nil
+}
+
+// refund hands back the request charges caps made for object.method,
+// newest first. A reply-direction walk charged nothing to hand back.
+func (c *chain) refund(caps []Capability, dir Direction, object, method string) {
+	if dir != Request {
+		return
+	}
+	f := &Frame{Object: object, Method: method, Dir: Request, Clock: c.clock}
+	for i := len(caps) - 1; i >= 0; i-- {
+		if r, ok := caps[i].(Refunder); ok {
+			r.Refund(f)
+		}
+	}
+}
+
+// replyNote marks a reply-direction reject in its error.
+var replyNote = [...]string{Request: "", Reply: " (reply)"}
 
 // Glue is the client-side glue protocol object: it lets each registered
 // capability process a request before handing it to the base protocol,
 // and un-processes replies in reverse order.
 type Glue struct {
-	tag    string
+	chain
 	base   core.Protocol
-	caps   []Capability
-	clock  clock.Clock
 	tracer *obs.Tracer // nil (untraced) for hand-assembled glues
 }
 
 // NewGlue assembles a glue protocol object directly (tests and custom
 // protocol stacks; normal clients get one from the factory).
 func NewGlue(tag string, base core.Protocol, clk clock.Clock, caps ...Capability) *Glue {
-	return &Glue{tag: tag, base: base, caps: caps, clock: clk}
+	return &Glue{chain: chain{tag, caps, clk}, base: base}
 }
 
 // ID implements core.Protocol.
@@ -217,18 +306,6 @@ type scratch struct {
 	arena [192]byte
 }
 
-// newScratch starts one direction: frame f drawing on the arena, and an
-// envelope chain opened by the glue tag.
-func newScratch(tag string, f Frame) (*scratch, []wire.Envelope) {
-	sc := &scratch{frame: f}
-	sc.frame.arena = sc.arena[:]
-	t := append(sc.frame.envelope(len(tag))[:0], tag...)
-	return sc, append(sc.envs[:0], wire.Envelope{ID: core.GlueEnvelopeID, Data: t})
-}
-
-// Capabilities returns the capability chain (shared, do not mutate).
-func (g *Glue) Capabilities() []Capability { return g.caps }
-
 // wrapRequest runs the request through the capability chain and returns
 // the enveloped frame to hand to the base protocol. Shared by Call,
 // Begin, and Post, so the pipelined and one-way paths are metered and
@@ -239,33 +316,14 @@ func (g *Glue) wrapRequest(m *wire.Message) (*wire.Message, error) {
 	// and records which kinds processed the body.
 	sp := g.tracer.StartChild(obs.TraceID(m.TraceID), obs.SpanID(m.SpanID), obs.KindClient, "glue.process")
 	sp.SetHint(m.KeepHint())
-	sc, envs := newScratch(g.tag, Frame{Object: m.Object, Method: m.Method, Dir: Request, Clock: g.clock})
-	body := m.Body
-	for i, c := range g.caps {
-		nb, env, err := c.Process(&sc.frame, body)
-		if err != nil {
-			// Capability i rejected the request: the frame never leaves
-			// the client, so hand back the charges capabilities 0..i-1
-			// already took — the server-side authorities were never
-			// touched and the mirrors must not drift.
-			g.refundPrefix(i, m.Object, m.Method)
-			err = errs.Wrapf(errs.Capability, err, "capability %s", c.Kind())
-			sp.SetErr(err)
-			sp.End()
-			return nil, err
-		}
-		body = nb
-		envs = append(envs, wire.Envelope{ID: c.Kind(), Data: env})
+	out, err := g.process(m, Request)
+	sp.SetErr(err)
+	if out != nil && sp != nil {
+		sp.SetCaps(core.EnvCaps(out.Envelopes))
+		sp.SetBytes(len(out.Body))
 	}
-	sc.msg = *m
-	sc.msg.Body = body
-	sc.msg.Envelopes = envs
-	if sp != nil {
-		sp.SetCaps(core.EnvCaps(envs))
-		sp.SetBytes(len(body))
-		sp.End()
-	}
-	return &sc.msg, nil
+	sp.End()
+	return out, err
 }
 
 // baseSpan opens a client-side span named after the base protocol,
@@ -278,6 +336,29 @@ func (g *Glue) baseSpan(out *wire.Message) *obs.Active {
 	return sp
 }
 
+// settle ends one base exchange: a transport error refunds the client
+// mirrors (the server never charged, and the ORB retries elsewhere), a
+// fault travels outside the envelope as it is, and a reply un-processes.
+func (g *Glue) settle(bs *obs.Active, object, method string, reply *wire.Message, err error) (*wire.Message, error) {
+	bs.SetErr(err)
+	bs.End()
+	if err != nil {
+		g.refund(g.caps, Request, object, method)
+		return nil, err
+	}
+	if reply.Type != wire.TReply {
+		return reply, nil
+	}
+	body, err := g.unprocess(reply, Reply)
+	if err != nil {
+		return nil, err
+	}
+	out := *reply
+	out.Body = body
+	out.Envelopes = nil
+	return &out, nil
+}
+
 // Call implements core.Protocol: process with each capability in order,
 // delegate to the base protocol, then un-process the reply in reverse.
 func (g *Glue) Call(m *wire.Message) (*wire.Message, error) {
@@ -287,20 +368,7 @@ func (g *Glue) Call(m *wire.Message) (*wire.Message, error) {
 	}
 	bs := g.baseSpan(out)
 	reply, err := g.base.Call(out)
-	bs.SetErr(err)
-	bs.End()
-	if err != nil {
-		// The attempt died in transport: the server never charged its
-		// authoritative capabilities, so hand the client-mirror charges
-		// back before the ORB retries elsewhere.
-		g.refundRequest(m.Object, m.Method)
-		return nil, err
-	}
-	if reply.Type != wire.TReply {
-		// Faults travel outside the capability envelope; hand them up.
-		return reply, nil
-	}
-	return g.unwrapReply(reply)
+	return g.settle(bs, m.Object, m.Method, reply, err)
 }
 
 // gluePending is the completion handle of a pipelined glue invocation:
@@ -336,18 +404,7 @@ func (gp *gluePending) WhenDone(fn func()) {
 func (gp *gluePending) Reply() (*wire.Message, error) {
 	gp.once.Do(func() {
 		reply, err := gp.p.Reply()
-		gp.span.SetErr(err)
-		gp.span.End()
-		if err != nil {
-			gp.g.refundRequest(gp.object, gp.method)
-			gp.err = err
-			return
-		}
-		if reply.Type != wire.TReply {
-			gp.reply = reply // faults travel outside the envelope
-			return
-		}
-		gp.reply, gp.err = gp.g.unwrapReply(reply)
+		gp.reply, gp.err = gp.g.settle(gp.span, gp.object, gp.method, reply, err)
 	})
 	return gp.reply, gp.err
 }
@@ -369,7 +426,7 @@ func (g *Glue) Begin(m *wire.Message) (core.Pending, error) {
 	if err != nil {
 		bs.SetErr(err)
 		bs.End()
-		g.refundRequest(m.Object, m.Method)
+		g.refund(g.caps, Request, m.Object, m.Method)
 		return nil, err
 	}
 	return &gluePending{g: g, p: p, object: m.Object, method: m.Method, span: bs}, nil
@@ -383,34 +440,6 @@ func (g *Glue) SetBatching(p transport.BatchPolicy) {
 	if bp, ok := g.base.(core.BatchingProtocol); ok {
 		bp.SetBatching(p)
 	}
-}
-
-func (g *Glue) unwrapReply(reply *wire.Message) (*wire.Message, error) {
-	if len(reply.Envelopes) != len(g.caps)+1 {
-		return nil, wire.Faultf(wire.FaultCapability,
-			"reply envelope chain has %d entries, want %d", len(reply.Envelopes), len(g.caps)+1)
-	}
-	if reply.Envelopes[0].ID != core.GlueEnvelopeID || string(reply.Envelopes[0].Data) != g.tag {
-		return nil, wire.Faultf(wire.FaultCapability, "reply glue tag mismatch")
-	}
-	frame := &Frame{Object: reply.Object, Method: reply.Method, Dir: Reply, Clock: g.clock}
-	body := reply.Body
-	for i := len(g.caps) - 1; i >= 0; i-- {
-		env := reply.Envelopes[i+1]
-		if env.ID != g.caps[i].Kind() {
-			return nil, wire.Faultf(wire.FaultCapability,
-				"reply envelope %d is %q, want %q", i, env.ID, g.caps[i].Kind())
-		}
-		nb, err := g.caps[i].Unprocess(frame, env.Data, body)
-		if err != nil {
-			return nil, errs.Wrapf(errs.Capability, err, "capability %s (reply)", g.caps[i].Kind())
-		}
-		body = nb
-	}
-	out := *reply
-	out.Body = body
-	out.Envelopes = nil
-	return &out, nil
 }
 
 // Post implements core.OneWayProtocol when the base protocol does: the
@@ -430,7 +459,7 @@ func (g *Glue) Post(m *wire.Message) error {
 	if err := ow.Post(out); err != nil {
 		bs.SetErr(err)
 		bs.End()
-		g.refundRequest(m.Object, m.Method)
+		g.refund(g.caps, Request, m.Object, m.Method)
 		return err
 	}
 	bs.End()
@@ -444,70 +473,23 @@ func (g *Glue) Close() error { return g.base.Close() }
 // holds the server's own copies of the capabilities and lets them
 // un-process each request in the reverse order of the client-side
 // processing, then processes replies on the way out.
-type GlueServer struct {
-	tag   string
-	caps  []Capability
-	clock clock.Clock
-}
+type GlueServer struct{ chain }
 
 // NewGlueServer builds a server-side glue for a capability chain.
 func NewGlueServer(tag string, caps []Capability, clk clock.Clock) *GlueServer {
-	return &GlueServer{tag: tag, caps: caps, clock: clk}
+	return &GlueServer{chain{tag, caps, clk}}
 }
 
 var _ core.GlueServer = (*GlueServer)(nil)
 
-// Capabilities returns the server-side capability chain.
-func (s *GlueServer) Capabilities() []Capability { return s.caps }
-
 // UnwrapRequest implements core.GlueServer.
 func (s *GlueServer) UnwrapRequest(m *wire.Message) ([]byte, error) {
-	if len(m.Envelopes) != len(s.caps)+1 {
-		return nil, wire.Faultf(wire.FaultCapability,
-			"request envelope chain has %d entries, want %d", len(m.Envelopes), len(s.caps)+1)
-	}
-	frame := &Frame{Object: m.Object, Method: m.Method, Dir: Request, Clock: s.clock}
-	body := m.Body
-	for i := len(s.caps) - 1; i >= 0; i-- {
-		env := m.Envelopes[i+1]
-		if env.ID != s.caps[i].Kind() {
-			return nil, wire.Faultf(wire.FaultCapability,
-				"request envelope %d is %q, want %q", i, env.ID, s.caps[i].Kind())
-		}
-		nb, err := s.caps[i].Unprocess(frame, env.Data, body)
-		if err != nil {
-			return nil, err
-		}
-		body = nb
-	}
-	return body, nil
+	return s.unprocess(m, Request)
 }
 
 // WrapReply implements core.GlueServer.
 func (s *GlueServer) WrapReply(req *wire.Message, body []byte) (*wire.Message, error) {
-	sc, envs := newScratch(s.tag, Frame{Object: req.Object, Method: req.Method, Dir: Reply, Clock: s.clock})
-	for _, c := range s.caps {
-		nb, env, err := c.Process(&sc.frame, body)
-		if err != nil {
-			// Reply-direction processing never charges: quota/ratelimit
-			// meter the request direction only, and the server's
-			// authoritative request charge (made in UnwrapRequest) stands
-			// regardless of how the reply fares.
-			//lint:ignore caprefund reply-direction Process charges nothing to refund
-			return nil, errs.Wrapf(errs.Capability, err, "capability %s (reply)", c.Kind())
-		}
-		body = nb
-		envs = append(envs, wire.Envelope{ID: c.Kind(), Data: env})
-	}
-	sc.msg = wire.Message{
-		Type:      wire.TReply,
-		Object:    req.Object,
-		Method:    req.Method,
-		Epoch:     req.Epoch,
-		Envelopes: envs,
-		Body:      body,
-	}
-	return &sc.msg, nil
+	return s.process(&wire.Message{Type: wire.TReply, Object: req.Object, Method: req.Method, Epoch: req.Epoch, Body: body}, Reply)
 }
 
 // DescribeEntry renders a glue protocol table entry for humans:
@@ -517,8 +499,8 @@ func DescribeEntry(entry core.ProtoEntry) string {
 	if entry.ID != core.ProtoGlue {
 		return string(entry.ID)
 	}
-	g := new(glueData)
-	if err := xdr.Unmarshal(entry.Data, g); err != nil {
+	g, err := decodeGlue(entry)
+	if err != nil {
 		return "glue[undecodable]"
 	}
 	kinds := make([]string, len(g.Caps))

@@ -128,9 +128,9 @@ func (q *Quota) check(f *Frame) error {
 }
 
 // Refund implements Refunder: one previously charged request is handed
-// back. The glue calls it on the client mirror when a transport attempt
-// failed before reaching the server, so failover retries are not
-// double-charged.
+// back. The glue calls it when the request this instance charged cannot
+// execute — its chain rejected it, or (on the client) its transport
+// attempt died — so neither rejects nor failover retries are charged.
 func (q *Quota) Refund(*Frame) {
 	for {
 		u := q.used.Load()

@@ -106,8 +106,8 @@ func (r *RateLimit) take(f *Frame) error {
 }
 
 // Refund implements Refunder: one token is handed back (capped at the
-// burst size). The glue calls it on the client mirror when a transport
-// attempt failed before reaching the server.
+// burst size). The glue calls it when the request this instance charged
+// cannot execute: its chain rejected it, or its transport attempt died.
 func (r *RateLimit) Refund(*Frame) {
 	r.mu.Lock()
 	r.tokens = math.Min(r.burst, r.tokens+1)

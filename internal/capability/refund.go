@@ -1,41 +1,17 @@
 package capability
 
 // Refunder is the optional interface of capabilities whose request-side
-// Process charges a consumable resource (a quota count, a rate-limit
-// token). When a request's transport attempt fails before it could have
-// reached the server — the base protocol returned an error, so the ORB
-// will transparently retry through a fresh protocol selection — the glue
-// refunds the client-mirror charge. Without the refund, every failover
-// retry would charge the mirror again while the server's authoritative
-// count (charged in Unprocess, which the request never reached) stays
-// put, and the mirror would drift toward denying early.
+// Process or Unprocess charges a consumable resource (a quota count, a
+// rate-limit token). The glue hands a charge back when the request that
+// paid it cannot execute: a later capability of the same walk rejects it
+// (client or server side alike), or the client's transport attempt dies
+// before the request could reach the server — so the ORB's transparent
+// retry does not charge the client mirror twice.
 //
-// Only client-side mirrors are refunded; the server-side authoritative
-// instances are never touched — a request that did execute is charged
-// exactly once there regardless of how many transport attempts the
-// client burned getting it through.
+// A server authority is refunded only when its own chain rejects the
+// request; one the server un-processed in full stays charged exactly once
+// there, whatever the servant does, even if dispatch sheds it as expired.
 type Refunder interface {
-	// Refund undoes one request charge previously made by Process.
+	// Refund undoes one request charge made by Process or Unprocess.
 	Refund(f *Frame)
-}
-
-// refundRequest undoes the client-mirror charges of one failed transport
-// attempt, in the reverse of processing order.
-func (g *Glue) refundRequest(object, method string) {
-	g.refundPrefix(len(g.caps), object, method)
-}
-
-// refundPrefix undoes the charges capabilities [0, n) made for a
-// request, in the reverse of processing order. wrapRequest uses it when
-// capability n of the chain rejects a request the earlier capabilities
-// already charged: the frame never reaches the base protocol, so the
-// server-side authorities are never charged and the client mirrors must
-// roll back or they drift toward denying early.
-func (g *Glue) refundPrefix(n int, object, method string) {
-	f := &Frame{Object: object, Method: method, Dir: Request, Clock: g.clock}
-	for i := n - 1; i >= 0; i-- {
-		if r, ok := g.caps[i].(Refunder); ok {
-			r.Refund(f)
-		}
-	}
 }

@@ -29,22 +29,3 @@ func FuzzDecoder(f *testing.F) {
 		d.Optional(func(d *Decoder) error { _, err := d.Uint32(); return err })
 	})
 }
-
-// FuzzReflectDecode drives the reflective decoder with arbitrary bytes
-// against a representative struct shape.
-func FuzzReflectDecode(f *testing.F) {
-	type shape struct {
-		A int32
-		B string
-		C []byte
-		D *struct{ X uint64 }
-		E map[string]int32
-	}
-	good, _ := MarshalAny(&shape{A: 1, B: "x", C: []byte{2}, E: map[string]int32{"k": 3}})
-	f.Add(good)
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var s shape
-		UnmarshalAny(data, &s)
-	})
-}
