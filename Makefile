@@ -36,12 +36,14 @@ race:
 	$(GO) test -shuffle=on -race ./internal/...
 
 # Use-after-release sweep: a typed servant's arrays, the typed stub's
-# reply and the typed client's arguments are pooled memory, lent and given
-# back. Run the tests that poison released buffers (0xDB) and the lending
-# tests repeatedly under the race detector, so a buffer returned too early
-# fails here rather than in a benchmark.
+# reply, the typed client's arguments, the glue's seals and every batch
+# body are pooled memory, lent and given back (an outgoing one by the
+# encoder that copies it out). Run the tests that poison released buffers
+# (0xDB) and the lending tests repeatedly under the race detector, so a
+# buffer returned too early fails here rather than in a benchmark.
 poison:
-	$(GO) test -race -count=10 -run 'Poison|Lent|Typed' ./internal/bufpool ./internal/core ./internal/xdr
+	$(GO) test -race -count=10 -run 'Poison|Lent|Typed' ./internal/bufpool ./internal/core ./internal/xdr \
+		./internal/capability ./internal/wire ./internal/transport
 
 # Determinism sweep: the fault-injection and failover suites, the span
 # store and the /tracez plane must pass repeatedly, in shuffled order,

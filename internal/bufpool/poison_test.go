@@ -2,8 +2,10 @@ package bufpool_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -70,6 +72,11 @@ func transcript(t *testing.T) []byte {
 			"nexus":    n.Ref(n.Nexus()),
 			"checksum": n.Ref(n.Glue("ck", n.Stream(), capability.NewChecksum())),                             // body kept
 			"encrypt":  n.Ref(n.Glue("enc", n.SHM(), capability.MustNewEncrypt(key, capability.ScopeAlways))), // body replaced
+			// Not in order below: sealed requests queued in a coalescer, and
+			// a deflated body sealed in turn, each handed over to the chain.
+			"sealed": n.Ref(n.Glue("enc-stream", n.Stream(), capability.MustNewEncrypt(key, capability.ScopeAlways))),
+			"packed": n.Ref(n.Glue("cz", n.Nexus(), capability.MustNewCompress(0, 512, capability.ScopeAlways),
+				capability.MustNewEncrypt(key, capability.ScopeAlways))),
 		}
 	}
 	rawPaths, typedPaths := paths(raw), paths(typed)
@@ -113,13 +120,16 @@ func transcript(t *testing.T) []byte {
 	}
 
 	// A batch: sub-requests are views of one frame, sub-replies are
-	// released once the batch reply is encoded.
-	for _, name := range []string{"raw", "typed"} {
-		gp := client.Ctx.NewGlobalPtr(map[string]*core.ObjectRef{"raw": rawPaths["stream"], "typed": typedPaths["shm"]}[name])
+	// released once the batch reply is encoded; sealed, every sub-request
+	// and sub-reply is a loan its batch's encoder gives back.
+	batched := map[string]*core.ObjectRef{"raw": rawPaths["stream"], "typed": typedPaths["shm"],
+		"raw sealed": rawPaths["sealed"], "typed sealed": typedPaths["sealed"]}
+	for _, name := range []string{"raw", "typed", "raw sealed", "typed sealed"} {
+		gp := client.Ctx.NewGlobalPtr(batched[name])
 		gp.SetMaxInFlight(16)
 		policy := transport.DefaultBatchPolicy()
 		gp.SetBatchPolicy(&policy)
-		method := map[string]string{"raw": "echo", "typed": "exchange"}[name]
+		method := map[bool]string{false: "echo", true: "exchange"}[strings.HasPrefix(name, "typed")]
 		args, futs := make([][]byte, 16), make([]*future.Future, 16)
 		for i := range futs {
 			// An encoded int array: both methods answer with their argument.
@@ -132,6 +142,45 @@ func transcript(t *testing.T) []byte {
 			if !bytes.Equal(reply, args[i]) {
 				t.Fatalf("batched %s call %d: reply differs from the request", name, i)
 			}
+		}
+		gp.Release()
+	}
+
+	// A sealed request whose deadline passes while it waits in the
+	// coalescer: the caller gives up, and the flush still sends the
+	// ciphertext intact, so the server opens it and sheds it as expired
+	// (a seal released with the call would fail to open instead).
+	gp := client.Ctx.NewGlobalPtr(rawPaths["sealed"])
+	gp.SetBatchPolicy(&transport.BatchPolicy{MaxDelay: 200 * time.Millisecond})
+	shed := client.Ctx.Runtime().Metrics().Counter("srv.expired")
+	shedBefore := shed.Value()
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	_, err := gp.InvokeAsyncCtx(ctx, "echo", bytes.Repeat([]byte{0xA5}, 300)).Wait()
+	cancel()
+	if err == nil {
+		t.Fatal("a call that expired in the coalescer succeeded")
+	}
+	for deadline := time.Now().Add(5 * time.Second); shed.Value() == shedBefore; clock.Sleep(clock.Real{}, time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the expired sealed request never reached the server intact")
+		}
+	}
+	record("expired in the coalescer", nil, nil)
+	gp.Release()
+
+	// Compress, then encrypt, over nexus: a body that deflates, so the
+	// deflated body is lent and replaced by its seal on both sides.
+	packed := bytes.Repeat([]byte("open hpc++ "), 500)
+	for _, name := range []string{"raw", "typed"} {
+		gp := client.Ctx.NewGlobalPtr(map[string]map[string]*core.ObjectRef{"raw": rawPaths, "typed": typedPaths}[name]["packed"])
+		if name == "raw" {
+			for _, method := range []string{"echo", "prefix", "static"} {
+				reply, err := gp.Invoke(method, packed)
+				record("packed raw "+method, reply, err)
+			}
+		} else {
+			reply, err := core.Call[*core.Int32Slice, core.Int32Slice](gp, "exchange", testbed.Ints(1500))
+			record("packed typed", []byte(fmt.Sprint(reply)), err)
 		}
 		gp.Release()
 	}
@@ -220,7 +269,7 @@ func transcript(t *testing.T) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gp := client.Ctx.NewGlobalPtr(moverRef)
+	gp = client.Ctx.NewGlobalPtr(moverRef)
 	defer gp.Release()
 	before, err := core.Call[*core.Int32Slice, core.Int32Slice](gp, "exchange", testbed.Ints(300))
 	record("before move", []byte(fmt.Sprint(before)), err)

@@ -76,17 +76,20 @@ func (f *Frame) envelope(n int) []byte {
 //     slice, and the invocation engine hands the same slice to the chain
 //     again on every retry, failover and FaultMoved chase. A transform
 //     writes its output elsewhere; a capability that only observes or
-//     signs returns body itself as newBody. envelope must stay valid and
-//     unmodified until the frame is written to the wire — possibly long
-//     after Process returns (a coalescer holds a request until its flush)
-//     — so it is never pooled memory; Frame.envelope hands out memory
-//     that lasts as long as the frame.
+//     signs returns body itself as newBody. Any other newBody is handed
+//     over, the capability keeping no reference: the glue gives it to
+//     bufpool once it is replaced or encoded, so take it from bufpool.
+//     envelope must stay valid and unmodified until the frame is written
+//     to the wire — possibly long after Process returns (a coalescer
+//     holds a request until its flush) — so it is never pooled memory;
+//     Frame.envelope hands out memory that lasts as long as the frame.
 //   - Unprocess receives a body that aliases a frame only the receiver
 //     references (wire.Read gives each message its own buffer; a batch's
 //     sub-messages are disjoint views), or the output of the capability
 //     un-processed before it, and may transform it in place. A rejected
 //     frame yields no plaintext and its body must not be read again (a
-//     failed AEAD open wipes it). envelope is read-only.
+//     failed AEAD open wipes it). envelope is read-only. The glue may
+//     reuse the Frame once the call returns.
 type Capability interface {
 	// Kind names the capability type; it keys the constructor registry
 	// and appears in wire envelopes.

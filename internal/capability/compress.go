@@ -8,6 +8,7 @@ import (
 	"slices"
 	"sync"
 
+	"openhpcxx/internal/bufpool"
 	"openhpcxx/internal/errs"
 	"openhpcxx/internal/netsim"
 	"openhpcxx/internal/wire"
@@ -112,8 +113,8 @@ type inflater struct {
 	extra [1]byte // read target of the end-of-stream probe
 }
 
-// Process deflates the body when worthwhile, into one exact-size
-// allocation shared with the envelope.
+// Process deflates the body when worthwhile, into a buffer lent by
+// bufpool; the envelope is the frame's (see Capability).
 func (c *Compress) Process(f *Frame, body []byte) ([]byte, []byte, error) {
 	if uint32(len(body)) < c.minSize {
 		return body, f.envelope(1), nil // zeroed: compressIdentity
@@ -136,10 +137,10 @@ func (c *Compress) Process(f *Frame, body []byte) ([]byte, []byte, error) {
 	if n >= len(body) {
 		return body, f.envelope(1), nil
 	}
-	buf := append(make([]byte, 0, n+5), d.out.Bytes()...)
-	buf = append(buf, compressDeflate)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(body)))
-	return buf[:n:n], buf[n:], nil
+	env := f.envelope(5)
+	env[0] = compressDeflate
+	binary.BigEndian.PutUint32(env[1:], uint32(len(body)))
+	return append(bufpool.Get(n)[:0], d.out.Bytes()...), env, nil
 }
 
 // Unprocess inflates when the envelope says the body was deflated.

@@ -3,6 +3,7 @@ package capability
 import (
 	"crypto/rand"
 
+	"openhpcxx/internal/bufpool"
 	"openhpcxx/internal/errs"
 	"openhpcxx/internal/netsim"
 	"openhpcxx/internal/wire"
@@ -93,13 +94,15 @@ func (e *Encrypt) Config() ([]byte, error) {
 
 // Process seals body under the next nonce, which is the envelope, with the
 // frame identity as additional data. body is the caller's (see Capability),
-// so the sealed body gets a buffer of its own, the AAD behind it (on the
-// stack it would escape through cipher.AEAD).
+// so the sealed body gets a buffer of its own, lent by bufpool and handed
+// over to the chain.
 func (e *Encrypt) Process(f *Frame, body []byte) ([]byte, []byte, error) {
 	nonce := e.nextNonce(f.envelope(gcmNonceLen)[:0])
-	n := len(body) + gcmTagLen
-	buf := make([]byte, n, n+9+len(f.Object)+len(f.Method)) // 9: the AAD's two lengths and dir
-	return e.aead.Seal(buf[:0:n], nonce, body, appendIdentity(buf[n:], f)), nonce, nil
+	aad := e.ids.Get().(*[]byte)
+	*aad = appendIdentity((*aad)[:0], f)
+	sealed := e.aead.Seal(bufpool.Get(len(body) + gcmTagLen)[:0], nonce, body, *aad)
+	e.ids.Put(aad)
+	return sealed, nonce, nil
 }
 
 // Unprocess opens body in place: the receiver owns it (see Capability).

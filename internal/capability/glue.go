@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"unsafe"
 
+	"openhpcxx/internal/bufpool"
 	"openhpcxx/internal/clock"
 	"openhpcxx/internal/core"
 	"openhpcxx/internal/errs"
@@ -204,18 +206,23 @@ func (c *chain) Capabilities() []Capability { return c.caps }
 
 // process runs m's body through the chain in order and returns a copy of
 // m carrying the result and the envelope chain (the glue tag, then one
-// envelope per capability). If capability i rejects, caps[:i] refund.
+// envelope per capability). If capability i rejects, caps[:i] refund. A
+// body handed over is lent to the copy, or given back once replaced.
 func (c *chain) process(m *wire.Message, dir Direction) (*wire.Message, error) {
 	sc := &scratch{frame: Frame{Object: m.Object, Method: m.Method, Dir: dir, Clock: c.clock}}
 	sc.frame.arena = sc.arena[:]
 	tag := append(sc.frame.envelope(len(c.tag))[:0], c.tag...)
 	envs := append(sc.envs[:0], wire.Envelope{ID: core.GlueEnvelopeID, Data: tag})
-	body := m.Body
+	body, lent := m.Body, []byte(nil) // lent: body, once a capability handed it over
 	for i, cp := range c.caps {
 		nb, env, err := cp.Process(&sc.frame, body)
 		if err != nil {
 			c.refund(c.caps[:i], dir, m.Object, m.Method)
 			return nil, errs.Wrapf(errs.Capability, err, "capability %s%s", cp.Kind(), replyNote[dir])
+		}
+		if unsafe.SliceData(nb) != unsafe.SliceData(body) {
+			bufpool.Put(lent) // nil until a capability hands one over; Put leaves nil alone
+			lent = nb
 		}
 		body = nb
 		envs = append(envs, wire.Envelope{ID: cp.Kind(), Data: env})
@@ -223,6 +230,7 @@ func (c *chain) process(m *wire.Message, dir Direction) (*wire.Message, error) {
 	sc.msg = *m
 	sc.msg.Body = body
 	sc.msg.Envelopes = envs
+	sc.msg.Lend(lent) // never m's loan: the copy holds its own or none
 	return &sc.msg, nil
 }
 
@@ -242,7 +250,9 @@ func (c *chain) unprocess(m *wire.Message, dir Direction) ([]byte, error) {
 			return nil, wire.Faultf(wire.FaultCapability, "%s envelope %d is %q, want %q", dir, i, id, c.caps[i].Kind())
 		}
 	}
-	frame := &Frame{Object: m.Object, Method: m.Method, Dir: dir, Clock: c.clock}
+	frame := frames.Get().(*Frame)
+	defer frames.Put(frame)
+	*frame = Frame{Object: m.Object, Method: m.Method, Dir: dir, Clock: c.clock}
 	body := m.Body
 	for i := len(c.caps) - 1; i >= 0; i-- {
 		nb, err := c.caps[i].Unprocess(frame, m.Envelopes[i+1].Data, body)
@@ -264,13 +274,18 @@ func (c *chain) refund(caps []Capability, dir Direction, object, method string) 
 	if dir != Request {
 		return
 	}
-	f := &Frame{Object: object, Method: method, Dir: Request, Clock: c.clock}
+	f := frames.Get().(*Frame)
+	defer frames.Put(f)
+	*f = Frame{Object: object, Method: method, Dir: Request, Clock: c.clock}
 	for i := len(caps) - 1; i >= 0; i-- {
 		if r, ok := caps[i].(Refunder); ok {
 			r.Refund(f)
 		}
 	}
 }
+
+// frames holds the reverse walks' Frames: no capability keeps one.
+var frames = sync.Pool{New: func() any { return new(Frame) }}
 
 // replyNote marks a reply-direction reject in its error.
 var replyNote = [...]string{Request: "", Reply: " (reply)"}
@@ -295,9 +310,9 @@ func (g *Glue) ID() core.ProtoID { return core.ProtoGlue }
 
 // scratch is what one direction of one call needs besides the bodies —
 // the capability frame, the outgoing message, its envelope slots, and an
-// arena for the tag and the small envelopes (auth, checksum) — in one
-// allocation, left to the collector (DESIGN.md decision 4: a base protocol
-// may hold the message past the call, so there is no release point yet).
+// arena for the tag and the small envelopes (auth, checksum, nonces) — in
+// one allocation, left to the collector: the envelopes must outlive the
+// write, whenever that is (DESIGN.md decision 4; the bodies are lent).
 // A longer chain appends past envs and allocates past the arena.
 type scratch struct {
 	frame Frame
@@ -356,6 +371,7 @@ func (g *Glue) settle(bs *obs.Active, object, method string, reply *wire.Message
 	out := *reply
 	out.Body = body
 	out.Envelopes = nil
+	out.Lend(nil) // the loan, if any, stays reply's: never two holders
 	return &out, nil
 }
 

@@ -491,8 +491,8 @@ func (c *Context) OnClose(cl io.Closer) {
 // returns the reply frame (nil for non-request frames). It is the hook
 // custom protocol classes deliver inbound requests through — the same
 // dispatcher behind every built-in protocol class. The reply may alias m
-// and hold a lent buffer: a caller done encoding it may call its Release,
-// and one that does not loses only the reuse.
+// and hold a lent buffer: encoding it (wire.Write, wire.Marshal) gives
+// that back, and a caller that drops it loses only the reuse.
 func (c *Context) Dispatch(m *wire.Message) *wire.Message {
 	return c.dispatch(m)
 }

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
+	"openhpcxx/internal/bufpool"
 	"openhpcxx/internal/errs"
 	"openhpcxx/internal/obs"
 	"openhpcxx/internal/wire"
@@ -296,10 +298,10 @@ func (c *Context) handleRequest(m *wire.Message, ds *obs.Active) (*wire.Message,
 	} else if reply, err = gs.WrapReply(m, out); err != nil {
 		return nil, err
 	}
-	if lent {
-		// Even if a capability replaced the body: out is dead once the
-		// reply is written, and whoever writes it releases it.
-		reply.Lend(out)
+	if lent && unsafe.SliceData(reply.Body) == unsafe.SliceData(out) {
+		reply.Lend(out) // its encoder gives it back
+	} else if lent {
+		bufpool.Put(out) // a capability replaced it and lent the reply its own
 	}
 	return reply, nil
 }
@@ -336,9 +338,6 @@ func (c *Context) handleBatch(m *wire.Message) *wire.Message {
 		replies[i] = r
 	}
 	out, err := wire.EncodeBatch(replies)
-	for _, r := range replies {
-		r.Release()
-	}
 	if err != nil {
 		return whole(wire.Faultf(wire.FaultBadRequest, "batch reply: %v", err))
 	}
@@ -357,6 +356,5 @@ func (c *Context) nexusInvoke(buf []byte) ([]byte, error) {
 	if reply == nil {
 		reply = &wire.Message{Type: wire.TReply, Object: req.Object, Method: req.Method}
 	}
-	defer reply.Release()
 	return wire.Marshal(reply)
 }

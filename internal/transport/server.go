@@ -17,8 +17,9 @@ import (
 //
 // The request (its Body, its envelope data) is lent: valid until the
 // reply has been written or the handler returned nil, when the server
-// releases both messages and the frame is reused. A reply may alias the
-// request; a handler that keeps any of it past its return copies it.
+// releases it and the frame is reused; writing the reply releases the
+// reply's own loan (wire.Write). A reply may alias the request; a handler
+// that keeps any of it past its return copies it.
 type Handler func(*wire.Message) *wire.Message
 
 // Server accepts connections from a listener and runs the frame loop on
@@ -138,7 +139,6 @@ func (s *Server) connLoop(c net.Conn) {
 			wmu.Lock()
 			werr := wire.Write(c, reply)
 			wmu.Unlock()
-			reply.Release()
 			if werr != nil {
 				// A failed reply write poisons the stream; kill the
 				// connection so the read loop unblocks. Its close error

@@ -3,6 +3,7 @@ package wire
 import (
 	"encoding/binary"
 
+	"openhpcxx/internal/bufpool"
 	"openhpcxx/internal/errs"
 	"openhpcxx/internal/xdr"
 )
@@ -25,8 +26,14 @@ const MaxBatchMessages = 4096
 // EncodeBatch packs msgs into one TBatch frame. The outer frame's
 // RequestID is left zero — the transport assigns it like any other
 // request — and sub-messages keep their own ids (reply matching inside
-// a batch is positional).
+// a batch is positional). Like Write it releases every sub-message, and
+// the frame it returns holds its body on loan.
 func EncodeBatch(msgs []*Message) (*Message, error) {
+	defer func() {
+		for _, m := range msgs {
+			m.Release()
+		}
+	}()
 	if len(msgs) == 0 {
 		return nil, errs.New(errs.BadRequest, "wire: empty batch")
 	}
@@ -46,7 +53,7 @@ func EncodeBatch(msgs []*Message) (*Message, error) {
 	// Each sub-message is an XDR opaque: encoded in place behind its
 	// length word, which is patched once the length is known. An
 	// encoding is a whole number of words, so no padding follows.
-	body := binary.BigEndian.AppendUint32(make([]byte, 0, size), uint32(len(msgs)))
+	body := binary.BigEndian.AppendUint32(bufpool.Get(size)[:0], uint32(len(msgs)))
 	for _, m := range msgs {
 		at := len(body)
 		var err error
@@ -55,7 +62,7 @@ func EncodeBatch(msgs []*Message) (*Message, error) {
 		}
 		binary.BigEndian.PutUint32(body[at:], uint32(len(body)-at-4))
 	}
-	return &Message{Type: TBatch, Body: body}, nil
+	return &Message{Type: TBatch, Body: body, lent: body}, nil
 }
 
 // DecodeBatch unpacks a TBatch frame into its sub-messages. Nested

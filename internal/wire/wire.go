@@ -202,8 +202,10 @@ func appendMessage(dst []byte, m *Message) ([]byte, error) {
 
 // Marshal returns m's encoding — everything after the frame length
 // prefix — in a buffer of exactly that size, for protocols that embed a
-// message in a carrier of their own instead of framing it with Write.
+// message in a carrier of their own instead of framing it with Write. Like
+// Write, it releases m once m is copied.
 func Marshal(m *Message) ([]byte, error) {
+	defer m.Release()
 	return appendMessage(make([]byte, 0, m.encodedLen()), m)
 }
 
@@ -339,8 +341,10 @@ func internString(d *xdr.Decoder) (string, error) {
 
 // Write frames and writes m to w. It is not safe for concurrent use on
 // one writer; callers serialize per connection. io.Writer may not retain
-// what it is handed, so the frame buffer is back in bufpool on return.
+// what it is handed, so the frame buffer is back in bufpool on return, and
+// so is m's loan (Release), written or refused.
 func Write(w io.Writer, m *Message) error {
+	defer m.Release()
 	n := m.encodedLen()
 	if n > MaxFrame {
 		return ErrTooLarge
@@ -433,7 +437,8 @@ func read(r io.Reader, lend bool) (*Message, error) {
 }
 
 // Lend hands m a bufpool buffer, one its Body aliases, for Release to
-// return. A message holds at most one.
+// return. A message holds at most one, a value copy the same one: clear
+// the copy's with Lend(nil), or the buffer goes back twice.
 func (m *Message) Lend(buf []byte) { m.lent = buf }
 
 // Release returns the buffer m holds on loan, if any, to bufpool: m's
@@ -442,7 +447,9 @@ func (m *Message) Lend(buf []byte) { m.lent = buf }
 // optional: an unreleased buffer is collected with its message.
 func (m *Message) Release() {
 	if m != nil && m.lent != nil {
-		bufpool.Put(m.lent)
+		putLent(m.lent)
 		m.lent = nil
 	}
 }
+
+var putLent = bufpool.Put // a variable, so tests count what goes back
