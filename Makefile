@@ -79,7 +79,9 @@ faults:
 # Unprocess may panic on hostile (envelope, body) bytes, and auth, checksum
 # and encrypt must reject any one-bit flip of what Process wrote; a glue
 # server must survive any envelope chain and refund what a rejected one
-# charged; no XDR primitive decode may panic, the array kernels must agree
+# charged; no decoded object reference may panic a client's protocol
+# selection or instantiation, glue specs included; no XDR primitive
+# decode may panic, the array kernels must agree
 # with the byte-wise reference at every offset, and a lending decode must
 # agree with an owning one and give back every buffer it took. Go runs one
 # fuzz target per invocation.
@@ -89,6 +91,7 @@ fuzz:
 	$(GO) test ./internal/wire/ -run='^$$' -fuzz=FuzzRead -fuzztime=10s
 	$(GO) test ./internal/capability/ -run='^$$' -fuzz=FuzzUnprocess -fuzztime=10s
 	$(GO) test ./internal/capability/ -run='^$$' -fuzz=FuzzUnwrapRequest -fuzztime=10s
+	$(GO) test ./internal/capability/ -run='^$$' -fuzz=FuzzHostileRef -fuzztime=10s
 	$(GO) test ./internal/xdr/ -run='^$$' -fuzz=FuzzDecoder -fuzztime=10s
 	$(GO) test ./internal/xdr/ -run='^$$' -fuzz=FuzzArrayKernels -fuzztime=10s
 	$(GO) test ./internal/xdr/ -run='^$$' -fuzz=FuzzLentDecode -fuzztime=10s

@@ -1,6 +1,6 @@
 // Command ohpc-top is a polling terminal viewer for the introspection
 // plane: point it at a runtime's -introspect address and it renders a
-// live table of per-protocol call/byte rates, error ratios, latency
+// live table of per-endpoint call/byte rates, error ratios, latency
 // percentile movement, endpoint breaker states, and runtime gauges —
 // the flight recorder's /varz windows plus /statusz, refreshed in
 // place like top(1).
@@ -10,8 +10,8 @@
 //
 // During the Figure R1 fault schedule (ohpc-bench -fig=r1
 // -introspect=...), the rate table shows traffic shifting from the
-// primary's protocol entry to the backup's as the breaker trips, and
-// back after probe-driven re-promotion.
+// primary's endpoint to the backup's, both behind hpcx-tcp, as the
+// breaker trips, and back after probe-driven re-promotion.
 package main
 
 import (
@@ -97,16 +97,17 @@ func render(base, window string) (string, error) {
 		fmt.Fprintf(&b, "\n(window %q not available yet — %d samples recorded)\n", window, varz.Samples)
 	} else {
 		renderRates(&b, window, w)
-		renderMeters(&b, w)
 	}
 	renderEndpoints(&b, status)
 	renderContexts(&b, status)
 	return b.String(), nil
 }
 
-// protoRow aggregates one protocol's rpc.*{proto=…} series over a window.
-type protoRow struct {
+// endpointRow aggregates one endpoint's rpc.*{endpoint=…,proto=…}
+// series over a window.
+type endpointRow struct {
 	proto     string
+	endpoint  string  // "" for a series without one
 	calls     float64 // calls/s
 	reqBps    float64 // request payload bytes/s
 	respBps   float64
@@ -117,57 +118,62 @@ type protoRow struct {
 }
 
 func renderRates(b *strings.Builder, window string, w introspect.Window) {
-	rows := map[string]*protoRow{}
-	row := func(proto string) *protoRow {
-		r, ok := rows[proto]
+	rows := map[[2]string]*endpointRow{}
+	row := func(labels stats.Labels) *endpointRow {
+		k := [2]string{labels["proto"], labels["endpoint"]}
+		r, ok := rows[k]
 		if !ok {
-			r = &protoRow{proto: proto}
-			rows[proto] = r
+			r = &endpointRow{proto: k[0], endpoint: k[1]}
+			rows[k] = r
 		}
 		return r
 	}
 	for key, rate := range w.Rates {
 		name, labels := stats.SplitKey(key)
-		proto, ok := labels["proto"]
-		if !ok {
+		if _, ok := labels["proto"]; !ok {
 			continue
 		}
 		switch name {
 		case "rpc.calls":
-			row(proto).calls = rate
+			row(labels).calls = rate
 		case "rpc.req_bytes":
-			row(proto).reqBps = rate
+			row(labels).reqBps = rate
 		case "rpc.resp_bytes":
-			row(proto).respBps = rate
+			row(labels).respBps = rate
 		case "rpc.faults", "rpc.transport_errors":
-			row(proto).errRate += rate
+			row(labels).errRate += rate
 		}
 	}
 	for key, h := range w.Histograms {
 		name, labels := stats.SplitKey(key)
-		proto, ok := labels["proto"]
-		if !ok || name != "rpc.latency_us" {
+		if _, ok := labels["proto"]; !ok || name != "rpc.latency_us" {
 			continue
 		}
-		r := row(proto)
+		r := row(labels)
 		r.p50, r.p99, r.p99Delta, r.countRate = h.P50, h.P99, h.P99Delta, h.CountRate
 	}
-	names := make([]string, 0, len(rows))
-	for n := range rows {
-		names = append(names, n)
+	keys := make([][2]string, 0, len(rows))
+	for k := range rows {
+		keys = append(keys, k)
 	}
-	sort.Strings(names)
+	sort.Slice(keys, func(i, j int) bool {
+		x, y := keys[i], keys[j]
+		return x[0] < y[0] || x[0] == y[0] && x[1] < y[1]
+	})
 
-	fmt.Fprintf(b, "\nper-protocol rates (last %s window, %.1fs actual, error ratio %.1f%%)\n",
+	fmt.Fprintf(b, "\nper-endpoint rates (last %s window, %.1fs actual, error ratio %.1f%%)\n",
 		window, w.Seconds, w.ErrorRatio*100)
-	fmt.Fprintf(b, "  %-12s %10s %12s %12s %8s %9s %9s %9s\n",
-		"PROTO", "CALLS/s", "REQ B/s", "RESP B/s", "ERR/s", "P50 µs", "P99 µs", "ΔP99")
-	for _, n := range names {
-		r := rows[n]
-		fmt.Fprintf(b, "  %-12s %10.1f %12.0f %12.0f %8.1f %9d %9d %+9d\n",
-			r.proto, r.calls, r.reqBps, r.respBps, r.errRate, r.p50, r.p99, r.p99Delta)
+	fmt.Fprintf(b, "  %-12s %-28s %10s %12s %12s %8s %9s %9s %9s\n",
+		"PROTO", "ENDPOINT", "CALLS/s", "REQ B/s", "RESP B/s", "ERR/s", "P50 µs", "P99 µs", "ΔP99")
+	for _, k := range keys {
+		r, ep := rows[k], "-"
+		if r.endpoint != "" {
+			ep = printableKey(r.endpoint, 28)
+		}
+		fmt.Fprintf(b, "  %-12s %-28s %10.1f %12.0f %12.0f %8.1f %9d %9d %+9d\n",
+			r.proto, ep, r.calls, r.reqBps, r.respBps, r.errRate, r.p50, r.p99, r.p99Delta)
 	}
-	if len(names) == 0 {
+	if len(keys) == 0 {
 		fmt.Fprint(b, "  (no rpc traffic in window)\n")
 	}
 
@@ -186,54 +192,6 @@ func renderRates(b *strings.Builder, window string, w introspect.Window) {
 			fmt.Fprintf(b, "%s=%d", n, w.Gauges[n])
 		}
 		fmt.Fprint(b, "\n")
-	}
-}
-
-// meterRow pairs the two per-endpoint meters — rpc.endpoint.latency_us
-// (EWMA level, µs) and rpc.endpoint.bytes_ps (EWMA rate, bytes/s) —
-// keyed by their shared proto/endpoint label set.
-type meterRow struct {
-	labels    string
-	latencyUS float64
-	calls     uint64
-	bytesPS   float64
-}
-
-func renderMeters(b *strings.Builder, w introspect.Window) {
-	if len(w.Meters) == 0 {
-		return
-	}
-	rows := map[string]*meterRow{}
-	for key, m := range w.Meters {
-		name, set := stats.SplitKey(key)
-		if len(set) == 0 {
-			continue
-		}
-		labels := key[len(name)+1 : len(key)-1] // the block, unbraced
-		r, seen := rows[labels]
-		if !seen {
-			r = &meterRow{labels: labels}
-			rows[labels] = r
-		}
-		switch name {
-		case "rpc.endpoint.latency_us":
-			r.latencyUS, r.calls = m.Level, m.Count
-		case "rpc.endpoint.bytes_ps":
-			r.bytesPS = m.Rate
-		}
-	}
-	keys := make([]string, 0, len(rows))
-	for k := range rows {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-
-	fmt.Fprint(b, "\nper-endpoint meters (EWMA — adaptivity scoring input)\n")
-	fmt.Fprintf(b, "  %-44s %12s %10s %12s\n", "ENDPOINT", "LATENCY µs", "CALLS", "BYTES/s")
-	for _, k := range keys {
-		r := rows[k]
-		fmt.Fprintf(b, "  %-44s %12.1f %10d %12.0f\n",
-			printableKey(r.labels, 44), r.latencyUS, r.calls, r.bytesPS)
 	}
 }
 

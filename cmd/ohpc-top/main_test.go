@@ -9,12 +9,12 @@ import (
 )
 
 // rowsOf returns the rate-table lines of a rendered frame, keyed by
-// their first column.
+// their first two columns, "PROTO ENDPOINT".
 func rowsOf(frame string) map[string][]string {
 	rows := map[string][]string{}
 	for _, line := range strings.Split(frame, "\n") {
-		if f := strings.Fields(line); strings.HasPrefix(line, "  ") && len(f) == 8 && f[0] != "PROTO" {
-			rows[f[0]] = f[1:]
+		if f := strings.Fields(line); strings.HasPrefix(line, "  ") && len(f) == 9 && f[0] != "PROTO" {
+			rows[f[0]+" "+f[1]] = f[2:]
 		}
 	}
 	return rows
@@ -22,12 +22,12 @@ func rowsOf(frame string) map[string][]string {
 
 func TestRenderRatesRowsAreProtocolIDs(t *testing.T) {
 	key := func(name, proto string) string {
-		return stats.KeyWithLabels(name, stats.Labels{"proto": proto})
+		return stats.KeyWithLabels(name, stats.Labels{"proto": proto, "endpoint": "sim://m:1"})
 	}
 	for _, c := range []struct {
 		name string
 		w    introspect.Window
-		want map[string][]string // proto -> calls/s, req B/s, resp B/s, err/s, p50, p99, Δp99
+		want map[string][]string // "proto endpoint" -> calls/s, req B/s, resp B/s, err/s, p50, p99, Δp99
 	}{
 		{
 			name: "ids that differ only in a separator stay two rows",
@@ -46,8 +46,8 @@ func TestRenderRatesRowsAreProtocolIDs(t *testing.T) {
 				},
 			},
 			want: map[string][]string{
-				"a.b": {"10.0", "400", "800", "3.0", "100", "900", "-50"},
-				"a_b": {"5.0", "0", "0", "0.0", "7", "9", "+0"},
+				"a.b sim://m:1": {"10.0", "400", "800", "3.0", "100", "900", "-50"},
+				"a_b sim://m:1": {"5.0", "0", "0", "0.0", "7", "9", "+0"},
 			},
 		},
 		{
@@ -61,7 +61,7 @@ func TestRenderRatesRowsAreProtocolIDs(t *testing.T) {
 				},
 			},
 			want: map[string][]string{
-				"hpcx-tcp": {"2.0", "0", "0", "0.0", "0", "0", "+0"},
+				"hpcx-tcp sim://m:1": {"2.0", "0", "0", "0.0", "0", "0", "+0"},
 			},
 		},
 	} {
@@ -72,9 +72,9 @@ func TestRenderRatesRowsAreProtocolIDs(t *testing.T) {
 			t.Errorf("%s: rows %v, want %v", c.name, got, c.want)
 			continue
 		}
-		for proto, want := range c.want {
-			if strings.Join(got[proto], " ") != strings.Join(want, " ") {
-				t.Errorf("%s: row %q = %v, want %v", c.name, proto, got[proto], want)
+		for row, want := range c.want {
+			if strings.Join(got[row], " ") != strings.Join(want, " ") {
+				t.Errorf("%s: row %q = %v, want %v", c.name, row, got[row], want)
 			}
 		}
 	}

@@ -113,7 +113,7 @@ type E1Point struct {
 	Exhausted int `json:"exhausted"`
 	Failed    int `json:"failed"`
 	// Attempts is the number of wire attempts actually sent (the sum of
-	// the per-protocol rpc.calls counters — retries included), and
+	// the per-endpoint rpc.calls counters — retries included), and
 	// Amplification the attempts-per-task ratio the budgets bound.
 	Attempts      uint64  `json:"attempts"`
 	Amplification float64 `json:"amplification"`
@@ -177,7 +177,7 @@ func (s *e1Servant) methods() map[string]core.Method {
 	}
 }
 
-// e1Counters reads the runtime's registry: the per-protocol rpc.calls
+// e1Counters reads the runtime's registry: the per-endpoint rpc.calls
 // counters summed (wire attempts actually sent, retries included) and
 // the per-code error counters.
 func e1Counters(rt *core.Runtime) (attempts uint64, byCode map[string]uint64) {

@@ -32,10 +32,11 @@ type RateLimit struct {
 }
 
 // NewRateLimit builds a rate limiter admitting perSecond requests per
-// second with bursts up to burst.
+// second with bursts up to burst. Both must be finite: the spec arrives
+// in a reference's proto-data, and a NaN or infinite bucket never denies.
 func NewRateLimit(perSecond float64, burst float64) (*RateLimit, error) {
-	if perSecond <= 0 || burst < 1 {
-		return nil, errs.Newf(errs.Config, "capability: ratelimit needs perSecond > 0 and burst >= 1 (got %g, %g)", perSecond, burst)
+	if !(perSecond > 0 && burst >= 1) || math.IsInf(perSecond, 0) || math.IsInf(burst, 0) {
+		return nil, errs.Newf(errs.Config, "capability: ratelimit needs finite perSecond > 0 and burst >= 1 (got %g, %g)", perSecond, burst)
 	}
 	return &RateLimit{perSecond: perSecond, burst: burst, tokens: burst}, nil
 }

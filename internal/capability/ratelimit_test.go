@@ -2,11 +2,13 @@ package capability
 
 import (
 	"errors"
+	"math"
 	"testing"
 	"time"
 
 	"openhpcxx/internal/clock"
 	"openhpcxx/internal/wire"
+	"openhpcxx/internal/xdr"
 )
 
 func TestRateLimitBurstAndRefill(t *testing.T) {
@@ -88,6 +90,25 @@ func TestRateLimitValidation(t *testing.T) {
 	}
 	if _, err := NewRateLimit(1, 0); err == nil {
 		t.Fatal("zero burst accepted")
+	}
+}
+
+// A non-finite rate or burst never denies (NaN tokens compare false,
+// an infinite bucket never drains), so neither the constructor nor a
+// spec rebuilt from a reference's proto-data may accept one.
+func TestRateLimitRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range [][2]float64{{nan, 1}, {1, nan}, {inf, 1}, {1, inf}, {-inf, 1}, {1, -inf}, {nan, nan}} {
+		if _, err := NewRateLimit(c[0], c[1]); err == nil {
+			t.Errorf("NewRateLimit(%g, %g) accepted", c[0], c[1])
+		}
+		cfg, err := xdr.Marshal(&rateLimitConfig{PerSecond: c[0], Burst: c[1]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Rebuild([]Spec{{Kind: KindRateLimit, Config: cfg}}); err == nil {
+			t.Errorf("spec {%g, %g} rebuilt", c[0], c[1])
+		}
 	}
 }
 

@@ -86,13 +86,6 @@ type Runtime struct {
 	errCounters   map[errs.Code]*stats.Counter
 	retryAttempts *stats.Counter
 
-	// Per-endpoint EWMA meter cache (see meters.go), keyed by the
-	// health-tracker key "proto|addr" and guarded separately from the
-	// main runtime lock so a GP binding a protocol never contends with
-	// contexts/gps bookkeeping.
-	epMu     sync.RWMutex
-	epMeters map[string]*endpointMeters
-
 	mu       sync.RWMutex
 	ifaces   map[string]Activator
 	contexts map[string]*Context
@@ -122,7 +115,6 @@ func NewRuntime(network *netsim.Network, process string) *Runtime {
 		gpGauge:       metrics.Gauge("core.gps"),
 		errCounters:   make(map[errs.Code]*stats.Counter),
 		retryAttempts: metrics.Counter("rpc.retry.attempts"),
-		epMeters:      make(map[string]*endpointMeters),
 		ifaces:        make(map[string]Activator),
 		contexts:      make(map[string]*Context),
 		htracker:      health.NewTracker(health.Options{Metrics: metrics}),
@@ -240,16 +232,16 @@ func (rt *Runtime) exhaustedCounter(c errs.Code) *stats.Counter {
 func (rt *Runtime) Clock() clock.Clock { return rt.clock }
 
 // Metrics returns the runtime's metrics registry. The ORB accounts for
-// per-protocol calls, faults, payload bytes, and round-trip latencies
-// under "rpc.*{proto=...}"; server-side dispatch under "srv.*".
+// per-endpoint calls, faults, payload bytes, and round-trip latencies
+// under "rpc.*{endpoint=...,proto=...}"; server-side dispatch under
+// "srv.*".
 func (rt *Runtime) Metrics() *stats.Registry { return rt.metrics }
 
 // MetricsSnapshot exports every runtime metric at a point in time —
 // the programmatic face of the registry, for experiment harnesses and
-// the cmd front-ends' JSON dumps. Meter rates decay to the runtime
-// clock's now, so a fake-clock harness reads deterministic rates.
+// the cmd front-ends' JSON dumps.
 func (rt *Runtime) MetricsSnapshot() stats.RegistrySnapshot {
-	return rt.metrics.SnapshotAt(rt.clock.Now())
+	return rt.metrics.Snapshot()
 }
 
 // WriteMetrics dumps the runtime's metrics as indented JSON.

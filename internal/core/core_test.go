@@ -228,6 +228,45 @@ func TestSelectNoMatch(t *testing.T) {
 	}
 }
 
+// TestSelectRacesRemove: selection reads the pool under one lock, so a
+// factory removed mid-selection is walked whole or not at all, never as
+// a nil factory, in either order.
+func TestSelectRacesRemove(t *testing.T) {
+	n := 200000
+	if raceEnabled {
+		n = 20000
+	}
+	for _, order := range []SelectionOrder{RefOrder, PoolOrder} {
+		p := NewProtoPool()
+		p.Register(fakeFactory{id: "a", applicable: true})
+		p.Register(fakeFactory{id: "b", applicable: true})
+		p.SetSelectionOrder(order)
+		ref := &ObjectRef{Object: "o", Protocols: []ProtoEntry{{ID: "a"}, {ID: "b"}}}
+		stop, done := make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(done)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				p.Remove("a")
+				p.Register(fakeFactory{id: "a", applicable: true})
+			}
+		}()
+		for i := 0; i < n; i++ {
+			if f, idx, err := p.Select(ref, netsim.Locality{}); err != nil || f.ID() != ref.Protocols[idx].ID {
+				close(stop)
+				<-done
+				t.Fatalf("order %d: select %d: %v, %d, %v", order, i, f, idx, err)
+			}
+		}
+		close(stop)
+		<-done
+	}
+}
+
 func TestInvokeOverStream(t *testing.T) {
 	_, rt := testWorld(t)
 	server, err := rt.NewContext("server", "mA")
@@ -614,28 +653,27 @@ func TestMetricsAccounting(t *testing.T) {
 	if _, err := gp.Invoke("nosuch", nil); err == nil {
 		t.Fatal("want fault")
 	}
-	m := rt.Metrics()
-	if got := m.Counter(`rpc.calls{proto="hpcx-tcp"}`).Value(); got != 4 {
+	snap := rt.MetricsSnapshot()
+	if got := protoCounter(snap, "rpc.calls", ProtoStream); got != 4 {
 		t.Fatalf("calls %d", got)
 	}
-	if got := m.Counter(`rpc.faults{proto="hpcx-tcp"}`).Value(); got != 1 {
+	if got := protoCounter(snap, "rpc.faults", ProtoStream); got != 1 {
 		t.Fatalf("faults %d", got)
 	}
-	if got := m.Counter(`rpc.req_bytes{proto="hpcx-tcp"}`).Value(); got != 12 {
+	if got := protoCounter(snap, "rpc.req_bytes", ProtoStream); got != 12 {
 		t.Fatalf("req_bytes %d", got)
 	}
-	if got := m.Counter(`rpc.resp_bytes{proto="hpcx-tcp"}`).Value(); got != 12 {
+	if got := protoCounter(snap, "rpc.resp_bytes", ProtoStream); got != 12 {
 		t.Fatalf("resp_bytes %d", got)
 	}
-	if got := m.Counter("srv.requests").Value(); got != 4 {
+	if got := snap.Counters["srv.requests"]; got != 4 {
 		t.Fatalf("srv.requests %d", got)
 	}
-	if got := m.Counter("srv.faults").Value(); got != 1 {
+	if got := snap.Counters["srv.faults"]; got != 1 {
 		t.Fatalf("srv.faults %d", got)
 	}
-	lat := m.Histogram(`rpc.latency_us{proto="hpcx-tcp"}`).Snapshot()
-	if lat.Count != 4 || lat.Mean <= 0 {
-		t.Fatalf("latency %+v", lat)
+	if count, sum := protoLatency(snap, ProtoStream); count != 4 || sum <= 0 {
+		t.Fatalf("latency count=%d sum=%d", count, sum)
 	}
 }
 
@@ -671,7 +709,7 @@ func TestOneWayPost(t *testing.T) {
 	case <-clock.After(clock.Real{}, 2*time.Second):
 		t.Fatal("one-way request never arrived")
 	}
-	if got := rt.Metrics().Counter(`rpc.oneway{proto="hpcx-tcp"}`).Value(); got != 1 {
+	if got := protoCounter(rt.MetricsSnapshot(), "rpc.oneway", ProtoStream); got != 1 {
 		t.Fatalf("oneway counter %d", got)
 	}
 	if waitCounter(rt, "srv.oneway", 1) != 1 {

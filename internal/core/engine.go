@@ -138,7 +138,7 @@ func (g *GlobalPtr) issue(ctx context.Context, root *obs.Active, typ wire.MsgTyp
 }
 
 // finish brings one issued attempt to its end: it waits for the reply or
-// the context, times and meters the round trip, ends the send span and
+// the context, times the round trip, ends the send span and
 // classifies the outcome. done=false means go again — settle asked for a
 // retry and the budget admitted it — with err the failure that caused it
 // and backoff whether the retry deserves a delay. lastErr is the
@@ -149,8 +149,8 @@ func (g *GlobalPtr) issue(ctx context.Context, root *obs.Active, typ wire.MsgTyp
 // failing: an endpoint that cannot answer in time is, for failover
 // purposes, indistinguishable from a dead one.
 //
-// A one-way attempt has no reply to wait for or to time — only the
-// endpoint's byte rate moves — and is never retried: at-most-once.
+// A one-way attempt has no reply to wait for or to time, and is never
+// retried: at-most-once.
 func (g *GlobalPtr) finish(ctx context.Context, root *obs.Active, a *attempt, lastErr error) (body []byte, done, backoff bool, err error) {
 	rt := g.host.rt
 	if a.pending != nil && a.err == nil {
@@ -173,16 +173,8 @@ func (g *GlobalPtr) finish(ctx context.Context, root *obs.Active, a *attempt, la
 		}
 	}
 	oneway := a.req.Type == wire.TControl
-	now, n := rt.Clock().Now(), len(a.req.Body)
-	if a.reply != nil {
-		n += len(a.reply.Body)
-	}
-	if oneway {
-		a.b.em.addBytes(n, now)
-	} else {
-		elapsed := now.Sub(a.start)
-		a.b.latency.ObserveDurationTraced(elapsed, uint64(root.TraceID()))
-		a.b.em.observe(elapsed, n, now)
+	if !oneway {
+		a.b.latency.ObserveDurationTraced(rt.Clock().Now().Sub(a.start), uint64(root.TraceID()))
 	}
 	a.send.SetErr(a.err)
 	a.send.End()

@@ -21,7 +21,7 @@ import (
 
 // These tests hold the invocation engine to its one contract: whichever
 // surface issues an attempt and whichever protocol carries it, the
-// attempt is counted, timed, metered and traced exactly once.
+// attempt is counted, timed and traced exactly once.
 
 var errInjected = errors.New("injected send failure")
 
@@ -94,32 +94,42 @@ type callOnlyProto struct{ Protocol }
 
 // engineCounts is everything the engine accounts per attempt.
 type engineCounts struct {
-	calls, oneway, reqBytes, respBytes, transportErrors uint64
-	latencyCount, meterLatency, meterBytes              uint64
+	calls, oneway, reqBytes, respBytes, transportErrors, latencyCount uint64
 }
 
 func readEngineCounts(rt *Runtime, pid ProtoID) engineCounts {
 	snap := rt.MetricsSnapshot()
-	key := func(name string) string {
-		return stats.KeyWithLabels(name, stats.Labels{"proto": string(pid)})
+	latencyCount, _ := protoLatency(snap, pid)
+	return engineCounts{
+		calls:           protoCounter(snap, "rpc.calls", pid),
+		oneway:          protoCounter(snap, "rpc.oneway", pid),
+		reqBytes:        protoCounter(snap, "rpc.req_bytes", pid),
+		respBytes:       protoCounter(snap, "rpc.resp_bytes", pid),
+		transportErrors: protoCounter(snap, "rpc.transport_errors", pid),
+		latencyCount:    latencyCount,
 	}
-	c := engineCounts{
-		calls:           snap.Counters[key("rpc.calls")],
-		oneway:          snap.Counters[key("rpc.oneway")],
-		reqBytes:        snap.Counters[key("rpc.req_bytes")],
-		respBytes:       snap.Counters[key("rpc.resp_bytes")],
-		transportErrors: snap.Counters[key("rpc.transport_errors")],
-		latencyCount:    snap.Histograms[key("rpc.latency_us")].Count,
-	}
-	for k, m := range snap.Meters {
-		switch {
-		case strings.HasPrefix(k, "rpc.endpoint.latency_us{"):
-			c.meterLatency += m.Count
-		case strings.HasPrefix(k, "rpc.endpoint.bytes_ps{"):
-			c.meterBytes += m.Count
+}
+
+// protoCounter sums the counter name{endpoint=…,proto=pid} over every
+// endpoint of pid.
+func protoCounter(snap stats.RegistrySnapshot, name string, pid ProtoID) (n uint64) {
+	for key, v := range snap.Counters {
+		if kn, labels := stats.SplitKey(key); kn == name && labels["proto"] == string(pid) {
+			n += v
 		}
 	}
-	return c
+	return n
+}
+
+// protoLatency sums the count and sum of rpc.latency_us{endpoint=…,
+// proto=pid} over every endpoint of pid.
+func protoLatency(snap stats.RegistrySnapshot, pid ProtoID) (count uint64, sum int64) {
+	for key, h := range snap.Histograms {
+		if kn, labels := stats.SplitKey(key); kn == "rpc.latency_us" && labels["proto"] == string(pid) {
+			count, sum = count+h.Count, sum+h.Sum
+		}
+	}
+	return count, sum
 }
 
 // engineWorld exports an echo servant reachable over pid and returns a
@@ -165,9 +175,9 @@ func engineWorldServing(t *testing.T, pid ProtoID, f wrapFactory, clk clock.Cloc
 // TestEngineSurfaceParity drives one GP through every surface over a
 // pipelined stream, nexus, and a Call-only protocol, clean and with the
 // first send failing, and requires the same accounting everywhere: a
-// two-way attempt moves calls, req_bytes, latency_us and both endpoint
-// meters once, a one-way attempt moves oneway, req_bytes and the byte
-// meter once, and the trace starts root→select→<proto>.
+// two-way attempt moves calls, req_bytes and latency_us once, a one-way
+// attempt moves oneway and req_bytes once, every attempt ends one send
+// span, and the trace starts root→select→<proto>.
 func TestEngineSurfaceParity(t *testing.T) {
 	const n = 5 // payload bytes
 	args := []byte("hello")
@@ -274,7 +284,7 @@ func TestEngineSurfaceParity(t *testing.T) {
 						}
 						path = "post→select"
 					case s.oneway:
-						want = engineCounts{oneway: 1, reqBytes: n, meterBytes: 1}
+						want = engineCounts{oneway: 1, reqBytes: n}
 						path = "post→select→" + string(p.pid)
 						if failFirst {
 							// At-most-once: the failure is classified, not retried.
@@ -289,10 +299,9 @@ func TestEngineSurfaceParity(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						want = engineCounts{calls: 1, reqBytes: n, respBytes: n, latencyCount: 1, meterLatency: 1, meterBytes: 1}
+						want = engineCounts{calls: 1, reqBytes: n, respBytes: n, latencyCount: 1}
 						if failFirst {
-							want = engineCounts{calls: 2, reqBytes: 2 * n, respBytes: n, transportErrors: 1,
-								latencyCount: 2, meterLatency: 2, meterBytes: 2}
+							want = engineCounts{calls: 2, reqBytes: 2 * n, respBytes: n, transportErrors: 1, latencyCount: 2}
 							path += "→retry→select→" + string(p.pid)
 						}
 					}
@@ -406,9 +415,8 @@ func TestCallOnlyProtocol(t *testing.T) {
 		if _, err := gp.InvokeAsync("echo", []byte("x")).Wait(); err != nil {
 			t.Fatal(err)
 		}
-		h := rt.MetricsSnapshot().Histograms[`rpc.latency_us{proto="hpcx-tcp"}`]
-		if h.Count != 2 || h.Sum != 6000 {
-			t.Fatalf("latency_us count=%d sum=%d, want 2 and 6000 (two 3 ms round trips)", h.Count, h.Sum)
+		if count, sum := protoLatency(rt.MetricsSnapshot(), ProtoStream); count != 2 || sum != 6000 {
+			t.Fatalf("latency_us count=%d sum=%d, want 2 and 6000 (two 3 ms round trips)", count, sum)
 		}
 	})
 }

@@ -4,9 +4,14 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"hash/fnv"
+	"io"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 
 	"openhpcxx/internal/errs"
 	"openhpcxx/internal/health"
@@ -51,20 +56,21 @@ type GlobalPtr struct {
 
 // binding is everything one protocol selection fixes until the next
 // invalidation. bindToLocked builds it once — the health key decoded
-// from the entry's proto-data, the metric and meter handles resolved —
-// and prepare hands out the pointer, so the invocation hot path derives
+// from the entry's proto-data, the metric handles resolved — and
+// prepare hands out the pointer, so the invocation hot path derives
 // nothing: it increments atomics instead of rebuilding metric names and
 // taking the registry lock on every call, and takes no lock but the
-// GP's own.
+// GP's own. The handles are per endpoint, labelled
+// {proto=<pid>, endpoint=<addr>}, so a primary and a backup behind one
+// protocol keep separate series.
 type binding struct {
 	proto Protocol
 	entry int    // index into ref.Protocols of the selected entry
 	key   string // health-tracker key of the bound endpoint
 
-	calls, oneway, reqBytes, respBytes *stats.Counter   // rpc.*{proto=<pid>}
-	transportErrors, faults            *stats.Counter   // rpc.*{proto=<pid>}
-	latency                            *stats.Histogram // rpc.latency_us{proto=<pid>}
-	em                                 *endpointMeters
+	calls, oneway, reqBytes, respBytes *stats.Counter   // rpc.*{endpoint,proto}
+	transportErrors, faults            *stats.Counter   // rpc.*{endpoint,proto}
+	latency                            *stats.Histogram // rpc.latency_us{endpoint,proto}
 }
 
 // DefaultMaxInFlight is the default per-GP bound on outstanding
@@ -252,6 +258,35 @@ func entryHealthKey(e ProtoEntry) string {
 	return string(e.ID) + "|" + string(e.Data)
 }
 
+// meterLabel makes an endpoint address printable as a metric label:
+// glue entries embed raw protocol data (length-prefixed XDR) in their
+// health key, and control bytes would corrupt the Prometheus text
+// exposition. Overlong values are elided in the middle — the label only
+// has to stay distinguishable, the raw key stays the binding's identity.
+func meterLabel(addr string) string {
+	clean := strings.Map(func(r rune) rune {
+		if r < 0x20 || r == 0x7f {
+			return '.'
+		}
+		return r
+	}, addr)
+	const max = 96
+	if len(clean) <= max {
+		return clean
+	}
+	// Back the cut off to a rune boundary so the truncation never
+	// splits a multi-byte rune and emits invalid UTF-8 into a label.
+	cut := max
+	for cut > 0 && !utf8.RuneStart(clean[cut]) {
+		cut--
+	}
+	// Two glue endpoints can agree everywhere but in the elided middle;
+	// a hash of the full address keeps their series distinct.
+	h := fnv.New32a()
+	_, _ = io.WriteString(h, addr)
+	return fmt.Sprintf("%s…%08x", clean[:cut], h.Sum32())
+}
+
 // bindLocked runs protocol selection if no protocol is bound, and —
 // when the health landscape changed since the last bind — re-runs it to
 // re-promote a recovered, more preferred table entry.
@@ -308,7 +343,8 @@ func (g *GlobalPtr) bindToLocked(f ProtoFactory, idx int, event string) error {
 		return errs.Wrapf(errs.Transport, err, "core: instantiating %s", f.ID())
 	}
 	key := entryHealthKey(g.ref.Protocols[idx])
-	r, by := g.host.rt.Metrics(), stats.Labels{"proto": string(p.ID())}
+	_, addr, _ := strings.Cut(key, "|")
+	r, by := g.host.rt.Metrics(), stats.Labels{"proto": string(p.ID()), "endpoint": meterLabel(addr)}
 	g.b = &binding{
 		proto:           p,
 		entry:           idx,
@@ -320,7 +356,6 @@ func (g *GlobalPtr) bindToLocked(f ProtoFactory, idx int, event string) error {
 		transportErrors: r.CounterWith("rpc.transport_errors", by),
 		faults:          r.CounterWith("rpc.faults", by),
 		latency:         r.HistogramWith("rpc.latency_us", by),
-		em:              g.host.rt.endpointMeter(key),
 	}
 	g.applyBatchingLocked()
 	g.registerProbesLocked()

@@ -205,20 +205,30 @@ func (p *ProtoPool) Select(ref *ObjectRef, client netsim.Locality) (ProtoFactory
 // ordered protocol table to the first entry that is both applicable and
 // not circuit-broken. A nil allow accepts everything.
 func (p *ProtoPool) SelectWhere(ref *ObjectRef, client netsim.Locality, allow func(i int, e ProtoEntry) bool) (ProtoFactory, int, error) {
-	p.mu.RLock()
-	selOrder := p.selOrder
-	p.mu.RUnlock()
-
 	ok := func(i int, e ProtoEntry) bool { return allow == nil || allow(i, e) }
 
-	if selOrder == PoolOrder {
-		for _, id := range p.IDs() {
-			f, _ := p.Lookup(id)
+	// The factories to walk, in walk order, are read under one lock, so
+	// a concurrent Remove cannot hand the walk a nil factory. The walk
+	// itself runs unlocked: a glue factory's Applicable reads the pool.
+	var buf [8]ProtoFactory
+	facs := buf[:0]
+	p.mu.RLock()
+	poolOrder := p.selOrder == PoolOrder
+	if poolOrder {
+		for _, id := range p.order {
+			facs = append(facs, p.factories[id])
+		}
+	} else {
+		for _, entry := range ref.Protocols {
+			facs = append(facs, p.factories[entry.ID]) // nil when not in the pool
+		}
+	}
+	p.mu.RUnlock()
+
+	if poolOrder {
+		for _, f := range facs {
 			for i, entry := range ref.Protocols {
-				if entry.ID != id {
-					continue
-				}
-				if f.Applicable(entry, client, ref.Server) && ok(i, entry) {
+				if entry.ID == f.ID() && f.Applicable(entry, client, ref.Server) && ok(i, entry) {
 					return f, i, nil
 				}
 			}
@@ -227,11 +237,7 @@ func (p *ProtoPool) SelectWhere(ref *ObjectRef, client netsim.Locality, allow fu
 	}
 
 	for i, entry := range ref.Protocols {
-		f, okf := p.Lookup(entry.ID)
-		if !okf {
-			continue
-		}
-		if f.Applicable(entry, client, ref.Server) && ok(i, entry) {
+		if f := facs[i]; f != nil && f.Applicable(entry, client, ref.Server) && ok(i, entry) {
 			return f, i, nil
 		}
 	}

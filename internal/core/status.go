@@ -15,7 +15,6 @@ import (
 
 	"openhpcxx/internal/future"
 	"openhpcxx/internal/health"
-	"openhpcxx/internal/stats"
 )
 
 // GPEntryStatus is one row of a GP's ordered protocol table as /statusz
@@ -94,10 +93,6 @@ type RuntimeStatus struct {
 	Endpoints          []health.EndpointStatus `json:"endpoints"`
 	// RecentEvents is the tail of the adaptivity event log, newest last.
 	RecentEvents []string `json:"recent_events"`
-	// Meters is the per-endpoint EWMA view (smoothed latency level in
-	// µs plus payload bytes/s, rates decayed to Time), keyed by the
-	// registry meter key — the scoring input for adaptive selection.
-	Meters map[string]stats.MeterSnapshot `json:"meters,omitempty"`
 	// Sections carries subsystem-contributed status (RegisterStatusSection)
 	// — e.g. the directory plane's shard/cache tables — keyed by section
 	// name. Absent when no subsystem registered one.
@@ -163,9 +158,6 @@ func (rt *Runtime) Status() RuntimeStatus {
 	}
 	for _, e := range events {
 		st.RecentEvents = append(st.RecentEvents, e.String())
-	}
-	if meters := rt.metrics.SnapshotAt(st.Time).Meters; len(meters) > 0 {
-		st.Meters = meters
 	}
 	if len(sections) > 0 {
 		st.Sections = make(map[string]any, len(sections))

@@ -35,7 +35,7 @@ func stormWorld(t *testing.T) (*netsim.Network, *Runtime, *clock.Fake, *Context,
 
 const stormPort = 7301
 
-// attemptCalls sums every per-protocol rpc.calls counter — the number
+// attemptCalls sums every per-endpoint rpc.calls counter — the number
 // of wire attempts actually sent, retries included.
 func attemptCalls(rt *Runtime) uint64 {
 	var total uint64

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"openhpcxx/internal/clock"
 	"openhpcxx/internal/future"
 	"openhpcxx/internal/obs"
 	"openhpcxx/internal/obs/obstest"
@@ -151,4 +152,75 @@ func TestFailoverRetryYieldsSingleTrace(t *testing.T) {
 	}
 	// The eventual server half (the backup) shares the client's trace.
 	obstest.AssertPath(t, tr, "invoke→select→retry→select→dispatch→servant")
+}
+
+// TestTailKeeperEndToEndRetention drives real invocations through a
+// runtime whose recorder is a tail store: the errored invocation's
+// whole trace (client and server halves) is retained, the healthy
+// invocation against a high slow bar is dropped — the tail-based
+// policy applied to live wire traffic, not synthetic spans.
+func TestTailKeeperEndToEndRetention(t *testing.T) {
+	_, rt := testWorld(t)
+	srv, _ := rt.NewContext("srv", "mA")
+	client, _ := rt.NewContext("client", "mC")
+	_, ref := exportEcho(t, srv)
+	gp := client.NewGlobalPtr(ref)
+
+	tk := obs.NewStore(obs.StoreOptions{
+		Tail:     true,
+		MaxSpans: 512,
+		MinSlow:  time.Hour, // nothing is slow; only errors survive
+		Baseline: -1,        // no baseline reservoir
+		Clock:    rt.Clock(),
+	})
+	rt.Tracer().SetRecorder(tk)
+	defer rt.Tracer().SetRecorder(nil)
+
+	if _, err := gp.Invoke("echo", []byte("fine")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := gp.Invoke("fail", []byte("x")); err == nil {
+		t.Fatal("fail method did not fail")
+	}
+
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if tr := findKeptRoot(tk, "invoke"); tr != 0 {
+			if got := tk.Policy(tr); got != obs.PolicyError {
+				t.Fatalf("kept policy %q, want %q", got, obs.PolicyError)
+			}
+			spans := tk.Trace(tr)
+			names := make(map[string]bool, len(spans))
+			for _, s := range spans {
+				names[s.Name] = true
+			}
+			if !names["invoke"] || !names["dispatch"] {
+				t.Fatalf("retained trace missing client or server half: %v", names)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("errored trace never retained; stats %+v", tk.Stats())
+		}
+		clock.Sleep(clock.Real{}, time.Millisecond)
+	}
+
+	// The healthy echo must NOT be retained: every kept root is the
+	// errored invocation's.
+	for _, s := range tk.Spans() {
+		if s.Parent == 0 && s.Err == "" {
+			t.Fatalf("healthy trace retained: %+v", s)
+		}
+	}
+}
+
+// findKeptRoot returns the trace ID of a kept root span with the given
+// name and a recorded error, or 0.
+func findKeptRoot(tk *obs.Store, name string) obs.TraceID {
+	for _, s := range tk.Spans() {
+		if s.Parent == 0 && s.Name == name && s.Err != "" {
+			return s.Trace
+		}
+	}
+	return 0
 }

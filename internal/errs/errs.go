@@ -92,7 +92,8 @@ const (
 	ClassRetryable
 	// ClassHedgeable failures indicate the request was shed without
 	// executing — safe not just to retry but to race a duplicate
-	// against a slow first attempt (ROADMAP item 4's hedged requests).
+	// against a slow first attempt (the hedged requests of the parked
+	// Adaptivity v2 in ROADMAP.md).
 	ClassHedgeable
 	// ClassResource failures are budget/quota denials: retrying without
 	// new budget is pointless, backing off or surfacing upward is right.

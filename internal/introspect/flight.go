@@ -200,10 +200,6 @@ type Window struct {
 	// that code over the window / calls over the window. Only codes
 	// that actually erred during the window appear.
 	ErrorRatioByCode map[string]float64 `json:"error_ratio_by_code,omitempty"`
-	// Meters carries the newest sample's per-endpoint EWMA view
-	// (smoothed latency level + decayed byte rate) — already windowed
-	// by construction, so no delta is taken.
-	Meters map[string]stats.MeterSnapshot `json:"meters,omitempty"`
 }
 
 // Rates computes the rate view for the given look-back window. ok is
@@ -270,9 +266,6 @@ func computeWindow(base, newest sample, secs float64) Window {
 	}
 	for name, v := range newest.snap.Gauges {
 		w.Gauges[name] = v
-	}
-	if len(newest.snap.Meters) > 0 {
-		w.Meters = newest.snap.Meters
 	}
 	for name, h := range newest.snap.Histograms {
 		old := base.snap.Histograms[name] // zero value when new

@@ -17,6 +17,7 @@ import (
 	"openhpcxx/internal/core"
 	"openhpcxx/internal/netsim"
 	"openhpcxx/internal/obs"
+	"openhpcxx/internal/stats"
 	"openhpcxx/internal/wire"
 )
 
@@ -153,6 +154,15 @@ func TestPlaneServesAllEndpoints(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// The series are labelled with the address half of the primary's
+	// health key, the endpoint its breaker row names.
+	var ep string
+	for _, c := range rt.Status().Contexts {
+		for _, g := range c.GPs {
+			_, ep, _ = strings.Cut(g.Entries[0].Endpoint, "|")
+		}
+	}
+	series := `{endpoint="` + ep + `",proto="hpcx-tcp"`
 
 	// Index and liveness.
 	if code, body := get(t, base, "/"); code != 200 || !strings.Contains(body, "/statusz") {
@@ -178,7 +188,7 @@ func TestPlaneServesAllEndpoints(t *testing.T) {
 	metrics := string(mb)
 	for _, want := range []string{
 		"# TYPE rpc_calls counter",
-		`rpc_calls{proto="hpcx-tcp"} 5`,
+		"rpc_calls" + series + "} 5",
 		"# TYPE rpc_inflight gauge",
 		"# TYPE rpc_latency_us summary",
 	} {
@@ -196,9 +206,9 @@ func TestPlaneServesAllEndpoints(t *testing.T) {
 	// with histogram-typed families and the # EOF trailer.
 	om := getOpenMetrics(t, base)
 	for _, want := range []string{
-		`rpc_calls_total{proto="hpcx-tcp"} 5`,
+		"rpc_calls_total" + series + "} 5",
 		"# TYPE rpc_latency_us histogram",
-		`rpc_latency_us_bucket{proto="hpcx-tcp",le="+Inf"} 5`,
+		"rpc_latency_us_bucket" + series + `,le="+Inf"} 5`,
 		"# EOF\n",
 	} {
 		if !strings.Contains(om, want) {
@@ -207,7 +217,7 @@ func TestPlaneServesAllEndpoints(t *testing.T) {
 	}
 	// The plane's ring traced those calls, so their latency buckets
 	// carry exemplars.
-	if !regexp.MustCompile(`(?m)^rpc_latency_us_bucket\{proto="hpcx-tcp",le="\d+"\} \d+ # \{trace_id="[0-9a-f]{16}"\} \d+$`).MatchString(om) {
+	if !regexp.MustCompile(`(?m)^rpc_latency_us_bucket` + regexp.QuoteMeta(series) + `,le="\d+"\} \d+ # \{trace_id="[0-9a-f]{16}"\} \d+$`).MatchString(om) {
 		t.Fatalf("openmetrics /metrics has no exemplar on an rpc_latency_us bucket:\n%s", om)
 	}
 
@@ -243,15 +253,26 @@ func TestPlaneServesAllEndpoints(t *testing.T) {
 	if v.Samples < 1 {
 		t.Fatalf("varz samples = %d, want >= 1", v.Samples)
 	}
-	if v.Current.Counters[`rpc.calls{proto="hpcx-tcp"}`] == 0 && rt.MetricsSnapshot().Counters[`rpc.calls{proto="hpcx-tcp"}`] != 0 {
+	if streamCalls(v.Current) == 0 && streamCalls(rt.MetricsSnapshot()) != 0 {
 		// The flight recorder samples on its own cadence; force one so
 		// Current reflects the traffic, then re-fetch.
 		s.Flight().SampleNow()
 		getJSON(t, base, "/varz", &v)
-		if v.Current.Counters[`rpc.calls{proto="hpcx-tcp"}`] == 0 {
+		if streamCalls(v.Current) == 0 {
 			t.Fatalf("varz current snapshot missing call counters: %+v", v.Current.Counters)
 		}
 	}
+}
+
+// streamCalls sums rpc.calls{endpoint=…,proto="hpcx-tcp"} over every
+// endpoint.
+func streamCalls(snap stats.RegistrySnapshot) (n uint64) {
+	for key, v := range snap.Counters {
+		if name, labels := stats.SplitKey(key); name == "rpc.calls" && labels["proto"] == "hpcx-tcp" {
+			n += v
+		}
+	}
+	return n
 }
 
 func TestStatuszUnderFailover(t *testing.T) {
@@ -590,40 +611,6 @@ func TestAttachReusesInstalledKeeper(t *testing.T) {
 	tk.Close()
 }
 
-// TestVarzCarriesMeters pins the meter plumbing through the flight
-// recorder: endpoint EWMA readings appear in the sampled windows.
-func TestVarzCarriesMeters(t *testing.T) {
-	_, rt, gp := world(t)
-	s := attach(t, rt, Options{})
-	for i := 0; i < 3; i++ {
-		if _, err := gp.Invoke("echo", []byte("abc")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s.Flight().SampleNow()
-	clock.Sleep(clock.Real{}, 5*time.Millisecond)
-	s.Flight().SampleNow()
-	w, ok := s.Flight().Rates(time.Millisecond)
-	if !ok {
-		t.Fatal("no window despite two samples")
-	}
-	var found bool
-	for k, m := range w.Meters {
-		if strings.HasPrefix(k, "rpc.endpoint.latency_us{") && m.Level > 0 && m.Count == 3 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("window meters lack the endpoint latency level: %+v", w.Meters)
-	}
-	// And over HTTP: the current snapshot carries the meters section.
-	var v Varz
-	getJSON(t, "http://"+s.Addr(), "/varz", &v)
-	if len(v.Current.Meters) == 0 {
-		t.Fatalf("varz current snapshot has no meters: %+v", v.Current)
-	}
-}
-
 // TestScrapeWhileSamplingTailKeeper is the -race regression for the
 // tail-retention plane: live traffic (successes and faults) races the
 // keeper's decisions, the flush loop, and every tracez view.
@@ -741,17 +728,17 @@ func TestProtocolIDsStayDistinctSeries(t *testing.T) {
 
 	_, classic := get(t, base, "/metrics")
 	for _, want := range []string{
-		"# TYPE rpc_calls counter\n" + `rpc_calls{proto="a.b"} 4` + "\n" + `rpc_calls{proto="a_b"} 2` + "\n",
-		`rpc_faults{proto="a.b"} 1`,
-		`rpc_faults{proto="a_b"} 1`,
-		`rpc_latency_us_count{proto="a.b"} 4`,
+		"# TYPE rpc_calls counter\n" + `rpc_calls{endpoint="",proto="a.b"} 4` + "\n" + `rpc_calls{endpoint="",proto="a_b"} 2` + "\n",
+		`rpc_faults{endpoint="",proto="a.b"} 1`,
+		`rpc_faults{endpoint="",proto="a_b"} 1`,
+		`rpc_latency_us_count{endpoint="",proto="a.b"} 4`,
 	} {
 		if !strings.Contains(classic, want) {
 			t.Errorf("/metrics missing %q:\n%s", want, classic)
 		}
 	}
 	om := getOpenMetrics(t, base)
-	if want := "# TYPE rpc_calls counter\n" + `rpc_calls_total{proto="a.b"} 4` + "\n" + `rpc_calls_total{proto="a_b"} 2` + "\n"; !strings.Contains(om, want) {
+	if want := "# TYPE rpc_calls counter\n" + `rpc_calls_total{endpoint="",proto="a.b"} 4` + "\n" + `rpc_calls_total{endpoint="",proto="a_b"} 2` + "\n"; !strings.Contains(om, want) {
 		t.Errorf("openmetrics /metrics missing %q:\n%s", want, om)
 	}
 	for _, body := range []string{classic, om} {
@@ -764,7 +751,7 @@ func TestProtocolIDsStayDistinctSeries(t *testing.T) {
 	s.Flight().SampleNow()
 	var v Varz
 	getJSON(t, base, "/varz", &v)
-	if v.Current.Counters[`rpc.calls{proto="a.b"}`] != 4 || v.Current.Counters[`rpc.calls{proto="a_b"}`] != 2 {
+	if v.Current.Counters[`rpc.calls{endpoint="",proto="a.b"}`] != 4 || v.Current.Counters[`rpc.calls{endpoint="",proto="a_b"}`] != 2 {
 		t.Fatalf("varz counters: %v", v.Current.Counters)
 	}
 	w := computeWindow(sample{}, sample{snap: v.Current}, 1)

@@ -583,14 +583,6 @@ func (c *Client) Rebind(name string, ref *core.ObjectRef) error {
 	return c.bind(name, ref, true, 0)
 }
 
-// RebindWithTTL publishes ref under name with a fresh lease, replacing
-// any existing binding — the directory plane's heartbeat primitive: a
-// publisher that re-issues the full binding converges even against a
-// replica that restarted empty, which a bare Renew cannot.
-func (c *Client) RebindWithTTL(name string, ref *core.ObjectRef, ttl time.Duration) error {
-	return c.bind(name, ref, true, ttl)
-}
-
 // GP exposes the underlying global pointer so callers can tune policy
 // (deadlines, failover tables) on the registry channel itself.
 func (c *Client) GP() *core.GlobalPtr { return c.gp }

@@ -89,19 +89,6 @@ func (s RegistrySnapshot) WriteProm(w io.Writer) error {
 			fmt.Fprintf(&b, "%s_count%s %d\n", fam, sr.labels, h.Count)
 		}
 	}
-
-	// Meters render as paired gauges: the smoothed level and rate.
-	order, fams = promFamilies(s.MeterNames())
-	for _, fam := range order {
-		fmt.Fprintf(&b, "# TYPE %s_level gauge\n", fam)
-		for _, sr := range fams[fam] {
-			fmt.Fprintf(&b, "%s_level%s %g\n", fam, sr.labels, s.Meters[sr.key].Level)
-		}
-		fmt.Fprintf(&b, "# TYPE %s_rate gauge\n", fam)
-		for _, sr := range fams[fam] {
-			fmt.Fprintf(&b, "%s_rate%s %g\n", fam, sr.labels, s.Meters[sr.key].Rate)
-		}
-	}
 	_, err := io.WriteString(w, b.String())
 	return err
 }
@@ -151,18 +138,6 @@ func (s RegistrySnapshot) WriteOpenMetrics(w io.Writer) error {
 			fmt.Fprintf(&b, "%s_bucket%s %d\n", fam, mergeLabels(sr.labels, `le="+Inf"`), h.Count)
 			fmt.Fprintf(&b, "%s_sum%s %d\n", fam, sr.labels, h.Sum)
 			fmt.Fprintf(&b, "%s_count%s %d\n", fam, sr.labels, h.Count)
-		}
-	}
-
-	order, fams = promFamilies(s.MeterNames())
-	for _, fam := range order {
-		fmt.Fprintf(&b, "# TYPE %s_level gauge\n", fam)
-		for _, sr := range fams[fam] {
-			fmt.Fprintf(&b, "%s_level%s %g\n", fam, sr.labels, s.Meters[sr.key].Level)
-		}
-		fmt.Fprintf(&b, "# TYPE %s_rate gauge\n", fam)
-		for _, sr := range fams[fam] {
-			fmt.Fprintf(&b, "%s_rate%s %g\n", fam, sr.labels, s.Meters[sr.key].Rate)
 		}
 	}
 	b.WriteString("# EOF\n")

@@ -1,6 +1,6 @@
 // Package stats provides the lightweight metrics the runtime uses to
 // account for protocol usage: counters and log-scale latency/size
-// histograms, lock-free on the hot path. The ORB records per-protocol
+// histograms, lock-free on the hot path. The ORB records per-endpoint
 // call counts, errors, payload bytes, and round-trip latencies, which
 // the experiments and the ohpc-demo use to report what actually flowed
 // where.
@@ -362,7 +362,6 @@ type Registry struct {
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
 	histograms map[string]*Histogram
-	meters     map[string]*EWMA
 }
 
 // New returns an empty registry.
@@ -371,7 +370,6 @@ func New() *Registry {
 		counters:   make(map[string]*Counter),
 		gauges:     make(map[string]*Gauge),
 		histograms: make(map[string]*Histogram),
-		meters:     make(map[string]*EWMA),
 	}
 }
 
@@ -428,47 +426,19 @@ func (r *Registry) HistogramWith(name string, labels Labels) *Histogram {
 	return r.Histogram(KeyWithLabels(name, labels))
 }
 
-// Meter returns (creating if needed) the named EWMA meter with the
-// default gain and horizon.
-func (r *Registry) Meter(name string) *EWMA {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	m, ok := r.meters[name]
-	if !ok {
-		m = NewEWMA(0, 0)
-		r.meters[name] = m
-	}
-	return m
-}
-
-// MeterWith returns the meter for name decorated with labels.
-func (r *Registry) MeterWith(name string, labels Labels) *EWMA {
-	return r.Meter(KeyWithLabels(name, labels))
-}
-
 // RegistrySnapshot is a point-in-time export of every registered
 // metric — the JSON shape WriteTo emits and Runtime.MetricsSnapshot
 // returns.
 type RegistrySnapshot struct {
-	Counters   map[string]uint64        `json:"counters"`
-	Gauges     map[string]int64         `json:"gauges"`
-	Histograms map[string]Snapshot      `json:"histograms"`
-	Meters     map[string]MeterSnapshot `json:"meters"`
+	Counters   map[string]uint64   `json:"counters"`
+	Gauges     map[string]int64    `json:"gauges"`
+	Histograms map[string]Snapshot `json:"histograms"`
 }
 
 // Snapshot captures every counter and gauge value and histogram
 // summary. Each metric is read atomically; the set as a whole is as
-// consistent as a live system allows. Meter rates are read as of
-// their last update; SnapshotAt decays them to a caller-supplied
-// instant instead.
+// consistent as a live system allows.
 func (r *Registry) Snapshot() RegistrySnapshot {
-	return r.SnapshotAt(time.Time{})
-}
-
-// SnapshotAt is Snapshot with meter rates decayed to `now`, so a
-// quiet endpoint's bandwidth reads near zero instead of its last
-// burst. A zero now skips the decay.
-func (r *Registry) SnapshotAt(now time.Time) RegistrySnapshot {
 	r.mu.Lock()
 	cs := make(map[string]*Counter, len(r.counters))
 	for n, c := range r.counters {
@@ -482,17 +452,12 @@ func (r *Registry) SnapshotAt(now time.Time) RegistrySnapshot {
 	for n, h := range r.histograms {
 		hs[n] = h
 	}
-	ms := make(map[string]*EWMA, len(r.meters))
-	for n, m := range r.meters {
-		ms[n] = m
-	}
 	r.mu.Unlock()
 
 	out := RegistrySnapshot{
 		Counters:   make(map[string]uint64, len(cs)),
 		Gauges:     make(map[string]int64, len(gs)),
 		Histograms: make(map[string]Snapshot, len(hs)),
-		Meters:     make(map[string]MeterSnapshot, len(ms)),
 	}
 	for n, c := range cs {
 		out.Counters[n] = c.Value()
@@ -502,9 +467,6 @@ func (r *Registry) SnapshotAt(now time.Time) RegistrySnapshot {
 	}
 	for n, h := range hs {
 		out.Histograms[n] = h.Snapshot()
-	}
-	for n, m := range ms {
-		out.Meters[n] = m.SnapshotAt(now)
 	}
 	return out
 }
@@ -518,9 +480,6 @@ func (s RegistrySnapshot) GaugeNames() []string { return sortedKeys(s.Gauges) }
 
 // HistogramNames lists the snapshot's histogram keys, sorted.
 func (s RegistrySnapshot) HistogramNames() []string { return sortedKeys(s.Histograms) }
-
-// MeterNames lists the snapshot's meter keys, sorted.
-func (s RegistrySnapshot) MeterNames() []string { return sortedKeys(s.Meters) }
 
 func sortedKeys[V any](m map[string]V) []string {
 	out := make([]string, 0, len(m))
@@ -557,11 +516,6 @@ func (s RegistrySnapshot) WriteJSON(w io.Writer) error {
 	b.WriteString("},\n  \"histograms\": {")
 	writeSortedJSON(&b, s.HistogramNames(), func(n string) string {
 		j, _ := json.Marshal(s.Histograms[n])
-		return string(j)
-	})
-	b.WriteString("},\n  \"meters\": {")
-	writeSortedJSON(&b, s.MeterNames(), func(n string) string {
-		j, _ := json.Marshal(s.Meters[n])
 		return string(j)
 	})
 	b.WriteString("}\n}\n")
@@ -611,10 +565,6 @@ func (r *Registry) Dump() string {
 		h := s.Histograms[n]
 		fmt.Fprintf(&b, "%s count=%d mean=%.1f p50<=%d p90<=%d p99<=%d\n",
 			n, h.Count, h.Mean, h.P50, h.P90, h.P99)
-	}
-	for _, n := range s.MeterNames() {
-		m := s.Meters[n]
-		fmt.Fprintf(&b, "%s level=%.1f rate=%.1f count=%d\n", n, m.Level, m.Rate, m.Count)
 	}
 	return b.String()
 }

@@ -66,14 +66,6 @@ func (c FaultCode) Err() errs.Code { return errs.Code(c) }
 // taxonomy's, since the code spaces are shared).
 func (c FaultCode) Class() errs.Class { return errs.Code(c).Class() }
 
-// Retryable reports whether a fault of this code is safe to re-issue:
-// the request never executed (a draining server refused it, the
-// protocol choice was stale, or the object moved and handed over a
-// fresh reference), so retrying cannot double-execute anything.
-func (c FaultCode) Retryable() bool {
-	return errs.Code(c).Class() == errs.ClassRetryable
-}
-
 // Fault is a remote error. It travels as the body of a TFault message and
 // implements error on the client side.
 type Fault struct {
