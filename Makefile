@@ -40,9 +40,11 @@ race:
 # body are pooled memory, lent and given back (an outgoing one by the
 # encoder that copies it out). Run the tests that poison released buffers
 # (0xDB) and the lending tests repeatedly under the race detector, so a
-# buffer returned too early fails here rather than in a benchmark.
+# buffer returned too early fails here rather than in a benchmark. The
+# mux's recycled Call exchanges join the sweep: a reply delivered to an
+# exchange after it went back to the free list is the same bug one layer up.
 poison:
-	$(GO) test -race -count=10 -run 'Poison|Lent|Typed' ./internal/bufpool ./internal/core ./internal/xdr \
+	$(GO) test -race -count=10 -run 'Poison|Lent|Typed|Recycle' ./internal/bufpool ./internal/core ./internal/xdr \
 		./internal/capability ./internal/wire ./internal/transport
 
 # Determinism sweep: the fault-injection and failover suites, the span

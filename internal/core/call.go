@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"sync"
 	"sync/atomic"
 
 	"openhpcxx/internal/bufpool"
@@ -60,11 +61,17 @@ func Handler[Req any, PReq interface {
 	// The last reply's size is the next buffer's, so the encoder rarely grows.
 	size := new(atomic.Int64)
 	return func(args []byte) ([]byte, error) {
-		d := xdr.NewDecoder(args)
-		d.Lend()
-		defer d.Release() // after the reply, which may echo them, is encoded
+		c := stubCodecs.Get().(*stubCodec)
+		c.d.Reset(args)
+		c.d.Lend()
+		defer func() {
+			c.d.Release() // after the reply, which may echo them, is encoded
+			c.d.Reset(nil)
+			c.e.SetBuf(nil)
+			stubCodecs.Put(c)
+		}()
 		req := PReq(new(Req))
-		if err := d.DecodeFull(req); err != nil {
+		if err := c.d.DecodeFull(req); err != nil {
 			return nil, err
 		}
 		resp, err := fn((*Req)(req))
@@ -72,12 +79,11 @@ func Handler[Req any, PReq interface {
 			return nil, err
 		}
 		buf := bufpool.Get(int(size.Load()))
-		var e xdr.Encoder
-		e.SetBuf(buf[:0])
-		if err := resp.MarshalXDR(&e); err != nil {
+		c.e.SetBuf(buf[:0])
+		if err := resp.MarshalXDR(&c.e); err != nil {
 			return nil, err
 		}
-		out := e.Bytes()
+		out := c.e.Bytes()
 		size.Store(int64(len(out)))
 		if cap(out) != cap(buf) { // the encoder outgrew buf and copied out of it
 			bufpool.Put(buf)
@@ -87,6 +93,15 @@ func Handler[Req any, PReq interface {
 		return out, nil
 	}
 }
+
+// stubCodec is a Handler call's codecs, which escape through the xdr
+// interfaces: pooled, not made per call. Pooled, it holds no loan or buffer.
+type stubCodec struct {
+	d xdr.Decoder
+	e xdr.Encoder
+}
+
+var stubCodecs = sync.Pool{New: func() any { return new(stubCodec) }}
 
 // A Method returns a bare slice, so whether dispatch may give a reply
 // back to bufpool has to be read off the slice: a stub records the base of

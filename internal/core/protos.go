@@ -195,10 +195,20 @@ func (p *streamProto) BatchStats() (queued, queuedBytes int, on bool) {
 	return q, b, true
 }
 
-// Call is Begin plus the wait, as for nexus. A failed exchange leaves the
-// pooled mux alone — other exchanges share it, begin drops it when a
-// write fails, and the pool replaces one whose read loop died.
+// Call is Begin plus the wait when batching is on, else the mux's Call
+// (which recycles its exchange). A failed exchange leaves the shared mux
+// alone: the pool replaces one that a failed write or read spoiled.
 func (p *streamProto) Call(m *wire.Message) (*wire.Message, error) {
+	p.mu.Lock()
+	coal := p.coal
+	p.mu.Unlock()
+	if coal == nil || m.Type != wire.TRequest {
+		mux, err := p.host.muxes.Get(p.addr)
+		if err != nil {
+			return nil, err
+		}
+		return mux.Call(m)
+	}
 	pending, err := p.Begin(m)
 	if err != nil {
 		return nil, err

@@ -33,16 +33,12 @@ func (c *Cell) Done() <-chan struct{} {
 	return c.done
 }
 
-// Resolved reports whether the outcome is in.
-func (c *Cell) Resolved() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.resolved
-}
-
 // Reply implements Pending.
 func (c *Cell) Reply() (*wire.Message, error) {
-	if !c.Resolved() {
+	c.mu.Lock()
+	resolved := c.resolved
+	c.mu.Unlock()
+	if !resolved {
 		<-c.Done()
 	}
 	return c.reply, c.err
@@ -71,7 +67,7 @@ func (c *Cell) Resolve(reply *wire.Message, err error) bool {
 
 // WhenDone runs fn exactly once when the cell has resolved; one
 // registration per cell. fn runs on the goroutine that resolves it — a
-// mux read loop, a timeout timer, the caller of Abandon — or here if it
+// mux's read loop or deadline timer, the caller of Abandon — or here if it
 // already has: under no transport lock, and never on a goroutine inside
 // Begin, Post or Close, whose caller may hold locks. So fn is the ORB's
 // short, non-blocking completion code, never a capability or a servant.

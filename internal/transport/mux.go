@@ -37,33 +37,57 @@ type Pending interface {
 // demultiplexes replies to the waiting callers. A Mux is safe for
 // concurrent use; any number of exchanges may be in flight at once
 // (request pipelining — the reply stream is matched by request id, not
-// by order).
+// by order). One deadline timer serves every exchange's timeout, and a
+// Call's exchange comes from a free list and goes back to it.
+//
+// Recycling needs no generation stamp: every resolver (read loop, timer,
+// fail, failed write, Abandon) deletes the id from pending under mu before
+// it resolves, and all but Abandon, which only Begin's never-recycled
+// exchanges have, resolve only what they deleted. So a late reply for a
+// recycled id finds nothing, and Cell's first-resolve-wins does the rest.
 type Mux struct {
-	conn    net.Conn
-	timeout time.Duration
+	conn  net.Conn
+	epoch time.Time // deadlines are nanoseconds since epoch: monotonic
 
-	wmu sync.Mutex // serializes frame writes
+	wmu           sync.Mutex   // serializes frame writes
+	writeDeadline atomic.Int64 // when the two-way write in progress (0: none) has stalled
 
 	mu      sync.Mutex
+	timeout time.Duration
 	nextID  uint64
 	pending map[uint64]*PendingCall
+	free    []*PendingCall // recycled Call exchanges, at most maxFree
+	timer   *time.Timer    // the deadline timer
+	armed   atomic.Int64   // when timer fires (0: not armed); written under mu
 	err     error
 	closed  bool
 }
+
+// maxFree bounds the Call exchanges a mux keeps for callers to come. A
+// write has stalled once it has run for its timeout and minStall both, so
+// a short timeout does not take a descheduled writer for a deaf peer.
+const (
+	maxFree  = 64
+	minStall = 250 * time.Millisecond
+)
 
 // NewMux wraps conn and starts its reply-reading loop.
 func NewMux(conn net.Conn) *Mux {
 	m := &Mux{
 		conn:    conn,
+		epoch:   time.Now(),
 		timeout: DefaultCallTimeout,
 		nextID:  1,
 		pending: make(map[uint64]*PendingCall),
 	}
+	m.timer = time.AfterFunc(DefaultCallTimeout, m.expire)
+	m.timer.Stop()
 	go m.readLoop()
 	return m
 }
 
-// SetTimeout changes the per-call timeout. Zero disables it.
+// SetTimeout changes the per-call timeout of exchanges begun from now
+// on. Zero disables it.
 func (m *Mux) SetTimeout(d time.Duration) {
 	m.mu.Lock()
 	m.timeout = d
@@ -74,20 +98,16 @@ func (m *Mux) SetTimeout(d time.Duration) {
 // first of {matched reply, connection failure, timeout, Abandon}.
 type PendingCall struct {
 	Cell
-	m  *Mux
-	id uint64
-	// timer is the timeout watchdog; atomic because it is armed after
-	// the read loop can see the pending. One that escapes the Stop fires
-	// harmlessly: forget and resolve are both idempotent.
-	timer atomic.Pointer[time.Timer]
+	m        *Mux
+	id       uint64
+	method   string        // for the timeout's error
+	timeout  time.Duration // the mux's when the exchange began
+	deadline int64         // on m's clock, 0 for none; guarded by m.mu
+	wake     chan struct{} // a Call's, made once: signal, its continuation,
+	signal   func()        // tells the caller waiting on wake it resolved
 }
 
-func (p *PendingCall) resolve(reply *wire.Message, err error) {
-	if t := p.timer.Load(); t != nil {
-		t.Stop()
-	}
-	p.Resolve(reply, err)
-}
+func (m *Mux) now() int64 { return int64(time.Since(m.epoch)) }
 
 // ErrAbandoned resolves an exchange its owner gave up on.
 var ErrAbandoned error = errs.New(errs.Canceled, "transport: call abandoned")
@@ -95,14 +115,64 @@ var ErrAbandoned error = errs.New(errs.Canceled, "transport: call abandoned")
 // Abandon gives up on the exchange: a late reply is dropped by the read
 // loop, and the exchange resolves, here, with ErrAbandoned.
 func (p *PendingCall) Abandon() {
-	p.m.forget(p.id)
-	p.resolve(nil, ErrAbandoned)
+	p.m.take(p.id)
+	p.Resolve(nil, ErrAbandoned)
 }
 
-func (m *Mux) forget(id uint64) {
+// take deletes id from pending and returns its exchange, if it was there.
+func (m *Mux) take(id uint64) *PendingCall {
 	m.mu.Lock()
+	p := m.pending[id]
 	delete(m.pending, id)
 	m.mu.Unlock()
+	return p
+}
+
+// armLocked makes the timer fire by deadline, re-arming it only for an
+// earlier one. m.mu is held.
+func (m *Mux) armLocked(deadline int64) {
+	if a := m.armed.Load(); a != 0 && a <= deadline {
+		return
+	}
+	m.armed.Store(deadline)
+	m.timer.Reset(time.Duration(deadline - m.now()))
+}
+
+// expire is the deadline timer's pass: overdue exchanges resolve
+// errs.Expired, a stalled write closes the connection (its frame is half
+// written, and closing works on every fabric), and the timer is re-armed
+// for the earliest deadline left.
+func (m *Mux) expire() {
+	now := m.now()
+	var overdue []*PendingCall
+	m.mu.Lock()
+	m.armed.Store(0)
+	next := m.writeDeadline.Load()
+	stalled := next != 0 && next <= now
+	if stalled {
+		next = 0
+	}
+	for id, p := range m.pending {
+		switch {
+		case p.deadline == 0:
+		case p.deadline <= now:
+			delete(m.pending, id)
+			overdue = append(overdue, p)
+		case next == 0 || p.deadline < next:
+			next = p.deadline
+		}
+	}
+	if next != 0 {
+		m.armLocked(next)
+	}
+	m.mu.Unlock()
+	for _, p := range overdue {
+		p.Resolve(nil, errs.Newf(errs.Expired, "transport: call %q timed out after %v", p.method, p.timeout))
+	}
+	if stalled {
+		m.recordErr(errs.New(errs.Transport, "transport: write stalled past its call's timeout"))
+		_ = m.conn.Close() // the stall is the error worth keeping
+	}
 }
 
 func (m *Mux) readLoop() {
@@ -112,17 +182,12 @@ func (m *Mux) readLoop() {
 			m.fail(err)
 			return
 		}
-		m.mu.Lock()
-		p, ok := m.pending[msg.RequestID]
-		if ok {
-			delete(m.pending, msg.RequestID)
-		}
-		m.mu.Unlock()
-		if ok {
-			// resolve never blocks (no channel send), so a caller that
-			// raced an abandon with this delivery cannot stall the reader;
-			// the continuation it runs is bound by Cell.WhenDone's contract.
-			p.resolve(msg, nil)
+		if p := m.take(msg.RequestID); p != nil {
+			// Resolve never blocks (a Call's signal fills a one-slot
+			// channel only this resolve may fill), so a caller that raced
+			// an abandon with this delivery cannot stall the reader; the
+			// continuation it runs is bound by Cell.WhenDone's contract.
+			p.Resolve(msg, nil)
 		}
 		// Replies for abandoned requests are dropped.
 	}
@@ -139,6 +204,14 @@ func (m *Mux) recordErr(err error) {
 		m.err = err
 	}
 	m.mu.Unlock()
+}
+
+// errLocked is why the mux cannot send, or nil. m.mu is held.
+func (m *Mux) errLocked() error {
+	if m.err == nil && m.closed {
+		return ErrMuxClosed
+	}
+	return m.err
 }
 
 // fail is the read loop's last act: what is still pending fails.
@@ -158,7 +231,7 @@ func (m *Mux) fail(err error) {
 	err = m.err
 	m.mu.Unlock()
 	for _, p := range failed {
-		p.resolve(nil, err)
+		p.Resolve(nil, err)
 	}
 }
 
@@ -166,91 +239,119 @@ func (m *Mux) fail(err error) {
 // handle without waiting for the reply — the request pipelining
 // primitive. Any number of Begins may be outstanding; replies are
 // demultiplexed by id. The mux's timeout (if any) applies to each
-// pending exchange individually.
+// pending exchange individually, and to its write: one that outlasts it
+// (and minStall) closes the connection.
 func (m *Mux) Begin(msg *wire.Message) (*PendingCall, error) {
+	p, err := m.begin(msg, false)
+	if p != nil && err != nil {
+		_, err = p.Reply() // the first resolver's: a stalled write expired
+		p = nil
+	}
+	return p, err
+}
+
+// begin registers an exchange for msg, a recycled one for a Call, and
+// writes the frame. It returns no exchange when the mux cannot send, and
+// the exchange, resolved, with the error when the write failed.
+func (m *Mux) begin(msg *wire.Message, call bool) (*PendingCall, error) {
+	now := m.now()
 	m.mu.Lock()
-	if m.closed || m.err != nil {
-		err := m.err
+	if err := m.errLocked(); err != nil {
 		m.mu.Unlock()
-		if err == nil {
-			err = ErrMuxClosed
-		}
 		return nil, err
 	}
-	id := m.nextID
+	var p *PendingCall
+	if n := len(m.free); call && n > 0 {
+		p, m.free = m.free[n-1], m.free[:n-1]
+	} else {
+		p = &PendingCall{m: m}
+		if call {
+			p.wake = make(chan struct{}, 1)
+			p.signal = func() { p.wake <- struct{}{} }
+			p.then = p.signal
+		}
+	}
+	p.id, p.method, p.timeout, p.deadline = m.nextID, msg.Method, m.timeout, 0
 	m.nextID++
-	msg.RequestID = id
-	p := &PendingCall{m: m, id: id}
-	m.pending[id] = p
-	timeout := m.timeout
+	msg.RequestID = p.id
+	m.pending[p.id] = p
+	if p.timeout > 0 {
+		p.deadline = now + int64(p.timeout)
+		m.armLocked(p.deadline)
+	}
 	m.mu.Unlock()
-
-	m.wmu.Lock()
-	err := wire.Write(m.conn, msg)
-	m.wmu.Unlock()
+	err := m.write(msg, p.timeout)
 	if err != nil {
-		m.recordErr(err)
-		m.forget(id)
 		// A frame the codec refused (wire.ErrTooLarge) will be refused
 		// again: keep its code so the engine does not retry it as a blip.
 		code := errs.CodeOf(err)
 		if code == errs.Unknown {
 			code = errs.Transport
 		}
-		werr := errs.Wrap(code, err, "transport: write")
-		p.resolve(nil, werr)
-		return nil, werr
-	}
-
-	if timeout > 0 {
-		method := msg.Method
-		t := time.AfterFunc(timeout, func() {
-			m.forget(id)
-			p.resolve(nil, errs.Newf(errs.Expired, "transport: call %q timed out after %v", method, timeout))
-		})
-		p.timer.Store(t)
-		// The pending may have resolved between the map insert and the
-		// Store above, when resolve could not see the timer: stop it
-		// here, so that no timer outlives its exchange.
-		if p.Resolved() {
-			t.Stop()
+		if m.take(p.id) != nil {
+			p.Resolve(nil, errs.Wrap(code, err, "transport: write"))
 		}
 	}
-	return p, nil
+	return p, err
 }
 
-// Call sends msg (assigning its RequestID) and waits for the matching
-// reply. The returned message may be a TFault frame; decoding the fault
-// is the caller's concern so that capability layers can inspect replies.
-func (m *Mux) Call(msg *wire.Message) (*wire.Message, error) {
-	p, err := m.Begin(msg)
-	if err != nil {
-		return nil, err
-	}
-	return p.Reply()
-}
-
-// Post sends msg without awaiting any reply (one-way traffic). The
-// message keeps whatever RequestID it carries; replies to that id, if a
-// peer sends one anyway, are dropped by the read loop.
-func (m *Mux) Post(msg *wire.Message) error {
-	m.mu.Lock()
-	if m.closed || m.err != nil {
-		err := m.err
-		m.mu.Unlock()
-		if err == nil {
-			err = ErrMuxClosed
-		}
-		return err
-	}
-	m.mu.Unlock()
+// write puts msg on the wire. A two-way write (timeout > 0) records when
+// it counts as stalled and sees that a timer pass comes by then: the pass
+// for its exchange's own deadline may have run already.
+func (m *Mux) write(msg *wire.Message, timeout time.Duration) error {
 	m.wmu.Lock()
+	if timeout > 0 {
+		wd := m.now() + int64(max(timeout, minStall))
+		m.writeDeadline.Store(wd)
+		if a := m.armed.Load(); a == 0 || a > wd {
+			m.mu.Lock()
+			m.armLocked(wd)
+			m.mu.Unlock()
+		}
+	}
 	err := wire.Write(m.conn, msg)
+	m.writeDeadline.Store(0)
 	m.wmu.Unlock()
 	if err != nil {
 		m.recordErr(err)
 	}
 	return err
+}
+
+// Call sends msg (assigning its RequestID) and waits for the matching
+// reply. The returned message may be a TFault frame; decoding the fault
+// is the caller's concern so that capability layers can inspect replies.
+// The exchange is the mux's: it goes back to the free list once read.
+func (m *Mux) Call(msg *wire.Message) (*wire.Message, error) {
+	p, err := m.begin(msg, true)
+	if p == nil {
+		return nil, err
+	}
+	<-p.wake
+	reply, err := p.reply, p.err
+	// Its caller has the signal, so nothing else refers to the exchange
+	// (see Mux): the cell is reset without its lock.
+	p.resolved, p.reply, p.err, p.then = false, nil, nil, p.signal
+	m.mu.Lock()
+	if len(m.free) < maxFree {
+		m.free = append(m.free, p)
+	}
+	m.mu.Unlock()
+	return reply, err
+}
+
+// Post sends msg without awaiting any reply (one-way traffic). The
+// message keeps whatever RequestID it carries; replies to that id, if a
+// peer sends one anyway, are dropped by the read loop. The timeout does
+// not bound a Post's write.
+func (m *Mux) Post(msg *wire.Message) error {
+	m.mu.Lock()
+	err := m.errLocked()
+	m.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	return m.write(msg, 0)
 }
 
 // InFlight reports how many exchanges are currently pending.
@@ -269,6 +370,7 @@ func (m *Mux) Close() error {
 		return nil
 	}
 	m.closed = true
+	m.timer.Stop()
 	m.mu.Unlock()
 	return m.conn.Close()
 }
@@ -277,5 +379,5 @@ func (m *Mux) Close() error {
 func (m *Mux) Healthy() bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return !m.closed && m.err == nil
+	return m.errLocked() == nil
 }

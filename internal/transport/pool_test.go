@@ -96,8 +96,8 @@ func TestMuxRecordsWriteError(t *testing.T) {
 }
 
 // TestPendingAbandonStopsTimer pins the satellite fix: abandoning a
-// pending call disarms its timeout watchdog (no goroutine fires later to
-// resolve a forgotten call).
+// pending call takes it out of the deadline timer's reach (the timer
+// fires later and finds nothing to resolve).
 func TestPendingAbandonStopsTimer(t *testing.T) {
 	shm := NewSHM()
 	l, _ := shm.Listen("abandon-timer")

@@ -12,8 +12,9 @@ import (
 
 // Handler processes one inbound frame and returns the reply frame. A nil
 // reply means "no reply" (one-way control traffic). Handlers must be safe
-// for concurrent use; the server invokes them from per-request
-// goroutines so a slow method cannot head-of-line block a connection.
+// for concurrent use; the server invokes them from per-connection
+// dispatch workers, at most 256 busy per connection, so a slow (or
+// blocking) method cannot head-of-line block a connection.
 //
 // The request (its Body, its envelope data) is lent: valid until the
 // reply has been written or the handler returned nil, when the server
@@ -98,9 +99,17 @@ func (s *Server) acceptLoop() {
 	}
 }
 
+// connLoop hands each frame of c to an idle dispatch worker, else starts
+// one while fewer than maxPerC run, else waits for one (as a blocking
+// servant makes it wait). A worker that finishes while another is idle
+// exits, so a burst does not keep its workers as long as the connection.
 func (s *Server) connLoop(c net.Conn) {
 	defer s.wg.Done()
+	var wmu sync.Mutex
+	work := make(chan *wire.Message)
+	var running, idle atomic.Int32
 	defer func() {
+		close(work) // idle workers exit, busy ones at their next wait
 		s.mu.Lock()
 		delete(s.conns, c)
 		s.mu.Unlock()
@@ -109,8 +118,39 @@ func (s *Server) connLoop(c net.Conn) {
 		// connection is already dead either way.
 		_ = c.Close()
 	}()
-	var wmu sync.Mutex
-	sem := make(chan struct{}, s.maxPerC)
+	serve := func(msg *wire.Message) {
+		defer msg.Release() // after the write: the reply may alias the request
+		g := s.inflightGauge.Load()
+		g.Inc()
+		reply := s.h(msg)
+		g.Dec()
+		if reply == nil {
+			return
+		}
+		reply.RequestID = msg.RequestID
+		wmu.Lock()
+		werr := wire.Write(c, reply)
+		wmu.Unlock()
+		if werr != nil {
+			// A failed reply write poisons the stream; kill the
+			// connection so the read loop unblocks. Its close error
+			// adds nothing to werr.
+			_ = c.Close()
+		}
+	}
+	worker := func(msg *wire.Message) {
+		defer s.wg.Done()
+		defer running.Add(-1)
+		for ok := true; ok; {
+			serve(msg)
+			if idle.Load() > 0 {
+				return
+			}
+			idle.Add(1)
+			msg, ok = <-work
+			idle.Add(-1)
+		}
+	}
 	for {
 		msg, err := wire.ReadLent(c)
 		if err != nil {
@@ -122,30 +162,17 @@ func (s *Server) connLoop(c net.Conn) {
 			sp.SetBytes(len(msg.Body))
 			sp.End()
 		}
-		sem <- struct{}{}
-		s.wg.Add(1)
-		go func(msg *wire.Message) {
-			defer s.wg.Done()
-			defer func() { <-sem }()
-			defer msg.Release() // after the write: the reply may alias the request
-			g := s.inflightGauge.Load()
-			g.Inc()
-			reply := s.h(msg)
-			g.Dec()
-			if reply == nil {
-				return
+		select {
+		case work <- msg:
+		default:
+			if int(running.Load()) < s.maxPerC {
+				running.Add(1)
+				s.wg.Add(1)
+				go worker(msg)
+			} else {
+				work <- msg
 			}
-			reply.RequestID = msg.RequestID
-			wmu.Lock()
-			werr := wire.Write(c, reply)
-			wmu.Unlock()
-			if werr != nil {
-				// A failed reply write poisons the stream; kill the
-				// connection so the read loop unblocks. Its close error
-				// adds nothing to werr.
-				_ = c.Close()
-			}
-		}(msg)
+		}
 	}
 }
 
