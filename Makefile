@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci fmt-check vet cross lint build test race poison determinism cover faults fuzz load-smoke bench-smoke bench-json bench-pairs bench-async bench-faults bench-directory bench-errors bench-retention bench-saturation loc top registry
+.PHONY: ci fmt-check vet cross lint build test race poison determinism cover faults fuzz load-smoke bench-smoke bench-json bench-pairs bench-layers bench-async bench-faults bench-directory bench-errors bench-retention bench-saturation loc top registry
 
 ci: fmt-check vet cross lint build test race poison determinism cover load-smoke bench-smoke bench-json
 
@@ -139,6 +139,14 @@ SECONDS ?= 15
 bench-pairs:
 	@test -n "$(PARENT)" -a -n "$(W)" || { echo "usage: make bench-pairs PARENT=<rev> W=<workload> [N=10] [SEED=1] [SECONDS=15] [FORCE=1]"; exit 2; }
 	FORCE=$(FORCE) scripts/bench-pairs.sh $(PARENT) $(W) $(N) $(SEED) $(SECONDS)
+
+# Which layer a saving came from: one per-layer run (run.sh --trace 1) at
+# PARENT and one at the working tree on workload W, every per_layer metric
+# of BENCHMARK.json side by side with the ratio. One run per side: counts
+# compare, timings are indicative. Not part of ci.
+bench-layers:
+	@test -n "$(PARENT)" -a -n "$(W)" || { echo "usage: make bench-layers PARENT=<rev> W=<workload> [SEED=1] [SECONDS=15]"; exit 2; }
+	scripts/bench-layers.sh $(PARENT) $(W) $(SEED) $(SECONDS)
 
 # Regenerate the async throughput figure quickly and emit JSON.
 bench-async:

@@ -39,99 +39,112 @@ func (g *GlobalPtr) InvokeAsync(method string, args []byte) *future.Future {
 // pending exchange is abandoned and the endpoint demoted, exactly as in
 // InvokeCtx.
 func (g *GlobalPtr) InvokeAsyncCtx(ctx context.Context, method string, args []byte) *future.Future {
-	fut := future.New()
-	root := g.startRoot("invoke", method, args)
+	c := &asyncCall{g: g, ctx: ctx, root: g.startRoot("invoke", method, args), method: method, args: args}
 	g.mu.Lock()
 	sem := g.inflight
 	g.mu.Unlock()
-	// Admission: backpressure at the in-flight bound, cancellable.
-	if ctx.Done() != nil {
-		select {
-		case sem <- struct{}{}:
-		case <-ctx.Done():
-			return g.endAsync(fut, root, nil, nil, ctx.Err())
-		}
-	} else {
-		sem <- struct{}{}
+	// Admission: backpressure at the in-flight bound, cancellable (the
+	// Done of a context that cannot end is nil: never ready).
+	select {
+	case sem <- struct{}{}:
+		c.sem = sem
+	case <-ctx.Done():
+		return c.end(nil, ctx.Err())
 	}
 	g.host.rt.inflightGauge.Inc()
-	a, err := g.issue(ctx, root, wire.TRequest, method, args, true)
+	a, err := g.issue(ctx, c.root, wire.TRequest, method, args, true)
 	if err != nil {
-		return g.endAsync(fut, root, sem, nil, err)
+		return c.end(nil, err)
 	}
-	// Whoever resolves the future frees its slot: endAsync, or Cancel
-	// through this hook, which also abandons the unwanted exchange.
-	pending := a.pending
-	fut.OnCancel(func() {
-		<-sem
-		g.host.rt.inflightGauge.Dec()
-		if pending != nil {
-			pending.Abandon()
-		}
-	})
+	c.a, c.pending = a, a.pending
+	c.fut.OnCancel(c)
 	switch {
-	case pending == nil || a.err != nil: // the send failed: nothing to wait for
-		g.complete(ctx, root, fut, sem, method, args, a)
+	case a.pending == nil || a.err != nil: // the send failed: nothing to wait for
+		c.complete()
 	case ctx.Done() == nil:
-		pending.WhenDone(func() { g.complete(ctx, root, fut, sem, method, args, a) })
+		a.pending.WhenDone(c.complete)
 	default:
 		// Reply or context end, whichever is first, finishes the attempt.
-		first := new(atomic.Bool)
 		stop := context.AfterFunc(ctx, func() {
-			if first.CompareAndSwap(false, true) {
-				g.runAsync(ctx, root, fut, sem, method, args, a)
+			if c.first.CompareAndSwap(false, true) {
+				c.runAsync()
 			}
 		})
-		pending.WhenDone(func() {
-			if first.CompareAndSwap(false, true) {
+		a.pending.WhenDone(func() {
+			if c.first.CompareAndSwap(false, true) {
 				stop()
-				g.complete(ctx, root, fut, sem, method, args, a)
+				c.complete()
 			}
 		})
 	}
-	return fut
+	return &c.fut
+}
+
+// asyncCall is one asynchronous invocation, and the one object it
+// allocates: the future it hands out, by value, and what its completion
+// needs. Once end has run it keeps only the future's result.
+type asyncCall struct {
+	fut     future.Future
+	g       *GlobalPtr
+	ctx     context.Context
+	root    *obs.Active
+	sem     chan struct{} // the held in-flight slot; nil before admission
+	method  string
+	args    []byte
+	a       attempt     // the first attempt, until complete has its reply
+	pending Pending     // what Cancel abandons; only the future's resolver touches it
+	first   atomic.Bool // with a context: the reply and its end race for it
 }
 
 // complete is an asynchronous invocation's continuation, bound by
 // Pending.WhenDone's contract: it finishes the first attempt where the
 // exchange resolved and resolves the future. A retry, and a fault —
 // settling one may call the GP's refresh hook — get a goroutine.
-func (g *GlobalPtr) complete(ctx context.Context, root *obs.Active, fut *future.Future, sem chan struct{}, method string, args []byte, a attempt) {
+func (c *asyncCall) complete() {
+	a := &c.a
 	if a.pending != nil && a.err == nil {
 		a.reply, a.err = a.pending.Reply() // resolved: does not block
 		a.pending = nil
 		if a.reply != nil && a.reply.Type == wire.TFault {
-			go g.runAsync(ctx, root, fut, sem, method, args, a)
+			go c.runAsync()
 			return
 		}
 	}
-	body, done, backoff, err := g.finish(ctx, root, &a, nil)
+	body, done, backoff, err := c.g.finish(c.ctx, c.root, a, nil)
 	if done {
-		g.endAsync(fut, root, sem, body, err)
+		c.end(body, err)
 		return
 	}
-	go func() {
-		body, err := g.chase(ctx, root, fut, method, args, backoff, err)
-		g.endAsync(fut, root, sem, body, err)
-	}()
+	go func() { c.end(c.g.chase(c.ctx, c.root, &c.fut, c.method, c.args, backoff, err)) }()
 }
 
 // runAsync is the whole of run on a goroutine of the invocation's own.
-func (g *GlobalPtr) runAsync(ctx context.Context, root *obs.Active, fut *future.Future, sem chan struct{}, method string, args []byte, a attempt) {
-	body, err := g.run(ctx, root, fut, method, args, a)
-	g.endAsync(fut, root, sem, body, err)
+func (c *asyncCall) runAsync() { c.end(c.g.run(c.ctx, c.root, &c.fut, c.method, c.args, c.a)) }
+
+// Canceled is the future's cancel hook: Cancel resolved it, so the slot
+// is freed and the exchange abandoned here.
+func (c *asyncCall) Canceled() {
+	<-c.sem
+	c.g.host.rt.inflightGauge.Dec()
+	if p := c.pending; p != nil {
+		c.pending = nil
+		p.Abandon()
+	}
 }
 
-// endAsync ends an asynchronous invocation: the future gets its result,
-// the root span its outcome, and the in-flight slot (sem, nil if none)
-// is freed — unless a Cancel resolved the future first and freed it.
-func (g *GlobalPtr) endAsync(fut *future.Future, root *obs.Active, sem chan struct{}, body []byte, err error) *future.Future {
-	won := err == nil && fut.Complete(body) || err != nil && fut.Fail(err)
-	root.SetErr(err)
-	root.End()
-	if won && sem != nil {
-		<-sem
-		g.host.rt.inflightGauge.Dec()
+// end ends an asynchronous invocation: the future gets its result, the
+// root span its outcome, and the in-flight slot is freed — unless a
+// Cancel resolved the future first and freed it. What only the engine
+// needed goes, so a future the caller keeps holds its result alone.
+func (c *asyncCall) end(body []byte, err error) *future.Future {
+	won := err == nil && c.fut.Complete(body) || err != nil && c.fut.Fail(err)
+	c.root.SetErr(err)
+	c.root.End()
+	if won && c.sem != nil {
+		<-c.sem
+		c.g.host.rt.inflightGauge.Dec()
+		c.pending = nil
 	}
-	return fut
+	c.ctx, c.root, c.args, c.a = nil, nil, nil, attempt{}
+	return &c.fut
 }

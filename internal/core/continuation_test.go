@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/rand"
 	"runtime"
 	"runtime/pprof"
 	"strings"
@@ -243,6 +244,90 @@ func TestCanceledAsyncCallsLeaveNothingBehind(t *testing.T) {
 	}
 	if errs := readEngineCounts(rt, ProtoStream).transportErrors; errs != 0 {
 		t.Fatalf("%d transport errors: a Cancel was charged to the endpoint", errs)
+	}
+}
+
+// TestCancelRacesBatchedReplies: 10 000 batched asynchronous calls, a
+// seeded random half of them canceled from another goroutine after a
+// random number of yields, so the Cancel races the reply's arrival. A
+// Cancel that wins leaves ErrCanceled; one that loses leaves the echo;
+// either way the future resolved once and stays resolved. Afterwards the
+// whole in-flight window is free again, rpc.inflight and
+// future.Outstanding are back where they started, and no goroutine is
+// left over.
+func TestCancelRacesBatchedReplies(t *testing.T) {
+	const calls, window, seed = 10000, 64, 38
+	_, rt := testWorld(t)
+	srv, _ := rt.NewContext("srv", "mA")
+	client, _ := rt.NewContext("client", "mB")
+	_, ref := exportEcho(t, srv)
+	gp := client.NewGlobalPtr(ref)
+	gp.SetMaxInFlight(window)
+	policy := transport.DefaultBatchPolicy()
+	gp.SetBatchPolicy(&policy)
+	if _, err := gp.Invoke("echo", []byte("warm")); err != nil {
+		t.Fatal(err)
+	}
+	outstanding, goroutines := future.Outstanding(), runtime.NumGoroutine()
+
+	rng := rand.New(rand.NewSource(seed))
+	var won, lost atomic.Int64
+	for base := 0; base < calls; base += window {
+		futs := make([]*future.Future, window)
+		canceled := make([]atomic.Bool, window)
+		var cancels sync.WaitGroup
+		for i := range futs {
+			futs[i] = gp.InvokeAsync("echo", seqPayload(base+i))
+			if rng.Intn(2) == 0 {
+				continue
+			}
+			cancels.Add(1)
+			go func(i, yields int) {
+				defer cancels.Done()
+				for ; yields > 0; yields-- {
+					runtime.Gosched()
+				}
+				if futs[i].Cancel() {
+					canceled[i].Store(true)
+					won.Add(1)
+				} else {
+					lost.Add(1)
+				}
+			}(i, rng.Intn(64))
+		}
+		cancels.Wait()
+		for i, f := range futs {
+			body, err := f.Wait()
+			if canceled[i].Load() {
+				if !errors.Is(err, future.ErrCanceled) {
+					t.Fatalf("call %d: Cancel won, the future holds %q, %v", base+i, body, err)
+				}
+			} else if err != nil || !bytes.Equal(body, seqPayload(base+i)) {
+				t.Fatalf("call %d: %q, %v", base+i, body, err)
+			}
+			if again, errAgain, ok := f.TryResult(); !ok || !bytes.Equal(again, body) || errAgain != err {
+				t.Fatalf("call %d resolved twice: %q, %v then %q, %v", base+i, body, err, again, errAgain)
+			}
+		}
+	}
+	t.Logf("seed %d: %d Cancels won, %d lost to the reply", seed, won.Load(), lost.Load())
+	if won.Load() == 0 {
+		t.Fatal("no Cancel beat its reply: the race was never run")
+	}
+
+	for deadline := time.Now().Add(3 * time.Second); ; {
+		gp.mu.Lock()
+		slots := len(gp.inflight)
+		gp.mu.Unlock()
+		g, gauge, left := runtime.NumGoroutine(), rt.inflightGauge.Value(), future.Outstanding()-outstanding
+		if slots == 0 && gauge == 0 && left == 0 && g <= goroutines+2 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("left behind: %d of %d slots held, rpc.inflight %d, %d futures outstanding, %d goroutines (%d before)",
+				slots, window, gauge, left, g, goroutines)
+		}
+		clock.Sleep(clock.Real{}, 5*time.Millisecond)
 	}
 }
 

@@ -10,7 +10,8 @@
 // transport-agnostic — the core package resolves futures from its
 // protocol completion paths, so a future issued through a glue
 // capability chain behaves exactly like one issued over a bare
-// protocol.
+// protocol. A zero Future is usable: core embeds each invocation's in the
+// one record that invocation allocates.
 package future
 
 import (
@@ -20,8 +21,8 @@ import (
 	"sync/atomic"
 )
 
-// outstanding counts futures created but not yet resolved, across the
-// whole process. The introspection plane's /statusz reports it as the
+// outstanding counts futures handed out (New, or a zero one given a
+// cancel hook) but not yet resolved, across the whole process. The introspection plane's /statusz reports it as the
 // live async depth; a steadily climbing value with flat traffic is the
 // classic leaked-future signature.
 var outstanding atomic.Int64
@@ -39,22 +40,30 @@ var ErrCanceled = errors.New("future: canceled")
 // resolves exactly once, with either a reply body or an error; all
 // methods are safe for concurrent use by any number of goroutines.
 //
-// The zero value is not usable; call New.
+// The zero value is an unresolved future, ready to embed in a producer's
+// record; it counts in Outstanding from OnCancel on, a New one at once.
 type Future struct {
-	done chan struct{}
-
 	mu       sync.Mutex
 	resolved bool
+	counted  bool // in Outstanding until resolved
 	body     []byte
 	err      error
-	onCancel func()
+	done     chan struct{} // made by the first Done on an unresolved future, or closed
+	onCancel Canceler
 }
+
+// Canceler is a producer's cancel hook: Canceled runs once, on the
+// goroutine of the Cancel that resolved the future.
+type Canceler interface{ Canceled() }
+
+// closed is the Done of a future resolved before anyone asked for one.
+var closed = func() chan struct{} { c := make(chan struct{}); close(c); return c }()
 
 // New returns an unresolved future. The producer side (the ORB's
 // completion path, or tests) resolves it with Complete or Fail.
 func New() *Future {
 	outstanding.Add(1)
-	return &Future{done: make(chan struct{})}
+	return &Future{counted: true}
 }
 
 // Resolved returns a future already resolved with body — useful for
@@ -95,19 +104,30 @@ func (f *Future) resolve(body []byte, err error) bool {
 	}
 	f.resolved = true
 	f.body, f.err = body, err
+	if f.counted {
+		outstanding.Add(-1)
+	}
+	if f.done == nil {
+		f.done = closed
+	} else {
+		close(f.done)
+	}
 	f.mu.Unlock()
-	outstanding.Add(-1)
-	close(f.done)
 	return true
 }
 
-// OnCancel installs a hook invoked (once, asynchronously to other
-// waiters) if the future is resolved by Cancel. Producers use it to
-// release in-flight bookkeeping early. Installing after resolution is a
-// no-op.
-func (f *Future) OnCancel(fn func()) {
+// OnCancel installs the producer's cancel hook before the future is
+// handed out: if Cancel resolves the future, it calls c.Canceled() to
+// release in-flight bookkeeping early. From here on the future counts in
+// Outstanding. Installing after resolution is a no-op.
+func (f *Future) OnCancel(c Canceler) {
 	f.mu.Lock()
-	f.onCancel = fn
+	if !f.resolved && !f.counted {
+		outstanding.Add(1)
+	}
+	if !f.resolved {
+		f.onCancel, f.counted = c, true
+	}
 	f.mu.Unlock()
 }
 
@@ -117,20 +137,24 @@ func (f *Future) OnCancel(fn func()) {
 // (the same at-most-once discipline as a timed-out synchronous call).
 // It reports whether this call performed the resolution.
 func (f *Future) Cancel() bool {
-	f.mu.Lock()
-	hook := f.onCancel
-	f.mu.Unlock()
 	if !f.resolve(nil, ErrCanceled) {
 		return false
 	}
-	if hook != nil {
-		hook()
+	if f.onCancel != nil { // set before the future was handed out
+		f.onCancel.Canceled()
 	}
 	return true
 }
 
 // Done returns a channel closed when the future resolves.
-func (f *Future) Done() <-chan struct{} { return f.done }
+func (f *Future) Done() <-chan struct{} {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.done == nil {
+		f.done = make(chan struct{})
+	}
+	return f.done
+}
 
 // Wait blocks until the future resolves and returns its reply body or
 // error. The ORB resolves an invocation's future from whatever resolved
@@ -138,23 +162,23 @@ func (f *Future) Done() <-chan struct{} { return f.done }
 // one connection resolve in reply-arrival order and a waiter is woken by
 // the reader itself, with no completion goroutine in between.
 func (f *Future) Wait() ([]byte, error) {
-	<-f.done
-	f.mu.Lock()
-	defer f.mu.Unlock()
+	<-f.Done()
 	return f.body, f.err
 }
 
 // WaitContext waits for resolution or context cancellation, whichever
 // comes first. A context cancellation cancels the future (the request
-// is abandoned, not recalled) and returns the context's error.
+// is abandoned, not recalled) and returns the context's error — unless
+// the future had already resolved, whose result it then returns.
 func (f *Future) WaitContext(ctx context.Context) ([]byte, error) {
 	select {
-	case <-f.done:
-		return f.Wait()
+	case <-f.Done():
 	case <-ctx.Done():
-		f.Cancel()
-		return nil, ctx.Err()
+		if f.Cancel() {
+			return nil, ctx.Err()
+		}
 	}
+	return f.Wait()
 }
 
 // Err blocks until the future resolves and returns its error (nil on

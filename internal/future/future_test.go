@@ -45,24 +45,89 @@ func TestFailAndErr(t *testing.T) {
 	}
 }
 
+// hook is a Canceler that counts its calls.
+type hook struct{ ran int }
+
+func (h *hook) Canceled() { h.ran++ }
+
 func TestCancelRunsHook(t *testing.T) {
 	f := New()
-	ran := false
-	f.OnCancel(func() { ran = true })
+	h := new(hook)
+	f.OnCancel(h)
 	if !f.Cancel() {
 		t.Fatal("Cancel returned false")
 	}
-	if !ran {
-		t.Fatal("cancel hook did not run")
+	if h.ran != 1 {
+		t.Fatalf("cancel hook ran %d times", h.ran)
 	}
 	if err := f.Err(); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("Err = %v, want ErrCanceled", err)
 	}
 	// Cancel after completion must not fire the hook.
 	g := Resolved(nil)
-	g.OnCancel(func() { t.Fatal("hook fired on resolved future") })
-	if g.Cancel() {
-		t.Fatal("Cancel succeeded on resolved future")
+	late := new(hook)
+	g.OnCancel(late)
+	if g.Cancel() || late.ran != 0 {
+		t.Fatalf("Cancel on a resolved future: hook ran %d times", late.ran)
+	}
+}
+
+// TestZeroFutureIsUsable: a zero Future is unresolved, resolves once,
+// and counts in Outstanding only once its producer installs a hook.
+func TestZeroFutureIsUsable(t *testing.T) {
+	before := Outstanding()
+	var f Future
+	if _, _, ok := f.TryResult(); ok {
+		t.Fatal("zero future reports resolved")
+	}
+	f.OnCancel(new(hook))
+	if got := Outstanding() - before; got != 1 {
+		t.Fatalf("Outstanding grew by %d with one hooked zero future", got)
+	}
+	go f.Complete([]byte("late"))
+	if body, err := f.Wait(); err != nil || string(body) != "late" {
+		t.Fatalf("Wait = %q, %v", body, err)
+	}
+	<-f.Done()
+	if got := Outstanding() - before; got != 0 {
+		t.Fatalf("Outstanding off by %d after resolution", got)
+	}
+	var bare Future
+	bare.Fail(errors.New("x"))
+	<-bare.Done()
+	if got := Outstanding() - before; got != 0 {
+		t.Fatalf("an unhooked zero future moved Outstanding by %d", got)
+	}
+}
+
+// TestRoundTripAllocs: New, Complete and Wait allocate the future and
+// nothing else — no Done channel that nobody waits on.
+func TestRoundTripAllocs(t *testing.T) {
+	body := []byte("small")
+	if n := testing.AllocsPerRun(1000, func() {
+		f := New()
+		f.Complete(body)
+		if _, err := f.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 1 {
+		t.Fatalf("New → Complete → Wait: %v allocs, want at most 1", n)
+	}
+}
+
+// TestWaitContextKeepsAnArrivedResult: with the future already resolved
+// and the context already done, WaitContext returns the result; the
+// Cancel it tries loses, so the result stands. Before, the select picked
+// the context about half the time and reported a call the server ran as
+// canceled.
+func TestWaitContextKeepsAnArrivedResult(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for i := 0; i < 1000; i++ {
+		body, err := Resolved([]byte("ran")).WaitContext(ctx)
+		if err != nil || string(body) != "ran" {
+			t.Fatalf("round %d: WaitContext = %q, %v", i, body, err)
+		}
 	}
 }
 

@@ -263,6 +263,37 @@ func TestCoalescerDelayWatermark(t *testing.T) {
 	}
 }
 
+// TestCoalescerIgnoresAStaleDelayFire: takeLocked cannot stop a delay
+// fire that has already started, so that fire reaches flushTimer after a
+// watermark flush, with the next batch armed. Delivered here by hand, it
+// must neither flush that batch early nor give up the coalescer's one
+// timer, which the next batch re-armed.
+func TestCoalescerIgnoresAStaleDelayFire(t *testing.T) {
+	sent := 0
+	co := NewCoalescer(func(*wire.Message) (Pending, error) {
+		sent++
+		return new(Cell), nil // never answered: nobody waits here
+	}, BatchPolicy{MaxMessages: 2, MaxDelay: time.Hour})
+	req := func() *wire.Message { return &wire.Message{Type: wire.TRequest, Method: "m"} }
+	for i := 0; i < 3; i++ { // a batch of two leaves at the count; the third arms
+		if _, err := co.Begin(req()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	timer := co.timer
+	co.flushTimer() // the first batch's fire, late
+	if queued, _ := co.Stats(); queued != 1 || sent != 1 {
+		t.Fatalf("a stale fire flushed the next batch: %d queued, %d frames sent", queued, sent)
+	}
+	if co.timer != timer || co.due.IsZero() {
+		t.Fatal("a stale fire disarmed the next batch's timer")
+	}
+	co.Close()
+	if sent != 2 {
+		t.Fatalf("Close sent %d frames in all, want 2", sent)
+	}
+}
+
 func TestCoalescerByteWatermark(t *testing.T) {
 	m := newBatchFabric(t, "co-bytes")
 	co := NewCoalescer(muxSender(m), BatchPolicy{MaxMessages: 1000, MaxBytes: 512, MaxDelay: time.Hour})

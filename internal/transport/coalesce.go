@@ -85,15 +85,21 @@ type Coalescer struct {
 	tracer *obs.Tracer // optional: records per-request "batch" spans
 
 	mu     sync.Mutex
-	queue  []batchItem
+	queue  []batchItem // sized, like each slab, to the previous batch
 	bytes  int
-	timer  *time.Timer
+	cells  []Cell      // the slab Begin carves cells from
+	last   int         // the previous batch's length
+	timer  *time.Timer // the delay watermark, re-armed by each batch
+	due    time.Time   // when the armed batch is due; zero: none is armed
 	closed bool
 }
 
 // NewCoalescer builds a coalescer flushing through send under policy.
 func NewCoalescer(send func(*wire.Message) (Pending, error), policy BatchPolicy) *Coalescer {
-	return &Coalescer{send: send, policy: policy.withDefaults()}
+	c := &Coalescer{send: send, policy: policy.withDefaults()}
+	c.timer = time.AfterFunc(time.Hour, c.flushTimer)
+	c.timer.Stop() // Begin arms it for each batch
+	return c
 }
 
 // Policy returns the effective (defaulted) policy.
@@ -120,28 +126,29 @@ func (c *Coalescer) Begin(msg *wire.Message) (*Cell, error) {
 	if msg.Type != wire.TRequest {
 		return nil, errs.Newf(errs.BadRequest, "transport: cannot batch %v frame", msg.Type)
 	}
-	item := batchItem{msg: msg, p: new(Cell)}
-
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
 		return nil, ErrCoalescerClosed
 	}
-	c.queue = append(c.queue, item)
+	if len(c.cells) == 0 {
+		c.cells = make([]Cell, max(c.last, 1))
+	}
+	p := &c.cells[0]
+	c.cells = c.cells[1:]
+	c.queue = append(c.queue, batchItem{msg: msg, p: p})
 	c.bytes += len(msg.Body) + len(msg.Object) + len(msg.Method) + 64
 	var flush []batchItem
 	if len(c.queue) >= c.policy.MaxMessages || c.bytes >= c.policy.MaxBytes {
 		flush = c.takeLocked()
-	} else if c.timer == nil {
+	} else if c.due.IsZero() {
 		// First resident arms the delay watermark.
-		c.timer = time.AfterFunc(c.policy.MaxDelay, c.flushTimer)
+		c.due = time.Now().Add(c.policy.MaxDelay)
+		c.timer.Reset(c.policy.MaxDelay)
 	}
 	c.mu.Unlock()
-
-	if flush != nil {
-		c.dispatch(flush)
-	}
-	return item.p, nil
+	c.dispatch(flush)
+	return p, nil
 }
 
 // Call is the synchronous convenience over Begin.
@@ -158,9 +165,7 @@ func (c *Coalescer) Flush() {
 	c.mu.Lock()
 	flush := c.takeLocked()
 	c.mu.Unlock()
-	if flush != nil {
-		c.dispatch(flush)
-	}
+	c.dispatch(flush)
 }
 
 // takeLocked removes the current queue for dispatch. Caller holds mu.
@@ -169,32 +174,37 @@ func (c *Coalescer) takeLocked() []batchItem {
 		return nil
 	}
 	q := c.queue
-	c.queue = nil
-	c.bytes = 0
-	if c.timer != nil {
+	c.queue, c.bytes, c.last = make([]batchItem, 0, len(q)), 0, len(q)
+	if !c.due.IsZero() {
+		c.due = time.Time{}
 		c.timer.Stop()
-		c.timer = nil
 	}
 	return q
 }
 
+// flushTimer is the delay watermark's fire. A stale one, which started
+// before takeLocked could stop it, finds no batch due and does nothing.
 func (c *Coalescer) flushTimer() {
 	c.mu.Lock()
-	c.timer = nil
-	flush := c.takeLocked()
-	c.mu.Unlock()
-	if flush != nil {
-		c.dispatch(flush)
+	var flush []batchItem
+	if !c.due.IsZero() && !time.Now().Before(c.due) {
+		flush = c.takeLocked()
 	}
+	c.mu.Unlock()
+	c.dispatch(flush)
 }
 
-// dispatch ships one batch and has the batch reply demultiplexed to the
-// items by position where it resolves (whenDone). A batch of one skips
-// TBatch framing entirely — adaptivity means a lone caller never pays
-// the batch envelope — and forwards its resolution. What fails before
-// anything is in flight is reported from a goroutine of its own: this
-// one may be inside Begin or a policy change, holding its caller's locks.
+// dispatch ships one batch, if any, and has the batch reply demultiplexed
+// to the items by position where it resolves (whenDone). A batch of one
+// skips TBatch framing entirely — adaptivity means a lone caller never
+// pays the batch envelope — and forwards its resolution. What fails
+// before anything is in flight is reported from a goroutine of its own:
+// this one may be inside Begin or a policy change, holding its caller's
+// locks.
 func (c *Coalescer) dispatch(items []batchItem) {
+	if len(items) == 0 {
+		return
+	}
 	if len(items) == 1 {
 		p, err := c.send(items[0].msg)
 		if err != nil {
@@ -270,7 +280,5 @@ func (c *Coalescer) Close() {
 	c.closed = true
 	flush := c.takeLocked()
 	c.mu.Unlock()
-	if flush != nil {
-		c.dispatch(flush)
-	}
+	c.dispatch(flush)
 }

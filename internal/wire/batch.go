@@ -65,10 +65,13 @@ func EncodeBatch(msgs []*Message) (*Message, error) {
 	return &Message{Type: TBatch, Body: body, lent: body}, nil
 }
 
+// minBatchEntry is the fewest bytes a batch entry takes: its length word and an empty message.
+var minBatchEntry = 4 + (&Message{}).encodedLen()
+
 // DecodeBatch unpacks a TBatch frame into its sub-messages. Nested
 // batches are rejected, so dispatch recursion is bounded at one level.
-// Sub-message bodies are disjoint views of m.Body: keeping one
-// sub-message keeps the whole batch frame.
+// The sub-messages are one slab, and their bodies disjoint views of
+// m.Body: keeping one sub-message keeps the whole batch frame.
 func DecodeBatch(m *Message) ([]*Message, error) {
 	if m.Type != TBatch {
 		return nil, errs.Newf(errs.Codec, "wire: DecodeBatch on %v frame", m.Type)
@@ -82,16 +85,18 @@ func DecodeBatch(m *Message) ([]*Message, error) {
 	if n == 0 {
 		return nil, errs.New(errs.Codec, "wire: empty batch")
 	}
-	if n > MaxBatchMessages {
-		return nil, errs.Newf(errs.Codec, "wire: batch of %d exceeds %d", n, MaxBatchMessages)
+	if n > MaxBatchMessages || int(n) > d.Remaining()/minBatchEntry {
+		// No slab is sized by a count the frame's bytes cannot back.
+		return nil, errs.Newf(errs.Codec, "wire: batch of %d in %d bytes (at most %d)", n, d.Remaining(), MaxBatchMessages)
 	}
+	slab := make([]Message, n)
 	out := make([]*Message, 0, n)
-	for i := uint32(0); i < n; i++ {
+	for i := range slab {
 		raw, err := d.OpaqueView()
 		if err != nil {
 			return nil, errs.Wrapf(errs.Codec, err, "wire: batch entry %d", i)
 		}
-		sub := new(Message)
+		sub := &slab[i]
 		if err := decodeMessage(raw, sub); err != nil {
 			return nil, errs.Wrapf(errs.Codec, err, "wire: batch entry %d", i)
 		}

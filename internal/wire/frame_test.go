@@ -98,6 +98,38 @@ func TestEncodeBatchAllocatesTheBodyOnce(t *testing.T) {
 	}
 }
 
+// TestDecodeBatchAllocatesTheSlab: a 64-entry batch decodes into one
+// slab of sub-messages plus the slice of pointers DecodeBatch returns,
+// not one header per entry.
+func TestDecodeBatchAllocatesTheSlab(t *testing.T) {
+	frame, err := EncodeBatch(smallBatch(64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(50, func() {
+		if _, err := DecodeBatch(frame); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 2 {
+		t.Fatalf("DecodeBatch of 64 messages: %v allocs, want at most 2 (slab, slice)", n)
+	}
+}
+
+// TestDecodeBatchSizesNoSlabFromACount: a count within MaxBatchMessages
+// but with bytes for none of its entries is refused before the slab is
+// made, so a hostile header costs no more than the frame it came in.
+func TestDecodeBatchSizesNoSlabFromACount(t *testing.T) {
+	frame := &Message{Type: TBatch, Body: []byte{0, 0, 0x10, 0, 0, 0, 0, 0}}
+	var err error
+	got := allocBytesPerRun(50, func() { _, err = DecodeBatch(frame) })
+	if !errs.HasCode(err, errs.Codec) {
+		t.Fatalf("count of %d in 8 bytes: %v", MaxBatchMessages, err)
+	}
+	if got > 1<<10 {
+		t.Fatalf("refusing a count of %d allocated %d bytes", MaxBatchMessages, got)
+	}
+}
+
 func TestDecodeBatchCopiesNoBody(t *testing.T) {
 	const body = 64 << 10
 	msgs := make([]*Message, 4)

@@ -7,12 +7,9 @@
 #   scripts/bench-pairs.sh PARENT WORKLOAD [N] [SEED] [SECONDS]
 #
 # Each side is built by its own benchmark/run.sh from its own files. The
-# parent's are exported under .bench_build/pairs/<commit> with `git archive`
-# (what the acceptance driver measures — committed files in a new directory —
-# and an interrupted run leaves no registration behind in .git, as `git
-# worktree add` would); a commit's export and its build cache are kept for
-# the next run. Stay idle while it runs: anything else on the machine lands
-# in the numbers.
+# parent's are exported by scripts/export-rev.sh; a commit's export and its
+# build cache are kept for the next run. Stay idle while it runs: anything
+# else on the machine lands in the numbers.
 set -euo pipefail
 parent=${1:?usage: bench-pairs.sh PARENT WORKLOAD [N] [SEED] [SECONDS]}
 workload=${2:?usage: bench-pairs.sh PARENT WORKLOAD [N] [SEED] [SECONDS]}
@@ -25,19 +22,13 @@ if [ "${FORCE:-0}" != 1 ] && awk -v l="$load" -v c="$cores" 'BEGIN { exit !(l > 
 fi
 
 out=$PWD/.bench_build/pairs
-sha=$(git rev-parse --verify "$parent^{commit}")
-if [ ! -d "$out/$sha" ]; then
-	rm -rf "$out/export"
-	mkdir -p "$out/export"
-	git archive "$sha" | tar -x -C "$out/export"
-	mv "$out/export" "$out/$sha"
-fi
+export_dir=$(scripts/export-rev.sh "$parent")
 : >"$out/runs"
 
 # run SIDE SECONDS prints the last line of one run: its JSON.
 run() {
 	local dir=$PWD
-	[ "$1" = parent ] && dir=$out/$sha
+	[ "$1" = parent ] && dir=$export_dir
 	(cd "$dir" && bash benchmark/run.sh --workload "$workload" --seed "$seed" --seconds "$2" --trace 0 2>/dev/null | tail -n 1)
 }
 
