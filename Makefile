@@ -52,9 +52,10 @@ poison:
 # under the race detector — no run-order luck, no wall-clock luck.
 determinism:
 	$(GO) test -count=3 -shuffle=on -race \
-		-run 'Fault|Failover|Drain|Crash|Blackhole|Expired|Deadline|Probe|Breaker|Health|Trace|Async|Cancel|Continuation|Batched|Ring|Tail|Store|Hint|Attach|Scrape' \
+		-run 'Fault|Failover|Drain|Crash|Blackhole|Expired|Deadline|Probe|Breaker|Health|Trace|Async|Cancel|Continuation|Batched|Ring|Tail|Store|Hint|Attach|Scrape|WaitContext' \
 		./internal/netsim/ ./internal/transport/ ./internal/health/ \
-		./internal/core/ ./internal/capability/ ./internal/obs/ ./internal/introspect/
+		./internal/core/ ./internal/capability/ ./internal/obs/ ./internal/introspect/ \
+		./internal/future/
 
 # Coverage floor: the wire format, the metrics registry, the tracing
 # subsystem, the analyzer suite, the introspection plane, the directory

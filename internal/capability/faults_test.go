@@ -2,7 +2,9 @@ package capability
 
 import (
 	"bytes"
+	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -10,6 +12,9 @@ import (
 	"openhpcxx/internal/clock"
 	"openhpcxx/internal/core"
 	"openhpcxx/internal/netsim"
+	"openhpcxx/internal/obs"
+	"openhpcxx/internal/obs/obstest"
+	"openhpcxx/internal/transport"
 	"openhpcxx/internal/wire"
 )
 
@@ -205,5 +210,78 @@ func TestExpiredRequestStillAudited(t *testing.T) {
 	}
 	if !strings.Contains(sink.String(), "method=echo") {
 		t.Fatalf("audit log missing the request record:\n%s", sink.String())
+	}
+}
+
+// TestGlueDeadlineSettlesTheChain: however a glue call ends early — its
+// future's Cancel, or the deadline of a synchronous or an asynchronous
+// call — the exchange is abandoned and read back, so the chain settles
+// it: the base-protocol span records the abandon, as the chain's settle
+// ends it.
+func TestGlueDeadlineSettlesTheChain(t *testing.T) {
+	rt := world(t)
+	server, err := rt.NewContext("server", "m1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := server.BindSim(0); err != nil {
+		t.Fatal(err)
+	}
+	release := make(chan struct{})
+	t.Cleanup(func() { close(release) })
+	s, err := server.Export("Block", nil, map[string]core.Method{
+		"block": func([]byte) ([]byte, error) { <-release; return nil, nil },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := server.EntryStream()
+	if err != nil {
+		t.Fatal(err)
+	}
+	glueE, err := GlueEntry(server, "metered-block", base, NewQuota(100, time.Time{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, err := rt.NewContext("client", "m2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gp := client.NewGlobalPtr(server.NewRef(s, glueE))
+	col := obstest.Attach(t, rt.Tracer())
+
+	expire := func() context.Context {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+		t.Cleanup(cancel)
+		return ctx
+	}
+	endings := []struct {
+		name string
+		end  func() error
+	}{
+		{"cancel", func() error {
+			f := gp.InvokeAsync("block", nil)
+			f.Cancel()
+			return f.Err()
+		}},
+		{"sync deadline", func() error {
+			_, err := gp.InvokeCtx(expire(), "block", nil)
+			return err
+		}},
+		{"async deadline", func() error { return gp.InvokeAsyncCtx(expire(), "block", nil).Err() }},
+	}
+	for i, e := range endings {
+		if err := e.end(); err == nil {
+			t.Fatalf("%s: a blocked call succeeded", e.name)
+		}
+		col.WaitFor(t, 5*time.Second, fmt.Sprintf("%d abandoned base spans", i+1), func(spans []obs.Span) bool {
+			n := 0
+			for _, sp := range obstest.Named(spans, string(core.ProtoStream)) {
+				if sp.Kind == obs.KindClient && strings.Contains(sp.Err, transport.ErrAbandoned.Error()) {
+					n++
+				}
+			}
+			return n == i+1
+		})
 	}
 }

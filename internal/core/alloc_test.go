@@ -1,8 +1,10 @@
 package core
 
 import (
+	"context"
 	"runtime"
 	"testing"
+	"time"
 
 	"openhpcxx/internal/future"
 	"openhpcxx/internal/transport"
@@ -53,7 +55,8 @@ func TestMarshalBulkArrayAllocatesItsEncoding(t *testing.T) {
 // server's read header, reply header and the stub's Req value. Before the
 // mux kept one deadline timer and recycled its exchanges, and the server
 // dispatched on per-connection workers through pooled stub codecs, the
-// same call cost 14.
+// same call cost 14. The same call bound by a deadline is pinned too,
+// synchronous and asynchronous.
 func TestTypedEchoAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation pins do not hold under the race detector")
@@ -93,17 +96,31 @@ func TestTypedEchoAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			call := func() {
-				if out, err := gp.Invoke("exchange", args); err != nil || len(out) != len(args) {
-					t.Fatalf("%d bytes, %v", len(out), err)
+			// A context that can end sends a synchronous call through
+			// Begin and a select, and gives an asynchronous one the watch
+			// that abandons its exchange.
+			ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
+			defer cancel()
+			for _, c := range []struct {
+				name string
+				pin  float64
+				call func() ([]byte, error)
+			}{
+				{"Invoke", 6, func() ([]byte, error) { return gp.Invoke("exchange", args) }},
+				{"InvokeCtx", 8, func() ([]byte, error) { return gp.InvokeCtx(ctx, "exchange", args) }},
+				{"InvokeAsyncCtx", 13, func() ([]byte, error) { return gp.InvokeAsyncCtx(ctx, "exchange", args).Wait() }},
+			} {
+				call := func() {
+					if out, err := c.call(); err != nil || len(out) != len(args) {
+						t.Fatalf("%s: %d bytes, %v", c.name, len(out), err)
+					}
 				}
-			}
-			for i := 0; i < 200; i++ {
-				call()
-			}
-			const pin = 6
-			if got := testing.AllocsPerRun(2000, call); got > pin {
-				t.Fatalf("%.2f allocations per typed call over %s, pinned at %d", got, proto, pin)
+				for i := 0; i < 200; i++ {
+					call()
+				}
+				if got := testing.AllocsPerRun(2000, call); got > c.pin {
+					t.Errorf("%.2f allocations per typed %s over %s, pinned at %v", got, c.name, proto, c.pin)
+				}
 			}
 		})
 	}

@@ -9,7 +9,6 @@ package core
 
 import (
 	"context"
-	"sync/atomic"
 
 	"openhpcxx/internal/future"
 	"openhpcxx/internal/obs"
@@ -58,25 +57,14 @@ func (g *GlobalPtr) InvokeAsyncCtx(ctx context.Context, method string, args []by
 	}
 	c.a, c.pending = a, a.pending
 	c.fut.OnCancel(c)
-	switch {
-	case a.pending == nil || a.err != nil: // the send failed: nothing to wait for
+	if a.pending == nil || a.err != nil { // the send failed: nothing to wait for
 		c.complete()
-	case ctx.Done() == nil:
-		a.pending.WhenDone(c.complete)
-	default:
-		// Reply or context end, whichever is first, finishes the attempt.
-		stop := context.AfterFunc(ctx, func() {
-			if c.first.CompareAndSwap(false, true) {
-				c.runAsync()
-			}
-		})
-		a.pending.WhenDone(func() {
-			if c.first.CompareAndSwap(false, true) {
-				stop()
-				c.complete()
-			}
-		})
+		return &c.fut
 	}
+	if ctx.Done() != nil { // its end only abandons: complete reads what happened
+		c.a.stop = context.AfterFunc(ctx, a.pending.Abandon)
+	}
+	a.pending.WhenDone(c.complete)
 	return &c.fut
 }
 
@@ -91,9 +79,8 @@ type asyncCall struct {
 	sem     chan struct{} // the held in-flight slot; nil before admission
 	method  string
 	args    []byte
-	a       attempt     // the first attempt, until complete has its reply
-	pending Pending     // what Cancel abandons; only the future's resolver touches it
-	first   atomic.Bool // with a context: the reply and its end race for it
+	a       attempt // the first attempt, until complete has its reply
+	pending Pending // what Cancel abandons; only the future's resolver touches it
 }
 
 // complete is an asynchronous invocation's continuation, bound by
@@ -103,8 +90,7 @@ type asyncCall struct {
 func (c *asyncCall) complete() {
 	a := &c.a
 	if a.pending != nil && a.err == nil {
-		a.reply, a.err = a.pending.Reply() // resolved: does not block
-		a.pending = nil
+		a.collect() // resolved: does not block
 		if a.reply != nil && a.reply.Type == wire.TFault {
 			go c.runAsync()
 			return

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -19,6 +20,7 @@ import (
 	"openhpcxx/internal/obs"
 	"openhpcxx/internal/obs/obstest"
 	"openhpcxx/internal/transport"
+	"openhpcxx/internal/wire"
 )
 
 // These tests hold InvokeAsync to the completion rule: an asynchronous
@@ -326,6 +328,149 @@ func TestCancelRacesBatchedReplies(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("left behind: %d of %d slots held, rpc.inflight %d, %d futures outstanding, %d goroutines (%d before)",
 				slots, window, gauge, left, g, goroutines)
+		}
+		clock.Sleep(clock.Real{}, 5*time.Millisecond)
+	}
+}
+
+// TestCancelAfterCallsAbandonsNothing: a context's watch ends with its
+// attempt. 1 000 asynchronous and 1 000 synchronous calls run to
+// completion on one long-lived context; canceling it afterwards abandons
+// nothing, as no finished call left a watch registered on it.
+func TestCancelAfterCallsAbandonsNothing(t *testing.T) {
+	const calls = 1000
+	abandons := new(atomic.Int64)
+	_, gp := engineWorld(t, ProtoStream, wrapFactory{abandons: abandons}, nil)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	futs := make([]*future.Future, calls)
+	for i := range futs {
+		futs[i] = gp.InvokeAsyncCtx(ctx, "echo", seqPayload(i))
+	}
+	for i, f := range futs {
+		if body, err := f.Wait(); err != nil || !bytes.Equal(body, seqPayload(i)) {
+			t.Fatalf("async call %d: %q, %v", i, body, err)
+		}
+	}
+	for i := 0; i < calls; i++ {
+		if body, err := gp.InvokeCtx(ctx, "echo", seqPayload(i)); err != nil || !bytes.Equal(body, seqPayload(i)) {
+			t.Fatalf("sync call %d: %q, %v", i, body, err)
+		}
+	}
+	cancel()
+	// A watch still registered abandons on a goroutine of its own.
+	clock.Sleep(clock.Real{}, 50*time.Millisecond)
+	if n := abandons.Load(); n != 0 {
+		t.Fatalf("canceling the context of %d finished calls abandoned %d exchanges", 2*calls, n)
+	}
+}
+
+// TestDeadlineRacesCancelAndReply: 10 000 batched asynchronous calls,
+// each with a deadline drawn from the time a window of replies takes to
+// arrive, and a seeded random half also canceled from another goroutine
+// after a random number of yields. Reply, deadline and Cancel race for
+// one exchange: each future resolves once, with the echo, its deadline
+// or ErrCanceled, and stays resolved. Afterwards the whole in-flight
+// window is free again, no exchange is left in the mux, rpc.inflight and
+// future.Outstanding are back where they started, and no goroutine is
+// left over. Failover is off: the demotion an expired deadline earns is
+// TestInvokeCtxCancelsMidFlight's, and an open breaker would end the
+// race.
+func TestDeadlineRacesCancelAndReply(t *testing.T) {
+	const calls, window, seed = 10000, 64, 39
+	_, rt := testWorld(t)
+	rt.SetFailover(false)
+	srv, _ := rt.NewContext("srv", "mA")
+	client, _ := rt.NewContext("client", "mB")
+	_, ref := exportEcho(t, srv)
+	gp := client.NewGlobalPtr(ref)
+	gp.SetMaxInFlight(window)
+	policy := transport.DefaultBatchPolicy()
+	gp.SetBatchPolicy(&policy)
+	if _, err := gp.Invoke("echo", []byte("warm")); err != nil {
+		t.Fatal(err)
+	}
+	addr, _ := srv.Binding(ProtoStream)
+	mux, err := client.muxes.Get(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	futs := make([]*future.Future, window)
+	start := time.Now()
+	for i := range futs {
+		futs[i] = gp.InvokeAsync("echo", seqPayload(i))
+	}
+	if err := future.WaitAll(futs...); err != nil {
+		t.Fatal(err)
+	}
+	rtt := time.Since(start)
+	outstanding, goroutines := future.Outstanding(), runtime.NumGoroutine()
+
+	rng := rand.New(rand.NewSource(seed))
+	var replied, expired, canceledN int
+	for base := 0; base < calls; base += window {
+		stops := make([]context.CancelFunc, window)
+		canceled := make([]atomic.Bool, window)
+		var cancels sync.WaitGroup
+		for i := range futs {
+			ctx, stop := context.WithTimeout(context.Background(), time.Duration(rng.Int63n(int64(rtt))))
+			stops[i] = stop
+			futs[i] = gp.InvokeAsyncCtx(ctx, "echo", seqPayload(base+i))
+			if rng.Intn(2) == 0 {
+				continue
+			}
+			cancels.Add(1)
+			go func(i, yields int) {
+				defer cancels.Done()
+				for ; yields > 0; yields-- {
+					runtime.Gosched()
+				}
+				canceled[i].Store(futs[i].Cancel())
+			}(i, rng.Intn(64))
+		}
+		cancels.Wait()
+		for i, f := range futs {
+			body, err := f.Wait()
+			var fault *wire.Fault
+			switch {
+			case canceled[i].Load():
+				if !errors.Is(err, future.ErrCanceled) {
+					t.Fatalf("call %d: Cancel won, the future holds %q, %v", base+i, body, err)
+				}
+				canceledN++
+			case err == nil:
+				if !bytes.Equal(body, seqPayload(base+i)) {
+					t.Fatalf("call %d: echo %q", base+i, body)
+				}
+				replied++
+			case errors.Is(err, context.DeadlineExceeded),
+				errors.As(err, &fault) && fault.Code == wire.FaultExpired:
+				expired++
+			default:
+				t.Fatalf("call %d: %v", base+i, err)
+			}
+			if again, errAgain, ok := f.TryResult(); !ok || !bytes.Equal(again, body) || errAgain != err {
+				t.Fatalf("call %d resolved twice: %q, %v then %q, %v", base+i, body, err, again, errAgain)
+			}
+			stops[i]()
+		}
+	}
+	t.Logf("seed %d, window round trip %v: %d replied, %d expired, %d canceled", seed, rtt, replied, expired, canceledN)
+	if replied == 0 || expired == 0 || canceledN == 0 {
+		t.Fatal("one of reply, deadline and Cancel never won: the race was never run")
+	}
+
+	for deadline := time.Now().Add(3 * time.Second); ; {
+		gp.mu.Lock()
+		slots := len(gp.inflight)
+		gp.mu.Unlock()
+		g, gauge, inMux, left := runtime.NumGoroutine(), rt.inflightGauge.Value(), mux.InFlight(), future.Outstanding()-outstanding
+		if slots == 0 && gauge == 0 && inMux == 0 && left == 0 && g <= goroutines+2 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("left behind: %d of %d slots held, rpc.inflight %d, %d exchanges in the mux, %d futures outstanding, %d goroutines (%d before)",
+				slots, window, gauge, inMux, left, g, goroutines)
 		}
 		clock.Sleep(clock.Real{}, 5*time.Millisecond)
 	}

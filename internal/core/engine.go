@@ -9,6 +9,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"math/rand"
@@ -56,8 +57,19 @@ type attempt struct {
 	send    *obs.Active // per-protocol send span; nil when untraced
 	start   time.Time   // on the runtime clock
 	pending Pending     // in-flight exchange; nil when reply/err are already in hand
+	stop    func() bool // unregisters the context watch that abandons pending
 	reply   *wire.Message
 	err     error
+}
+
+// collect reads the attempt's outcome off its pending and drops the
+// context watch, which has nothing left to abandon.
+func (a *attempt) collect() {
+	a.reply, a.err = a.pending.Reply()
+	a.pending = nil
+	if a.stop != nil {
+		a.stop()
+	}
 }
 
 // Begin starts one exchange on any protocol object and returns without
@@ -138,39 +150,32 @@ func (g *GlobalPtr) issue(ctx context.Context, root *obs.Active, typ wire.MsgTyp
 }
 
 // finish brings one issued attempt to its end: it waits for the reply or
-// the context, times the round trip, ends the send span and
-// classifies the outcome. done=false means go again — settle asked for a
-// retry and the budget admitted it — with err the failure that caused it
-// and backoff whether the retry deserves a delay. lastErr is the
-// previous attempt's failure, reported alongside a context expiry.
+// the context, reads the attempt back, times the round trip, ends the
+// send span and classifies the outcome. done=false means go again —
+// settle asked for a retry and the budget admitted it — with err the
+// failure that caused it and backoff whether the retry deserves a delay.
+// lastErr is the previous attempt's failure, reported alongside a
+// context expiry.
 //
-// When the context ends first, the pending exchange is abandoned (the
-// mux drops a late reply) and, for a deadline, the endpoint is reported
-// failing: an endpoint that cannot answer in time is, for failover
-// purposes, indistinguishable from a dead one.
+// The context's end only abandons the exchange; Reply says what ended
+// it. Abandoned with the context over, the attempt was the context's —
+// for a deadline the endpoint is reported failing: one that cannot
+// answer in time is, for failover, as good as dead — and with the
+// context live, the caller's Cancel.
 //
 // A one-way attempt has no reply to wait for or to time, and is never
 // retried: at-most-once.
 func (g *GlobalPtr) finish(ctx context.Context, root *obs.Active, a *attempt, lastErr error) (body []byte, done, backoff bool, err error) {
 	rt := g.host.rt
 	if a.pending != nil && a.err == nil {
-		if ctx.Done() == nil {
-			a.reply, a.err = a.pending.Reply()
-		} else {
-			select {
-			case <-a.pending.Done():
-				a.reply, a.err = a.pending.Reply()
-			case <-ctx.Done():
-				a.pending.Abandon()
-				if errors.Is(ctx.Err(), context.DeadlineExceeded) && rt.FailoverEnabled() {
-					if ht := rt.Health(); ht != nil {
-						ht.ReportFailure(a.b.key)
-					}
-					g.Invalidate()
-				}
-				a.err = ctx.Err()
-			}
+		// A synchronous caller with a context to watch: an asynchronous
+		// first attempt is collected by its continuation.
+		select {
+		case <-a.pending.Done():
+		case <-ctx.Done():
+			a.pending.Abandon()
 		}
+		a.collect()
 	}
 	oneway := a.req.Type == wire.TControl
 	if !oneway {
@@ -178,10 +183,16 @@ func (g *GlobalPtr) finish(ctx context.Context, root *obs.Active, a *attempt, la
 	}
 	a.send.SetErr(a.err)
 	a.send.End()
-	if a.err != nil && (errors.Is(a.err, transport.ErrAbandoned) || ctx.Err() != nil && errors.Is(a.err, ctx.Err())) {
-		// The caller ended the attempt (its context, or Cancel), not the
-		// endpoint: nothing to classify (a deadline was reported above).
-		return nil, true, false, ctxAttemptErr(a.err, lastErr)
+	if errors.Is(a.err, transport.ErrAbandoned) {
+		// The caller ended the attempt, not the endpoint: nothing to
+		// classify but a deadline.
+		if errors.Is(ctx.Err(), context.DeadlineExceeded) && rt.FailoverEnabled() {
+			if ht := rt.Health(); ht != nil {
+				ht.ReportFailure(a.b.key)
+			}
+			g.Invalidate()
+		}
+		return nil, true, false, ctxAttemptErr(cmp.Or(ctx.Err(), a.err), lastErr)
 	}
 	body, done, backoff, err = g.settle(a.b, a.reply, a.err)
 	if done || oneway {

@@ -35,6 +35,9 @@ type wrapFactory struct {
 	fail     *atomic.Int32
 	// inCall, when set, runs inside every Call before it is forwarded.
 	inCall func()
+	// abandons, when set, counts the Abandons of every pending Begin
+	// returns.
+	abandons *atomic.Int64
 }
 
 func (f wrapFactory) New(e ProtoEntry, ref *ObjectRef, host *Context) (Protocol, error) {
@@ -72,7 +75,22 @@ func (p *wrapProto) Begin(m *wire.Message) (Pending, error) {
 	if p.failing() {
 		return nil, errInjected
 	}
-	return p.Protocol.(PipelinedProtocol).Begin(m)
+	pending, err := p.Protocol.(PipelinedProtocol).Begin(m)
+	if err != nil || p.f.abandons == nil {
+		return pending, err
+	}
+	return countingPending{pending, p.f.abandons}, nil
+}
+
+// countingPending counts its Abandons.
+type countingPending struct {
+	Pending
+	abandons *atomic.Int64
+}
+
+func (p countingPending) Abandon() {
+	p.abandons.Add(1)
+	p.Pending.Abandon()
 }
 
 func (p *wrapProto) Post(m *wire.Message) error {

@@ -67,34 +67,36 @@ func decodeAddrData(p []byte) (*addrData, error) {
 	return a, nil
 }
 
+// entry builds a protocol table entry for this context's binding of id.
+func (c *Context) entry(id ProtoID, name, endpoint string) (ProtoEntry, error) {
+	addr, ok := c.Binding(id)
+	if !ok {
+		return ProtoEntry{}, errs.Newf(errs.Config, "core: context %s has no %s binding", c.name, name)
+	}
+	return ProtoEntry{ID: id, Data: encodeAddrData(addr, endpoint)}, nil
+}
+
 // EntrySHM builds a protocol table entry for this context's shared
 // memory binding.
-func (c *Context) EntrySHM() (ProtoEntry, error) {
-	addr, ok := c.Binding(ProtoSHM)
-	if !ok {
-		return ProtoEntry{}, errs.Newf(errs.Config, "core: context %s has no shm binding", c.name)
-	}
-	return ProtoEntry{ID: ProtoSHM, Data: encodeAddrData(addr, "")}, nil
-}
+func (c *Context) EntrySHM() (ProtoEntry, error) { return c.entry(ProtoSHM, "shm", "") }
 
 // EntryStream builds a protocol table entry for this context's stream
 // binding (simulated or real TCP).
-func (c *Context) EntryStream() (ProtoEntry, error) {
-	addr, ok := c.Binding(ProtoStream)
-	if !ok {
-		return ProtoEntry{}, errs.Newf(errs.Config, "core: context %s has no stream binding", c.name)
-	}
-	return ProtoEntry{ID: ProtoStream, Data: encodeAddrData(addr, "")}, nil
-}
+func (c *Context) EntryStream() (ProtoEntry, error) { return c.entry(ProtoStream, "stream", "") }
 
 // EntryNexus builds a protocol table entry for this context's Nexus
 // binding.
-func (c *Context) EntryNexus() (ProtoEntry, error) {
-	addr, ok := c.Binding(ProtoNexus)
-	if !ok {
-		return ProtoEntry{}, errs.Newf(errs.Config, "core: context %s has no nexus binding", c.name)
+func (c *Context) EntryNexus() (ProtoEntry, error) { return c.entry(ProtoNexus, "nexus", orbEndpoint) }
+
+// Entries returns the entries of every binding the context has, in
+// preference order: shm, stream, Nexus.
+func (c *Context) Entries() (entries []ProtoEntry) {
+	for _, build := range []func() (ProtoEntry, error){c.EntrySHM, c.EntryStream, c.EntryNexus} {
+		if e, err := build(); err == nil {
+			entries = append(entries, e)
+		}
 	}
-	return ProtoEntry{ID: ProtoNexus, Data: encodeAddrData(addr, orbEndpoint)}, nil
+	return entries
 }
 
 // StreamEntryAt builds a stream protocol entry for a known address

@@ -95,20 +95,3 @@ func (m *eventMsg) UnmarshalXDR(d *xdr.Decoder) error {
 	m.Ref, err = d.Opaque()
 	return err
 }
-
-// contextEntries assembles the protocol entries a context can serve a
-// servant over, in preference order — the same assembly registry.Serve
-// performs.
-func contextEntries(ctx *core.Context) []core.ProtoEntry {
-	var entries []core.ProtoEntry
-	if e, err := ctx.EntrySHM(); err == nil {
-		entries = append(entries, e)
-	}
-	if e, err := ctx.EntryStream(); err == nil {
-		entries = append(entries, e)
-	}
-	if e, err := ctx.EntryNexus(); err == nil {
-		entries = append(entries, e)
-	}
-	return entries
-}

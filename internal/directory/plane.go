@@ -82,7 +82,7 @@ func ServePlane(ctxs []*core.Context, topo Topology) (*Plane, error) {
 			if err != nil {
 				return nil, err
 			}
-			entries := contextEntries(host)
+			entries := host.Entries()
 			if len(entries) == 0 {
 				return nil, errs.Newf(errs.Config, "directory: context %s has no bindings", host.Name())
 			}

@@ -75,7 +75,7 @@ func NewResolver(ctx *core.Context, bs *Bootstrap, opts ResolverOptions) (*Resol
 	}
 	if size > 0 {
 		r.cache = newLRUCache(size)
-		entries := contextEntries(ctx)
+		entries := ctx.Entries()
 		if len(entries) == 0 {
 			return nil, errs.Newf(errs.Config, "directory: context %s has no bindings for the event sink", ctx.Name())
 		}

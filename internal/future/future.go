@@ -1,6 +1,6 @@
 // Package future provides the asynchronous invocation surface of the
-// ORB: futures/promises for one in-flight remote method invocation,
-// typed wrappers, and completion combinators.
+// ORB: futures/promises for one in-flight remote method invocation and
+// completion combinators.
 //
 // The paper's Nexus substrate is a one-way remote-service-request
 // messaging layer (§2); the synchronous GlobalPtr.Invoke surface hides

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"openhpcxx/internal/clock"
-	"openhpcxx/internal/xdr"
 )
 
 func TestCompleteResolvesOnce(t *testing.T) {
@@ -209,56 +208,6 @@ func TestConcurrentWaiters(t *testing.T) {
 		if err != nil {
 			t.Fatalf("waiter %d: %v", i, err)
 		}
-	}
-}
-
-// fakeInvoker resolves every invocation with an echo of its arguments,
-// optionally failing.
-type fakeInvoker struct {
-	fail error
-}
-
-func (fi *fakeInvoker) InvokeAsync(method string, args []byte) *Future {
-	if fi.fail != nil {
-		return Failed(fi.fail)
-	}
-	return Resolved(args)
-}
-
-type pair struct{ A, B int32 }
-
-func (p *pair) MarshalXDR(e *xdr.Encoder) error {
-	e.PutInt32(p.A)
-	e.PutInt32(p.B)
-	return nil
-}
-
-func (p *pair) UnmarshalXDR(d *xdr.Decoder) error {
-	var err error
-	if p.A, err = d.Int32(); err != nil {
-		return err
-	}
-	p.B, err = d.Int32()
-	return err
-}
-
-func TestTypedCall(t *testing.T) {
-	tf := Call[*pair, pair](&fakeInvoker{}, "echo", &pair{A: 7, B: 9})
-	got, err := tf.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.A != 7 || got.B != 9 {
-		t.Fatalf("typed echo = %+v", got)
-	}
-
-	failErr := errors.New("transport down")
-	tf = Call[*pair, pair](&fakeInvoker{fail: failErr}, "echo", &pair{})
-	if _, err := tf.Wait(); !errors.Is(err, failErr) {
-		t.Fatalf("typed failure = %v, want %v", err, failErr)
-	}
-	if tf.Future() == nil {
-		t.Fatal("Future() returned nil")
 	}
 }
 

@@ -108,16 +108,7 @@ func ServeBarrier(ctx *core.Context, parties int) (*core.ObjectRef, error) {
 	if err != nil {
 		return nil, err
 	}
-	var entries []core.ProtoEntry
-	if e, err := ctx.EntrySHM(); err == nil {
-		entries = append(entries, e)
-	}
-	if e, err := ctx.EntryStream(); err == nil {
-		entries = append(entries, e)
-	}
-	if e, err := ctx.EntryNexus(); err == nil {
-		entries = append(entries, e)
-	}
+	entries := ctx.Entries()
 	if len(entries) == 0 {
 		return nil, errs.Newf(errs.Config, "hpcxx: context %s has no bindings for a barrier", ctx.Name())
 	}

@@ -529,16 +529,7 @@ func ServeService(ctx *core.Context, svc *Service) (*core.Servant, *core.ObjectR
 	}
 	svc.StartSweeper(0)
 	ctx.OnClose(svc)
-	var entries []core.ProtoEntry
-	if e, err := ctx.EntrySHM(); err == nil {
-		entries = append(entries, e)
-	}
-	if e, err := ctx.EntryStream(); err == nil {
-		entries = append(entries, e)
-	}
-	if e, err := ctx.EntryNexus(); err == nil {
-		entries = append(entries, e)
-	}
+	entries := ctx.Entries()
 	if len(entries) == 0 {
 		return nil, nil, errs.Newf(errs.Config, "registry: context %s has no bindings", ctx.Name())
 	}

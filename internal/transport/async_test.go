@@ -251,7 +251,11 @@ func TestCoalescerDelayWatermark(t *testing.T) {
 
 	// A lone request must ship after MaxDelay without reinforcements.
 	start := time.Now()
-	reply, err := co.Call(&wire.Message{Type: wire.TRequest, Method: "solo", Body: []byte("x")})
+	p, err := co.Begin(&wire.Message{Type: wire.TRequest, Method: "solo", Body: []byte("x")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reply, err := p.Reply()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +304,11 @@ func TestCoalescerByteWatermark(t *testing.T) {
 	defer co.Close()
 
 	big := bytes.Repeat([]byte("z"), 600) // alone exceeds MaxBytes
-	reply, err := co.Call(&wire.Message{Type: wire.TRequest, Method: "big", Body: big})
+	p, err := co.Begin(&wire.Message{Type: wire.TRequest, Method: "big", Body: big})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reply, err := p.Reply()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +362,12 @@ func TestCoalescerConcurrent(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < 20; j++ {
 				body := []byte(fmt.Sprintf("%d-%d", i, j))
-				reply, err := co.Call(&wire.Message{Type: wire.TRequest, Method: "m", Body: body})
+				p, err := co.Begin(&wire.Message{Type: wire.TRequest, Method: "m", Body: body})
+				if err != nil {
+					errs[i] = err
+					return
+				}
+				reply, err := p.Reply()
 				if err != nil {
 					errs[i] = err
 					return

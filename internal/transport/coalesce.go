@@ -151,15 +151,6 @@ func (c *Coalescer) Begin(msg *wire.Message) (*Cell, error) {
 	return p, nil
 }
 
-// Call is the synchronous convenience over Begin.
-func (c *Coalescer) Call(msg *wire.Message) (*wire.Message, error) {
-	p, err := c.Begin(msg)
-	if err != nil {
-		return nil, err
-	}
-	return p.Reply()
-}
-
 // Flush forces out whatever is queued, regardless of watermarks.
 func (c *Coalescer) Flush() {
 	c.mu.Lock()
