@@ -33,14 +33,21 @@ type capturingProto struct {
 func (p *capturingProto) ID() core.ProtoID { return p.base.ID() }
 
 func (p *capturingProto) Call(m *wire.Message) (*wire.Message, error) {
-	cp := *m
-	p.lastRequest = &cp
+	p.lastRequest = snapshot(m) // before the send, which ends m
 	reply, err := p.base.Call(m)
 	if reply != nil {
-		cp2 := *reply
-		p.lastReply = &cp2
+		p.lastReply = snapshot(reply)
 	}
 	return reply, err
+}
+
+// snapshot copies what m carries, so the copy outlives m's header and loan.
+func snapshot(m *wire.Message) *wire.Message {
+	c := &wire.Message{Type: m.Type, Object: m.Object, Method: m.Method, Body: bytes.Clone(m.Body)}
+	for _, e := range m.Envelopes {
+		c.Envelopes = append(c.Envelopes, wire.Envelope{ID: e.ID, Data: bytes.Clone(e.Data)})
+	}
+	return c
 }
 
 func (p *capturingProto) Close() error { return p.base.Close() }

@@ -61,6 +61,7 @@ func (f *Frame) envelope(n int) []byte {
 	}
 	b := f.arena[:n:n]
 	f.arena = f.arena[n:]
+	clear(b) // the scratch is recycled
 	return b
 }
 

@@ -206,11 +206,12 @@ func (c *chain) Capabilities() []Capability { return c.caps }
 
 // process runs m's body through the chain in order and returns a copy of
 // m carrying the result and the envelope chain (the glue tag, then one
-// envelope per capability). If capability i rejects, caps[:i] refund. A
-// body handed over is lent to the copy, or given back once replaced.
+// envelope per capability): a pooled scratch's message, which its encoder
+// gives back. If capability i rejects, caps[:i] refund. A body handed over
+// is lent to the copy, or given back once replaced.
 func (c *chain) process(m *wire.Message, dir Direction) (*wire.Message, error) {
-	sc := &scratch{frame: Frame{Object: m.Object, Method: m.Method, Dir: dir, Clock: c.clock}}
-	sc.frame.arena = sc.arena[:]
+	sc := scratches.Get().(*scratch)
+	sc.frame = Frame{Object: m.Object, Method: m.Method, Dir: dir, Clock: c.clock, arena: sc.arena[:]}
 	tag := append(sc.frame.envelope(len(c.tag))[:0], c.tag...)
 	envs := append(sc.envs[:0], wire.Envelope{ID: core.GlueEnvelopeID, Data: tag})
 	body, lent := m.Body, []byte(nil) // lent: body, once a capability handed it over
@@ -218,6 +219,7 @@ func (c *chain) process(m *wire.Message, dir Direction) (*wire.Message, error) {
 		nb, env, err := cp.Process(&sc.frame, body)
 		if err != nil {
 			c.refund(c.caps[:i], dir, m.Object, m.Method)
+			sc.Recycle()
 			return nil, errs.Wrapf(errs.Capability, err, "capability %s%s", cp.Kind(), replyNote[dir])
 		}
 		if unsafe.SliceData(nb) != unsafe.SliceData(body) {
@@ -231,6 +233,7 @@ func (c *chain) process(m *wire.Message, dir Direction) (*wire.Message, error) {
 	sc.msg.Body = body
 	sc.msg.Envelopes = envs
 	sc.msg.Lend(lent) // never m's loan: the copy holds its own or none
+	sc.msg.SetRecycler(sc)
 	return &sc.msg, nil
 }
 
@@ -311,14 +314,23 @@ func (g *Glue) ID() core.ProtoID { return core.ProtoGlue }
 // scratch is what one direction of one call needs besides the bodies —
 // the capability frame, the outgoing message, its envelope slots, and an
 // arena for the tag and the small envelopes (auth, checksum, nonces) — in
-// one allocation, left to the collector: the envelopes must outlive the
-// write, whenever that is (DESIGN.md decision 4; the bodies are lent).
-// A longer chain appends past envs and allocates past the arena.
+// one pooled object. The envelopes must outlive the write, whenever that
+// is, so the scratch goes back with its message, which the encoder that
+// writes it releases (DESIGN.md decision 4). A longer chain appends past
+// envs and allocates past the arena.
 type scratch struct {
 	frame Frame
 	msg   wire.Message
 	envs  [9]wire.Envelope
 	arena [192]byte
+}
+
+var scratches = sync.Pool{New: func() any { return new(scratch) }}
+
+// Recycle implements wire.Recycler: the scratch's message was released.
+func (sc *scratch) Recycle() {
+	sc.frame, sc.envs = Frame{}, [len(sc.envs)]wire.Envelope{}
+	scratches.Put(sc)
 }
 
 // wrapRequest runs the request through the capability chain and returns
@@ -353,7 +365,8 @@ func (g *Glue) baseSpan(out *wire.Message) *obs.Active {
 
 // settle ends one base exchange: a transport error refunds the client
 // mirrors (the server never charged, and the ORB retries elsewhere), a
-// fault travels outside the envelope as it is, and a reply un-processes.
+// fault travels outside the envelope as it is, and a reply un-processes
+// in place: the header, and its loan if any, are the caller's.
 func (g *Glue) settle(bs *obs.Active, object, method string, reply *wire.Message, err error) (*wire.Message, error) {
 	bs.SetErr(err)
 	bs.End()
@@ -368,11 +381,8 @@ func (g *Glue) settle(bs *obs.Active, object, method string, reply *wire.Message
 	if err != nil {
 		return nil, err
 	}
-	out := *reply
-	out.Body = body
-	out.Envelopes = nil
-	out.Lend(nil) // the loan, if any, stays reply's: never two holders
-	return &out, nil
+	reply.Body, reply.Envelopes = body, nil
+	return reply, nil
 }
 
 // Call implements core.Protocol: process with each capability in order,

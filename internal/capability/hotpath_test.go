@@ -18,6 +18,7 @@ import (
 	"openhpcxx/internal/clock"
 	"openhpcxx/internal/core"
 	"openhpcxx/internal/wire"
+	"openhpcxx/internal/xdr"
 )
 
 // This file pins the capability hot path: what a round trip may
@@ -145,16 +146,72 @@ func TestGlueChainAllocs(t *testing.T) {
 	skipUnderRace(t)
 	call := hotCall(t)
 	// Per direction: one scratch (wrap; the unwrap's frame is pooled) and
-	// encrypt's sealed body (lent, but with no encoder under this glue
-	// nothing gives it back; its nonce is a piece of the scratch and
-	// opening allocates nothing); and the client's copy of the reply header.
-	if got := testing.AllocsPerRun(200, call); got > 5 {
-		t.Errorf("quota+auth+checksum+encrypt call: %v allocs, want at most 5", got)
+	// encrypt's sealed body (both pooled, but with no encoder under this
+	// glue nothing gives them back; the nonce is a piece of the scratch and
+	// opening allocates nothing). The reply un-processes in place.
+	if got := testing.AllocsPerRun(200, call); got > 4 {
+		t.Errorf("quota+auth+checksum+encrypt call: %v allocs, want at most 4", got)
 	}
 	// Two sealed bodies (each rounded up to a 4.75 KiB size class), two
 	// scratches and the headers; a third body-sized buffer passes 18 KiB.
 	if got := allocBytesPerRun(200, call); got > 4*uint64(len(midBody)) {
 		t.Errorf("quota+auth+checksum+encrypt call: %d bytes, want two body-sized buffers (under %d)", got, 4*len(midBody))
+	}
+}
+
+// TestGlueEchoAllocs pins what a typed call through the benchmark's chain
+// allocates end to end, over a real stream connection: a 1 024-int echo
+// through quota, auth, checksum and encrypt. The count is process-wide,
+// server included. What is left is what the caller keeps — the reply
+// frame — and the stub's Req value: every header, both scratches and
+// both sealed bodies go back to their pools.
+func TestGlueEchoAllocs(t *testing.T) {
+	skipUnderRace(t)
+	rt := world(t)
+	server, err := rt.NewContext("server", "m1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, err := rt.NewContext("client", "m1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := server.BindTCP("127.0.0.1:0"); err != nil {
+		t.Skipf("no TCP binding: %v", err)
+	}
+	s, err := server.Export("Echo", nil, map[string]core.Method{
+		"exchange": core.Handler(func(in *core.Int32Slice) (*core.Int32Slice, error) { return in, nil }),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := server.EntryStream()
+	if err != nil {
+		t.Fatal(err)
+	}
+	entry, err := GlueEntry(server, "pin-echo", base, hotChain()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gp := client.NewGlobalPtr(server.NewRef(s, entry))
+	v := make([]int32, 1024)
+	for i := range v {
+		v[i] = int32(i)
+	}
+	args, err := xdr.Marshal(&core.Int32Slice{V: v})
+	if err != nil {
+		t.Fatal(err)
+	}
+	call := func() {
+		if out, err := gp.Invoke("exchange", args); err != nil || !bytes.Equal(out, args) {
+			t.Fatalf("glue echo: %d bytes, %v", len(out), err)
+		}
+	}
+	for i := 0; i < 200; i++ {
+		call()
+	}
+	if got := testing.AllocsPerRun(2000, call); got > 2 {
+		t.Errorf("%.2f allocations per typed glue echo over a stream, pinned at 2", got)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"openhpcxx/internal/clock"
 	"openhpcxx/internal/errs"
@@ -86,11 +87,14 @@ type Runtime struct {
 	errCounters   map[errs.Code]*stats.Counter
 	retryAttempts *stats.Counter
 
+	// The health tracker and the failover switch are read by every
+	// call's settle: atomics, not the lock.
+	htracker atomic.Pointer[health.Tracker]
+	failover atomic.Bool
+
 	mu       sync.RWMutex
 	ifaces   map[string]Activator
 	contexts map[string]*Context
-	htracker *health.Tracker
-	failover bool
 	retryCfg RetryBudgetConfig
 	// sections are subsystem status contributors (RegisterStatusSection).
 	sections map[string]func() any
@@ -117,10 +121,10 @@ func NewRuntime(network *netsim.Network, process string) *Runtime {
 		retryAttempts: metrics.Counter("rpc.retry.attempts"),
 		ifaces:        make(map[string]Activator),
 		contexts:      make(map[string]*Context),
-		htracker:      health.NewTracker(health.Options{Metrics: metrics}),
-		failover:      true,
 		retryCfg:      DefaultRetryBudget,
 	}
+	rt.htracker.Store(health.NewTracker(health.Options{Metrics: metrics}))
+	rt.failover.Store(true)
 	for _, c := range errs.KnownCodes() {
 		rt.errCounters[c] = metrics.CounterWith("rpc.errors", stats.Labels{"code": c.String()})
 	}
@@ -153,11 +157,7 @@ func (rt *Runtime) Tracer() *obs.Tracer { return rt.tracer }
 // report per-endpoint successes and failures into it and consult it
 // during protocol selection, so an endpoint that trips its circuit
 // breaker is skipped until a background probe proves recovery.
-func (rt *Runtime) Health() *health.Tracker {
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
-	return rt.htracker
-}
+func (rt *Runtime) Health() *health.Tracker { return rt.htracker.Load() }
 
 // SetHealthOptions replaces the health tracker with one using the given
 // options (failure threshold, probe interval, clock). Existing breaker
@@ -167,12 +167,7 @@ func (rt *Runtime) SetHealthOptions(opts health.Options) {
 	if opts.Metrics == nil {
 		opts.Metrics = rt.metrics
 	}
-	t := health.NewTracker(opts)
-	rt.mu.Lock()
-	old := rt.htracker
-	rt.htracker = t
-	rt.mu.Unlock()
-	if old != nil {
+	if old := rt.htracker.Swap(health.NewTracker(opts)); old != nil {
 		old.Close()
 	}
 }
@@ -181,18 +176,10 @@ func (rt *Runtime) SetHealthOptions(opts health.Options) {
 // default). With failover off, protocol selection ignores breaker state
 // and invocation failures are retried against the same ordered-table
 // choice — the baseline mode of the Figure R1 availability experiment.
-func (rt *Runtime) SetFailover(on bool) {
-	rt.mu.Lock()
-	rt.failover = on
-	rt.mu.Unlock()
-}
+func (rt *Runtime) SetFailover(on bool) { rt.failover.Store(on) }
 
 // FailoverEnabled reports whether endpoint-health failover is on.
-func (rt *Runtime) FailoverEnabled() bool {
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
-	return rt.failover
-}
+func (rt *Runtime) FailoverEnabled() bool { return rt.failover.Load() }
 
 // SetRetryBudget sets the retry-budget configuration GPs are created
 // with (DefaultRetryBudget unless changed; Disabled turns budgeting
@@ -331,9 +318,8 @@ func (rt *Runtime) Close() {
 		ctxs = append(ctxs, c)
 	}
 	rt.contexts = make(map[string]*Context)
-	ht := rt.htracker
-	rt.htracker = nil
 	rt.mu.Unlock()
+	ht := rt.htracker.Swap(nil)
 	for _, c := range ctxs {
 		c.Close()
 	}

@@ -192,9 +192,16 @@ func (g *GlobalPtr) finish(ctx context.Context, root *obs.Active, a *attempt, la
 			}
 			g.Invalidate()
 		}
+		// The request is left to the collector: an abandoned exchange
+		// may still be queued in a coalescer.
 		return nil, true, false, ctxAttemptErr(cmp.Or(ctx.Err(), a.err), lastErr)
 	}
+	*a.req = wire.Message{} // resolved: no protocol or coalescer holds it
+	requests.Put(a.req)
+	a.req = nil
 	body, done, backoff, err = g.settle(a.b, a.reply, a.err)
+	a.reply.ReleaseHeader() // settle took its type, fault and body
+	a.reply = nil
 	if done || oneway {
 		return body, true, false, err
 	}

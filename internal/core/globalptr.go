@@ -416,9 +416,9 @@ func probeEntry(host *Context, ref *ObjectRef, entry ProtoEntry) error {
 }
 
 // prepare binds (selecting a protocol if needed) and builds the request
-// frame for one attempt. The effective deadline — the sooner of the
-// context's and the GP default — travels in the wire header so servers
-// can shed the request once it expires.
+// frame for one attempt, a header from requests. The effective deadline —
+// the sooner of the context's and the GP default — travels in the wire
+// header so servers can shed the request once it expires.
 func (g *GlobalPtr) prepare(ctx context.Context, typ wire.MsgType, method string, args []byte) (*binding, *wire.Message, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -435,15 +435,24 @@ func (g *GlobalPtr) prepare(ctx context.Context, typ wire.MsgType, method string
 			deadline = d
 		}
 	}
-	return g.b, &wire.Message{
+	req := requests.Get().(*wire.Message)
+	*req = wire.Message{
 		Type:     typ,
 		Object:   string(g.ref.Object),
 		Method:   method,
 		Epoch:    g.ref.Epoch,
 		Deadline: deadline,
 		Body:     args,
-	}, nil
+	}
+	return g.b, req, nil
 }
+
+// requests pools prepare's request headers. An encoder returns nothing of
+// one (it has no recycler, only a caller's args as body), so the header
+// stays valid until the protocol's Call or Begin has returned to whoever
+// called it — a protocol wrapper may read it then — and finish gives it
+// back once the attempt has resolved without an abandon.
+var requests = sync.Pool{New: func() any { return new(wire.Message) }}
 
 // settle classifies the outcome of one attempt and performs the
 // adaptation side effects (invalidation, reference refresh, metrics).

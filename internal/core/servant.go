@@ -277,7 +277,8 @@ func (c *Context) handleRequest(m *wire.Message, ds *obs.Active) (*wire.Message,
 	// observe the request either way — but before the servant invoke, so
 	// the expensive part is skipped. FaultExpired is terminal on the
 	// client: the caller's deadline has passed, retrying cannot help.
-	if m.Expired(c.rt.Clock().Now().UnixNano()) {
+	// Without a deadline nothing can expire, so the clock is not read.
+	if m.Deadline != 0 && m.Expired(c.rt.Clock().Now().UnixNano()) {
 		ds.SetCause("expired")
 		c.srv.expired.Inc()
 		return nil, wire.Faultf(wire.FaultExpired, "deadline expired before %s.%s executed", m.Object, m.Method)
@@ -294,7 +295,7 @@ func (c *Context) handleRequest(m *wire.Message, ds *obs.Active) (*wire.Message,
 
 	var reply *wire.Message
 	if gs == nil {
-		reply = &wire.Message{Type: wire.TReply, Object: m.Object, Method: m.Method, Epoch: s.Epoch(), Body: out}
+		reply = wire.Pooled(wire.Message{Type: wire.TReply, Object: m.Object, Method: m.Method, Epoch: s.Epoch(), Body: out})
 	} else if reply, err = gs.WrapReply(m, out); err != nil {
 		return nil, err
 	}

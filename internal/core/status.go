@@ -130,13 +130,12 @@ func (rt *Runtime) Status() RuntimeStatus {
 	for _, c := range rt.contexts {
 		ctxs = append(ctxs, c)
 	}
-	failover := rt.failover
-	ht := rt.htracker
 	sections := make(map[string]func() any, len(rt.sections))
 	for n, fn := range rt.sections {
 		sections[n] = fn
 	}
 	rt.mu.RUnlock()
+	failover, ht := rt.FailoverEnabled(), rt.Health()
 
 	st := RuntimeStatus{
 		Process:            rt.process,

@@ -298,6 +298,42 @@ func TestCoalescerIgnoresAStaleDelayFire(t *testing.T) {
 	}
 }
 
+// TestCoalescerReusesABatchReplyFrame: a sender may answer every flush
+// with one batch frame it built once (a benchmark's canned peer does).
+// The coalescer only decodes such a frame: neither EncodeBatch's frame
+// nor DecodeBatch's reading of it gives anything back, so each flush
+// reads the frame whole.
+func TestCoalescerReusesABatchReplyFrame(t *testing.T) {
+	const n = 4
+	replies := make([]*wire.Message, n)
+	for i := range replies {
+		replies[i] = &wire.Message{Type: wire.TReply, Method: "m", Body: []byte{byte(i)}}
+	}
+	frame, err := wire.EncodeBatch(replies)
+	if err != nil {
+		t.Fatal(err)
+	}
+	co := NewCoalescer(func(*wire.Message) (Pending, error) {
+		c := new(Cell)
+		c.Resolve(frame, nil)
+		return c, nil
+	}, BatchPolicy{MaxMessages: n, MaxDelay: time.Hour})
+	defer co.Close()
+	pending := make([]*Cell, n)
+	for flush := 0; flush < 3; flush++ {
+		for i := range pending {
+			if pending[i], err = co.Begin(&wire.Message{Type: wire.TRequest, Method: "m"}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i, p := range pending {
+			if reply, err := p.Reply(); err != nil || reply.Type != wire.TReply || !bytes.Equal(reply.Body, []byte{byte(i)}) {
+				t.Fatalf("flush %d, request %d: %+v, %v", flush, i, reply, err)
+			}
+		}
+	}
+}
+
 func TestCoalescerByteWatermark(t *testing.T) {
 	m := newBatchFabric(t, "co-bytes")
 	co := NewCoalescer(muxSender(m), BatchPolicy{MaxMessages: 1000, MaxBytes: 512, MaxDelay: time.Hour})

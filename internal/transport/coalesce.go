@@ -246,6 +246,7 @@ func demux(items []batchItem, p Pending) {
 		return
 	}
 	subs, derr := wire.DecodeBatch(reply)
+	reply.ReleaseHeader() // the sub-messages keep its body
 	if derr != nil {
 		failAll(items, derr)
 		return

@@ -117,3 +117,76 @@ func TestCoalescedLentBodiesAreWrittenIntact(t *testing.T) {
 		t.Fatalf("%d of %d lent bodies reached the server overwritten", n, callers*calls)
 	}
 }
+
+// TestRecycledRequestHeaderIsScrubbed: the server lends a handler its
+// request header as well as its frame, and takes both back once the
+// handler is done (after its reply, if any, is written). A handler that
+// keeps the request past its return reads the scrub, an empty header, not
+// the request. A one-way request, so that no reply is read into it here.
+func TestRecycledRequestHeaderIsScrubbed(t *testing.T) {
+	shm := NewSHM()
+	l, err := shm.Listen("recycled-header")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kept *wire.Message // written by the handler, read after Close
+	handled := make(chan struct{})
+	srv := Serve(l, func(m *wire.Message) *wire.Message {
+		kept = m
+		close(handled)
+		return nil
+	})
+	c, err := shm.Dial("recycled-header")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mux := NewMux(c)
+	defer mux.Close()
+	if err := mux.Post(&wire.Message{Type: wire.TControl, RequestID: 9, Object: "ctx/obj-1", Method: "m", Body: []byte("kept")}); err != nil {
+		t.Fatal(err)
+	}
+	<-handled
+	srv.Close() // waits for the worker, which released the request
+	if kept.Type != 0 || kept.RequestID != 0 || kept.Object != "" || kept.Method != "" || kept.Body != nil {
+		t.Fatalf("a request header kept past its release reads %+v, want the scrub", kept)
+	}
+}
+
+// TestLentRequestReturnedAsReplyGoesBackOnce: a handler may answer with
+// the request itself. Writing it gives its header and frame back, so the
+// server must not release them a second time: the header may already hold
+// the next frame, and two frames would share it.
+func TestLentRequestReturnedAsReplyGoesBackOnce(t *testing.T) {
+	shm := NewSHM()
+	l, err := shm.Listen("request-as-reply")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := Serve(l, func(m *wire.Message) *wire.Message {
+		m.Type = wire.TReply
+		return m
+	})
+	defer srv.Close()
+	c, err := shm.Dial("request-as-reply")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mux := NewMux(c)
+	defer mux.Close()
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for j := 0; j < 200; j++ {
+				body := []byte{byte(i), byte(j)}
+				reply, err := mux.Call(&wire.Message{Type: wire.TRequest, Method: "m", Body: body})
+				if err != nil || reply.Type != wire.TReply || !bytes.Equal(reply.Body, body) {
+					t.Errorf("caller %d call %d: %+v, %v", i, j, reply, err)
+					return
+				}
+			}
+		}(i)
+	}
+	wg.Wait()
+}

@@ -188,8 +188,9 @@ func (m *Mux) readLoop() {
 			// an abandon with this delivery cannot stall the reader; the
 			// continuation it runs is bound by Cell.WhenDone's contract.
 			p.Resolve(msg, nil)
+		} else {
+			msg.Release() // a reply for an abandoned request is dropped
 		}
-		// Replies for abandoned requests are dropped.
 	}
 }
 

@@ -16,11 +16,12 @@ import (
 // dispatch workers, at most 256 busy per connection, so a slow (or
 // blocking) method cannot head-of-line block a connection.
 //
-// The request (its Body, its envelope data) is lent: valid until the
-// reply has been written or the handler returned nil, when the server
-// releases it and the frame is reused; writing the reply releases the
-// reply's own loan (wire.Write). A reply may alias the request; a handler
-// that keeps any of it past its return copies it.
+// The request — its header, Body and envelope data — is lent: valid until
+// the reply has been written or the handler returned nil, when the server
+// releases it and the header and frame are reused; writing the reply
+// releases the reply's own loan and pooled header (wire.Write). A reply
+// may alias the request, or be it; a handler that keeps any of it past its
+// return copies it.
 type Handler func(*wire.Message) *wire.Message
 
 // Server accepts connections from a listener and runs the frame loop on
@@ -119,11 +120,13 @@ func (s *Server) connLoop(c net.Conn) {
 		_ = c.Close()
 	}()
 	serve := func(msg *wire.Message) {
-		defer msg.Release() // after the write: the reply may alias the request
 		g := s.inflightGauge.Load()
 		g.Inc()
 		reply := s.h(msg)
 		g.Dec()
+		if reply != msg { // a reply that is the request goes back with its write
+			defer msg.Release() // after the write: the reply may alias the request
+		}
 		if reply == nil {
 			return
 		}

@@ -54,8 +54,7 @@ func FuzzRead(f *testing.F) {
 		if err != nil {
 			return
 		}
-		lm.lent = nil // compared by content; the frame stays with lm, unreleased
-		if !reflect.DeepEqual(m, lm) {
+		if !reflect.DeepEqual(fields(m), fields(lm)) { // the frame stays with lm, unreleased
 			t.Fatalf("Read decoded %+v, ReadLent %+v", m, lm)
 		}
 		if m.Type == TBatch {
@@ -74,6 +73,7 @@ func FuzzRead(f *testing.F) {
 			}
 		}
 		var out bytes.Buffer
+		sent := fields(m) // Write ends m, a pooled header
 		if err := Write(&out, m); err != nil {
 			t.Fatalf("accepted frame failed to re-encode: %v", err)
 		}
@@ -81,7 +81,7 @@ func FuzzRead(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encoded frame failed to decode: %v", err)
 		}
-		if m.Type != m2.Type || m.Object != m2.Object || m.Method != m2.Method ||
+		if m := &sent; m.Type != m2.Type || m.Object != m2.Object || m.Method != m2.Method ||
 			m.Epoch != m2.Epoch || !bytes.Equal(m.Body, m2.Body) || len(m.Envelopes) != len(m2.Envelopes) ||
 			m.TraceID != m2.TraceID || m.SpanID != m2.SpanID || m.Deadline != m2.Deadline {
 			t.Fatalf("unstable round trip: %+v vs %+v", m, m2)

@@ -1,7 +1,9 @@
 package wire
 
 import (
+	"bytes"
 	"io"
+	"reflect"
 	"testing"
 
 	"openhpcxx/internal/bufpool"
@@ -113,5 +115,47 @@ func TestBatchToTheWireAllocatesNoBody(t *testing.T) {
 	})
 	if got > 1<<10 {
 		t.Fatalf("EncodeBatch then Write allocates %d bytes per batch, want the frame header only (a body is %d)", got, 64*300)
+	}
+}
+
+// TestRecycledHeaderIsScrubbed: Release gives a pooled header back —
+// Read's, and Pooled's once an encoder is done with it — scrubbed, so a
+// read past Release sees an empty header, not the request it held. A
+// header built as a literal, or a value copy of a pooled one, never goes
+// back.
+func TestRecycledHeaderIsScrubbed(t *testing.T) {
+	var frame bytes.Buffer
+	if err := Write(&frame, sample()); err != nil {
+		t.Fatal(err)
+	}
+	m, err := ReadLent(bytes.NewReader(frame.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := *m // a value copy holds the pool but is not its header
+	kept.Lend(nil)
+	kept.Release()
+	if m.RequestID != sample().RequestID || m.Object != sample().Object {
+		t.Fatalf("releasing a copy recycled the header it copied: %+v", m)
+	}
+	m.Release()
+	if !reflect.DeepEqual(fields(m), Message{}) {
+		t.Fatalf("a released request header reads %+v, want the scrub", m)
+	}
+
+	reply := Pooled(Message{Type: TReply, Object: "ctx/obj-1", Method: "exchange", Body: []byte("out")})
+	if err := Write(io.Discard, reply); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(fields(reply), Message{}) {
+		t.Fatalf("a written pooled reply reads %+v, want the scrub", reply)
+	}
+
+	lit := &Message{Type: TRequest, RequestID: 7, Object: "ctx/obj-1", Method: "exchange"}
+	if err := Write(io.Discard, lit); err != nil {
+		t.Fatal(err)
+	}
+	if lit.RequestID != 7 || lit.Method != "exchange" {
+		t.Fatalf("a literal header was recycled: %+v", lit)
 	}
 }

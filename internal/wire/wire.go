@@ -39,6 +39,7 @@ import (
 	"fmt"
 	"hash/maphash"
 	"io"
+	"sync"
 	"sync/atomic"
 
 	"openhpcxx/internal/bufpool"
@@ -116,7 +117,9 @@ type Message struct {
 	Envelopes []Envelope
 	Body      []byte
 
-	lent []byte // what Release returns to bufpool: ReadLent's frame, or Lend's buffer
+	lent []byte   // what Release returns to bufpool: ReadLent's frame, or Lend's buffer
+	home Recycler // what Release returns a pooled header to; nil for any other
+	self *Message // the pooled header itself: a value copy of it is not it
 }
 
 // Flag bits for Message.Flags.
@@ -236,7 +239,8 @@ var (
 // UnmarshalXDR decodes everything after the frame length prefix. Body
 // and Envelope.Data are views of the decoder's input, not copies: the
 // message stays valid as long as that input is left alone, and keeps it
-// reachable.
+// reachable. A pooled header's envelopes decode into the slots read gave
+// it, as many as there are; any other message's into a new slice.
 func (m *Message) UnmarshalXDR(d *xdr.Decoder) error {
 	magic, err := d.Uint32()
 	if err != nil {
@@ -288,7 +292,11 @@ func (m *Message) UnmarshalXDR(d *xdr.Decoder) error {
 	if n > 64 {
 		return errs.Newf(errs.Codec, "wire: %d envelopes exceeds limit", n)
 	}
-	m.Envelopes = make([]Envelope, n)
+	if m.self == m && int(n) <= cap(m.Envelopes) {
+		m.Envelopes = m.Envelopes[:n]
+	} else {
+		m.Envelopes = make([]Envelope, n)
+	}
 	for i := range m.Envelopes {
 		if m.Envelopes[i].ID, err = internString(d); err != nil {
 			return err
@@ -397,9 +405,11 @@ func readFrame(r io.Reader, n int, lend bool) ([]byte, error) {
 	return buf, nil
 }
 
-// Read reads one frame from r. The returned message's Body and envelope
-// data alias the frame's buffer, which nothing else references: it lives
-// exactly as long as the message (or any slice of it) does.
+// Read reads one frame from r into a pooled header (Pooled), which
+// Release gives back. Body and envelope data alias the frame's buffer,
+// which nothing else references: it lives as long as any slice of it does,
+// so a holder that keeps only the body gives the header back with
+// ReleaseHeader.
 func Read(r io.Reader) (*Message, error) { return read(r, false) }
 
 // ReadLent is Read for a caller that knows when it is done with the
@@ -408,32 +418,34 @@ func Read(r io.Reader) (*Message, error) { return read(r, false) }
 func ReadLent(r io.Reader) (*Message, error) { return read(r, true) }
 
 func read(r io.Reader, lend bool) (*Message, error) {
-	// The length word is read into the message's own allocation: a
-	// local array would escape through the io.Reader call and cost an
+	// The length word is read into the header's own memory: a local
+	// array would escape through the io.Reader call and cost an
 	// allocation of its own.
-	f := new(struct {
-		Message
-		prefix [4]byte
-	})
-	if _, err := io.ReadFull(r, f.prefix[:]); err != nil {
+	h := headers.Get().(*header)
+	if _, err := io.ReadFull(r, h.prefix[:]); err != nil {
+		headers.Put(h)
 		return nil, err
 	}
-	n := int(binary.BigEndian.Uint32(f.prefix[:]))
+	n := int(binary.BigEndian.Uint32(h.prefix[:]))
 	if n > MaxFrame {
+		headers.Put(h)
 		return nil, ErrTooLarge
 	}
 	lend = lend && n <= readAhead
 	buf, err := readFrame(r, n, lend)
 	if err != nil {
+		headers.Put(h)
 		return nil, err
 	}
-	if err := decodeMessage(buf, &f.Message); err != nil {
-		return nil, err
-	}
+	m := h.take(Message{Envelopes: h.envs[:0]})
 	if lend {
-		f.lent = buf
+		m.lent = buf
 	}
-	return &f.Message, nil
+	if err := decodeMessage(buf, m); err != nil {
+		m.Release()
+		return nil, err
+	}
+	return m, nil
 }
 
 // Lend hands m a bufpool buffer, one its Body aliases, for Release to
@@ -441,14 +453,71 @@ func read(r io.Reader, lend bool) (*Message, error) {
 // the copy's with Lend(nil), or the buffer goes back twice.
 func (m *Message) Lend(buf []byte) { m.lent = buf }
 
-// Release returns the buffer m holds on loan, if any, to bufpool: m's
-// Body and envelope data, and what aliased them (a servant's args, a reply
-// that echoed them), must not be read afterwards. Idempotent, nil-safe and
-// optional: an unreleased buffer is collected with its message.
+// A Recycler takes back the pooled header it embeds (SetRecycler): Release
+// hands it over, scrubbed and with its loan returned, and nothing reads
+// the header again until the pool gives it out anew.
+type Recycler interface{ Recycle() }
+
+// SetRecycler makes m a pooled header that Release hands to r. m is the
+// message r embeds; a value copy of m carries r but is not m, and Release
+// never hands a copy over.
+func (m *Message) SetRecycler(r Recycler) { m.home, m.self = r, m }
+
+// Pooled returns a header from the ORB's pool holding m. Whoever ends it —
+// the encoder it is handed to, or Release — gives it back, so nothing reads
+// it after that. A header built any other way is never recycled.
+func Pooled(m Message) *Message { return headers.Get().(*header).take(m) }
+
+// header is the ORB's pooled message header: the Message, and the length
+// word and envelope slots read decodes into (as many as a glue chain's).
+type header struct {
+	Message
+	prefix [4]byte
+	envs   [9]Envelope
+}
+
+var headers = sync.Pool{New: func() any { return new(header) }}
+
+// take fills a header from the pool with m and makes it the pool's.
+func (h *header) take(m Message) *Message {
+	h.Message = m
+	h.SetRecycler(h)
+	return &h.Message
+}
+
+// Recycle implements Recycler.
+func (h *header) Recycle() {
+	h.envs = [len(h.envs)]Envelope{}
+	headers.Put(h)
+}
+
+// Release ends m: the buffer m holds on loan, if any, goes back to
+// bufpool, and m itself to its pool if it is a pooled header. m's Body and
+// envelope data, and what aliased them (a servant's args, a reply that
+// echoed them), must not be read afterwards, nor a pooled m at all. Nil-safe
+// and optional (an unreleased message is collected), and idempotent until
+// the pool hands the header out again.
 func (m *Message) Release() {
-	if m != nil && m.lent != nil {
+	if m == nil {
+		return
+	}
+	if m.lent != nil {
 		putLent(m.lent)
 		m.lent = nil
+	}
+	if r := m.home; m.self == m { // a pooled header, not a copy of one
+		*m = Message{} // scrubbed: a read past Release sees no request
+		r.Recycle()
+	}
+}
+
+// ReleaseHeader is Release for a holder that passes m's body on for good:
+// a pooled header goes back, and its loan, if any, is forfeited to the
+// collector with that body. Any other message is left as it is.
+func (m *Message) ReleaseHeader() {
+	if m != nil && m.self == m {
+		m.lent = nil
+		m.Release()
 	}
 }
 

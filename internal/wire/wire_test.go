@@ -240,7 +240,7 @@ func TestQuickMessageRoundTrip(t *testing.T) {
 		if len(in.Envelopes) == 0 {
 			in.Envelopes = nil
 		}
-		return reflect.DeepEqual(in, out)
+		return reflect.DeepEqual(fields(in), fields(out))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -258,6 +258,14 @@ func TestQuickReadRobust(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// fields is m's frame content, without what the process keeps beside it
+// (a loan, the pool a header goes back to).
+func fields(m *Message) Message {
+	c := *m
+	c.lent, c.home, c.self = nil, nil, nil
+	return c
 }
 
 // goldenFrame is one fully populated frame — traced, hinted, one flag
@@ -312,7 +320,7 @@ func TestGoldenFrame(t *testing.T) {
 	}
 	want := goldenFrame
 	want.Envelopes = []Envelope{goldenFrame.Envelopes[0], {ID: "q", Data: []byte{}}}
-	if !reflect.DeepEqual(*out, want) {
+	if !reflect.DeepEqual(fields(out), want) {
 		t.Fatalf("golden bytes decoded to\n %+v\nwant\n %+v", *out, want)
 	}
 }
