@@ -123,8 +123,11 @@ bench-smoke:
 	$(GO) -C benchmark test ./...
 
 # BENCH_*.json trajectory: every PR leaves a perf datapoint. The smoke
-# scenario runs on a fake clock, so BENCH_S1.json is deterministic — a
-# reviewable diff, not noise.
+# scenario runs on a fake clock, so its op accounting (issued, completed,
+# failed, elapsed) is deterministic. Its latency block is not: the open-loop
+# generator advances the fake clock while the workers finish calls in real
+# time, so a completion reads whatever simulated time the generator has
+# reached, and latency_ns.sum and p90 move with goroutine scheduling.
 bench-json:
 	$(GO) run ./cmd/ohpc-load -scenario=internal/load/testdata/scenarios/valid/smoke.json -fake -json=BENCH_S1.json
 	@echo "wrote BENCH_S1.json"

@@ -287,3 +287,35 @@ func TestLossSweepShape(t *testing.T) {
 		t.Errorf("format:\n%s", text)
 	}
 }
+
+// TestProtocolSelectionAllocs pins what BenchmarkProtocolSelection (in the
+// repository root) measures: invalidating a GP and re-selecting against
+// the 4-entry Figure 5 table. The walk reads each entry's record, so what
+// is left is the re-bind: the glue protocol object — its capabilities keep
+// per-binding state — the binding and its event. Before entries had
+// records the same re-select cost 98.
+func TestProtocolSelectionAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation pins do not hold under the race detector")
+	}
+	d, err := NewFig5Deployment(netsim.ProfileUnshaped, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	gp, err := d.GlobalPtr(SeriesGlueSecurity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reselect := func() {
+		gp.Invalidate()
+		if _, err := gp.SelectedProtocol(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reselect()
+	const pin = 35
+	if got := testing.AllocsPerRun(200, reselect); got > pin {
+		t.Fatalf("%.1f allocations per re-select, pinned at %d", got, pin)
+	}
+}

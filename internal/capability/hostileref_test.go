@@ -14,7 +14,9 @@ import (
 // decode with core.DecodeRef, and every entry of a decoded table goes
 // through the installed pool's Applicable, then New and Close when
 // applicable, on a fake clock. A reference is outside input, glue specs
-// included. Nothing may panic.
+// included. Nothing may panic, and the pool's selection — through the
+// entry records every earlier input left behind — picks the entry that
+// walk finds first.
 func FuzzHostileRef(f *testing.F) {
 	rt := world(f)
 	rt.SetClock(clock.NewFake(time.Unix(1e9, 0)))
@@ -59,14 +61,21 @@ func FuzzHostileRef(f *testing.F) {
 		if err != nil {
 			return
 		}
-		for _, e := range ref.Protocols {
+		want := -1
+		for i, e := range ref.Protocols {
 			fac, ok := pool.Lookup(e.ID)
 			if !ok || !fac.Applicable(e, client.Locality(), ref.Server) {
 				continue
 			}
+			if want < 0 {
+				want = i
+			}
 			if p, err := fac.New(e, ref, client); err == nil {
 				_ = p.Close()
 			}
+		}
+		if _, got, _ := pool.Select(ref, client.Locality()); got != want {
+			t.Fatalf("selection picked table[%d], the uncached walk table[%d]", got, want)
 		}
 	})
 }

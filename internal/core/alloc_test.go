@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"openhpcxx/internal/bufpool"
 	"openhpcxx/internal/future"
 	"openhpcxx/internal/transport"
 	"openhpcxx/internal/xdr"
@@ -193,5 +194,45 @@ func TestBatchedEchoAllocs(t *testing.T) {
 		if _, err := f.Wait(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestFreshHandlerLendsItsFirstReply: a migrated typed servant is a new
+// Handler with no reply size yet, so its first reply is sized like its
+// request. Echoing 64 Ki ints, that call takes its buffers from the pool
+// and allocates under 1 KiB, and the reply is lent: before this, the
+// reply grew from 64 bytes to 256 KiB and left as garbage.
+func TestFreshHandlerLendsItsFirstReply(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation pins do not hold under the race detector")
+	}
+	args, err := xdr.Marshal(&Int32Slice{V: make([]int32, 64<<10)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	echo := func() Method { return Handler(func(in *Int32Slice) (*Int32Slice, error) { return in, nil }) }
+	call := func(m Method) (lent bool) {
+		out, err := m(args)
+		if err != nil || len(out) != len(args) {
+			t.Fatalf("%d bytes, %v", len(out), err)
+		}
+		if lent = claimReply(out); lent {
+			bufpool.Put(out) // as dispatch does once the reply is written
+		}
+		return lent
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for i := 0; i < 4; i++ {
+		call(echo())
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	lent := call(echo())
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<10 {
+		t.Errorf("a fresh Handler's first 64 Ki-int echo allocated %d bytes, want under 1 KiB", got)
+	}
+	if !lent {
+		t.Error("a fresh Handler's first reply was not lent")
 	}
 }

@@ -153,7 +153,6 @@ func (g *GlobalPtr) retryAdmit(serr error, charged bool) (stop bool, out error) 
 	}
 	code := errs.CodeOf(serr)
 	g.host.rt.exhaustedCounter(code).Inc()
-	g.host.rt.recordEvent("retry-budget", g.Object(),
-		"context %s: budget dry, not retrying %s", g.host.name, code)
+	g.host.rt.recordEvent("retry-budget", g.Object(), "context "+g.host.name+": budget dry, not retrying "+code.String())
 	return true, &errs.BudgetExhausted{Code: code, Err: serr}
 }

@@ -78,7 +78,11 @@ func Handler[Req any, PReq interface {
 		if err != nil {
 			return nil, err
 		}
-		buf := bufpool.Get(int(size.Load()))
+		hint := size.Load()
+		if hint == 0 { // a first reply is sized like its request
+			hint = int64(len(args))
+		}
+		buf := bufpool.Get(int(hint))
 		c.e.SetBuf(buf[:0])
 		if err := resp.MarshalXDR(&c.e); err != nil {
 			return nil, err

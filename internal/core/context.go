@@ -128,9 +128,9 @@ func NewRuntime(network *netsim.Network, process string) *Runtime {
 	for _, c := range errs.KnownCodes() {
 		rt.errCounters[c] = metrics.CounterWith("rpc.errors", stats.Labels{"code": c.String()})
 	}
-	rt.defaultPool.Register(shmFactory{})
-	rt.defaultPool.Register(streamFactory{})
-	rt.defaultPool.Register(nexusFactory{})
+	for _, id := range []ProtoID{ProtoSHM, ProtoStream, ProtoNexus} {
+		rt.defaultPool.Register(addrFactory(id))
+	}
 	return rt
 }
 
@@ -287,7 +287,7 @@ func (rt *Runtime) NewContext(name string, machine netsim.MachineID) (*Context, 
 		loc:         loc,
 		pool:        rt.defaultPool.Clone(),
 		servants:    make(map[ObjectID]*Servant),
-		tombstones:  make(map[ObjectID]*ObjectRef),
+		tombstones:  make(map[ObjectID]*wire.Fault),
 		glues:       make(map[string]GlueServer),
 		bindings:    make(map[ProtoID]string),
 		gps:         make(map[*GlobalPtr]struct{}),
@@ -344,7 +344,7 @@ type Context struct {
 
 	mu         sync.RWMutex
 	servants   map[ObjectID]*Servant
-	tombstones map[ObjectID]*ObjectRef
+	tombstones map[ObjectID]*wire.Fault // a departed object's FaultMoved
 	glues      map[string]GlueServer
 	bindings   map[ProtoID]string
 	servers    []io.Closer
@@ -573,7 +573,7 @@ func (c *Context) Drain() {
 	}
 	c.draining = true
 	c.mu.Unlock()
-	c.rt.recordEvent("drain", "", "context %s draining", c.name)
+	c.rt.recordEvent("drain", "", "context "+c.name+" draining")
 	c.inflight.Wait()
 }
 

@@ -64,11 +64,6 @@ func (l *eventLog) list() []Event {
 func (rt *Runtime) Events() []Event { return rt.events.list() }
 
 // recordEvent appends to the runtime's event log.
-func (rt *Runtime) recordEvent(kind string, object ObjectID, format string, args ...any) {
-	rt.events.add(Event{
-		Time:   rt.clock.Now(),
-		Kind:   kind,
-		Object: object,
-		Detail: fmt.Sprintf(format, args...),
-	})
+func (rt *Runtime) recordEvent(kind string, object ObjectID, detail string) {
+	rt.events.add(Event{Time: rt.clock.Now(), Kind: kind, Object: object, Detail: detail})
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -55,22 +56,17 @@ type GlobalPtr struct {
 }
 
 // binding is everything one protocol selection fixes until the next
-// invalidation. bindToLocked builds it once — the health key decoded
-// from the entry's proto-data, the metric handles resolved — and
-// prepare hands out the pointer, so the invocation hot path derives
-// nothing: it increments atomics instead of rebuilding metric names and
-// taking the registry lock on every call, and takes no lock but the
-// GP's own. The handles are per endpoint, labelled
-// {proto=<pid>, endpoint=<addr>}, so a primary and a backup behind one
-// protocol keep separate series.
+// invalidation: the protocol object and the selected entry's record —
+// its health key and metric handles, resolved once per context — so
+// the invocation hot path derives nothing: it increments atomics instead
+// of rebuilding metric names and taking the registry lock on every call,
+// and takes no lock but the GP's own. The handles are per endpoint,
+// labelled {proto=<pid>, endpoint=<addr>}, so a primary and a backup
+// behind one protocol keep separate series.
 type binding struct {
 	proto Protocol
-	entry int    // index into ref.Protocols of the selected entry
-	key   string // health-tracker key of the bound endpoint
-
-	calls, oneway, reqBytes, respBytes *stats.Counter   // rpc.*{endpoint,proto}
-	transportErrors, faults            *stats.Counter   // rpc.*{endpoint,proto}
-	latency                            *stats.Histogram // rpc.latency_us{endpoint,proto}
+	entry int // index into ref.Protocols of the selected entry
+	*entryRecord
 }
 
 // DefaultMaxInFlight is the default per-GP bound on outstanding
@@ -121,10 +117,14 @@ func (g *GlobalPtr) Ref() *ObjectRef {
 
 // SetRef replaces the reference (e.g. with a re-ordered protocol table)
 // and invalidates the protocol binding.
-func (g *GlobalPtr) SetRef(ref *ObjectRef) {
+func (g *GlobalPtr) SetRef(ref *ObjectRef) { g.adoptRef(ref.Clone()) }
+
+// adoptRef installs a reference nothing else holds, such as one decoded
+// from a FaultMoved; g.ref is never written through, so probes may keep it.
+func (g *GlobalPtr) adoptRef(ref *ObjectRef) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.ref = ref.Clone()
+	g.ref = ref
 	g.invalidateLocked()
 }
 
@@ -302,65 +302,57 @@ func (g *GlobalPtr) bindLocked() error {
 		// (re-promotion to a recovered preferred endpoint, or demotion
 		// away from a newly tripped one). Same pick: keep the binding.
 		g.healthGen = ht.Generation()
-		f, idx, err := g.selectLocked(ht, failover)
-		if err != nil || idx == g.b.entry {
+		f, idx, r := g.selectLocked(ht, failover)
+		if f == nil || idx == g.b.entry {
 			return nil
 		}
 		g.invalidateLocked()
-		return g.bindToLocked(f, idx, "promote")
+		return g.bindToLocked(f, idx, r, "promote")
 	}
-	f, idx, err := g.selectLocked(ht, failover)
-	if err != nil {
-		return err
+	f, idx, r := g.selectLocked(ht, failover)
+	if f == nil {
+		return selectionError(g.ref, g.host.pool, g.host.loc)
 	}
 	if failover && ht != nil {
 		g.healthGen = ht.Generation()
 	}
-	return g.bindToLocked(f, idx, "select")
+	return g.bindToLocked(f, idx, r, "select")
 }
 
 // selectLocked runs protocol selection, vetoing circuit-broken endpoints
 // when failover is on. If every applicable endpoint is unhealthy it
 // falls back to unfiltered selection — trying the preferred endpoint
-// beats failing without trying.
-func (g *GlobalPtr) selectLocked(ht *health.Tracker, failover bool) (ProtoFactory, int, error) {
+// beats failing without trying. A nil factory means nothing applies.
+func (g *GlobalPtr) selectLocked(ht *health.Tracker, failover bool) (ProtoFactory, int, *entryRecord) {
 	if failover && ht != nil {
-		f, idx, err := g.host.pool.SelectWhere(g.ref, g.host.loc, func(_ int, e ProtoEntry) bool {
-			return ht.Allow(entryHealthKey(e))
-		})
-		if err == nil {
-			return f, idx, nil
+		f, idx, r := g.host.pool.selectRecord(g.ref, g.host.loc, func(r *entryRecord) bool { return ht.Allow(r.key) })
+		if f != nil {
+			return f, idx, r
 		}
 	}
-	return g.host.pool.Select(g.ref, g.host.loc)
+	return g.host.pool.selectRecord(g.ref, g.host.loc, nil)
 }
 
-// bindToLocked instantiates the chosen entry and builds its binding
-// (everything per-binding is resolved once per bind, not once per call).
-func (g *GlobalPtr) bindToLocked(f ProtoFactory, idx int, event string) error {
+// bindToLocked instantiates the chosen entry and binds it with its
+// record, whose handles the entry's first bind in this context resolves.
+// The protocol object is new each time: glue capabilities keep
+// per-binding state.
+func (g *GlobalPtr) bindToLocked(f ProtoFactory, idx int, r *entryRecord, event string) error {
 	p, err := f.New(g.ref.Protocols[idx], g.ref, g.host)
 	if err != nil {
 		return errs.Wrapf(errs.Transport, err, "core: instantiating %s", f.ID())
 	}
-	key := entryHealthKey(g.ref.Protocols[idx])
-	_, addr, _ := strings.Cut(key, "|")
-	r, by := g.host.rt.Metrics(), stats.Labels{"proto": string(p.ID()), "endpoint": meterLabel(addr)}
-	g.b = &binding{
-		proto:           p,
-		entry:           idx,
-		key:             key,
-		calls:           r.CounterWith("rpc.calls", by),
-		oneway:          r.CounterWith("rpc.oneway", by),
-		reqBytes:        r.CounterWith("rpc.req_bytes", by),
-		respBytes:       r.CounterWith("rpc.resp_bytes", by),
-		transportErrors: r.CounterWith("rpc.transport_errors", by),
-		faults:          r.CounterWith("rpc.faults", by),
-		latency:         r.HistogramWith("rpc.latency_us", by),
-	}
+	r.once.Do(func() {
+		_, addr, _ := strings.Cut(r.key, "|")
+		m, by := g.host.rt.Metrics(), stats.Labels{"proto": string(p.ID()), "endpoint": meterLabel(addr)}
+		r.calls, r.oneway, r.reqBytes = m.CounterWith("rpc.calls", by), m.CounterWith("rpc.oneway", by), m.CounterWith("rpc.req_bytes", by)
+		r.respBytes, r.transportErrors = m.CounterWith("rpc.resp_bytes", by), m.CounterWith("rpc.transport_errors", by)
+		r.faults, r.latency = m.CounterWith("rpc.faults", by), m.HistogramWith("rpc.latency_us", by)
+	})
+	g.b = &binding{proto: p, entry: idx, entryRecord: r}
 	g.applyBatchingLocked()
 	g.registerProbesLocked()
-	g.host.rt.recordEvent(event, g.ref.Object,
-		"context %s picked table[%d] %s (server at %s)", g.host.name, idx, p.ID(), g.ref.Server)
+	g.host.rt.recordEvent(event, g.ref.Object, "context "+g.host.name+" picked table["+strconv.Itoa(idx)+"] "+string(p.ID())+" (server at "+g.ref.Server.String()+")")
 	return nil
 }
 
@@ -369,19 +361,22 @@ func (g *GlobalPtr) bindToLocked(f ProtoFactory, idx int, event string) error {
 const probeMethod = "__health_probe__"
 
 // registerProbesLocked installs an out-of-band liveness probe for every
-// entry in the reference's table, so tripped breakers re-close when the
-// endpoint recovers — without risking live requests on it.
+// entry in the reference's table that has none in the current tracker,
+// so tripped breakers re-close when the endpoint recovers — without
+// risking live requests on it.
 func (g *GlobalPtr) registerProbesLocked() {
 	ht := g.host.rt.Health()
 	if ht == nil || !g.host.rt.FailoverEnabled() {
 		return
 	}
-	host, ref := g.host, g.ref.Clone()
-	for _, e := range ref.Protocols {
-		entry := e
-		ht.SetProbe(entryHealthKey(entry), func() error {
-			return probeEntry(host, ref, entry)
-		})
+	host, ref, pool := g.host, g.ref, g.host.pool
+	pool.rmu.Lock()
+	defer pool.rmu.Unlock()
+	for _, entry := range ref.Protocols {
+		if r := pool.record(entry); r.probed != ht {
+			r.probed = ht
+			ht.SetProbe(r.key, func() error { return probeEntry(host, ref, entry) })
+		}
 	}
 }
 
@@ -519,9 +514,10 @@ func (g *GlobalPtr) settle(b *binding, reply *wire.Message, err error) (body []b
 			if derr != nil {
 				return nil, true, false, errs.Wrap(errs.Codec, derr, "core: moved but reference undecodable")
 			}
-			g.host.rt.recordEvent("refresh", newRef.Object,
-				"context %s chased tombstone to %s (epoch %d)", g.host.name, newRef.Server, newRef.Epoch)
-			g.SetRef(newRef)
+			var num [20]byte // the epoch's digits, read by the concatenation only
+			g.host.rt.recordEvent("refresh", newRef.Object, "context "+g.host.name+" chased tombstone to "+
+				newRef.Server.String()+" (epoch "+string(strconv.AppendUint(num[:0], newRef.Epoch, 10))+")")
+			g.adoptRef(newRef)
 			return nil, false, false, f
 		case wire.FaultNoObject:
 			// The endpoint answered authoritatively: no such object there.
@@ -541,8 +537,7 @@ func (g *GlobalPtr) settle(b *binding, reply *wire.Message, err error) (body []b
 			if rerr != nil || newRef == nil || sameRef(cur, newRef) {
 				return nil, true, false, f
 			}
-			g.host.rt.recordEvent("refresh", newRef.Object,
-				"context %s re-resolved after no-object (server now %s)", g.host.name, newRef.Server)
+			g.host.rt.recordEvent("refresh", newRef.Object, "context "+g.host.name+" re-resolved after no-object (server now "+newRef.Server.String()+")")
 			g.SetRef(newRef)
 			return nil, false, false, f
 		case wire.FaultNotApplicable:

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"strconv"
+
 	"openhpcxx/internal/errs"
 )
 
@@ -26,10 +28,13 @@ func (c *Context) BeginMove(id ObjectID) (*Servant, []byte, error) {
 // FaultMoved with the new reference, is removed from the context's
 // table, and a tombstone forwards latecomers.
 func (c *Context) CommitMove(s *Servant, newRef *ObjectRef) {
-	s.movedTo = newRef // safe: caller holds the freeze (write lock)
+	tomb := movedFault(newRef)
+	s.movedTo = tomb // safe: caller holds the freeze (write lock)
 	s.Unfreeze()
-	c.Unexport(s.id, newRef)
-	c.rt.recordEvent("move-out", s.id, "left context %s for %s (epoch %d)", c.name, newRef.Server, newRef.Epoch)
+	c.unexport(s.id, tomb)
+	var num [20]byte
+	c.rt.recordEvent("move-out", s.id, "left context "+c.name+" for "+newRef.Server.String()+
+		" (epoch "+string(strconv.AppendUint(num[:0], newRef.Epoch, 10))+")")
 }
 
 // AbortMove releases a BeginMove without relocating the object.

@@ -5,7 +5,9 @@ import (
 	"sync"
 
 	"openhpcxx/internal/errs"
+	"openhpcxx/internal/health"
 	"openhpcxx/internal/netsim"
+	"openhpcxx/internal/stats"
 	"openhpcxx/internal/transport"
 	"openhpcxx/internal/wire"
 )
@@ -88,17 +90,68 @@ const (
 
 // ProtoPool is a repository of protocol factories ordered by preference
 // (the paper's proto-pool). An application component uses a pool to
-// determine — and constrain — the protocols available to it.
+// determine — and constrain — the protocols available to it. A pool
+// also keeps one record per protocol-table entry it has selected over
+// (each context clones its own pool), so a re-selection is a lookup.
 type ProtoPool struct {
 	mu        sync.RWMutex
 	order     []ProtoID
 	factories map[ProtoID]ProtoFactory
 	selOrder  SelectionOrder
+	gen       uint64 // bumped by every change: older applicability memos are stale
+
+	rmu  sync.Mutex
+	recs map[recordKey]*entryRecord
 }
 
 // NewProtoPool returns an empty pool using RefOrder selection.
 func NewProtoPool() *ProtoPool {
-	return &ProtoPool{factories: make(map[ProtoID]ProtoFactory)}
+	return &ProtoPool{factories: make(map[ProtoID]ProtoFactory), gen: 1, recs: make(map[recordKey]*entryRecord)}
+}
+
+// recordKey is a protocol-table entry's bytes.
+type recordKey struct {
+	id   ProtoID
+	data string
+}
+
+// entryRecord is one protocol-table entry as its pool's context resolved
+// it, built on first sight. Applicability is memoised for one (pool
+// generation, client, server): it is a pure function of the two
+// localities. The first bind fills the labelled handles, the first bind
+// with failover on registers the entry's health probe.
+type entryRecord struct {
+	key string // health-tracker key: protocol id | address
+
+	// Under the pool's rmu: the memo, and the tracker holding the probe.
+	gen            uint64
+	client, server netsim.Locality
+	applicable     bool
+	probed         *health.Tracker
+
+	once                                                        sync.Once        // fills the handles
+	calls, oneway, reqBytes, respBytes, transportErrors, faults *stats.Counter   // rpc.*{endpoint,proto}
+	latency                                                     *stats.Histogram // rpc.latency_us{endpoint,proto}
+}
+
+// maxRecords bounds a pool's records: a peer can mint distinct references
+// without end, so past the bound an arbitrary record makes room.
+const maxRecords = 256
+
+// record returns e's record, built on first sight. Caller holds rmu.
+func (p *ProtoPool) record(e ProtoEntry) *entryRecord {
+	if r, ok := p.recs[recordKey{e.ID, string(e.Data)}]; ok {
+		return r
+	}
+	for k := range p.recs {
+		if len(p.recs) < maxRecords {
+			break
+		}
+		delete(p.recs, k)
+	}
+	r := &entryRecord{key: entryHealthKey(e)}
+	p.recs[recordKey{e.ID, string(e.Data)}] = r
+	return r
 }
 
 // Register appends a factory to the pool (lowest preference). Registering
@@ -110,6 +163,7 @@ func (p *ProtoPool) Register(f ProtoFactory) {
 		p.order = append(p.order, f.ID())
 	}
 	p.factories[f.ID()] = f
+	p.gen++
 }
 
 // Remove deletes a factory; a GP whose selected protocol is removed will
@@ -121,6 +175,7 @@ func (p *ProtoPool) Remove(id ProtoID) {
 		return
 	}
 	delete(p.factories, id)
+	p.gen++
 	for i, o := range p.order {
 		if o == id {
 			p.order = append(p.order[:i], p.order[i+1:]...)
@@ -147,13 +202,13 @@ func (p *ProtoPool) Prefer(ids ...ProtoID) {
 			head = append(head, id)
 		}
 	}
-	p.order = head
+	p.order, p.gen = head, p.gen+1
 }
 
 // SetSelectionOrder switches between RefOrder and PoolOrder.
 func (p *ProtoPool) SetSelectionOrder(o SelectionOrder) {
 	p.mu.Lock()
-	p.selOrder = o
+	p.selOrder, p.gen = o, p.gen+1
 	p.mu.Unlock()
 }
 
@@ -196,24 +251,28 @@ var ErrNoProtocol = errors.New("core: no applicable protocol")
 // the first applicable match. The returned index identifies the chosen
 // table entry.
 func (p *ProtoPool) Select(ref *ObjectRef, client netsim.Locality) (ProtoFactory, int, error) {
-	return p.SelectWhere(ref, client, nil)
+	f, i, _ := p.selectRecord(ref, client, nil)
+	if f == nil {
+		return nil, -1, selectionError(ref, p, client)
+	}
+	return f, i, nil
 }
 
-// SelectWhere is Select with an extra veto: entries for which allow
-// returns false are skipped even when applicable. The ORB passes an
-// endpoint-health filter here so failover falls through the reference's
-// ordered protocol table to the first entry that is both applicable and
-// not circuit-broken. A nil allow accepts everything.
-func (p *ProtoPool) SelectWhere(ref *ObjectRef, client netsim.Locality, allow func(i int, e ProtoEntry) bool) (ProtoFactory, int, error) {
-	ok := func(i int, e ProtoEntry) bool { return allow == nil || allow(i, e) }
-
+// selectRecord is the selection walk. Each entry's applicability comes
+// off its record, asked of the factory only when the pool, the client or
+// the server changed since. A non-nil allow vetoes applicable entries:
+// the GP passes its endpoint-health filter, so failover falls through the
+// ordered table to the first entry that is both applicable and not
+// circuit-broken. A nil factory means nothing qualified.
+func (p *ProtoPool) selectRecord(ref *ObjectRef, client netsim.Locality, allow func(*entryRecord) bool) (ProtoFactory, int, *entryRecord) {
 	// The factories to walk, in walk order, are read under one lock, so
 	// a concurrent Remove cannot hand the walk a nil factory. The walk
-	// itself runs unlocked: a glue factory's Applicable reads the pool.
+	// itself runs under the records' lock only: a glue factory's
+	// Applicable reads the pool.
 	var buf [8]ProtoFactory
 	facs := buf[:0]
 	p.mu.RLock()
-	poolOrder := p.selOrder == PoolOrder
+	gen, poolOrder := p.gen, p.selOrder == PoolOrder
 	if poolOrder {
 		for _, id := range p.order {
 			facs = append(facs, p.factories[id])
@@ -225,23 +284,28 @@ func (p *ProtoPool) SelectWhere(ref *ObjectRef, client netsim.Locality, allow fu
 	}
 	p.mu.RUnlock()
 
-	if poolOrder {
-		for _, f := range facs {
-			for i, entry := range ref.Protocols {
-				if entry.ID == f.ID() && f.Applicable(entry, client, ref.Server) && ok(i, entry) {
-					return f, i, nil
-				}
+	p.rmu.Lock()
+	defer p.rmu.Unlock()
+	for j, f := range facs {
+		lo, hi := j, j+1 // RefOrder: entry j, with its own factory
+		if poolOrder {
+			lo, hi = 0, len(ref.Protocols)
+		}
+		for i := lo; i < hi; i++ {
+			e := ref.Protocols[i]
+			if f == nil || e.ID != f.ID() {
+				continue
+			}
+			r := p.record(e)
+			if r.gen != gen || r.client != client || r.server != ref.Server {
+				r.gen, r.client, r.server, r.applicable = gen, client, ref.Server, f.Applicable(e, client, ref.Server)
+			}
+			if r.applicable && (allow == nil || allow(r)) {
+				return f, i, r
 			}
 		}
-		return nil, -1, selectionError(ref, p, client)
 	}
-
-	for i, entry := range ref.Protocols {
-		if f := facs[i]; f != nil && f.Applicable(entry, client, ref.Server) && ok(i, entry) {
-			return f, i, nil
-		}
-	}
-	return nil, -1, selectionError(ref, p, client)
+	return nil, -1, nil
 }
 
 func selectionError(ref *ObjectRef, p *ProtoPool, client netsim.Locality) error {

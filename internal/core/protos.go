@@ -54,15 +54,22 @@ func (a *addrData) UnmarshalXDR(d *xdr.Decoder) error {
 	return err
 }
 
+// encodeAddrData and decodeAddrData keep their codec off the heap.
 func encodeAddrData(addr, endpoint string) []byte {
-	b, _ := xdr.Marshal(&addrData{Addr: addr, Endpoint: endpoint})
-	return b
+	var e xdr.Encoder
+	e.SetBuf(make([]byte, 0, 14+len(addr)+len(endpoint)))
+	_ = (&addrData{Addr: addr, Endpoint: endpoint}).MarshalXDR(&e)
+	return e.Bytes()
 }
 
-func decodeAddrData(p []byte) (*addrData, error) {
-	a := new(addrData)
-	if err := xdr.Unmarshal(p, a); err != nil {
-		return nil, errs.Wrap(errs.Codec, err, "core: bad address proto-data")
+func decodeAddrData(p []byte) (a addrData, err error) {
+	var d xdr.Decoder
+	d.Reset(p)
+	if err = a.UnmarshalXDR(&d); err == nil {
+		err = d.Done()
+	}
+	if err != nil {
+		return a, errs.Wrap(errs.Codec, err, "core: bad address proto-data")
 	}
 	return a, nil
 }
@@ -234,42 +241,33 @@ func (p *streamProto) Post(m *wire.Message) error {
 
 func (p *streamProto) Close() error { return nil } // pooled conns are shared
 
-// streamFactory builds ProtoStream instances.
-type streamFactory struct{}
+// addrFactory builds the protocols whose proto-data is an address: the
+// stream protocol, shm — the same mechanism over the unshaped in-process
+// fabric, hence applicable only within one process — and Nexus.
+type addrFactory ProtoID
 
-func (streamFactory) ID() ProtoID { return ProtoStream }
+func (f addrFactory) ID() ProtoID { return ProtoID(f) }
 
-func (streamFactory) Applicable(entry ProtoEntry, client, server netsim.Locality) bool {
+func (f addrFactory) Applicable(entry ProtoEntry, client, server netsim.Locality) bool {
 	a, err := decodeAddrData(entry.Data)
-	return err == nil && a.Addr != ""
+	switch {
+	case err != nil || a.Addr == "":
+		return false
+	case f == addrFactory(ProtoSHM):
+		return client.SameProcess(server)
+	}
+	return f != addrFactory(ProtoNexus) || a.Endpoint != ""
 }
 
-func (streamFactory) New(entry ProtoEntry, ref *ObjectRef, host *Context) (Protocol, error) {
+func (f addrFactory) New(entry ProtoEntry, ref *ObjectRef, host *Context) (Protocol, error) {
 	a, err := decodeAddrData(entry.Data)
 	if err != nil {
 		return nil, err
 	}
-	return &streamProto{id: ProtoStream, addr: a.Addr, host: host}, nil
-}
-
-// shmFactory builds ProtoSHM instances. Same mechanism as the stream
-// protocol — the difference is the unshaped in-process fabric behind the
-// address and the applicability restriction.
-type shmFactory struct{}
-
-func (shmFactory) ID() ProtoID { return ProtoSHM }
-
-func (shmFactory) Applicable(entry ProtoEntry, client, server netsim.Locality) bool {
-	a, err := decodeAddrData(entry.Data)
-	return err == nil && a.Addr != "" && client.SameProcess(server)
-}
-
-func (shmFactory) New(entry ProtoEntry, ref *ObjectRef, host *Context) (Protocol, error) {
-	a, err := decodeAddrData(entry.Data)
-	if err != nil {
-		return nil, err
+	if f == addrFactory(ProtoNexus) {
+		return &nexusProto{sp: nexus.Startpoint{Addr: a.Addr, Endpoint: a.Endpoint}, host: host}, nil
 	}
-	return &streamProto{id: ProtoSHM, addr: a.Addr, host: host}, nil
+	return &streamProto{id: ProtoID(f), addr: a.Addr, host: host}, nil
 }
 
 // nexusProto carries frames embedded in Nexus remote service requests.
@@ -329,21 +327,3 @@ func (p *nexusProto) Post(m *wire.Message) error {
 }
 
 func (p *nexusProto) Close() error { return nil } // the node is shared
-
-// nexusFactory builds ProtoNexus instances.
-type nexusFactory struct{}
-
-func (nexusFactory) ID() ProtoID { return ProtoNexus }
-
-func (nexusFactory) Applicable(entry ProtoEntry, client, server netsim.Locality) bool {
-	a, err := decodeAddrData(entry.Data)
-	return err == nil && a.Addr != "" && a.Endpoint != ""
-}
-
-func (nexusFactory) New(entry ProtoEntry, ref *ObjectRef, host *Context) (Protocol, error) {
-	a, err := decodeAddrData(entry.Data)
-	if err != nil {
-		return nil, err
-	}
-	return &nexusProto{sp: nexus.Startpoint{Addr: a.Addr, Endpoint: a.Endpoint}, host: host}, nil
-}

@@ -116,13 +116,29 @@ func (r *ObjectRef) UnmarshalXDR(d *xdr.Decoder) error {
 }
 
 // EncodeRef serializes a reference for transmission (registry entries,
-// FaultMoved payloads, capability passing between processes).
-func EncodeRef(r *ObjectRef) ([]byte, error) { return xdr.Marshal(r) }
+// FaultMoved payloads, capability passing between processes) into a
+// buffer of the encoding's size.
+func EncodeRef(r *ObjectRef) ([]byte, error) {
+	l, n := r.Server, 64+len(r.Object)+len(r.Iface)
+	n += len(l.Machine) + len(l.LAN) + len(l.Campus) + len(l.Process)
+	for _, p := range r.Protocols {
+		n += 16 + len(p.ID) + len(p.Data)
+	}
+	var e xdr.Encoder
+	e.SetBuf(make([]byte, 0, n))
+	err := r.MarshalXDR(&e)
+	return e.Bytes(), err
+}
 
 // DecodeRef parses a serialized reference.
 func DecodeRef(p []byte) (*ObjectRef, error) {
+	var d xdr.Decoder
+	d.Reset(p)
 	r := new(ObjectRef)
-	if err := xdr.Unmarshal(p, r); err != nil {
+	if err := r.UnmarshalXDR(&d); err != nil {
+		return nil, err
+	}
+	if err := d.Done(); err != nil {
 		return nil, err
 	}
 	return r, nil

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -25,7 +26,7 @@ type Servant struct {
 	epoch   uint64
 	impl    any
 	methods map[string]Method
-	movedTo *ObjectRef
+	movedTo *wire.Fault // the tombstone's FaultMoved, once it left
 	calls   atomic.Uint64
 }
 
@@ -57,7 +58,7 @@ func (s *Servant) invoke(method string, args []byte) (out []byte, err error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.movedTo != nil {
-		return nil, movedFault(s.movedTo)
+		return nil, s.movedTo
 	}
 	m, ok := s.methods[method]
 	if !ok {
@@ -72,12 +73,17 @@ func (s *Servant) invoke(method string, args []byte) (out []byte, err error) {
 	return m(args)
 }
 
-func movedFault(ref *ObjectRef) error {
+// movedFault is a tombstone: the FaultMoved forwarding to ref, encoded
+// once for every stale request it answers; nil for a nil ref.
+func movedFault(ref *ObjectRef) *wire.Fault {
+	if ref == nil {
+		return nil
+	}
 	data, err := EncodeRef(ref)
 	if err != nil {
 		return wire.Faultf(wire.FaultInternal, "encoding forwarding reference: %v", err)
 	}
-	return &wire.Fault{Code: wire.FaultMoved, Message: "object migrated to " + ref.Server.String(), Data: data}
+	return wire.Encoded(&wire.Fault{Code: wire.FaultMoved, Message: "object migrated to " + ref.Server.String(), Data: data})
 }
 
 // Export registers a servant under an automatically assigned object id.
@@ -101,7 +107,8 @@ func (c *Context) ExportAs(id ObjectID, iface string, impl any, methods map[stri
 	delete(c.tombstones, id) // an object returning home clears its tombstone
 	c.servants[id] = s
 	if epoch > 0 {
-		c.rt.recordEvent("move-in", id, "adopted by context %s (epoch %d)", c.name, epoch)
+		var num [20]byte
+		c.rt.recordEvent("move-in", id, "adopted by context "+c.name+" (epoch "+string(strconv.AppendUint(num[:0], epoch, 10))+")")
 	}
 	return s, nil
 }
@@ -116,17 +123,19 @@ func (c *Context) Servant(id ObjectID) (*Servant, bool) {
 
 // Unexport removes a servant, optionally leaving a forwarding tombstone
 // so stale callers receive FaultMoved with the new reference.
-func (c *Context) Unexport(id ObjectID, forwardTo *ObjectRef) {
+func (c *Context) Unexport(id ObjectID, forwardTo *ObjectRef) { c.unexport(id, movedFault(forwardTo)) }
+
+func (c *Context) unexport(id ObjectID, tomb *wire.Fault) {
 	c.mu.Lock()
 	s, ok := c.servants[id]
 	delete(c.servants, id)
-	if forwardTo != nil {
-		c.tombstones[id] = forwardTo
+	if tomb != nil {
+		c.tombstones[id] = tomb
 	}
 	c.mu.Unlock()
-	if ok && forwardTo != nil {
+	if ok && tomb != nil {
 		s.mu.Lock()
-		s.movedTo = forwardTo
+		s.movedTo = tomb
 		s.mu.Unlock()
 	}
 }
@@ -218,7 +227,7 @@ func (c *Context) refuse(m *wire.Message, ds *obs.Active) *wire.Message {
 	var rej error
 	if !live && tomb != nil {
 		ds.SetCause("moved")
-		rej = movedFault(tomb)
+		rej = tomb
 	} else {
 		ds.SetCause("draining")
 		c.srv.drained.Inc()
@@ -235,14 +244,14 @@ func (c *Context) refuse(m *wire.Message, ds *obs.Active) *wire.Message {
 func (c *Context) handleRequest(m *wire.Message, ds *obs.Active) (*wire.Message, error) {
 	c.mu.RLock()
 	s, ok := c.servants[ObjectID(m.Object)]
-	var tomb *ObjectRef
+	var tomb *wire.Fault
 	if !ok {
 		tomb = c.tombstones[ObjectID(m.Object)]
 	}
 	c.mu.RUnlock()
 	if !ok {
 		if tomb != nil {
-			return nil, movedFault(tomb)
+			return nil, tomb
 		}
 		return nil, wire.Faultf(wire.FaultNoObject, "no object %s in context %s", m.Object, c.name)
 	}

@@ -294,6 +294,9 @@ func CodeOf(err error) Code {
 	if err == nil {
 		return Unknown
 	}
+	if c, ok := err.(Coder); ok {
+		return Code(c.ErrCode())
+	}
 	var c Coder
 	if errors.As(err, &c) {
 		return Code(c.ErrCode())

@@ -74,6 +74,19 @@ type Fault struct {
 	// Data carries code-specific payload; for FaultMoved it is the
 	// XDR-encoded new ObjectRef.
 	Data []byte
+
+	enc []byte // Encoded's body, which every reply carrying f shares
+}
+
+// Encoded encodes f once, for a fault that answers many requests alike
+// (a tombstone's FaultMoved): FaultMessage then sends those bytes, shared
+// and never lent, so no Release hands them to bufpool.
+func Encoded(f *Fault) *Fault {
+	var e xdr.Encoder
+	e.SetBuf(make([]byte, 0, 16+len(f.Message)+len(f.Data)))
+	_ = f.MarshalXDR(&e)
+	f.enc = e.Bytes()
+	return f
 }
 
 // Error implements the error interface.
@@ -120,6 +133,9 @@ func Faultf(code FaultCode, format string, args ...any) *Fault {
 // config ...) downgrade to FaultInternal since the peer could not
 // react to them mechanically anyway.
 func AsFault(err error) *Fault {
+	if f, ok := err.(*Fault); ok {
+		return f
+	}
 	var f *Fault
 	if errors.As(err, &f) {
 		return f
@@ -130,27 +146,37 @@ func AsFault(err error) *Fault {
 	return &Fault{Code: FaultInternal, Message: err.Error()}
 }
 
-// FaultMessage builds the TFault reply for a request.
+// FaultMessage builds the TFault reply for a request: a pooled header
+// (Pooled), which the encoder it is handed to gives back.
 func FaultMessage(req *Message, err error) (*Message, error) {
 	f := AsFault(err)
-	body, merr := xdr.Marshal(f)
-	if merr != nil {
-		return nil, merr
+	body := f.enc
+	if body == nil {
+		var merr error
+		if body, merr = xdr.Marshal(f); merr != nil {
+			return nil, merr
+		}
 	}
-	return &Message{
+	return Pooled(Message{
 		Type:      TFault,
 		RequestID: req.RequestID,
 		Object:    req.Object,
 		Method:    req.Method,
 		Epoch:     req.Epoch,
 		Body:      body,
-	}, nil
+	}), nil
 }
 
 // DecodeFault parses a TFault body into an error.
 func DecodeFault(body []byte) error {
+	var d xdr.Decoder
+	d.Reset(body)
 	f := new(Fault)
-	if err := xdr.Unmarshal(body, f); err != nil {
+	err := f.UnmarshalXDR(&d)
+	if err == nil {
+		err = d.Done()
+	}
+	if err != nil {
 		return errs.Wrap(errs.Codec, err, "wire: undecodable fault")
 	}
 	return f

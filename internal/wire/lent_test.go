@@ -159,3 +159,32 @@ func TestRecycledHeaderIsScrubbed(t *testing.T) {
 		t.Fatalf("a literal header was recycled: %+v", lit)
 	}
 }
+
+// TestEncodedFaultIsSharedNotLent: an Encoded fault's bytes answer every
+// request that carries it, so FaultMessage sends them unlent, and writing,
+// marshaling or batching the reply gives nothing of them to bufpool.
+func TestEncodedFaultIsSharedNotLent(t *testing.T) {
+	back := countReturns(t)
+	f := Encoded(&Fault{Code: FaultMoved, Message: "object migrated", Data: []byte("forwarding reference")})
+	want := append([]byte(nil), f.enc...)
+	encode := []func(m *Message) error{
+		func(m *Message) error { return Write(io.Discard, m) },
+		func(m *Message) error { _, err := Marshal(m); return err },
+		func(m *Message) error { _, err := EncodeBatch([]*Message{m}); return err },
+	}
+	for i, enc := range encode {
+		m, err := FaultMessage(&Message{Type: TRequest, RequestID: uint64(i), Object: "ctx/obj-1", Method: "exchange"}, f)
+		if err != nil || &m.Body[0] != &f.enc[0] {
+			t.Fatalf("reply %d does not carry the fault's encoding (%v)", i, err)
+		}
+		if err := enc(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := back[&f.enc[0]]; n != 0 || !bytes.Equal(f.enc, want) {
+		t.Fatalf("an encoded fault went back to bufpool %d times; its bytes now %x", n, f.enc)
+	}
+	if got, ok := DecodeFault(want).(*Fault); !ok || got.Code != f.Code || got.Message != f.Message || !bytes.Equal(got.Data, f.Data) {
+		t.Fatalf("the encoding decodes to %+v", got)
+	}
+}

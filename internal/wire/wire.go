@@ -220,10 +220,7 @@ func decodeMessage(buf []byte, m *Message) error {
 	if err := m.UnmarshalXDR(&d); err != nil {
 		return err
 	}
-	if d.Remaining() != 0 {
-		return errs.Wrapf(errs.Codec, xdr.ErrTrailing, "%d bytes", d.Remaining())
-	}
-	return nil
+	return d.Done()
 }
 
 // Frame errors.

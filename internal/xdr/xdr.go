@@ -503,6 +503,13 @@ func (d *Decoder) DecodeFull(u Unmarshaler) error {
 	if err := u.UnmarshalXDR(d); err != nil {
 		return err
 	}
+	return d.Done()
+}
+
+// Done is DecodeFull's last check, that d consumed all of its input. A
+// caller decoding a concrete type with a Decoder value of its own, which
+// then stays off the heap, makes it itself.
+func (d *Decoder) Done() error {
 	if d.Remaining() != 0 {
 		return errs.Wrapf(errs.Codec, ErrTrailing, "%d bytes", d.Remaining())
 	}
